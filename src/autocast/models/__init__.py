@@ -15,7 +15,7 @@ from .boosting import (
 )
 from .ensemble import DEFAULT_MEMBERS, ensemble_forecast
 from .gam import GamDesign, GamForecaster, fit_gam, gam_decompose, gam_predict
-from .lasso import lasso_coordinate_descent, lasso_objective, select_lambda
+from .lasso import lasso_objective, select_lambda
 from .naive import NaiveForecaster, naive_forecast
 from .optim import nelder_mead
 from .smoothing import HwesState, HwesForecaster, SesForecaster, fit_hwes, fit_ses, hwes_forecast
@@ -50,7 +50,6 @@ __all__ = [
     "gam_predict",
     "hwes_forecast",
     "iterate_one_step",
-    "lasso_coordinate_descent",
     "lasso_objective",
     "make_window_features",
     "naive_forecast",

@@ -2,8 +2,9 @@
 
 The design is intercept + linear trend + normalized exponential trend +
 Fourier seasonality + optional external regressors + a cubic spline block
-(t^2, t^3, and one truncated cube per interior knot). Coefficients come from
-coordinate descent; the penalty weight is picked on the last 20% of rows.
+(t^2, t^3, and one truncated cube per interior knot). Coefficients are read
+off the exact lasso path (``lasso_path``); the penalty weight is picked on the
+last 20% of rows.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from ..series import ForecastResult, SalesSeries
 from .base import BaseForecaster, ModelId
-from .lasso import default_lambda_grid, lasso_coordinate_descent, select_lambda
+from .lasso import default_lambda_grid, lasso_path, select_lambda
 
 N_SPLINE_KNOTS = 5
 
@@ -120,7 +121,7 @@ def fit_gam(
         if lambda_grid is None:
             lambda_grid = default_lambda_grid(std_design, y)
         lam = select_lambda(std_design, y, lambda_grid)
-    beta_std = lasso_coordinate_descent(std_design, y, float(lam))
+    beta_std = lasso_path(std_design, y, [float(lam)])[0]
     beta = _destandardize(beta_std, means, stds)
     n_external = 0
     if external is not None:

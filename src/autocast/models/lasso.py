@@ -1,7 +1,14 @@
-"""Cyclic coordinate descent for lasso regression with an unpenalized intercept.
+"""Lasso regression with an unpenalized intercept.
 
 Minimizes (1/2n)||y - M b||^2 + lambda * sum_{j>0} |b_j|. Column 0 is the
-intercept; all other columns are expected to be standardized by the caller.
+all-ones intercept; all other columns are expected to be standardized by the
+caller.
+
+``lasso_path`` solves exactly: it follows the piecewise-linear solution path
+from lambda_max down with the lasso form of least angle regression (Efron,
+Hastie, Johnstone & Tibshirani 2004, "Least Angle Regression"), one small
+solve per kink. ``lasso_coordinate_descent`` is the plain cyclic coordinate
+descent solver, kept as the reference the path is checked against.
 """
 from __future__ import annotations
 
@@ -9,6 +16,16 @@ import numpy as np
 
 CONVERGENCE_TOL = 1e-8
 MAX_SWEEPS = 10_000
+MAX_PATH_STEPS = 1_000
+# a column whose centered norm is this small relative to its raw norm is
+# constant on the rows given (e.g. a spline knot beyond a short head)
+DEAD_COLUMN_TOL = 1e-10
+# a joining column whose residual against the active columns keeps less than
+# this share of its norm adds no direction (saturated or duplicate columns)
+DEPENDENT_COLUMN_TOL = 1e-10
+# kinks this close to lambda = 0, relative to lambda_max, are rounding noise in
+# the correlations, not events: the last segment runs on to lambda = 0
+PATH_END_TOL = 1e-10
 
 
 def soft_threshold(value: float, threshold: float) -> float:
@@ -19,72 +36,11 @@ def soft_threshold(value: float, threshold: float) -> float:
     return 0.0
 
 
-def _affine_sweep_map(gram, corr, lam: float, active, signs):
-    """One cyclic sweep over a frozen activity pattern, as an affine map.
+def lasso_coordinate_descent(design, target, lam: float, tol: float = CONVERGENCE_TOL, max_sweeps: int = MAX_SWEEPS):
+    """Returns the coefficient vector after at most ``max_sweeps`` cyclic sweeps.
 
-    With the active set and coefficient signs fixed, a soft-thresholded
-    Gauss-Seidel sweep solves (D + L) beta_new = b - U beta_old, so the sweep
-    is beta_new = T beta_old + w with T and w precomputable.
-    """
-    sub = gram[np.ix_(active, active)]
-    lower = np.tril(sub)
-    b = corr[active] - lam * signs
-    T = np.linalg.solve(lower, -np.triu(sub, 1))
-    w = np.linalg.solve(lower, b)
-    return T, w
-
-
-def _affine_sweeps(gram, corr, lam: float, tol: float, beta, sweep: int, max_sweeps: int):
-    """Run sweeps via the affine map while the activity pattern holds.
-
-    Mutates beta in place; returns (sweeps done so far, converged flag). Any
-    sign flip, dead-zone exit, or non-finite value abandons the candidate
-    sweep untouched so the coordinate-wise loop can take over again.
-    """
-    k = len(beta)
-    idx = np.arange(k)
-    usable = gram.diagonal() != 0.0
-    active = idx[usable & ((beta != 0.0) | (idx == 0))]
-    inactive = idx[usable & ~((beta != 0.0) | (idx == 0))]
-    if len(active) == 0:
-        return sweep, False
-    signs = np.sign(beta[active])
-    signs[active == 0] = 0.0  # intercept is unpenalized
-    penalized = active != 0
-    T, w = _affine_sweep_map(gram, corr, lam, active, signs)
-    # a parked coordinate stays parked only while its mid-sweep gradient sits
-    # inside the dead zone; earlier active columns count at their new values
-    sub = gram[np.ix_(inactive, active)]
-    earlier = active[None, :] < inactive[:, None]
-    low = np.where(earlier, sub, 0.0)
-    up = np.where(~earlier, sub, 0.0)
-    corr_in = corr[inactive]
-    while sweep < max_sweeps:
-        old = beta[active]
-        new = T @ old + w
-        if not np.all(np.isfinite(new)):
-            return sweep, False
-        if lam > 0.0 and not np.array_equal(np.sign(new[penalized]), signs[penalized]):
-            return sweep, False
-        if len(inactive):
-            rho = corr_in - low @ new - up @ old
-            if np.any(np.abs(rho) > lam):
-                return sweep, False
-        max_delta = float(np.max(np.abs(new - old)))
-        beta[active] = new
-        sweep += 1
-        if max_delta < tol:
-            return sweep, True
-    return sweep, False
-
-
-def lasso_coordinate_descent(
-    design, target, lam: float, tol: float = CONVERGENCE_TOL, max_sweeps: int = MAX_SWEEPS, beta0=None
-):
-    """Returns the coefficient vector; raises on non-finite intermediates.
-
-    beta0 warm-starts the sweep (default: zeros); on a lambda path the
-    neighboring solution is a much closer starting point than the origin.
+    Stops once no coordinate moves by ``tol`` in a sweep; raises on
+    non-finite intermediates.
     """
     M = np.asarray(design, dtype=float)
     y = np.asarray(target, dtype=float)
@@ -93,12 +49,7 @@ def lasso_coordinate_descent(
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     n, k = M.shape
-    if beta0 is None:
-        beta = np.zeros(k)
-    else:
-        beta = np.array(beta0, dtype=float)
-        if beta.shape != (k,):
-            raise ValueError(f"warm start has shape {beta.shape}, expected ({k},)")
+    beta = np.zeros(k)
     # non-finite intermediates are detected and raised explicitly, so the
     # interim numpy warnings on the way there are pure noise
     with np.errstate(invalid="ignore", over="ignore"):
@@ -107,23 +58,10 @@ def lasso_coordinate_descent(
         gram = (M.T @ M) / n
         corr = (M.T @ y) / n
         col_scale = gram.diagonal()  # z_j = (1/n) ||M_j||^2
-        # q tracks (1/n) M'M beta; a fresh start means q = 0 exactly, and the
-        # matmul is skipped so a non-finite column cannot poison other entries
-        q = np.zeros(k) if beta0 is None else gram @ beta
-        sweep = 0
-        stable = 0
-        prev_signs = None
-        while sweep < max_sweeps:
-            if stable >= 2:
-                # pattern held for three sweeps: batch sweeps as affine maps
-                # until convergence or the pattern breaks
-                sweep, converged = _affine_sweeps(gram, corr, lam, tol, beta, sweep, max_sweeps)
-                stable = 0
-                prev_signs = None
-                if converged:
-                    break
-                q = gram @ beta
-                continue
+        # q tracks (1/n) M'M beta; it starts at 0 exactly rather than by a
+        # matmul, so a non-finite column cannot poison other entries
+        q = np.zeros(k)
+        for _ in range(max_sweeps):
             max_delta = 0.0
             for j in range(k):
                 z = col_scale[j]
@@ -141,16 +79,122 @@ def lasso_coordinate_descent(
                     q += delta * gram[:, j]
                     beta[j] = new
                     max_delta = max(max_delta, abs(delta))
-            sweep += 1
             if max_delta < tol:
                 break
-            signs = np.sign(beta)
-            if prev_signs is not None and np.array_equal(signs, prev_signs):
-                stable += 1
-            else:
-                stable = 0
-            prev_signs = signs
     return beta
+
+
+def lasso_path(design, target, lams) -> np.ndarray:
+    """Exact lasso coefficients at every lambda in ``lams``, from one homotopy.
+
+    Returns an array of shape (len(lams), k) whose row i solves the problem at
+    lams[i]. The intercept is projected out by centering y and the penalized
+    columns on the given rows, and recovered at the end. Between kinks the
+    active coefficients are affine in lambda, b_A = G_AA^-1 (rho_A - lambda s_A),
+    so each requested lambda is read off the segment that holds it. A kink is
+    where an inactive correlation reaches +-lambda (the column joins) or an
+    active coefficient reaches zero (it leaves). Columns that are constant on
+    the rows stay at zero; a joining column that lies in the span of the
+    active ones (a saturated or duplicated design) is set aside until a
+    column leaves. Raises ValueError on non-finite input, a negative lambda,
+    or when the path needs more than MAX_PATH_STEPS kinks.
+    """
+    M = np.asarray(design, dtype=float)
+    y = np.asarray(target, dtype=float)
+    lams = np.asarray(lams, dtype=float).reshape(-1)
+    if M.ndim != 2 or y.ndim != 1 or M.shape[0] != y.shape[0]:
+        raise ValueError(f"design {M.shape} does not match target {y.shape}")
+    bad = ~np.all(np.isfinite(M), axis=0)
+    if bad.any():
+        raise ValueError(f"non-finite design entry in column {int(np.argmax(bad))}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("non-finite target value")
+    if not np.all(lams >= 0.0):
+        raise ValueError(f"lambda must be >= 0, got {lams.min()}")
+    n = len(y)
+    means = M[:, 1:].mean(axis=0)
+    X = M[:, 1:] - means
+    y_mean = float(y.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = (X.T @ X) / n
+        rho = (X.T @ (y - y_mean)) / n
+    bad = ~(np.all(np.isfinite(gram), axis=0) & np.isfinite(rho))
+    if bad.any():
+        raise ValueError(f"non-finite intermediate in column {int(np.argmax(bad)) + 1}")
+    raw_norm = np.sqrt(np.mean(M[:, 1:] ** 2, axis=0))
+    live = np.sqrt(gram.diagonal()) > DEAD_COLUMN_TOL * raw_norm
+
+    coefs = np.zeros((len(lams), X.shape[1]))
+    pending = sorted(range(len(lams)), key=lambda i: -lams[i])
+    lam_now = lam_top = float(np.max(np.abs(rho[live]), initial=0.0))
+    lam_floor = float(lams.min(initial=lam_now))
+    while pending and lams[pending[0]] >= lam_now:
+        pending.pop(0)  # at or above lambda_max every penalized coefficient is zero
+    active, signs = [], []
+    set_aside = np.zeros(len(live), dtype=bool)
+    joined, left, left_sign = None, -1, 0.0
+    if pending:
+        joined = int(np.argmax(np.where(live, np.abs(rho), -1.0)))
+        active, signs = [joined], [float(np.sign(rho[joined]))]
+    steps = 0
+    while pending:
+        steps += 1
+        if steps > MAX_PATH_STEPS:
+            raise ValueError(f"lasso path did not reach lambda={lam_floor} within {MAX_PATH_STEPS} steps")
+        A, s = np.array(active), np.array(signs)
+        sol = np.linalg.solve(gram[np.ix_(A, A)], np.column_stack([rho[A], s]))
+        a, d = sol[:, 0], sol[:, 1]
+        b_now = a - lam_now * d
+        # lambda falls by `step` to the next kink: the nearest join or leave
+        step, event = lam_now - lam_floor, None
+        free = live & ~set_aside
+        free[A] = False
+        cand = np.flatnonzero(free)
+        if len(cand):
+            c = rho[cand] - gram[np.ix_(cand, A)] @ b_now
+            rate = gram[np.ix_(cand, A)] @ d  # dc/dlambda on this segment
+            for sign, slack, closing in ((1.0, lam_now - c, 1.0 - rate), (-1.0, lam_now + c, 1.0 + rate)):
+                # a column that just left moves inward from the bound it held
+                ok = (closing > 1e-12) & ~((cand == left) & (sign == left_sign))
+                if ok.any():
+                    gaps = np.maximum(slack[ok], 0.0) / closing[ok]
+                    i = int(np.argmin(gaps))
+                    if gaps[i] < step:
+                        step, event = float(gaps[i]), ("join", int(cand[ok][i]), sign)
+        shrinking = d * s < 0.0
+        if joined is not None:
+            shrinking[active.index(joined)] = False
+        if shrinking.any():
+            gaps = np.maximum(b_now[shrinking] * s[shrinking], 0.0) / np.abs(d[shrinking])
+            i = int(np.argmin(gaps))
+            if gaps[i] < step:
+                step, event = float(gaps[i]), ("leave", int(A[shrinking][i]), float(s[shrinking][i]))
+        if event is not None and lam_now - step <= PATH_END_TOL * lam_top:
+            event = None
+        lam_next = lam_now - step if event is not None else lam_floor
+        while pending and lams[pending[0]] >= lam_next:
+            i = pending.pop(0)
+            coefs[i, A] = a - lams[i] * d
+        lam_now = lam_next
+        joined, left = None, -1
+        if event is None:
+            break
+        kind, j, sign = event
+        if kind == "leave":
+            at = active.index(j)
+            del active[at], signs[at]
+            left, left_sign = j, sign
+            set_aside[:] = False
+        else:
+            w = np.linalg.solve(gram[np.ix_(A, A)], gram[A, j])
+            if gram[j, j] - gram[j, A] @ w <= DEPENDENT_COLUMN_TOL * gram[j, j]:
+                set_aside[j] = True
+            else:
+                active.append(j)
+                signs.append(sign)
+                joined = j
+    intercept = y_mean - coefs @ means
+    return np.column_stack([intercept, coefs])
 
 
 def lasso_objective(design, target, beta, lam: float) -> float:
@@ -190,17 +234,13 @@ def select_lambda(design, target, grid=None) -> float:
     cut = max(1, int(round(n * 0.8)))
     if cut >= n:
         cut = n - 1
-    head_M, head_y = M[:cut], y[:cut]
-    tail_M, tail_y = M[cut:], y[cut:]
+    betas = lasso_path(M[:cut], y[:cut], lams)
+    errors = np.mean((y[cut:, None] - M[cut:] @ betas.T) ** 2, axis=0)
     best_lam = lams[0]
     best_err = np.inf
-    beta = None
-    # walk the path from the sparse end, warm-starting each fit
-    for lam in lams:
-        beta = lasso_coordinate_descent(head_M, head_y, lam, beta0=beta)
-        err = float(np.mean((tail_y - tail_M @ beta) ** 2))
+    for lam, err in zip(lams, errors):
         # ties favor the larger lambda, i.e. the sparser model
         if err < best_err - 1e-12:
-            best_err = err
+            best_err = float(err)
             best_lam = lam
     return best_lam

@@ -1,4 +1,4 @@
-"""Shared constructors for tests: compact series builders with fixed epochs."""
+"""Shared test helpers: compact series builders with fixed epochs, and the lasso optimality check."""
 import numpy as np
 
 from autocast.series import Frequency, Period, SalesSeries
@@ -33,3 +33,15 @@ def seasonal_values(n, m=12, level=100.0, amplitude=10.0, slope=0.0, noise=0.0, 
     if noise > 0:
         y = y + np.random.default_rng(seed).normal(0.0, noise, n)
     return np.maximum(y, 0.0)
+
+
+def kkt_violation(M, y, beta, lam):
+    """Largest breach of the lasso optimality conditions; column 0 unpenalized."""
+    gradient = -(M.T @ (y - M @ beta)) / len(y)
+    worst = abs(gradient[0])
+    for j in range(1, M.shape[1]):
+        if beta[j] != 0.0:
+            worst = max(worst, abs(gradient[j] + lam * np.sign(beta[j])))
+        else:
+            worst = max(worst, abs(gradient[j]) - lam)
+    return worst

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from autocast.models import GamForecaster, fit_gam, gam_decompose, gam_predict
-from autocast.models.gam import build_design_rows
+from autocast.models.gam import N_SPLINE_KNOTS, _standardize, build_design_rows
+from autocast.models.lasso import default_lambda_grid, lasso_path
 
-from helpers import monthly_series, weekly_series
+from helpers import kkt_violation, monthly_series, seasonal_values, weekly_series
 
 
 class TestDesignMatrix:
@@ -73,6 +74,26 @@ class TestFitGam:
         y = 100.0 + 10.0 * np.sin(2 * np.pi * np.arange(36) / 12)
         design = fit_gam(monthly_series(y), lambda_grid=np.array([0.5, 0.05]))
         assert design.lam in (0.5, 0.05)
+
+
+class TestLassoOnGamDesign:
+    @staticmethod
+    def standardized_design(n):
+        knots = tuple((i + 1) / (N_SPLINE_KNOTS + 1) for i in range(N_SPLINE_KNOTS))
+        return _standardize(build_design_rows(np.arange(n), n, 12, 3, knots))[0]
+
+    @pytest.mark.parametrize("n", [96, 12])
+    def test_optimal_at_smallest_grid_lambda(self, n):
+        y = seasonal_values(n, level=500.0, amplitude=120.0, slope=3.0, noise=40.0, seed=n)
+        M = self.standardized_design(n)
+        cut = int(round(n * 0.8))
+        lam = default_lambda_grid(M, y)[-1]
+        # full rows (the final fit) and the head rows lambda selection fits on;
+        # a 12-point head is 10 rows against 15 penalized columns, one of them
+        # a spline knot that is constant there
+        for rows in (slice(None), slice(0, cut)):
+            beta = lasso_path(M[rows], y[rows], [lam])[0]
+            assert kkt_violation(M[rows], y[rows], beta, lam) <= 1e-6
 
 
 class TestDecomposition:

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from autocast.models import lasso
 from autocast.models.lasso import (
     default_lambda_grid,
     lambda_max,
     lasso_coordinate_descent,
     lasso_objective,
+    lasso_path,
     select_lambda,
     soft_threshold,
 )
+
+from helpers import kkt_violation
 
 
 def random_system(rng, n=40, k=6):
@@ -94,14 +98,103 @@ class TestCoordinateDescent:
             M, y = random_system(rng)
             lam = float(rng.uniform(0.05, 0.8)) * lambda_max(M, y)
             beta = lasso_coordinate_descent(M, y, lam)
-            n = len(y)
-            gradient = -(M.T @ (y - M @ beta)) / n
-            assert abs(gradient[0]) < 1e-6  # unpenalized intercept at stationarity
-            for j in range(1, M.shape[1]):
-                if beta[j] != 0.0:
-                    assert abs(gradient[j] + lam * np.sign(beta[j])) < 1e-6
-                else:
-                    assert abs(gradient[j]) <= lam + 1e-6
+            assert kkt_violation(M, y, beta, lam) < 1e-6
+
+
+class TestLassoPath:
+    def test_optimal_at_every_grid_lambda(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            M, y = random_system(rng, n=int(rng.integers(12, 60)), k=int(rng.integers(1, 12)))
+            grid = default_lambda_grid(M, y)
+            for lam, beta in zip(grid, lasso_path(M, y, grid)):
+                assert kkt_violation(M, y, beta, lam) <= 1e-6
+
+    def test_agrees_with_coordinate_descent(self):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            M, y = random_system(rng)
+            grid = default_lambda_grid(M, y)
+            for lam, beta in zip(grid, lasso_path(M, y, grid)):
+                assert np.max(np.abs(beta - lasso_coordinate_descent(M, y, lam))) < 1e-6
+
+    def test_at_or_above_lambda_max_gives_zeros_and_the_mean(self):
+        rng = np.random.default_rng(10)
+        M, y = random_system(rng)
+        top = lambda_max(M, y)
+        for beta in lasso_path(M, y, [top, 2.0 * top, 1e9]):
+            assert np.all(beta[1:] == 0.0)
+            assert beta[0] == pytest.approx(y.mean(), rel=1e-12)
+
+    def test_lambda_zero_is_least_squares(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            M, y = random_system(rng)
+            beta = lasso_path(M, y, [0.0])[0]
+            assert np.max(np.abs(beta - np.linalg.lstsq(M, y, rcond=None)[0])) < 1e-8
+
+    def test_grid_order_does_not_change_the_result(self):
+        rng = np.random.default_rng(12)
+        M, y = random_system(rng)
+        grid = default_lambda_grid(M, y)
+        order = rng.permutation(len(grid))
+        np.testing.assert_array_equal(lasso_path(M, y, grid[order]), lasso_path(M, y, grid)[order])
+
+    def test_constant_columns_stay_zero(self):
+        rng = np.random.default_rng(13)
+        M, y = random_system(rng)
+        M = np.column_stack([M, np.zeros(len(y)), np.full(len(y), -0.7)])
+        grid = np.append(default_lambda_grid(M, y), 0.0)
+        for lam, beta in zip(grid, lasso_path(M, y, grid)):
+            assert beta[-2] == 0.0 and beta[-1] == 0.0
+            assert kkt_violation(M, y, beta, lam) <= 1e-6
+
+    def test_duplicated_column_is_set_aside(self):
+        rng = np.random.default_rng(14)
+        M, y = random_system(rng)
+        M = np.column_stack([M, M[:, 1]])
+        grid = np.append(default_lambda_grid(M, y), 0.0)
+        for lam, beta in zip(grid, lasso_path(M, y, grid)):
+            assert kkt_violation(M, y, beta, lam) <= 1e-6
+
+    def test_saturated_design(self):
+        # 10 rows, 15 penalized columns: the active set fills the row space
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(10, 15))
+        M = np.column_stack([np.ones(10), (X - X.mean(axis=0)) / X.std(axis=0)])
+        y = rng.normal(50.0, 10.0, size=10)
+        grid = np.append(default_lambda_grid(M, y), 0.0)
+        betas = lasso_path(M, y, grid)
+        for lam, beta in zip(grid, betas):
+            assert kkt_violation(M, y, beta, lam) <= 1e-6
+        assert np.count_nonzero(betas[-1][1:]) == 9
+        assert np.max(np.abs(M @ betas[-1] - y)) < 1e-8
+
+    def test_step_cap_raises(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        M, y = random_system(rng)
+        monkeypatch.setattr(lasso, "MAX_PATH_STEPS", 2)
+        with pytest.raises(ValueError, match="steps"):
+            lasso_path(M, y, [0.0])
+
+    def test_non_finite_design_names_the_column(self):
+        M = np.column_stack([np.ones(4), np.arange(4.0), np.full(4, np.inf)])
+        with pytest.raises(ValueError, match="column 2"):
+            lasso_path(M, np.arange(4.0), [0.0])
+        # finite entries whose products overflow are named as well
+        M[:, 2] = [0.0, 1e200, 0.0, -1e200]
+        with pytest.raises(ValueError, match="column 2"):
+            lasso_path(M, np.arange(4.0), [0.0])
+
+    def test_non_finite_target_rejected(self):
+        with pytest.raises(ValueError, match="target"):
+            lasso_path(np.ones((3, 2)), np.array([1.0, np.nan, 2.0]), [0.0])
+
+    def test_shape_mismatch_and_negative_lambda_rejected(self):
+        with pytest.raises(ValueError):
+            lasso_path(np.ones((3, 2)), np.ones(4), [0.0])
+        with pytest.raises(ValueError, match="lambda"):
+            lasso_path(np.ones((3, 2)), np.ones(3), [0.1, -0.1])
 
 
 class TestObjective:
@@ -133,6 +226,18 @@ class TestLambdaSelection:
         M, y = random_system(rng)
         grid = default_lambda_grid(M, y)
         assert select_lambda(M, y, grid) in grid
+
+    def test_selection_matches_coordinate_descent_reference(self):
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            M, y = random_system(rng)
+            grid = default_lambda_grid(M, y)
+            cut = int(round(len(y) * 0.8))
+            errors = [
+                np.mean((y[cut:] - M[cut:] @ lasso_coordinate_descent(M[:cut], y[:cut], lam)) ** 2)
+                for lam in grid
+            ]
+            assert select_lambda(M, y, grid) == grid[int(np.argmin(errors))]
 
     def test_selection_deterministic(self):
         rng = np.random.default_rng(7)

@@ -276,6 +276,7 @@ class TestFinalizeAndForecast:
         np.testing.assert_allclose(
             entry.forecast_for("ensemble_median").values, np.median(members, axis=0)
         )
+        assert report.products[0].score_for("ensemble_median") is not None
 
     def test_gam_decomposition_attached(self):
         prod = monthly_series(np.tile(PATTERN, 4))

@@ -1,9 +1,17 @@
-"""ARIMA and seasonal ARIMA by conditional-sum-of-squares grid search.
+"""ARIMA and seasonal ARIMA with Hyndman–Khandakar order selection.
 
-Every candidate order in the grid is fit by Nelder-Mead on the CSS of the
-differenced, mean-centered series (zero-initialized coefficients) and scored
-by AICc. The non-seasonal and seasonal model variants share one grid pass:
-the non-seasonal winner is the argmin over the P=D=Q=0 slice.
+Order selection follows Hyndman & Khandakar (2008), "Automatic time series
+forecasting: the forecast package for R". The differencing orders are fixed
+by tests before any model is fit: D = 1 when the seasonal strength of a
+classical decomposition exceeds 0.64 (Wang, Smith & Hyndman 2006), then d by
+repeated KPSS level tests (Kwiatkowski et al. 1992) on the seasonally
+differenced series. At that (d, D) a stepwise search over (p, q, P, Q) moves
+to the first neighbour that lowers AICc until none does, so every candidate
+of one search is scored on the same differenced series.
+
+Each candidate is fit by Nelder-Mead on the CSS of the differenced,
+mean-centered series (zero-initialized coefficients) with a skimpy budget;
+the winner is refit generously.
 """
 from __future__ import annotations
 
@@ -23,9 +31,22 @@ MAX_Q = 3
 MAX_SEASONAL = 1
 
 # Skimpy budget for ranking candidates; the winner is refit generously.
-GRID_MAXFEV_BASE = 30
-GRID_MAXFEV_PER_DIM = 20
+SEARCH_MAXFEV_BASE = 30
+SEARCH_MAXFEV_PER_DIM = 20
 REFIT_MAXFEV_PER_DIM = 200
+
+# KPSS level test at the 5 % level (Kwiatkowski et al. 1992, table 1)
+KPSS_CRITICAL_5PCT = 0.463
+# seasonal strength above which one seasonal difference is taken
+SEASONAL_STRENGTH_THRESHOLD = 0.64
+
+# (p, q, P, Q) starting points of the stepwise search
+SEARCH_STARTS = ((2, 2, 1, 1), (0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1))
+# (dp, dq, dP, dQ) moves to a neighbour, tried in this order
+SEARCH_MOVES = (
+    (0, 0, -1, 0), (0, 0, 1, 0), (0, 0, 0, -1), (0, 0, 0, 1), (0, 0, -1, -1), (0, 0, 1, 1),
+    (-1, 0, 0, 0), (1, 0, 0, 0), (0, -1, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0), (1, 1, 0, 0),
+)
 
 
 @dataclass(frozen=True)
@@ -83,6 +104,67 @@ def difference(values, d: int, D: int, m: int) -> np.ndarray:
     return w
 
 
+def kpss_level(values) -> float:
+    """KPSS statistic for level stationarity (Kwiatkowski et al. 1992).
+
+    Squared partial sums of the demeaned series over n^2 times its long-run
+    variance, Bartlett-weighted up to lag floor(3 sqrt(n) / 13). Large values
+    reject stationarity; a constant series scores 0.
+    """
+    e = np.asarray(values, dtype=float)
+    e = e - e.mean()
+    n = len(e)
+    lags = int(3.0 * math.sqrt(n) / 13.0)
+    long_run = float(e @ e)
+    for s in range(1, lags + 1):
+        long_run += 2.0 * (1.0 - s / (lags + 1.0)) * float(e[s:] @ e[:-s])
+    long_run /= n
+    if long_run <= 0.0:
+        return 0.0
+    partial = np.cumsum(e)
+    return float(partial @ partial) / (n * n * long_run)
+
+
+def choose_d(values) -> int:
+    """First differences, up to MAX_D, until the KPSS test no longer rejects at 5 %."""
+    w = np.asarray(values, dtype=float)
+    d = 0
+    while d < MAX_D and kpss_level(w) > KPSS_CRITICAL_5PCT:
+        w = np.diff(w)
+        d += 1
+    return d
+
+
+def seasonal_strength(values, m: int) -> float:
+    """1 - Var(remainder) / Var(seasonal + remainder), clipped to [0, 1].
+
+    From a classical additive decomposition: a centred moving average of
+    order m (2 x m for even m) is the trend, the per-phase mean of the
+    detrended series, centred to sum to zero, the seasonal part (Wang, Smith
+    & Hyndman 2006). Needs at least 2m points.
+    """
+    y = np.asarray(values, dtype=float)
+    if m % 2 == 0:
+        weights = np.concatenate([[0.5], np.ones(m - 1), [0.5]]) / m
+    else:
+        weights = np.ones(m) / m
+    half = len(weights) // 2
+    detrended = y[half : len(y) - half] - np.convolve(y, weights, mode="valid")
+    phase = np.arange(half, len(y) - half) % m
+    by_phase = np.bincount(phase, weights=detrended, minlength=m) / np.bincount(phase, minlength=m)
+    seasonal = (by_phase - by_phase.mean())[phase]
+    spread = float(np.var(detrended))
+    if spread <= 0.0:
+        return 0.0
+    return float(np.clip(1.0 - np.var(detrended - seasonal) / spread, 0.0, 1.0))
+
+
+def choose_D(values, m: int) -> int:
+    """One seasonal difference when the series has 3 seasons and strong seasonality."""
+    strong = len(values) >= 3 * m and seasonal_strength(values, m) > SEASONAL_STRENGTH_THRESHOLD
+    return int(strong)
+
+
 def _polys(order: ArimaOrder, params):
     """Combined AR and MA lag polynomials (seasonal x non-seasonal products)."""
     p, q, P, Q, m = order.p, order.q, order.P, order.Q, order.m
@@ -128,20 +210,20 @@ def css_of(wc, order: ArimaOrder, params) -> float:
     return sse if math.isfinite(sse) else math.inf
 
 
-def _aicc(sse: float, n_eff: int, n_params: int, n_common: int) -> float:
+def _aicc(sse: float, n_eff: int, n_params: int, n_used: int) -> float:
+    # The per-point variance sse/n_eff is scored over the n_used points of the
+    # differenced series, as R's arima(method="CSS") does, so candidates that
+    # condition on more lags stay comparable within one search.
     # +2: the subtracted mean and the residual variance both count.
-    # The per-point variance sse/n_eff is scored over n_common points for
-    # every candidate: differencing and conditioning shrink n_eff per order,
-    # and log-likelihoods over different sample sizes do not compare.
     k = n_params + 2
-    if n_eff <= k + 1 or n_common <= k + 1 or sse < 0:
+    if n_eff <= k + 1 or sse < 0:
         return math.inf
     sse = max(sse, 1e-12)
-    loglike_part = n_common * math.log(sse / n_eff)
-    return loglike_part + 2 * k + (2 * k * (k + 1)) / (n_common - k - 1)
+    loglike_part = n_used * math.log(sse / n_eff)
+    return loglike_part + 2 * k + (2 * k * (k + 1)) / (n_used - k - 1)
 
 
-def _fit_candidate(wc, order: ArimaOrder, generous: bool, n_common: int):
+def _fit_candidate(wc, order: ArimaOrder, generous: bool):
     n_eff = len(wc) - _conditioning_lags(order)
     if n_eff <= order.n_params + 3:
         return None
@@ -152,7 +234,7 @@ def _fit_candidate(wc, order: ArimaOrder, generous: bool, n_common: int):
         sse = css_of(centered, order, np.empty(0))
         if not math.isfinite(sse):
             return None
-        return FittedArima(order, (), mu, sse, n_eff, _aicc(sse, n_eff, 0, n_common))
+        return FittedArima(order, (), mu, sse, n_eff, _aicc(sse, n_eff, 0, len(wc)))
 
     def objective(params):
         return css_of(centered, order, params)
@@ -160,51 +242,76 @@ def _fit_candidate(wc, order: ArimaOrder, generous: bool, n_common: int):
     if generous:
         maxfev, xatol = REFIT_MAXFEV_PER_DIM * ndim, 1e-6
     else:
-        maxfev, xatol = GRID_MAXFEV_BASE + GRID_MAXFEV_PER_DIM * ndim, 1e-3
+        maxfev, xatol = SEARCH_MAXFEV_BASE + SEARCH_MAXFEV_PER_DIM * ndim, 1e-3
     params, sse, _ = nelder_mead(objective, np.zeros(ndim), maxfev=maxfev, xatol=xatol)
     if not math.isfinite(sse):
         return None
     return FittedArima(
-        order, tuple(float(v) for v in params), mu, sse, n_eff, _aicc(sse, n_eff, ndim, n_common)
+        order,
+        tuple(float(v) for v in params),
+        mu,
+        sse,
+        n_eff,
+        _aicc(sse, n_eff, ndim, len(wc)),
     )
 
 
-def _candidate_orders(m: int, seasonal: bool):
-    seasonal_range = range(MAX_SEASONAL + 1) if seasonal else range(1)
-    for d in range(MAX_D + 1):
-        for D in seasonal_range:
-            for p in range(MAX_P + 1):
-                for q in range(MAX_Q + 1):
-                    for P in seasonal_range:
-                        for Q in seasonal_range:
-                            yield ArimaOrder(p, d, q, P, D, Q, m if seasonal else 1)
+def _make_order(p: int, d: int, q: int, P: int, D: int, Q: int, m: int) -> ArimaOrder:
+    # a non-seasonal order carries m = 1 whichever search proposes it, so the
+    # plain and the seasonal search share its cached fit
+    return ArimaOrder(p, d, q, P, D, Q, m if P + D + Q else 1)
 
 
-def _search(values, m: int, seasonal: bool):
-    """Run the grid; returns (best_nonseasonal, best_any) by AICc."""
-    diffed = {}
-    best_plain = None
-    best_any = None
-    for order in _candidate_orders(m, seasonal):
-        key = (order.d, order.D)
-        if key not in diffed:
-            diffed[key] = difference(values, order.d, order.D, order.m)
-        w = diffed[key]
-        if len(w) < 4:
-            continue
-        fit = _fit_candidate(w, order, generous=False, n_common=len(values))
-        if fit is None or not math.isfinite(fit.aicc):
-            continue
-        if not order.is_seasonal and (best_plain is None or fit.aicc < best_plain.aicc):
-            best_plain = fit
-        if best_any is None or fit.aicc < best_any.aicc:
-            best_any = fit
-    return best_plain, best_any
+def _in_range(p: int, q: int, P: int, Q: int) -> bool:
+    return 0 <= p <= MAX_P and 0 <= q <= MAX_Q and 0 <= P <= MAX_SEASONAL and 0 <= Q <= MAX_SEASONAL
+
+
+def _search(values, m: int, seasonal: bool, cache: dict):
+    """Stepwise Hyndman–Khandakar search at tested (d, D).
+
+    Fits the starting orders, then moves to the first neighbour (SEARCH_MOVES
+    order) whose AICc is lower, until no neighbour improves. Without
+    ``seasonal`` the seasonal terms stay at zero. ``cache`` maps an order to
+    its fit (None when unfittable) and may be shared by searches on the same
+    values. Returns the winner, or None when no candidate fits.
+    """
+    D = choose_D(values, m) if seasonal else 0
+    d = choose_d(difference(values, 0, D, m))
+    w = difference(values, d, D, m)
+
+    def score(p, q, P, Q):
+        order = _make_order(p, d, q, P, D, Q, m)
+        if order not in cache:
+            cache[order] = _fit_candidate(w, order, generous=False)
+        fit = cache[order]
+        return fit if fit is not None and math.isfinite(fit.aicc) else None
+
+    starts = SEARCH_STARTS if seasonal else [(p, q, 0, 0) for p, q, _, _ in SEARCH_STARTS]
+    best, best_terms = None, None
+    for terms in starts:
+        fit = score(*terms)
+        if fit is not None and (best is None or fit.aicc < best.aicc):
+            best, best_terms = fit, terms
+    if best is None:
+        return None
+    moves = SEARCH_MOVES if seasonal else [mv for mv in SEARCH_MOVES if mv[2] == mv[3] == 0]
+    improved = True
+    while improved:
+        improved = False
+        for move in moves:
+            terms = tuple(t + dt for t, dt in zip(best_terms, move))
+            if not _in_range(*terms):
+                continue
+            fit = score(*terms)
+            if fit is not None and fit.aicc < best.aicc:
+                best, best_terms, improved = fit, terms, True
+                break
+    return best
 
 
 def _refit(values, fit: FittedArima) -> FittedArima:
     w = difference(values, fit.order.d, fit.order.D, fit.order.m)
-    refit = _fit_candidate(w, fit.order, generous=True, n_common=len(values))
+    refit = _fit_candidate(w, fit.order, generous=True)
     return refit if refit is not None else fit
 
 
@@ -219,45 +326,44 @@ def _random_walk_fit(values) -> FittedArima:
 
 
 def fit_arima(train: SalesSeries, seasonal: bool = False, forced_order: ArimaOrder | None = None) -> FittedArima:
-    """Grid-search fit; falls back to a (0,1,0) random walk when nothing converges."""
+    """Stepwise order search; falls back to a (0,1,0) random walk when nothing fits."""
     values = train.values
     m = train.frequency.periods_per_year
     if forced_order is not None:
         w = difference(values, forced_order.d, forced_order.D, forced_order.m)
-        fit = (
-            _fit_candidate(w, forced_order, generous=True, n_common=len(values))
-            if len(w) >= 4
-            else None
-        )
+        fit = _fit_candidate(w, forced_order, generous=True) if len(w) >= 4 else None
         return fit if fit is not None else _random_walk_fit(values)
     if seasonal:
         if len(values) < 3 * m:
             raise ValueError(f"seasonal fit needs at least {3 * m} points, got {len(values)}")
     elif len(values) < 10:
         raise ValueError(f"fit needs at least 10 points, got {len(values)}")
-    best_plain, best_any = _search(values, m, seasonal)
-    winner = best_any if seasonal else best_plain
+    winner = _search(values, m, seasonal, {})
     if winner is None:
         return _random_walk_fit(values)
     return _refit(values, winner)
 
 
 def fit_arima_pair(train: SalesSeries) -> tuple:
-    """One grid pass serving both model variants.
+    """Both model variants from one set of cached candidate fits.
 
     Returns (non-seasonal winner, seasonal winner); either may be the
-    random-walk fallback. The series must be long enough for the seasonal
-    precondition; callers enforce their own preconditions.
+    random-walk fallback, and the pair is (plain, plain) when the seasonal
+    search lands on the plain winner's order. The series must be long
+    enough for the seasonal precondition; callers enforce their own
+    preconditions.
     """
     values = train.values
     m = train.frequency.periods_per_year
-    best_plain, best_any = _search(values, m, seasonal=True)
+    cache = {}
+    best_plain = _search(values, m, False, cache)
+    best_seasonal = _search(values, m, True, cache)
     plain = _refit(values, best_plain) if best_plain is not None else _random_walk_fit(values)
-    if best_any is None:
+    if best_seasonal is None:
         return plain, _random_walk_fit(values)
-    if best_any.order == plain.order:
+    if best_seasonal.order == plain.order:
         return plain, plain
-    return plain, _refit(values, best_any)
+    return plain, _refit(values, best_seasonal)
 
 
 def arima_forecast(fit: FittedArima, values, horizon: int) -> np.ndarray:

@@ -115,9 +115,10 @@ def lasso_path(design, target, lams) -> np.ndarray:
     means = M[:, 1:].mean(axis=0)
     X = M[:, 1:] - means
     y_mean = float(y.mean())
+    y_centered = y - y_mean
     with np.errstate(over="ignore", invalid="ignore"):
         gram = (X.T @ X) / n
-        rho = (X.T @ (y - y_mean)) / n
+        rho = (X.T @ y_centered) / n
     bad = ~(np.all(np.isfinite(gram), axis=0) & np.isfinite(rho))
     if bad.any():
         raise ValueError(f"non-finite intermediate in column {int(np.argmax(bad)) + 1}")
@@ -142,8 +143,13 @@ def lasso_path(design, target, lams) -> np.ndarray:
         if steps > MAX_PATH_STEPS:
             raise ValueError(f"lasso path did not reach lambda={lam_floor} within {MAX_PATH_STEPS} steps")
         A, s = np.array(active), np.array(signs)
-        sol = np.linalg.solve(gram[np.ix_(A, A)], np.column_stack([rho[A], s]))
-        a, d = sol[:, 0], sol[:, 1]
+        # a = G_AA^-1 rho_A is the least-squares fit on the active columns and
+        # d = n (R'R)^-1 s_A: both solved through the QR factors of those
+        # columns, not the normal equations, whose squared condition number
+        # costs digits at lambda near 0
+        Q, R = np.linalg.qr(X[:, A])
+        sol = np.linalg.solve(R, np.column_stack([Q.T @ y_centered, np.linalg.solve(R.T, s)]))
+        a, d = sol[:, 0], n * sol[:, 1]
         b_now = a - lam_now * d
         # lambda falls by `step` to the next kink: the nearest join or leave
         step, event = lam_now - lam_floor, None
@@ -174,7 +180,10 @@ def lasso_path(design, target, lams) -> np.ndarray:
         lam_next = lam_now - step if event is not None else lam_floor
         while pending and lams[pending[0]] >= lam_next:
             i = pending.pop(0)
-            coefs[i, A] = a - lams[i] * d
+            b_i = a - lams[i] * d
+            # on a segment every active coefficient carries its sign; the
+            # opposite sign is rounding next to the kink where it is zero
+            coefs[i, A] = np.where(b_i * s > 0.0, b_i, 0.0)
         lam_now = lam_next
         joined, left = None, -1
         if event is None:
@@ -186,8 +195,8 @@ def lasso_path(design, target, lams) -> np.ndarray:
             left, left_sign = j, sign
             set_aside[:] = False
         else:
-            w = np.linalg.solve(gram[np.ix_(A, A)], gram[A, j])
-            if gram[j, j] - gram[j, A] @ w <= DEPENDENT_COLUMN_TOL * gram[j, j]:
+            residual = X[:, j] - Q @ (Q.T @ X[:, j])
+            if np.linalg.norm(residual) <= DEPENDENT_COLUMN_TOL * np.linalg.norm(X[:, j]):
                 set_aside[j] = True
             else:
                 active.append(j)

@@ -1,7 +1,7 @@
 """Small dependency-free Nelder-Mead, tuned for many tiny fits.
 
-scipy's wrapper costs more than these objectives do, and the model grid
-runs hundreds of fits per product, so the simplex loop is written out here.
+scipy's wrapper costs more than these objectives do, and the ARIMA order
+search runs dozens of fits per product, so the simplex loop is written out here.
 Standard coefficients: reflect 1, expand 2, outside-contract 0.5, shrink 0.5.
 """
 from __future__ import annotations

@@ -150,8 +150,8 @@ class ModelScore:
     model_id: str
     metrics: MetricSet
     fallback: bool = False
-    # ARIMA/SARIMA only: order selected by the validation grid search, so the
-    # final refit re-estimates coefficients without repeating the search
+    # ARIMA/SARIMA only: order chosen by the validation-stage stepwise search,
+    # so the final refit re-estimates coefficients without repeating it
     selected_order: object | None = None
 
 
@@ -318,8 +318,8 @@ def _fit_all(train: SalesSeries, shared: _SharedModels, config: PipelineConfig):
     """Fit every enabled model on one training series.
 
     Returns (fitted: list of (ModelId, forecaster), skipped: list of
-    (model_id, reason)). ARIMA and SARIMA share one grid search when both
-    are enabled. A model that raises is skipped, never fatal.
+    (model_id, reason)). ARIMA and SARIMA share one set of cached candidate
+    fits when both are enabled. A model that raises is skipped, never fatal.
     """
     fitted = []
     skipped = []

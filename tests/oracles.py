@@ -154,3 +154,25 @@ def wilcoxon_enumeration(diffs):
     denom = 2 ** n
     p = min(1.0, 2.0 * min(count_le / denom, count_ge / denom))
     return w_plus, p
+
+
+def kpss_level_statistic(values):
+    """KPSS level-stationarity statistic (Kwiatkowski et al. 1992).
+
+    Squared partial sums of the demeaned series over n^2 times the
+    Bartlett-window long-run variance at lag floor(3 sqrt(n) / 13).
+    """
+    n = len(values)
+    mean = sum(values) / n
+    e = [v - mean for v in values]
+    lags = math.floor(3.0 * math.sqrt(n) / 13.0)
+    long_run = sum(x * x for x in e) / n
+    for s in range(1, lags + 1):
+        weight = 1.0 - s / (lags + 1.0)
+        long_run += 2.0 * weight * sum(e[t] * e[t - s] for t in range(s, n)) / n
+    partial = 0.0
+    total = 0.0
+    for x in e:
+        partial += x
+        total += partial * partial
+    return total / (n * n * long_run)

@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
 
+import autocast.models.arima as arima_module
 from autocast.models import ArimaForecaster, ArimaOrder, arima_forecast, fit_arima, fit_arima_pair
-from autocast.models.arima import difference
+from autocast.models.arima import (
+    MAX_P,
+    MAX_Q,
+    MAX_SEASONAL,
+    SEASONAL_STRENGTH_THRESHOLD,
+    _fit_candidate,
+    _search,
+    choose_d,
+    difference,
+    kpss_level,
+    seasonal_strength,
+)
 
-from helpers import monthly_series
+from helpers import monthly_series, seasonal_values
+from oracles import kpss_level_statistic
 
 
 def simulate_ar1(phi, n, seed, burn=100):
@@ -139,6 +152,75 @@ class TestFitArimaPair:
         plain, seasonal = fit_arima_pair(monthly_series(y))
         # both are valid fits on the same data
         assert np.isfinite(plain.sse) and np.isfinite(seasonal.sse)
+
+
+class TestDifferencingTests:
+    @pytest.mark.parametrize("n", [10, 13, 40, 84, 200])
+    def test_kpss_matches_oracle(self, n):
+        rng = np.random.default_rng(n)
+        for y in (rng.normal(0.0, 1.0, n), np.cumsum(rng.normal(0.5, 1.0, n))):
+            expected = kpss_level_statistic(list(y))
+            assert kpss_level(y) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_kpss_of_constant_series_is_zero(self):
+        assert kpss_level(np.full(30, 7.0)) == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_choose_d_counts_unit_roots(self, seed):
+        rng = np.random.default_rng(seed)
+        noise = rng.normal(0.0, 1.0, 150)
+        assert choose_d(noise) == 0
+        assert choose_d(np.cumsum(noise)) == 1
+        assert choose_d(np.cumsum(np.cumsum(noise))) == 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seasonal_strength_separates_sine_from_noise(self, seed):
+        sine = seasonal_values(72, amplitude=20.0, noise=5.0, seed=seed)
+        noise = np.random.default_rng(seed).normal(100.0, 5.0, 72)
+        assert seasonal_strength(sine, 12) > SEASONAL_STRENGTH_THRESHOLD
+        assert seasonal_strength(noise, 12) < SEASONAL_STRENGTH_THRESHOLD
+
+
+class TestStepwiseSearch:
+    @staticmethod
+    def neighbours(order, seasonal):
+        """Every in-range order one Hyndman-Khandakar move away from ``order``."""
+        moves = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]
+        if seasonal:
+            moves += [(0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)]
+        for move in moves:
+            for sign in (1, -1):
+                p, q, P, Q = (
+                    t + sign * dt for t, dt in zip((order.p, order.q, order.P, order.Q), move)
+                )
+                if 0 <= p <= MAX_P and 0 <= q <= MAX_Q and 0 <= P <= MAX_SEASONAL and 0 <= Q <= MAX_SEASONAL:
+                    yield ArimaOrder(p, order.d, q, P, order.D, Q, 12 if P + order.D + Q else 1)
+
+    @pytest.mark.parametrize("seasonal", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_winner_is_a_local_aicc_minimum(self, seed, seasonal):
+        y = seasonal_values(72, amplitude=15.0, slope=0.5, noise=4.0, seed=seed)
+        winner = _search(y, 12, seasonal, {})
+        w = difference(y, winner.order.d, winner.order.D, 12)
+        neighbours = list(self.neighbours(winner.order, seasonal))
+        assert neighbours
+        for order in neighbours:
+            fit = _fit_candidate(w, order, generous=False)
+            assert fit is None or fit.aicc >= winner.aicc, order.label()
+
+    def test_pair_fits_few_orders_once_each(self, monkeypatch):
+        searched = []
+
+        def counting_fit(wc, order, generous):
+            if not generous:
+                searched.append(order)
+            return _fit_candidate(wc, order, generous)
+
+        monkeypatch.setattr(arima_module, "_fit_candidate", counting_fit)
+        y = seasonal_values(84, amplitude=25.0, slope=1.0, noise=5.0, seed=5)
+        fit_arima_pair(monthly_series(y))
+        assert len(set(searched)) == len(searched)
+        assert 4 <= len(searched) <= 40
 
 
 class TestArimaForecast:

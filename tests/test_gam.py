@@ -3,6 +3,7 @@ import pytest
 
 from autocast.models import GamForecaster, fit_gam, gam_decompose, gam_predict
 from autocast.models.gam import N_SPLINE_KNOTS, _standardize, build_design_rows
+import autocast.models.lasso as lasso_module
 from autocast.models.lasso import default_lambda_grid, lasso_path
 
 from helpers import kkt_violation, monthly_series, seasonal_values, weekly_series
@@ -94,6 +95,27 @@ class TestLassoOnGamDesign:
         for rows in (slice(None), slice(0, cut)):
             beta = lasso_path(M[rows], y[rows], [lam])[0]
             assert kkt_violation(M[rows], y[rows], beta, lam) <= 1e-6
+
+    @pytest.mark.parametrize("n", [15, 24, 48, 96])
+    def test_least_squares_at_lambda_zero(self, n):
+        # lambda = 0 is a legal grid entry; the spline columns leave the
+        # design near-collinear (condition number ~1e6), and every column
+        # that adds a direction must still join the path
+        y = seasonal_values(n, level=500.0, amplitude=120.0, slope=3.0, noise=40.0, seed=n)
+        M = self.standardized_design(n)
+        beta = lasso_path(M, y, [0.0])[0]
+        assert kkt_violation(M, y, beta, 0.0) <= 1e-8
+
+    @pytest.mark.parametrize("n", [12, 15, 24, 48, 96])
+    def test_path_to_the_bottom_takes_few_kinks(self, n, monkeypatch):
+        # the 16-column designs need at most 63 kinks to reach lambda = 0
+        # (82 on the benchmark corpora); a tenth of MAX_PATH_STEPS leaves
+        # room without hiding a path that cycles
+        monkeypatch.setattr(lasso_module, "MAX_PATH_STEPS", lasso_module.MAX_PATH_STEPS // 10)
+        y = seasonal_values(n, level=500.0, amplitude=120.0, slope=3.0, noise=40.0, seed=n)
+        M = self.standardized_design(n)
+        for rows in (slice(None), slice(0, int(round(n * 0.8)))):
+            lasso_path(M[rows], y[rows], [default_lambda_grid(M[rows], y[rows])[-1], 0.0])
 
 
 class TestDecomposition:

@@ -356,11 +356,11 @@ class TestValidationReportAccessors:
         prod = monthly_series(np.tile(PATTERN, 4), product_id="abc")
         report = run_validation([prod], cheap_config())
         assert report.product("abc").product_id == "abc"
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="no validation entry for product 'missing'"):
             report.product("missing")
 
     def test_bundle_lookup_missing_key(self):
         prod = monthly_series(np.tile(PATTERN, 4), product_id="abc")
         _, bundle = run_pipeline([prod], cheap_config())
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="no forecasts for product 'missing'"):
             bundle.product("missing")

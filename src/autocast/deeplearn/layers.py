@@ -1,8 +1,10 @@
 """Network layers with hand-written forward and backward passes.
 
-Tensors are float64 throughout: these nets are tiny and exact gradients
-matter more than speed. Shapes are (batch, channels, length) for conv work
-and the forward pass caches whatever backward needs.
+Tensors are float64 and channels-last: (batch, positions, channels). A conv
+layer computes only the output positions that the layers above it read (the
+cone under the network's head), so each layer works on its own short list
+of positions rather than the whole window. Forward passes cache whatever
+backward needs, and every product is one matrix multiply.
 """
 from __future__ import annotations
 
@@ -23,19 +25,33 @@ class Layer:
         raise NotImplementedError
 
 
-class DilatedCausalConv1d(Layer):
-    """Causal conv: output[t] reads input[t - (kernel-1)*dilation .. t].
+def causal_taps(positions, kernel_size: int, dilation: int) -> np.ndarray:
+    """(len(positions), kernel_size) input positions each output position reads.
 
-    Tap k (0-based) multiplies input[t - (kernel-1-k)*dilation], so the last
-    tap is the current step; left padding is zeros. Output length equals
-    input length.
+    Tap k (0-based) reads position t - (kernel-1-k)*dilation, so the last tap
+    is the current step.
+    """
+    lags = dilation * np.arange(kernel_size - 1, -1, -1)
+    return np.asarray(positions)[:, None] - lags
+
+
+class DilatedCausalConv1d(Layer):
+    """Causal conv evaluated at chosen output positions.
+
+    taps[i, k] is the input row (axis 1 of the layer's input) that tap k of
+    output position i reads; causal_taps gives the time positions, and the
+    network maps them to rows of the positions its previous layer produced.
+    Weights are stored (kernel, in_channels, out_channels), so the taps
+    gathered at one position form one row of the matrix multiply.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int, dilation: int, rng):
-        scale = np.sqrt(2.0 / (in_channels * kernel_size))
-        self.weight = rng.normal(0.0, scale, size=(out_channels, in_channels, kernel_size))
+    def __init__(self, in_channels: int, out_channels: int, taps, rng):
+        self.taps = np.asarray(taps)
+        kernel = self.taps.shape[1]
+        scale = np.sqrt(2.0 / (in_channels * kernel))
+        # drawn (out, in, kernel) so a seed gives the same weights whatever the storage order
+        self.weight = rng.normal(0.0, scale, size=(out_channels, in_channels, kernel)).transpose(2, 1, 0).copy()
         self.bias = np.zeros(out_channels)
-        self.dilation = dilation
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
 
@@ -46,35 +62,28 @@ class DilatedCausalConv1d(Layer):
         return [self.grad_weight, self.grad_bias]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 3 or x.shape[1] != self.weight.shape[1]:
-            raise ValueError(f"expected (batch, {self.weight.shape[1]}, length), got {x.shape}")
-        out_channels, _, kernel = self.weight.shape
-        batch, _, length = x.shape
-        pad = (kernel - 1) * self.dilation
-        padded = np.concatenate([np.zeros((batch, x.shape[1], pad)), x], axis=2)
-        self._padded = padded
-        out = np.broadcast_to(self.bias[None, :, None], (batch, out_channels, length)).copy()
-        for k in range(kernel):
-            offset = k * self.dilation
-            segment = padded[:, :, offset : offset + length]
-            out += np.einsum("oi,bil->bol", self.weight[:, :, k], segment)
-        return out
+        kernel, in_channels, out_channels = self.weight.shape
+        if x.ndim != 3 or x.shape[2] != in_channels:
+            raise ValueError(f"expected (batch, positions, {in_channels}), got {x.shape}")
+        batch = x.shape[0]
+        self._in_shape = x.shape
+        self._cols = x[:, self.taps, :].reshape(-1, kernel * in_channels)
+        out = self._cols @ self.weight.reshape(-1, out_channels) + self.bias
+        return out.reshape(batch, len(self.taps), out_channels)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        out_channels, in_channels, kernel = self.weight.shape
-        batch, _, length = grad_out.shape
-        pad = (kernel - 1) * self.dilation
-        padded = self._padded
-        grad_padded = np.zeros_like(padded)
-        self.grad_bias += grad_out.sum(axis=(0, 2))
+        kernel, in_channels, out_channels = self.weight.shape
+        flat = grad_out.reshape(-1, out_channels)
+        self.grad_bias += flat.sum(axis=0)
+        self.grad_weight += (self._cols.T @ flat).reshape(self.weight.shape)
+        grad_cols = (flat @ self.weight.reshape(-1, out_channels).T).reshape(
+            grad_out.shape[0], len(self.taps), kernel, in_channels
+        )
+        grad_in = np.zeros(self._in_shape)
+        # rows repeat across taps but never within one, so each += is a plain scatter
         for k in range(kernel):
-            offset = k * self.dilation
-            segment = padded[:, :, offset : offset + length]
-            self.grad_weight[:, :, k] += np.einsum("bol,bil->oi", grad_out, segment)
-            grad_padded[:, :, offset : offset + length] += np.einsum(
-                "oi,bol->bil", self.weight[:, :, k], grad_out
-            )
-        return grad_padded[:, :, pad:]
+            grad_in[:, self.taps[:, k], :] += grad_cols[:, :, k, :]
+        return grad_in
 
 
 class Relu(Layer):
@@ -103,7 +112,7 @@ class DenseLastStep(Layer):
         return [self.grad_weight, self.grad_bias]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._last = x[:, :, -1]
+        self._last = x[:, -1, :]
         self._in_shape = x.shape
         return self._last @ self.weight + self.bias[0]
 
@@ -111,5 +120,5 @@ class DenseLastStep(Layer):
         self.grad_weight += grad_out @ self._last
         self.grad_bias[0] += grad_out.sum()
         grad_in = np.zeros(self._in_shape)
-        grad_in[:, :, -1] = np.outer(grad_out, self.weight)
+        grad_in[:, -1, :] = np.outer(grad_out, self.weight)
         return grad_in

@@ -1,13 +1,11 @@
-"""Network assembly, configuration, and weight (de)serialization."""
+"""Network assembly and configuration."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .layers import DenseLastStep, DilatedCausalConv1d, Relu
+from .layers import DenseLastStep, DilatedCausalConv1d, Relu, causal_taps
 
 
 @dataclass(frozen=True)
@@ -33,18 +31,35 @@ class CnnConfig:
             )
 
 
+def cone(config: CnnConfig):
+    """The window positions the head depends on, and each conv layer's taps.
+
+    Walks back from the last step, which is all the dense head reads: a
+    layer must produce the positions the layer above reads, and reads
+    causal_taps of them. Returns (input positions, taps per conv layer), the
+    taps indexing rows of the previous layer's positions. The receptive
+    field fits the window, so no position is negative.
+    """
+    positions = np.array([config.input_window - 1])
+    taps = []
+    for dilation in reversed(config.dilations):
+        reads = causal_taps(positions, config.kernel_size, dilation)
+        positions = np.unique(reads)
+        taps.append(np.searchsorted(positions, reads))
+    return positions, taps[::-1]
+
+
 class CnnNetwork:
     """Stack of dilated causal conv+ReLU blocks and a dense head."""
 
     def __init__(self, config: CnnConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
+        self.inputs, taps = cone(config)
         self.layers = []
         in_channels = 1
-        for dilation in config.dilations:
-            self.layers.append(
-                DilatedCausalConv1d(in_channels, config.channels, config.kernel_size, dilation, rng)
-            )
+        for layer_taps in taps:
+            self.layers.append(DilatedCausalConv1d(in_channels, config.channels, layer_taps, rng))
             self.layers.append(Relu())
             in_channels = config.channels
         self.layers.append(DenseLastStep(in_channels, rng))
@@ -64,7 +79,9 @@ class CnnNetwork:
         x = np.asarray(windows, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
-        x = x[:, None, :]
+        if x.ndim != 2 or x.shape[1] != self.config.input_window:
+            raise ValueError(f"expected (batch, {self.config.input_window}) windows, got {x.shape}")
+        x = x[:, self.inputs, None]
         for layer in self.layers:
             x = layer.forward(x)
         return x
@@ -84,36 +101,3 @@ class CnnNetwork:
     def set_weights(self, weights: list):
         for param, stored in zip(self.params(), weights):
             param[...] = stored
-
-    def to_json(self) -> str:
-        payload = {
-            "config": {
-                "input_window": self.config.input_window,
-                "kernel_size": self.config.kernel_size,
-                "dilations": list(self.config.dilations),
-                "channels": self.config.channels,
-                "learning_rate": self.config.learning_rate,
-                "batch_size": self.config.batch_size,
-                "max_epochs": self.config.max_epochs,
-                "patience": self.config.patience,
-                "seed": self.config.seed,
-            },
-            "weights": [p.tolist() for p in self.params()],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CnnNetwork":
-        payload = json.loads(text)
-        cfg = payload["config"]
-        cfg["dilations"] = tuple(cfg["dilations"])
-        net = cls(CnnConfig(**cfg))
-        net.set_weights([np.array(w) for w in payload["weights"]])
-        return net
-
-    def save(self, path):
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "CnnNetwork":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))

@@ -52,26 +52,33 @@ def build_training_windows(corpus, input_window: int):
 
 
 class Adam:
+    """Adam over the parameters as one flat vector, so a step is a few array operations."""
+
     def __init__(self, params, learning_rate: float):
         self.params = params
         self.learning_rate = learning_rate
         self.beta1 = 0.9
         self.beta2 = 0.999
         self.eps = 1e-8
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        size = sum(p.size for p in params)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        ends = np.cumsum([p.size for p in params])
+        self._slices = [slice(end - p.size, end) for p, end in zip(params, ends)]
         self.t = 0
 
     def step(self, grads):
         self.t += 1
         correction1 = 1.0 - self.beta1**self.t
         correction2 = 1.0 - self.beta2**self.t
-        for param, grad, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            param -= self.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+        grad = np.concatenate([g.ravel() for g in grads])
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        update = self.learning_rate * (self.m / correction1) / (np.sqrt(self.v / correction2) + self.eps)
+        for param, part in zip(self.params, self._slices):
+            param -= update[part].reshape(param.shape)
 
 
 def loss_and_grads(network: CnnNetwork, X, y):

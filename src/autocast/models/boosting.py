@@ -2,6 +2,10 @@
 
 Deterministic by construction: exact greedy splits, no row or column
 subsampling, ties broken by lowest feature index then lowest threshold.
+Each training presorts the feature columns once (presorted column blocks,
+as in XGBoost): a node keeps, per feature, its rows in ascending order of
+that feature, and its children inherit those orders by stable partition, so
+no node sorts and one vectorised pass scores every feature's boundaries.
 """
 from __future__ import annotations
 
@@ -32,70 +36,70 @@ class _Node:
         return self.feature < 0
 
 
-def _best_split(X, y):
-    """Exact greedy scan; returns (feature, threshold, gain) or None."""
+def _best_split(xs, ys, y):
+    """Exact greedy scan of every feature at once; (feature, threshold, gain) or None.
+
+    xs and ys are (features, rows): each feature's values in ascending order
+    and the targets in that order; y is the targets in row order. The first
+    minimum per feature is its lowest threshold, and the first feature
+    reaching the largest gain wins.
+    """
     n = len(y)
     total_sum = y.sum()
     total_sq = float(y @ y)
     base_sse = total_sq - total_sum * total_sum / n
-    best = None
-    best_gain = 1e-12  # require a strictly positive improvement
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        # candidate boundaries: value changes with enough rows on both sides
-        boundaries = np.nonzero(xs[:-1] != xs[1:])[0]
-        boundaries = boundaries[
-            (boundaries >= MIN_SAMPLES_LEAF - 1) & (boundaries <= n - 1 - MIN_SAMPLES_LEAF)
-        ]
-        if len(boundaries) == 0:
-            continue
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        nl = boundaries + 1.0
-        nr = n - nl
-        sl = csum[boundaries]
-        ql = csq[boundaries]
-        sse = (ql - sl * sl / nl) + ((total_sq - ql) - (total_sum - sl) ** 2 / nr)
-        i = int(np.argmin(sse))  # first minimum = lowest threshold
-        gain = base_sse - float(sse[i])
-        if gain > best_gain:
-            b = boundaries[i]
-            best_gain = gain
-            best = (j, (xs[b] + xs[b + 1]) / 2.0, gain)
-    return best
+    # boundary b splits after sorted row b; it needs enough rows on both
+    # sides, and the value must change there
+    lo, hi = MIN_SAMPLES_LEAF - 1, n - MIN_SAMPLES_LEAF
+    csum = np.cumsum(ys, axis=1)[:, lo:hi]
+    csq = np.cumsum(ys * ys, axis=1)[:, lo:hi]
+    nl = np.arange(lo + 1.0, hi + 1.0)
+    nr = n - nl
+    sse = (csq - csum * csum / nl) + ((total_sq - csq) - (total_sum - csum) ** 2 / nr)
+    sse[xs[:, lo:hi] == xs[:, lo + 1 : hi + 1]] = np.inf
+    best = np.argmin(sse, axis=1)
+    gains = base_sse - sse[np.arange(len(best)), best]
+    j = int(np.argmax(gains))
+    if not gains[j] > 1e-12:  # require a strictly positive improvement
+        return None
+    b = lo + best[j]
+    return j, (xs[j, b] + xs[j, b + 1]) / 2.0, float(gains[j])
 
 
-def _grow(X, y, depth: int) -> _Node:
+def _grow(Xt, residual, rows, order, xs, depth: int, fitted) -> _Node:
+    """Grow one node over `rows` (ascending) and write leaf values into `fitted`.
+
+    Xt is the design transposed, (features, all rows); order[f] lists the
+    node's rows in ascending order of feature f, and xs[f] their values.
+    """
+    y = residual[rows]
     node = _Node(value=float(y.mean()))
-    if depth >= MAX_DEPTH or len(y) < 2 * MIN_SAMPLES_LEAF:
-        return node
-    split = _best_split(X, y)
+    split = None
+    if depth < MAX_DEPTH and len(rows) >= 2 * MIN_SAMPLES_LEAF:
+        split = _best_split(xs, residual[order], y)
     if split is None:
+        fitted[rows] = node.value
         return node
     feature, threshold, _ = split
-    mask = X[:, feature] <= threshold
     node.feature = feature
     node.threshold = threshold
-    node.left = _grow(X[mask], y[mask], depth + 1)
-    node.right = _grow(X[~mask], y[~mask], depth + 1)
+    # stable partitions keep each child's per-feature orders sorted
+    left_rows = Xt[feature, rows] <= threshold
+    left = Xt[feature, order] <= threshold
+    right = ~left
+    shape = (len(order), -1)
+    node.left = _grow(
+        Xt, residual, rows[left_rows], order[left].reshape(shape), xs[left].reshape(shape), depth + 1, fitted
+    )
+    node.right = _grow(
+        Xt, residual, rows[~left_rows], order[right].reshape(shape), xs[right].reshape(shape), depth + 1, fitted
+    )
     return node
 
 
 class RegressionTree:
     def __init__(self, root: _Node):
         self.root = root
-
-    def predict(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.empty(len(X))
-        for i, row in enumerate(X):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
 
     def predict_one(self, row) -> float:
         node = self.root
@@ -112,10 +116,7 @@ class GradientBoostedTrees:
 
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.full(len(X), self.base_value)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict(X)
-        return out
+        return np.array([self.predict_one(row) for row in X])
 
     def predict_one(self, row) -> float:
         value = self.base_value
@@ -129,15 +130,18 @@ def fit_boosted_trees(X, y, n_rounds: int = N_ROUNDS, learning_rate: float = LEA
     y = np.asarray(y, dtype=float)
     if len(y) == 0:
         raise ValueError("cannot fit on zero rows")
+    Xt = np.ascontiguousarray(X.T)
+    rows = np.arange(len(y))
+    order = np.argsort(Xt, axis=1, kind="stable")  # stable: equal values keep row order
+    xs = np.take_along_axis(Xt, order, axis=1)
     base = float(y.mean())
     current = np.full(len(y), base)
+    fitted = np.empty(len(y))
     trees = []
     for _ in range(n_rounds):
         residual = y - current
-        root = _grow(X, residual, depth=0)
-        tree = RegressionTree(root)
-        trees.append(tree)
-        current += learning_rate * tree.predict(X)
+        trees.append(RegressionTree(_grow(Xt, residual, rows, order, xs, 0, fitted)))
+        current += learning_rate * fitted
     return GradientBoostedTrees(base, trees, learning_rate)
 
 

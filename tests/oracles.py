@@ -1,11 +1,17 @@
 """Straight-line reference implementations used as independent oracles.
 
-Everything here is deliberately written with plain Python loops and the
-math module only, no numpy and no imports from the package under test,
-so agreement between the two routes is meaningful.
+Nothing here imports the package under test, so agreement between the two
+routes is meaningful. The scalar oracles use plain Python loops and the math
+module only. Two numpy references solve the whole problem the long way
+round: a CNN that convolves every position of the window, and the tree
+trainer that sorts every feature at every node, which the presorted trainer
+must reproduce bit for bit.
 """
 import math
+from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 
 def rmse_bruteforce(actual, predicted):
@@ -112,6 +118,46 @@ def conv1d_causal_bruteforce(x, weight, bias, dilation):
     return out
 
 
+def full_length_cnn(convs, dense_weight, dense_bias, X, y):
+    """Dilated causal conv+ReLU stack over every window position, head on the last.
+
+    convs is [(weight (out, in, kernel), bias, dilation)], X is (batch,
+    window); positions before the window read zeros. Returns (predictions,
+    gradients of the mean squared error in the order conv weights and biases
+    layer by layer, then dense weight and bias).
+    """
+    batch, length = X.shape
+    x = X[:, None, :]
+    cache = []
+    for weight, bias, dilation in convs:
+        kernel = weight.shape[2]
+        pad = (kernel - 1) * dilation
+        padded = np.concatenate([np.zeros((batch, x.shape[1], pad)), x], axis=2)
+        z = np.broadcast_to(bias[None, :, None], (batch, len(bias), length)).copy()
+        for k in range(kernel):
+            z += np.matmul(weight[:, :, k], padded[:, :, k * dilation : k * dilation + length])
+        cache.append((padded, z))
+        x = np.maximum(z, 0.0)
+    last = x[:, :, -1]
+    pred = last @ dense_weight + dense_bias
+    grad_pred = 2.0 * (pred - y) / batch
+    grad_x = np.zeros_like(x)
+    grad_x[:, :, -1] = np.outer(grad_pred, dense_weight)
+    grads = [grad_pred @ last, np.array([grad_pred.sum()])]
+    for (weight, bias, dilation), (padded, z) in zip(reversed(convs), reversed(cache)):
+        kernel = weight.shape[2]
+        grad_z = np.where(z > 0, grad_x, 0.0)
+        grad_weight = np.zeros_like(weight)
+        grad_padded = np.zeros_like(padded)
+        for k in range(kernel):
+            segment = padded[:, :, k * dilation : k * dilation + length]
+            grad_weight[:, :, k] = np.matmul(grad_z, segment.transpose(0, 2, 1)).sum(axis=0)
+            grad_padded[:, :, k * dilation : k * dilation + length] += np.matmul(weight[:, :, k].T, grad_z)
+        grads[:0] = [grad_weight, grad_z.sum(axis=(0, 2))]
+        grad_x = grad_padded[:, :, (kernel - 1) * dilation :]
+    return pred, grads
+
+
 def _midranks(values):
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
@@ -176,3 +222,100 @@ def kpss_level_statistic(values):
         partial += x
         total += partial * partial
     return total / (n * n * long_run)
+
+
+@dataclass
+class TreeNode:
+    feature: int = -1
+    threshold: float = 0.0
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+    value: float = 0.0
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature < 0
+
+
+def best_split_sorting(X, y, min_samples_leaf):
+    """Exact greedy scan that sorts each feature of the node; (feature, threshold, gain) or None."""
+    n = len(y)
+    total_sum = y.sum()
+    total_sq = float(y @ y)
+    base_sse = total_sq - total_sum * total_sum / n
+    best = None
+    best_gain = 1e-12  # require a strictly positive improvement
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        ys = y[order]
+        # candidate boundaries: value changes with enough rows on both sides
+        boundaries = np.nonzero(xs[:-1] != xs[1:])[0]
+        boundaries = boundaries[
+            (boundaries >= min_samples_leaf - 1) & (boundaries <= n - 1 - min_samples_leaf)
+        ]
+        if len(boundaries) == 0:
+            continue
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        nl = boundaries + 1.0
+        nr = n - nl
+        sl = csum[boundaries]
+        ql = csq[boundaries]
+        sse = (ql - sl * sl / nl) + ((total_sq - ql) - (total_sum - sl) ** 2 / nr)
+        i = int(np.argmin(sse))  # first minimum = lowest threshold
+        gain = base_sse - float(sse[i])
+        if gain > best_gain:
+            b = boundaries[i]
+            best_gain = gain
+            best = (j, (xs[b] + xs[b + 1]) / 2.0, gain)
+    return best
+
+
+def grow_sorting(X, y, depth, max_depth, min_samples_leaf):
+    node = TreeNode(value=float(y.mean()))
+    if depth >= max_depth or len(y) < 2 * min_samples_leaf:
+        return node
+    split = best_split_sorting(X, y, min_samples_leaf)
+    if split is None:
+        return node
+    feature, threshold, _ = split
+    mask = X[:, feature] <= threshold
+    node.feature = feature
+    node.threshold = threshold
+    node.left = grow_sorting(X[mask], y[mask], depth + 1, max_depth, min_samples_leaf)
+    node.right = grow_sorting(X[~mask], y[~mask], depth + 1, max_depth, min_samples_leaf)
+    return node
+
+
+def tree_predict_rows(root, X):
+    """Route every row of X down the tree, one row at a time."""
+    out = np.empty(len(X))
+    for i, row in enumerate(X):
+        node = root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        out[i] = node.value
+    return out
+
+
+def boosted_trees_sorting(X, y, n_rounds, learning_rate, max_depth, min_samples_leaf):
+    """Squared-loss boosting over sort-per-node trees; returns (base value, roots)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    base = float(y.mean())
+    current = np.full(len(y), base)
+    roots = []
+    for _ in range(n_rounds):
+        residual = y - current
+        root = grow_sorting(X, residual, 0, max_depth, min_samples_leaf)
+        roots.append(root)
+        current += learning_rate * tree_predict_rows(root, X)
+    return base, roots
+
+
+def boosted_trees_predict(base, roots, learning_rate, X):
+    out = np.full(len(X), base)
+    for root in roots:
+        out += learning_rate * tree_predict_rows(root, X)
+    return out

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from autocast.models import BoostedTreeForecaster, fit_boosted_trees
-from autocast.models.boosting import RegressionTree, _grow, train_pooled_trees
+from autocast.models.boosting import LEARNING_RATE, MAX_DEPTH, MIN_SAMPLES_LEAF, train_pooled_trees
 from autocast.models.windows import make_window_features
+from autocast.synth import Archetype, ArchetypeSpec, generate_corpus
 
 from helpers import monthly_series
+from oracles import boosted_trees_predict, boosted_trees_sorting
 
 MONTH_PATTERN = np.array(
     [100.0, 150.0, 80.0, 120.0, 200.0, 90.0, 60.0, 110.0, 170.0, 130.0, 95.0, 140.0]
@@ -56,39 +58,111 @@ class TestFitBoostedTrees:
         assert [model.predict_one(row) for row in X[:5]] == pytest.approx(list(batch))
 
 
+def single_tree(X, y):
+    """The one tree of a one-round fit; it is grown on y minus its mean."""
+    return fit_boosted_trees(X, y, n_rounds=1, learning_rate=1.0).trees[0]
+
+
 class TestTreeGrowth:
     def test_min_samples_per_leaf_blocks_splits(self):
         # 3 rows cannot split into two leaves of >= 2 samples each
         X = np.array([[1.0], [2.0], [3.0]])
         y = np.array([1.0, 5.0, 9.0])
-        root = _grow(X, y, depth=0)
+        root = single_tree(X, y).root
         assert root.is_leaf
-        assert root.value == pytest.approx(5.0)
+        assert root.value == pytest.approx(0.0)
 
     def test_identical_feature_values_cannot_split(self):
         X = np.ones((10, 2))
         y = np.arange(10.0)
-        root = _grow(X, y, depth=0)
-        assert root.is_leaf
+        assert single_tree(X, y).root.is_leaf
 
     def test_clean_split_found(self):
         X = np.array([[0.0], [0.0], [1.0], [1.0]])
         y = np.array([1.0, 1.0, 9.0, 9.0])
-        tree = RegressionTree(_grow(X, y, depth=0))
-        assert tree.predict(X) == pytest.approx([1.0, 1.0, 9.0, 9.0])
+        tree = single_tree(X, y)
+        assert [tree.predict_one(row) for row in X] == pytest.approx([-4.0, -4.0, 4.0, 4.0])
 
     def test_depth_capped_at_three(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(200, 4))
         y = rng.normal(size=200)
-        root = _grow(X, y, depth=0)
+        root = single_tree(X, y).root
 
         def depth(node):
             if node.is_leaf:
                 return 0
             return 1 + max(depth(node.left), depth(node.right))
 
-        assert depth(root) <= 3
+        assert depth(root) == 3
+
+
+def same_tree(node, reference):
+    """Node-by-node equality of feature, threshold and value."""
+    if (node.feature, node.threshold, node.value) != (reference.feature, reference.threshold, reference.value):
+        return False
+    return node.is_leaf or (same_tree(node.left, reference.left) and same_tree(node.right, reference.right))
+
+
+def tied_design(rng, n, features):
+    """Few distinct values per column, so ties are everywhere."""
+    return rng.integers(0, 4, size=(n, features)).astype(float)
+
+
+def synth_windows():
+    """Pooled training windows of one product of each archetype, as train_pooled_trees builds them."""
+    specs = [ArchetypeSpec.from_kind(f"P{i}", kind) for i, kind in enumerate(Archetype)]
+    corpus = generate_corpus(specs, seed=3)
+    blocks = [make_window_features(s, log_targets=True) for s in sorted(corpus, key=lambda s: s.product_id)]
+    return np.vstack([X for X, _ in blocks if len(X)]), np.concatenate([y for _, y in blocks if len(y)])
+
+
+class TestMatchesSortingTrainer:
+    """The presorted trainer grows the trees the sort-per-node trainer grows, bit for bit."""
+
+    @staticmethod
+    def check(X, y, n_rounds=25):
+        model = fit_boosted_trees(X, y, n_rounds=n_rounds)
+        base, roots = boosted_trees_sorting(X, y, n_rounds, LEARNING_RATE, MAX_DEPTH, MIN_SAMPLES_LEAF)
+        assert model.base_value == base
+        assert len(model.trees) == len(roots)
+        for tree, root in zip(model.trees, roots):
+            assert same_tree(tree.root, root)
+        assert np.array_equal(model.predict(X), boosted_trees_predict(base, roots, LEARNING_RATE, X))
+        return model
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_designs_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        X = np.hstack([tied_design(rng, 60, 3), rng.normal(size=(60, 3))])
+        self.check(X, rng.normal(size=60))
+
+    def test_tied_targets(self):
+        rng = np.random.default_rng(5)
+        self.check(tied_design(rng, 50, 4), rng.integers(0, 3, size=50).astype(float))
+
+    def test_duplicated_column(self):
+        rng = np.random.default_rng(6)
+        X = tied_design(rng, 40, 4)
+        X[:, 2] = X[:, 0]
+        model = self.check(X, X[:, 0] + 0.1 * rng.normal(size=40))
+        # a tie between equal columns goes to the lower index
+        assert model.trees[0].root.feature == 0
+
+    def test_constant_column(self):
+        rng = np.random.default_rng(7)
+        X = np.hstack([np.full((40, 1), 3.0), rng.normal(size=(40, 2))])
+        model = self.check(X, rng.normal(size=40))
+        assert all(tree.root.feature != 0 for tree in model.trees)
+
+    @pytest.mark.parametrize("n", [2 * MIN_SAMPLES_LEAF, 2 * MIN_SAMPLES_LEAF + 1])
+    def test_smallest_splittable_nodes(self, n):
+        rng = np.random.default_rng(n)
+        self.check(rng.normal(size=(n, 3)), rng.normal(size=n))
+
+    def test_pooled_synth_windows(self):
+        X, y = synth_windows()
+        self.check(X, y, n_rounds=40)
 
 
 class TestPooledTraining:

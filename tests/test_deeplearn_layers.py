@@ -1,67 +1,78 @@
-import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from autocast.deeplearn import CnnConfig, CnnNetwork, loss_and_grads
-from autocast.deeplearn.layers import DenseLastStep, DilatedCausalConv1d, Relu
+from autocast.deeplearn.layers import DenseLastStep, DilatedCausalConv1d, Relu, causal_taps
+from autocast.deeplearn.network import cone
 
-from oracles import conv1d_causal_bruteforce
+from oracles import conv1d_causal_bruteforce, full_length_cnn
 
 
-def identity_conv(dilation=1):
+def conv_over(length, in_channels, out_channels, dilation, rng, kernel=2):
+    """Conv at every position of a length-long input whose taps stay inside it."""
+    positions = np.arange((kernel - 1) * dilation, length)
+    conv = DilatedCausalConv1d(in_channels, out_channels, causal_taps(positions, kernel, dilation), rng)
+    return conv, positions
+
+
+def identity_conv(length, dilation=1):
     """1-in 1-out kernel-2 conv whose last tap is 1: output == input."""
-    conv = DilatedCausalConv1d(1, 1, 2, dilation, np.random.default_rng(0))
-    conv.weight[...] = np.array([[[0.0, 1.0]]])
+    conv, positions = conv_over(length, 1, 1, dilation, np.random.default_rng(0))
+    conv.weight[...] = np.array([[[0.0]], [[1.0]]])
     conv.bias[...] = 0.0
-    return conv
+    return conv, positions
 
 
 class TestConvForward:
     def test_last_tap_identity(self):
-        x = np.array([[[3.0, 1.0, 4.0, 1.0, 5.0]]])
-        out = identity_conv().forward(x)
-        np.testing.assert_array_equal(out, x)
+        x = np.array([[3.0, 1.0, 4.0, 1.0, 5.0]])[:, :, None]
+        conv, positions = identity_conv(5)
+        np.testing.assert_array_equal(conv.forward(x), x[:, positions, :])
 
     def test_both_taps_dilation_two(self):
-        conv = identity_conv(dilation=2)
-        conv.weight[...] = np.array([[[1.0, 1.0]]])
-        out = conv.forward(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
-        np.testing.assert_array_equal(out[0, 0], [1.0, 2.0, 4.0, 6.0])
+        conv, positions = identity_conv(4, dilation=2)
+        conv.weight[...] = 1.0
+        out = conv.forward(np.array([[1.0, 2.0, 3.0, 4.0]])[:, :, None])
+        np.testing.assert_array_equal(positions, [2, 3])
+        np.testing.assert_array_equal(out[0, :, 0], [4.0, 6.0])
 
     def test_zero_weights_give_bias(self):
-        conv = DilatedCausalConv1d(2, 3, 2, 1, np.random.default_rng(0))
+        conv, positions = conv_over(4, 2, 3, 1, np.random.default_rng(0))
         conv.weight[...] = 0.0
         conv.bias[...] = np.array([0.5, -1.0, 2.0])
-        out = conv.forward(np.ones((2, 2, 4)))
+        out = conv.forward(np.ones((2, 4, 2)))
         for ch, b in enumerate([0.5, -1.0, 2.0]):
-            np.testing.assert_array_equal(out[:, ch, :], np.full((2, 4), b))
+            np.testing.assert_array_equal(out[:, :, ch], np.full((2, len(positions)), b))
 
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     def test_matches_bruteforce(self, dilation):
         rng = np.random.default_rng(dilation)
-        conv = DilatedCausalConv1d(3, 2, 2, dilation, rng)
-        x = rng.normal(size=(4, 3, 12))
+        conv, positions = conv_over(12, 3, 2, dilation, rng)
+        x = rng.normal(size=(4, 12, 3))
         got = conv.forward(x)
-        want = conv1d_causal_bruteforce(x, conv.weight, conv.bias, dilation)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        weight = conv.weight.transpose(2, 1, 0)  # the oracle's (out, in, kernel)
+        want = np.array(conv1d_causal_bruteforce(x.transpose(0, 2, 1), weight, conv.bias, dilation))
+        np.testing.assert_allclose(got, want[:, :, positions].transpose(0, 2, 1), rtol=1e-12, atol=1e-12)
 
     def test_causality(self):
         rng = np.random.default_rng(5)
-        conv = DilatedCausalConv1d(1, 2, 2, 4, rng)
-        x = rng.normal(size=(1, 1, 16))
+        conv, positions = conv_over(16, 1, 2, 4, rng)
+        x = rng.normal(size=(1, 16, 1))
         base = conv.forward(x)
         bumped = x.copy()
-        bumped[0, 0, 9] += 10.0
+        bumped[0, 9, 0] += 10.0
         out = conv.forward(bumped)
+        before = positions < 9
         # outputs strictly before the bump are untouched
-        np.testing.assert_array_equal(out[:, :, :9], base[:, :, :9])
-        assert not np.allclose(out[:, :, 9:], base[:, :, 9:])
+        np.testing.assert_array_equal(out[:, before, :], base[:, before, :])
+        assert not np.allclose(out[:, ~before, :], base[:, ~before, :])
 
     def test_channel_mismatch_rejected(self):
-        conv = DilatedCausalConv1d(3, 2, 2, 1, np.random.default_rng(0))
+        conv, _ = conv_over(5, 3, 2, 1, np.random.default_rng(0))
         with pytest.raises(ValueError, match="3"):
-            conv.forward(np.ones((1, 2, 5)))
+            conv.forward(np.ones((1, 5, 2)))
 
 
 class TestRelu:
@@ -82,20 +93,20 @@ class TestDenseLastStep:
         dense = DenseLastStep(2, np.random.default_rng(0))
         dense.weight[...] = np.array([1.0, 10.0])
         dense.bias[...] = 0.5
-        x = np.zeros((1, 2, 4))
-        x[0, :, -1] = [3.0, 2.0]
-        x[0, :, 0] = [99.0, 99.0]
+        x = np.zeros((1, 4, 2))
+        x[0, -1, :] = [3.0, 2.0]
+        x[0, 0, :] = [99.0, 99.0]
         assert dense.forward(x)[0] == pytest.approx(3.0 + 20.0 + 0.5)
 
     def test_backward_routes_to_final_step(self):
         dense = DenseLastStep(2, np.random.default_rng(0))
         dense.weight[...] = np.array([2.0, -1.0])
-        x = np.ones((1, 2, 3))
+        x = np.ones((1, 3, 2))
         dense.forward(x)
         grad_in = dense.backward(np.array([1.0]))
         assert grad_in.shape == x.shape
-        np.testing.assert_array_equal(grad_in[0, :, :2], 0.0)
-        np.testing.assert_array_equal(grad_in[0, :, -1], [2.0, -1.0])
+        np.testing.assert_array_equal(grad_in[0, :2, :], 0.0)
+        np.testing.assert_array_equal(grad_in[0, -1, :], [2.0, -1.0])
 
 
 def central_difference_check(config, data_seed, h=1e-5):
@@ -189,33 +200,16 @@ class TestNetwork:
         assert network.predict_one(outside) == base
         assert network.predict_one(inside) != base
 
+    def test_wrong_window_width_rejected(self):
+        network = CnnNetwork(CnnConfig(input_window=6, dilations=(1, 2), channels=2, seed=0))
+        with pytest.raises(ValueError, match="6"):
+            network.forward(np.ones((2, 7)))
+
     def test_forward_accepts_single_window(self):
         network = CnnNetwork(CnnConfig(input_window=6, dilations=(1, 2), channels=2, seed=0))
         x = np.arange(6.0)
         assert network.forward(x).shape == (1,)
         assert network.predict_one(x) == pytest.approx(network.forward(x[None, :])[0])
-
-    def test_json_round_trip(self):
-        network = CnnNetwork(CnnConfig(input_window=8, dilations=(1, 2), channels=3, seed=11))
-        clone = CnnNetwork.from_json(network.to_json())
-        X = np.random.default_rng(3).uniform(size=(4, 8))
-        np.testing.assert_array_equal(clone.forward(X), network.forward(X))
-        assert clone.config == network.config
-
-    def test_json_payload_shape(self):
-        network = CnnNetwork(CnnConfig(input_window=6, dilations=(1,), channels=2, seed=0))
-        payload = json.loads(network.to_json())
-        assert set(payload) == {"config", "weights"}
-        assert payload["config"]["dilations"] == [1]
-        assert len(payload["weights"]) == len(network.params())
-
-    def test_save_load_round_trip(self, tmp_path):
-        network = CnnNetwork(CnnConfig(input_window=8, dilations=(1, 2), channels=3, seed=7))
-        path = tmp_path / "net.json"
-        network.save(path)
-        clone = CnnNetwork.load(path)
-        X = np.random.default_rng(8).uniform(size=(5, 8))
-        np.testing.assert_array_equal(clone.forward(X), network.forward(X))
 
     def test_set_weights_copies_values(self):
         network = CnnNetwork(CnnConfig(input_window=6, dilations=(1,), channels=2, seed=0))
@@ -223,3 +217,54 @@ class TestNetwork:
         stored[0][...] = 123.0
         # get_weights returned copies, so the live params are untouched
         assert not np.any(network.params()[0] == 123.0)
+
+
+def full_length_reference(network, X, y):
+    """Predictions and gradients of the same weights convolved over the whole window."""
+    convs = [layer for layer in network.layers if isinstance(layer, DilatedCausalConv1d)]
+    dense = network.layers[-1]
+    return full_length_cnn(
+        [(c.weight.transpose(2, 1, 0), c.bias, d) for c, d in zip(convs, network.config.dilations)],
+        dense.weight,
+        dense.bias[0],
+        X,
+        y,
+    )
+
+
+class TestCone:
+    def test_default_cone_reads_last_sixteen_inputs(self):
+        inputs, taps = cone(CnnConfig())
+        np.testing.assert_array_equal(inputs, np.arange(8, 24))
+        assert [len(t) for t in taps] == [8, 4, 2, 1]
+        assert all(t.shape[1] == 2 for t in taps)
+
+    def test_taps_index_the_previous_layers_positions(self):
+        # dilation 1 over 16 inputs: output i reads inputs 2i and 2i+1
+        _, taps = cone(CnnConfig())
+        np.testing.assert_array_equal(taps[0], np.arange(16).reshape(8, 2))
+        np.testing.assert_array_equal(taps[-1], [[0, 1]])
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            CnnConfig(),
+            CnnConfig(input_window=104),
+            CnnConfig(kernel_size=3, dilations=(1, 2)),
+            CnnConfig(input_window=16),
+        ],
+        ids=["monthly", "weekly", "kernel3", "field_equals_window"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_full_length_network(self, config, seed):
+        network = CnnNetwork(replace(config, seed=seed))
+        rng = np.random.default_rng(seed + 50)
+        X = rng.uniform(0.2, 2.0, size=(32, config.input_window))
+        y = rng.uniform(0.2, 2.0, size=32)
+        want_pred, want_grads = full_length_reference(network, X, y)
+        np.testing.assert_allclose(network.forward(X), want_pred, rtol=1e-12)
+        _, grads = loss_and_grads(network, X, y)
+        assert len(grads) == len(want_grads)
+        for got, want in zip(grads, want_grads):
+            want = want.transpose(2, 1, 0) if want.ndim == 3 else want
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -105,6 +105,25 @@ class TestAdam:
             opt.step([2.0 * (w - 3.0)])
         assert w[0] == pytest.approx(3.0, abs=1e-3)
 
+    def test_flat_state_matches_per_parameter_update(self):
+        # each parameter follows the textbook update exactly, whatever its shape
+        rng = np.random.default_rng(0)
+        params = [rng.normal(size=(2, 3, 4)), rng.normal(size=4), rng.normal(size=1)]
+        expected = [p.copy() for p in params]
+        opt = Adam(params, learning_rate=0.01)
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+        for t in range(1, 6):
+            grads = [rng.normal(size=p.shape) for p in params]
+            opt.step(grads)
+            for param, grad, (m, v) in zip(expected, grads, moments):
+                m *= 0.9
+                m += (1.0 - 0.9) * grad
+                v *= 0.999
+                v += (1.0 - 0.999) * grad * grad
+                param -= 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        for got, want in zip(params, expected):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestEarlyStopping:
     def test_patience_below_one_rejected(self):

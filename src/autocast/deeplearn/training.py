@@ -194,7 +194,6 @@ class CnnForecaster(BaseForecaster):
     """
 
     model_id = ModelId.CNN
-    _param_names = ()
 
     def __init__(self, network: CnnNetwork):
         self.network = network

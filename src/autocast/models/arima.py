@@ -64,8 +64,9 @@ class ArimaOrder:
             raise ValueError(f"non-seasonal order out of range: {self}")
         if not (0 <= self.P <= MAX_SEASONAL and 0 <= self.Q <= MAX_SEASONAL and 0 <= self.D <= MAX_SEASONAL):
             raise ValueError(f"seasonal order out of range: {self}")
-        if self.is_seasonal and self.m < 2:
-            raise ValueError(f"seasonal order needs period m >= 2: {self}")
+        if self.is_seasonal and self.m <= max(MAX_P, MAX_Q):
+            # _polys relies on the seasonal lags lying beyond the non-seasonal ones
+            raise ValueError(f"seasonal order needs period m > {max(MAX_P, MAX_Q)}: {self}")
 
     @property
     def is_seasonal(self) -> bool:
@@ -166,26 +167,36 @@ def choose_D(values, m: int) -> int:
 
 
 def _polys(order: ArimaOrder, params):
-    """Combined AR and MA lag polynomials (seasonal x non-seasonal products)."""
+    """Combined AR and MA lag polynomials (seasonal x non-seasonal products).
+
+    a = (1 - phi(L))(1 - Phi L^m) and b = (1 + theta(L))(1 + Theta L^m), with
+    at most one seasonal term each. Since m > MAX_P >= p (and MAX_Q >= q),
+    the terms of lags 1..p, m and m+1..m+p never share a lag, so every
+    coefficient is one product, written in place by slice assignment. The
+    seasonal coefficients are added to 0.0, as accumulating them into a zeroed
+    array would, so even the sign of a zero coefficient is that of the
+    accumulated form. Called once per CSS evaluation with ``params`` a list
+    of floats; a tuple or an array works as well.
+    """
     p, q, P, Q, m = order.p, order.q, order.P, order.Q, order.m
     phi = params[:p]
     theta = params[p : p + q]
-    Phi = params[p + q : p + q + P]
-    Theta = params[p + q + P :]
-    a = np.zeros(p + P * m + 1)
+    a = np.empty(p + P * m + 1)
     a[0] = 1.0
-    a[1 : p + 1] = -phi
-    for j in range(P):
-        lag = (j + 1) * m
-        a[lag] += -Phi[j]
-        a[lag + 1 : lag + p + 1] += Phi[j] * phi
-    b = np.zeros(q + Q * m + 1)
+    a[1 : p + 1] = [-v for v in phi]
+    if P:
+        Phi = params[p + q]
+        a[p + 1 : m] = 0.0
+        a[m] = 0.0 - Phi
+        a[m + 1 :] = [Phi * v + 0.0 for v in phi]
+    b = np.empty(q + Q * m + 1)
     b[0] = 1.0
     b[1 : q + 1] = theta
-    for j in range(Q):
-        lag = (j + 1) * m
-        b[lag] += Theta[j]
-        b[lag + 1 : lag + q + 1] += Theta[j] * theta
+    if Q:
+        Theta = params[p + q + P]
+        b[q + 1 : m] = 0.0
+        b[m] = 0.0 + Theta
+        b[m + 1 :] = [Theta * v + 0.0 for v in theta]
     return a, b
 
 
@@ -374,8 +385,8 @@ def arima_forecast(fit: FittedArima, values, horizon: int) -> np.ndarray:
     order = fit.order
     w = difference(values, order.d, order.D, order.m)
     wc = w - fit.mean
-    a, b = _polys(order, np.array(fit.params))
-    eps = _css_residuals(wc, order, np.array(fit.params)) if len(wc) else np.empty(0)
+    a, b = _polys(order, fit.params)
+    eps = _css_residuals(wc, order, fit.params) if len(wc) else np.empty(0)
 
     n = len(wc)
     wc_ext = np.concatenate([wc, np.zeros(horizon)])
@@ -422,8 +433,6 @@ def arima_forecast(fit: FittedArima, values, horizon: int) -> np.ndarray:
 
 class ArimaForecaster(BaseForecaster):
     """seasonal=False searches (p,d,q) only; True adds the (P,D,Q)[m] terms."""
-
-    _param_names = ("seasonal", "forced_order")
 
     def __init__(self, seasonal: bool = False, forced_order: ArimaOrder | None = None):
         self.seasonal = seasonal

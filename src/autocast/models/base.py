@@ -49,26 +49,11 @@ class NotFittedError(RuntimeError):
 class BaseForecaster:
     """fit/forecast contract shared by every model in the zoo.
 
-    Subclasses declare constructor parameters in `_param_names` and get
-    get_params/set_params for free. fit() returns self. Fitted state lives
-    in attributes with a trailing underscore.
+    fit() returns self. Fitted state lives in attributes with a trailing
+    underscore.
     """
 
     model_id: ModelId
-    _param_names: tuple = ()
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names}
-
-    def set_params(self, **params) -> "BaseForecaster":
-        for name, value in params.items():
-            if name not in self._param_names:
-                raise ValueError(
-                    f"unknown parameter {name!r} for {type(self).__name__}; "
-                    f"valid: {sorted(self._param_names)}"
-                )
-            setattr(self, name, value)
-        return self
 
     def fit(self, series: SalesSeries) -> "BaseForecaster":
         raise NotImplementedError

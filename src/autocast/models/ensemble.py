@@ -1,4 +1,4 @@
-"""Forecast combination: elementwise median (default) or mean of the members."""
+"""Forecast combination: the elementwise median of the members."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,7 +9,7 @@ from .base import ModelId
 DEFAULT_MEMBERS = (ModelId.HWES, ModelId.GAM, ModelId.ARIMA, ModelId.BOOSTED_TREE)
 
 
-def ensemble_forecast(forecasts, aggregate: str = "median") -> ForecastResult:
+def ensemble_forecast(forecasts) -> ForecastResult:
     """Combine member forecasts for one product into an EnsembleMedian result.
 
     With an even member count the median is the mean of the two central
@@ -23,13 +23,7 @@ def ensemble_forecast(forecasts, aggregate: str = "median") -> ForecastResult:
             raise ValueError(f"mixed products: {other.product_id!r} vs {first.product_id!r}")
         if other.start != first.start or other.horizon != first.horizon:
             raise ValueError("members disagree on forecast start or horizon")
-    stacked = np.vstack([f.values for f in forecasts])
-    if aggregate == "median":
-        values = np.median(stacked, axis=0)
-    elif aggregate == "mean":
-        values = stacked.mean(axis=0)
-    else:
-        raise ValueError(f"unknown aggregate {aggregate!r}; use 'median' or 'mean'")
+    values = np.median(np.vstack([f.values for f in forecasts]), axis=0)
     return ForecastResult(
         product_id=first.product_id,
         model_id=ModelId.ENSEMBLE_MEDIAN.value,

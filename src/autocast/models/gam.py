@@ -173,8 +173,6 @@ def gam_decompose(design: GamDesign, t_values) -> dict:
 
 
 class GamForecaster(BaseForecaster):
-    _param_names = ("lam", "lambda_grid")
-
     def __init__(self, lam: float | None = None, lambda_grid=None):
         self.lam = lam
         self.lambda_grid = lambda_grid

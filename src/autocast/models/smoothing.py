@@ -6,6 +6,7 @@ when the history is too short for the seasonal (or trend) recursion.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +41,13 @@ class HwesState:
 
 
 def _clamp(params):
-    return np.clip(params, PARAM_FLOOR, PARAM_CEIL)
+    return [min(max(v, PARAM_FLOOR), PARAM_CEIL) for v in params]
 
 
+# The passes run once per objective evaluation. They take the series as a
+# list of floats (values.tolist()), the seasonal components as a list and the
+# parameters as floats: float arithmetic is the IEEE double arithmetic numpy
+# scalars do, without their per-operation overhead.
 def _ses_pass(values, alpha):
     level = values[0]
     sse = 0.0
@@ -83,7 +88,7 @@ def _hwes_init(values, m):
 
 def _hwes_pass(values, m, alpha, beta, gamma, init):
     level, trend, seasonal = init
-    seasonal = seasonal.copy()
+    seasonal = list(seasonal)
     sse = 0.0
     for t, y in enumerate(values):
         pos = t % m
@@ -101,17 +106,17 @@ def _hwes_pass(values, m, alpha, beta, gamma, init):
 
 def fit_ses(values, alpha: float | None = None):
     """Optimize alpha on one-step SSE unless a fixed alpha is given."""
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float).tolist()
     if len(values) == 1:
-        return 0.3 if alpha is None else alpha, float(values[0])
+        return 0.3 if alpha is None else alpha, values[0]
     if alpha is None:
         def objective(p):
-            return _ses_pass(values, float(_clamp(p)[0]))[0]
+            return _ses_pass(values, _clamp(p)[0])[0]
 
         best, _, _ = nelder_mead(objective, np.array([0.3]), maxfev=80)
-        alpha = float(_clamp(best)[0])
+        alpha = _clamp(best.tolist())[0]
     _, level = _ses_pass(values, alpha)
-    return alpha, float(level)
+    return alpha, level
 
 
 def fit_hwes(train: SalesSeries) -> HwesState:
@@ -121,37 +126,39 @@ def fit_hwes(train: SalesSeries) -> HwesState:
     simple smoothing below 4 points. Non-finite losses fall back to SES with
     alpha=0.3 and set the fallback flag.
     """
-    values = train.values
+    values = train.values.tolist()
     m = train.frequency.periods_per_year
     n = len(values)
 
     if n >= 2 * m:
-        init = _hwes_init(values, m)
+        level0, trend0, seasonal0 = _hwes_init(train.values, m)
+        init = (level0, trend0, seasonal0.tolist())
 
         def objective(params):
             a, b, g = _clamp(params)
             sse = _hwes_pass(values, m, a, b, g, init)[0]
-            return sse if np.isfinite(sse) else np.inf
+            return sse if math.isfinite(sse) else math.inf
 
         best, best_sse, _ = nelder_mead(objective, np.array([0.3, 0.1, 0.1]), maxfev=300)
-        if np.isfinite(best_sse):
-            a, b, g = (float(v) for v in _clamp(best))
+        if math.isfinite(best_sse):
+            a, b, g = _clamp(best.tolist())
             _, level, trend, seasonal = _hwes_pass(values, m, a, b, g, init)
+            seasonal = np.array(seasonal)
             seasonal = seasonal - seasonal.mean()
             # rotate so that index h % m serves the h-th step after training
             end_aligned = tuple(seasonal[(n - 1 + k) % m] for k in range(m))
-            return HwesState(a, b, g, float(level), float(trend), end_aligned)
+            return HwesState(a, b, g, level, trend, end_aligned)
     if n >= 4:
         def objective(params):
             a, b = _clamp(params)
             sse = _holt_pass(values, a, b)[0]
-            return sse if np.isfinite(sse) else np.inf
+            return sse if math.isfinite(sse) else math.inf
 
         best, best_sse, _ = nelder_mead(objective, np.array([0.3, 0.1]), maxfev=200)
-        if np.isfinite(best_sse):
-            a, b = (float(v) for v in _clamp(best))
+        if math.isfinite(best_sse):
+            a, b = _clamp(best.tolist())
             _, level, trend = _holt_pass(values, a, b)
-            return HwesState(a, b, 0.0, float(level), float(trend), (0.0,))
+            return HwesState(a, b, 0.0, level, trend, (0.0,))
 
     alpha, level = fit_ses(values)
     if not np.isfinite(level):

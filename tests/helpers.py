@@ -1,6 +1,7 @@
-"""Shared test helpers: compact series builders with fixed epochs, and the lasso optimality check."""
+"""Shared test helpers: compact series builders with fixed epochs, ARIMA orders, and the lasso optimality check."""
 import numpy as np
 
+from autocast.models.arima import MAX_P, MAX_Q, MAX_SEASONAL, ArimaOrder
 from autocast.series import Frequency, Period, SalesSeries
 
 # January 2020 / first ISO week of 2020 keep labels human-checkable
@@ -33,6 +34,16 @@ def seasonal_values(n, m=12, level=100.0, amplitude=10.0, slope=0.0, noise=0.0, 
     if noise > 0:
         y = y + np.random.default_rng(seed).normal(0.0, noise, n)
     return np.maximum(y, 0.0)
+
+
+def in_range_orders(m):
+    """Every ArimaOrder with at least one coefficient, at d = D = 0 and seasonal period m."""
+    for p in range(MAX_P + 1):
+        for q in range(MAX_Q + 1):
+            for P in range(MAX_SEASONAL + 1):
+                for Q in range(MAX_SEASONAL + 1):
+                    if p + q + P + Q:
+                        yield ArimaOrder(p, 0, q, P, 0, Q, m if P + Q else 1)
 
 
 def kkt_violation(M, y, beta, lam):

@@ -5,7 +5,10 @@ routes is meaningful. The scalar oracles use plain Python loops and the math
 module only. Two numpy references solve the whole problem the long way
 round: a CNN that convolves every position of the window, and the tree
 trainer that sorts every feature at every node, which the presorted trainer
-must reproduce bit for bit.
+must reproduce bit for bit. The fit kernels' array formulations (Nelder-Mead
+on a numpy simplex, lag polynomials accumulated into zeroed arrays, the
+smoothing recursions on numpy scalars) are kept verbatim as well: the
+kernels must reproduce them bit for bit.
 """
 import math
 from dataclasses import dataclass
@@ -268,7 +271,8 @@ def best_split_sorting(X, y, min_samples_leaf):
         if gain > best_gain:
             b = boundaries[i]
             best_gain = gain
-            best = (j, (xs[b] + xs[b + 1]) / 2.0, gain)
+            threshold = (xs[b] + xs[b + 1]) / 2.0
+            best = (j, threshold if threshold < xs[b + 1] else xs[b], gain)
     return best
 
 
@@ -319,3 +323,133 @@ def boosted_trees_predict(base, roots, learning_rate, X):
     for root in roots:
         out += learning_rate * tree_predict_rows(root, X)
     return out
+
+
+def nelder_mead_arrays(objective, x0, maxfev=None, xatol=1e-4, fatol_rel=1e-8, initial_step=0.1):
+    """Nelder-Mead on a numpy simplex, re-sorted by a stable argsort every iteration."""
+    x0 = np.asarray(x0, dtype=float)
+    ndim = x0.size
+    if ndim == 0:
+        return x0, float(objective(x0)), 1
+    if maxfev is None:
+        maxfev = 200 * ndim
+
+    points = np.tile(x0, (ndim + 1, 1))
+    for i in range(ndim):
+        if points[i + 1, i] == 0.0:
+            points[i + 1, i] = initial_step
+        else:
+            points[i + 1, i] *= 1.0 + initial_step
+    values = np.array([float(objective(p)) for p in points])
+    nfev = ndim + 1
+
+    while nfev < maxfev:
+        order = np.argsort(values, kind="stable")
+        points = points[order]
+        values = values[order]
+        best, worst, second_worst = values[0], values[-1], values[-2]
+        if worst - best <= fatol_rel * (abs(best) + 1e-12):
+            break
+        if np.max(np.abs(points[1:] - points[0])) < xatol:
+            break
+
+        centroid = points[:-1].mean(axis=0)
+        reflected = centroid + (centroid - points[-1])
+        f_reflected = float(objective(reflected))
+        nfev += 1
+        if f_reflected < best:
+            expanded = centroid + 2.0 * (centroid - points[-1])
+            f_expanded = float(objective(expanded))
+            nfev += 1
+            if f_expanded < f_reflected:
+                points[-1], values[-1] = expanded, f_expanded
+            else:
+                points[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < second_worst:
+            points[-1], values[-1] = reflected, f_reflected
+        else:
+            contracted = centroid + 0.5 * (points[-1] - centroid)
+            f_contracted = float(objective(contracted))
+            nfev += 1
+            if f_contracted < worst:
+                points[-1], values[-1] = contracted, f_contracted
+            else:
+                for i in range(1, ndim + 1):
+                    points[i] = points[0] + 0.5 * (points[i] - points[0])
+                    values[i] = float(objective(points[i]))
+                nfev += ndim
+
+    i = int(np.argmin(values))
+    return points[i].copy(), float(values[i]), nfev
+
+
+def lag_polynomials_accumulated(order, params):
+    """(AR, MA) lag polynomials accumulated term by term into zeroed arrays.
+
+    order has p, q, P, Q and m; params is phi..., theta..., Phi..., Theta...
+    """
+    p, q, P, Q, m = order.p, order.q, order.P, order.Q, order.m
+    params = np.asarray(params, dtype=float)
+    phi = params[:p]
+    theta = params[p : p + q]
+    Phi = params[p + q : p + q + P]
+    Theta = params[p + q + P :]
+    a = np.zeros(p + P * m + 1)
+    a[0] = 1.0
+    a[1 : p + 1] = -phi
+    for j in range(P):
+        lag = (j + 1) * m
+        a[lag] += -Phi[j]
+        a[lag + 1 : lag + p + 1] += Phi[j] * phi
+    b = np.zeros(q + Q * m + 1)
+    b[0] = 1.0
+    b[1 : q + 1] = theta
+    for j in range(Q):
+        lag = (j + 1) * m
+        b[lag] += Theta[j]
+        b[lag + 1 : lag + q + 1] += Theta[j] * theta
+    return a, b
+
+
+def ses_pass_arrays(values, alpha):
+    """Simple smoothing pass over a numpy array; returns (one-step SSE, level)."""
+    level = values[0]
+    sse = 0.0
+    for y in values[1:]:
+        err = y - level
+        sse += err * err
+        level += alpha * err
+    return sse, level
+
+
+def holt_pass_arrays(values, alpha, beta):
+    """Holt pass over a numpy array; returns (one-step SSE, level, trend)."""
+    level = values[0]
+    trend = values[1] - values[0]
+    sse = 0.0
+    for y in values[1:]:
+        prev_level = level
+        pred = level + trend
+        err = y - pred
+        sse += err * err
+        level = alpha * y + (1.0 - alpha) * pred
+        trend = beta * (level - prev_level) + (1.0 - beta) * trend
+    return sse, level, trend
+
+
+def hwes_pass_arrays(values, m, alpha, beta, gamma, level, trend, seasonal):
+    """Additive Holt-Winters pass over numpy arrays; returns (SSE, level, trend, seasonal array)."""
+    seasonal = np.array(seasonal, dtype=float)
+    sse = 0.0
+    for t, y in enumerate(values):
+        pos = t % m
+        s_old = seasonal[pos]
+        pred = level + trend + s_old
+        err = y - pred
+        sse += err * err
+        prev_level = level
+        prev_trend = trend
+        level = alpha * (y - s_old) + (1.0 - alpha) * (level + trend)
+        trend = beta * (level - prev_level) + (1.0 - beta) * trend
+        seasonal[pos] = gamma * (y - prev_level - prev_trend) + (1.0 - gamma) * s_old
+    return sse, level, trend, seasonal

@@ -9,6 +9,7 @@ from autocast.models.arima import (
     MAX_SEASONAL,
     SEASONAL_STRENGTH_THRESHOLD,
     _fit_candidate,
+    _polys,
     _search,
     choose_d,
     difference,
@@ -16,8 +17,8 @@ from autocast.models.arima import (
     seasonal_strength,
 )
 
-from helpers import monthly_series, seasonal_values
-from oracles import kpss_level_statistic
+from helpers import in_range_orders, monthly_series, seasonal_values
+from oracles import kpss_level_statistic, lag_polynomials_accumulated
 
 
 def simulate_ar1(phi, n, seed, burn=100):
@@ -45,6 +46,8 @@ class TestArimaOrder:
     def test_seasonal_needs_period(self):
         with pytest.raises(ValueError):
             ArimaOrder(1, 0, 0, P=1, m=1)
+        with pytest.raises(ValueError):  # seasonal lags must lie beyond the plain ones
+            ArimaOrder(1, 0, 0, P=1, m=MAX_P)
 
     def test_labels(self):
         assert ArimaOrder(1, 0, 0).label() == "(1,0,0)"
@@ -57,6 +60,23 @@ class TestArimaOrder:
     def test_seasonal_flag(self):
         assert not ArimaOrder(3, 2, 3).is_seasonal
         assert ArimaOrder(0, 0, 0, D=1, m=12).is_seasonal
+
+
+class TestLagPolynomials:
+    """Slice-assigned polynomials against the zeroed-array accumulation, bit for bit."""
+
+    @pytest.mark.parametrize("m", [4, 12, 52])
+    def test_every_order_matches_accumulation(self, m):
+        rng = np.random.default_rng(m)
+        for order in in_range_orders(m):
+            k = order.n_params
+            # exact and negative zeros exercise the sign a zero coefficient gets
+            mixed = np.where(rng.random(k) < 0.5, -0.0, rng.normal(size=k))
+            for params in (np.zeros(k), -np.zeros(k), rng.normal(size=k), mixed):
+                a_ref, b_ref = lag_polynomials_accumulated(order, params)
+                for given in (params.tolist(), tuple(params), params):
+                    a, b = _polys(order, given)
+                    assert a.tobytes() == a_ref.tobytes() and b.tobytes() == b_ref.tobytes()
 
 
 class TestDifference:

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from autocast.models import BoostedTreeForecaster, fit_boosted_trees
 from autocast.models.boosting import LEARNING_RATE, MAX_DEPTH, MIN_SAMPLES_LEAF, train_pooled_trees
 from autocast.models.windows import make_window_features
+from autocast.series import Frequency
 from autocast.synth import Archetype, ArchetypeSpec, generate_corpus
 
 from helpers import monthly_series
@@ -109,10 +112,19 @@ def tied_design(rng, n, features):
     return rng.integers(0, 4, size=(n, features)).astype(float)
 
 
-def synth_windows():
-    """Pooled training windows of one product of each archetype, as train_pooled_trees builds them."""
-    specs = [ArchetypeSpec.from_kind(f"P{i}", kind) for i, kind in enumerate(Archetype)]
-    corpus = generate_corpus(specs, seed=3)
+def synth_windows(frequency=Frequency.MONTHLY):
+    """Pooled training windows of one product of each archetype, as train_pooled_trees builds them.
+
+    Weekly products get three years of history, so each position of the year
+    recurs; the short-history archetype keeps its default length.
+    """
+    specs = [
+        ArchetypeSpec.from_kind(f"P{i}", kind)
+        if frequency is Frequency.MONTHLY or kind is Archetype.SHORT_HISTORY
+        else ArchetypeSpec.from_kind(f"P{i}", kind, length=156)
+        for i, kind in enumerate(Archetype)
+    ]
+    corpus = generate_corpus(specs, seed=3, frequency=frequency)
     blocks = [make_window_features(s, log_targets=True) for s in sorted(corpus, key=lambda s: s.product_id)]
     return np.vstack([X for X, _ in blocks if len(X)]), np.concatenate([y for _, y in blocks if len(y)])
 
@@ -163,6 +175,69 @@ class TestMatchesSortingTrainer:
     def test_pooled_synth_windows(self):
         X, y = synth_windows()
         self.check(X, y, n_rounds=40)
+
+    def test_pooled_weekly_synth_windows(self):
+        # 52 lag columns and 52 one-hot position columns
+        X, y = synth_windows(Frequency.WEEKLY)
+        self.check(X, y, n_rounds=10)
+
+    def test_all_binary_design(self):
+        rng = np.random.default_rng(8)
+        X = rng.integers(0, 2, size=(50, 5)).astype(float)
+        self.check(X, X @ [1.0, -2.0, 0.5, 0.0, 3.0] + 0.1 * rng.normal(size=50))
+
+    def test_binary_columns_off_zero_one(self):
+        rng = np.random.default_rng(9)
+        X = np.column_stack(
+            [
+                np.where(rng.random(60) < 0.3, 2.0, 5.0),
+                rng.normal(size=60),
+                np.where(rng.random(60) < 0.6, -1.0, 0.0),
+            ]
+        )
+        self.check(X, X[:, 0] - 2.0 * X[:, 2] + 0.1 * rng.normal(size=60))
+
+    def test_binary_column_with_a_single_minority_row(self):
+        rng = np.random.default_rng(10)
+        X = np.column_stack([np.zeros(30), rng.normal(size=30)])
+        X[17, 0] = 1.0
+        y = rng.normal(size=30)
+        y[17] = 25.0
+        self.check(X, y)
+
+    def test_binary_column_next_to_constant_column(self):
+        rng = np.random.default_rng(11)
+        X = np.column_stack([np.full(40, 3.0), (rng.random(40) < 0.5).astype(float), np.full(40, -1.0)])
+        self.check(X, 4.0 * X[:, 1] + rng.normal(size=40))
+
+    def test_column_of_two_adjacent_doubles(self):
+        rng = np.random.default_rng(12)
+        a = np.nextafter(1.0, 2.0)
+        X = np.column_stack([np.where(rng.random(40) < 0.5, a, np.nextafter(a, 2.0)), rng.normal(size=40)])
+        self.check(X, np.where(X[:, 0] > a, 10.0, 0.0) + 0.1 * rng.normal(size=40))
+
+
+class TestAdjacentDoubleThreshold:
+    """A split between adjacent doubles must leave both children non-empty."""
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_children_non_empty_and_predictions_finite(self, binary):
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        X = np.array([[a], [a], [b], [b]])
+        if not binary:  # a third value keeps the column on the presorted path
+            X = np.vstack([X, [[3.0], [3.0]]])
+        y = np.array([0.0, 0.0, 10.0, 10.0, 20.0, 20.0][: len(X)])
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_boosted_trees(X, y, n_rounds=5)
+            predictions = model.predict(X)
+        root = model.trees[0].root
+        assert not root.is_leaf
+        assert root.threshold == a
+        assert any(row[0] <= root.threshold for row in X)
+        assert any(row[0] > root.threshold for row in X)
+        assert np.all(np.isfinite(predictions))
 
 
 class TestPooledTraining:

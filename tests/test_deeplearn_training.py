@@ -251,7 +251,3 @@ class TestCnnForecaster:
         network = constant_predictor(TINY, 1.0)
         with pytest.raises(NotFittedError):
             CnnForecaster(network).forecast(3)
-
-    def test_no_tunable_params(self):
-        network = constant_predictor(TINY, 1.0)
-        assert CnnForecaster(network).get_params() == {}

@@ -40,10 +40,6 @@ class TestMedianCombination:
         assert combined.product_id == "p1"
         assert combined.start == START
 
-    def test_mean_aggregate(self):
-        members = [result([1.0, 2.0], model_id="hwes"), result([3.0, 6.0], model_id="gam")]
-        assert list(ensemble_forecast(members, aggregate="mean").values) == [2.0, 4.0]
-
 
 class TestValidation:
     def test_fewer_than_two_members_rejected(self):
@@ -61,11 +57,6 @@ class TestValidation:
     def test_horizon_mismatch_rejected(self):
         with pytest.raises(ValueError, match="start or horizon"):
             ensemble_forecast([result([1.0]), result([1.0, 2.0])])
-
-    def test_unknown_aggregate_rejected(self):
-        members = [result([1.0], model_id="hwes"), result([2.0], model_id="gam")]
-        with pytest.raises(ValueError, match="aggregate"):
-            ensemble_forecast(members, aggregate="mode")
 
 
 class TestDefaultMembers:

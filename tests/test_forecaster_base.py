@@ -14,7 +14,6 @@ from autocast.models import (
     iterate_one_step,
     priority_rank,
 )
-from autocast.models.arima import ArimaOrder
 
 from helpers import monthly_series
 
@@ -105,7 +104,6 @@ class TestIterateOneStep:
 
 class _Doubler(BaseForecaster):
     model_id = ModelId.SES
-    _param_names = ("factor",)
 
     def __init__(self, factor=2.0):
         self.factor = factor
@@ -119,20 +117,6 @@ class _Doubler(BaseForecaster):
 
 
 class TestBaseForecaster:
-    def test_get_params_reads_declared_names(self):
-        model = ArimaForecaster(seasonal=True)
-        assert model.get_params() == {"seasonal": True, "forced_order": None}
-
-    def test_set_params_roundtrip(self):
-        order = ArimaOrder(1, 0, 0)
-        model = ArimaForecaster().set_params(seasonal=True, forced_order=order)
-        assert model.seasonal is True
-        assert model.forced_order == order
-
-    def test_set_params_rejects_unknown_name(self):
-        with pytest.raises(ValueError, match="learning_rate"):
-            GamForecaster().set_params(learning_rate=0.5)
-
     @pytest.mark.parametrize(
         "model",
         [

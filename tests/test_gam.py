@@ -156,10 +156,6 @@ class TestGamForecaster:
         result = model.forecast(6, external=np.arange(24.0, 30.0))
         assert result.horizon == 6
 
-    def test_params_roundtrip(self):
-        model = GamForecaster().set_params(lam=0.25)
-        assert model.get_params()["lam"] == 0.25
-
     def test_horizon_below_one_rejected(self):
         model = GamForecaster(lam=0.0).fit(monthly_series(np.arange(24.0) + 1))
         with pytest.raises(ValueError):

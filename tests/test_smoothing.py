@@ -2,10 +2,25 @@ import numpy as np
 import pytest
 
 from autocast.models import HwesForecaster, HwesState, SesForecaster, fit_hwes, fit_ses
-from autocast.models.smoothing import _hwes_init, _hwes_pass, _ses_pass, hwes_forecast
+from autocast.models.smoothing import (
+    PARAM_CEIL,
+    PARAM_FLOOR,
+    _holt_pass,
+    _hwes_init,
+    _hwes_pass,
+    _ses_pass,
+    hwes_forecast,
+)
 
-from helpers import monthly_series
-from oracles import holt_winters_recursion, ses_recursion
+from helpers import monthly_series, weekly_series
+from oracles import (
+    holt_pass_arrays,
+    holt_winters_recursion,
+    hwes_pass_arrays,
+    nelder_mead_arrays,
+    ses_pass_arrays,
+    ses_recursion,
+)
 
 
 class TestHwesForecastArithmetic:
@@ -158,3 +173,76 @@ class TestForecasterAdapters:
         model = HwesForecaster().fit(series)
         assert model.state_.season_length == 12
         assert model.forecast(12).horizon == 12
+
+
+def clamp(params):
+    return np.clip(params, PARAM_FLOOR, PARAM_CEIL)
+
+
+def array_fit_hwes(values, m):
+    """fit_hwes's Holt-Winters and Holt branches on numpy arrays and scalars."""
+    if len(values) >= 2 * m:
+        level0, trend0, seasonal0 = _hwes_init(values, m)
+
+        def objective(params):
+            sse = hwes_pass_arrays(values, m, *clamp(params), level0, trend0, seasonal0)[0]
+            return sse if np.isfinite(sse) else np.inf
+
+        best, _, _ = nelder_mead_arrays(objective, np.array([0.3, 0.1, 0.1]), maxfev=300)
+        a, b, g = (float(v) for v in clamp(best))
+        _, level, trend, seasonal = hwes_pass_arrays(values, m, a, b, g, level0, trend0, seasonal0)
+        seasonal = seasonal - seasonal.mean()
+        n = len(values)
+        return a, b, g, float(level), float(trend), tuple(seasonal[(n - 1 + k) % m] for k in range(m))
+
+    def objective(params):
+        sse = holt_pass_arrays(values, *clamp(params))[0]
+        return sse if np.isfinite(sse) else np.inf
+
+    best, _, _ = nelder_mead_arrays(objective, np.array([0.3, 0.1]), maxfev=200)
+    a, b = (float(v) for v in clamp(best))
+    _, level, trend = holt_pass_arrays(values, a, b)
+    return a, b, 0.0, float(level), float(trend), (0.0,)
+
+
+class TestMatchesArrayFormulation:
+    """The float passes against the numpy-scalar passes, bit for bit."""
+
+    def test_passes(self):
+        rng = np.random.default_rng(11)
+        for m in (4, 12, 52):
+            values = rng.uniform(0, 300, size=3 * m)
+            alpha, beta, gamma = rng.uniform(0.001, 0.999, size=3)  # numpy scalars, as np.clip gives them
+            floats = values.tolist()
+            assert _ses_pass(floats, float(alpha)) == ses_pass_arrays(values, alpha)
+            assert _holt_pass(floats, float(alpha), float(beta)) == holt_pass_arrays(values, alpha, beta)
+            level, trend, seasonal = _hwes_init(values, m)
+            init = (level, trend, seasonal.tolist())
+            got = _hwes_pass(floats, m, float(alpha), float(beta), float(gamma), init)
+            ref = hwes_pass_arrays(values, m, alpha, beta, gamma, level, trend, seasonal)
+            assert got[:3] == ref[:3]
+            assert got[3] == ref[3].tolist()
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_fitted_ses(self, n):
+        values = np.random.default_rng(n).uniform(0, 50, size=n)
+
+        def objective(p):
+            return ses_pass_arrays(values, float(clamp(p)[0]))[0]
+
+        best, _, _ = nelder_mead_arrays(objective, np.array([0.3]), maxfev=80)
+        alpha = float(clamp(best)[0])
+        assert fit_ses(values) == (alpha, float(ses_pass_arrays(values, alpha)[1]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "make, n", [(monthly_series, 40), (monthly_series, 18), (weekly_series, 110), (weekly_series, 60)]
+    )
+    def test_fitted_state(self, make, n, seed):
+        rng = np.random.default_rng(seed)
+        m = 12 if make is monthly_series else 52
+        t = np.arange(n)
+        values = np.maximum(100.0 + 0.5 * t + 20.0 * np.sin(2 * np.pi * t / m) + rng.normal(0, 5, n), 0.0)
+        state = fit_hwes(make(values))
+        expected = array_fit_hwes(values, m)
+        assert (state.alpha, state.beta, state.gamma, state.level, state.trend, state.seasonal) == expected

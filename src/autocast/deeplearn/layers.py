@@ -2,9 +2,15 @@
 
 Tensors are float64 and channels-last: (batch, positions, channels). A conv
 layer computes only the output positions that the layers above it read (the
-cone under the network's head), so each layer works on its own short list
-of positions rather than the whole window. Forward passes cache whatever
-backward needs, and every product is one matrix multiply.
+cone under the network's head), and its input arrives tap-ordered: rows
+i*kernel .. i*kernel + kernel-1 are the taps of output position i, in tap
+order. So a forward pass is one reshape and one matrix multiply, and the
+backward pass hands each input row its own gradient by reshaping back. A
+position that two outputs read arrives twice and gets two gradient rows.
+Forward passes cache whatever backward needs.
+
+Parameters and gradients are attributes named in ``param_names`` and
+``grad_`` + name; the network rebinds them to views of its flat buffers.
 """
 from __future__ import annotations
 
@@ -12,11 +18,13 @@ import numpy as np
 
 
 class Layer:
+    param_names: tuple = ()
+
     def params(self) -> list:
-        return []
+        return [getattr(self, name) for name in self.param_names]
 
     def grads(self) -> list:
-        return []
+        return [getattr(self, "grad_" + name) for name in self.param_names]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -36,54 +44,39 @@ def causal_taps(positions, kernel_size: int, dilation: int) -> np.ndarray:
 
 
 class DilatedCausalConv1d(Layer):
-    """Causal conv evaluated at chosen output positions.
+    """Causal conv over tap-ordered input: (batch, outputs*kernel, in) -> (batch, outputs, out).
 
-    taps[i, k] is the input row (axis 1 of the layer's input) that tap k of
-    output position i reads; causal_taps gives the time positions, and the
-    network maps them to rows of the positions its previous layer produced.
-    Weights are stored (kernel, in_channels, out_channels), so the taps
-    gathered at one position form one row of the matrix multiply.
+    The dilation lives in which positions the network feeds the layer
+    (causal_taps of its outputs, raveled), not in the layer. Weights are
+    stored (kernel, in_channels, out_channels), so the taps of one output
+    position form one row of the matrix multiply.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, taps, rng):
-        self.taps = np.asarray(taps)
-        kernel = self.taps.shape[1]
-        scale = np.sqrt(2.0 / (in_channels * kernel))
+    param_names = ("weight", "bias")
+
+    def __init__(self, in_channels: int, out_channels: int, kernel_size: int, rng):
+        scale = np.sqrt(2.0 / (in_channels * kernel_size))
         # drawn (out, in, kernel) so a seed gives the same weights whatever the storage order
-        self.weight = rng.normal(0.0, scale, size=(out_channels, in_channels, kernel)).transpose(2, 1, 0).copy()
+        self.weight = rng.normal(0.0, scale, size=(out_channels, in_channels, kernel_size)).transpose(2, 1, 0).copy()
         self.bias = np.zeros(out_channels)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
 
-    def params(self):
-        return [self.weight, self.bias]
-
-    def grads(self):
-        return [self.grad_weight, self.grad_bias]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         kernel, in_channels, out_channels = self.weight.shape
-        if x.ndim != 3 or x.shape[2] != in_channels:
-            raise ValueError(f"expected (batch, positions, {in_channels}), got {x.shape}")
-        batch = x.shape[0]
+        if x.ndim != 3 or x.shape[2] != in_channels or x.shape[1] % kernel:
+            raise ValueError(f"expected (batch, a multiple of {kernel} positions, {in_channels}), got {x.shape}")
         self._in_shape = x.shape
-        self._cols = x[:, self.taps, :].reshape(-1, kernel * in_channels)
+        self._cols = x.reshape(-1, kernel * in_channels)
         out = self._cols @ self.weight.reshape(-1, out_channels) + self.bias
-        return out.reshape(batch, len(self.taps), out_channels)
+        return out.reshape(x.shape[0], x.shape[1] // kernel, out_channels)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        kernel, in_channels, out_channels = self.weight.shape
+        out_channels = self.weight.shape[2]
         flat = grad_out.reshape(-1, out_channels)
         self.grad_bias += flat.sum(axis=0)
         self.grad_weight += (self._cols.T @ flat).reshape(self.weight.shape)
-        grad_cols = (flat @ self.weight.reshape(-1, out_channels).T).reshape(
-            grad_out.shape[0], len(self.taps), kernel, in_channels
-        )
-        grad_in = np.zeros(self._in_shape)
-        # rows repeat across taps but never within one, so each += is a plain scatter
-        for k in range(kernel):
-            grad_in[:, self.taps[:, k], :] += grad_cols[:, :, k, :]
-        return grad_in
+        return (flat @ self.weight.reshape(-1, out_channels).T).reshape(self._in_shape)
 
 
 class Relu(Layer):
@@ -98,18 +91,14 @@ class Relu(Layer):
 class DenseLastStep(Layer):
     """Linear head over the channels of the final time step only."""
 
+    param_names = ("weight", "bias")
+
     def __init__(self, in_channels: int, rng):
         scale = np.sqrt(1.0 / in_channels)
         self.weight = rng.normal(0.0, scale, size=in_channels)
         self.bias = np.zeros(1)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
-
-    def params(self):
-        return [self.weight, self.bias]
-
-    def grads(self):
-        return [self.grad_weight, self.grad_bias]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._last = x[:, -1, :]

@@ -1,4 +1,13 @@
-"""Network assembly and configuration."""
+"""Network assembly and configuration.
+
+The network evaluates only the cone under its head. ``cone`` unrolls it
+from the last step down: each conv layer reads causal_taps of the positions
+the layer above produces, raveled in read order, so every layer's input is
+tap-ordered (see layers.py) and no layer gathers or scatters. With kernel 2
+and doubling dilations no position is read twice; a config whose taps
+overlap recomputes the shared positions. All parameters live in one flat
+buffer and all gradients in another, each layer holding views into them.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -31,22 +40,20 @@ class CnnConfig:
             )
 
 
-def cone(config: CnnConfig):
-    """The window positions the head depends on, and each conv layer's taps.
+def cone(config: CnnConfig) -> list:
+    """The window positions each conv layer reads, first layer first, tap-ordered.
 
     Walks back from the last step, which is all the dense head reads: a
-    layer must produce the positions the layer above reads, and reads
-    causal_taps of them. Returns (input positions, taps per conv layer), the
-    taps indexing rows of the previous layer's positions. The receptive
-    field fits the window, so no position is negative.
+    layer reads causal_taps of the positions the layer above reads from it.
+    The first entry indexes the input window; the receptive field fits the
+    window, so no position is negative.
     """
     positions = np.array([config.input_window - 1])
-    taps = []
+    reads = []
     for dilation in reversed(config.dilations):
-        reads = causal_taps(positions, config.kernel_size, dilation)
-        positions = np.unique(reads)
-        taps.append(np.searchsorted(positions, reads))
-    return positions, taps[::-1]
+        positions = causal_taps(positions, config.kernel_size, dilation).ravel()
+        reads.append(positions)
+    return reads[::-1]
 
 
 class CnnNetwork:
@@ -55,24 +62,37 @@ class CnnNetwork:
     def __init__(self, config: CnnConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
-        self.inputs, taps = cone(config)
+        self.inputs = cone(config)[0]
         self.layers = []
         in_channels = 1
-        for layer_taps in taps:
-            self.layers.append(DilatedCausalConv1d(in_channels, config.channels, layer_taps, rng))
+        for _ in config.dilations:
+            self.layers.append(DilatedCausalConv1d(in_channels, config.channels, config.kernel_size, rng))
             self.layers.append(Relu())
             in_channels = config.channels
         self.layers.append(DenseLastStep(in_channels, rng))
+        named = [(layer, name) for layer in self.layers for name in layer.param_names]
+        self.weights = np.concatenate([getattr(layer, name).ravel() for layer, name in named])
+        self.gradient = np.zeros_like(self.weights)
+        offset = 0
+        for layer, name in named:
+            shape = getattr(layer, name).shape
+            part = slice(offset, offset + int(np.prod(shape)))
+            setattr(layer, name, self.weights[part].reshape(shape))
+            setattr(layer, "grad_" + name, self.gradient[part].reshape(shape))
+            offset = part.stop
+        self._params = [p for layer in self.layers for p in layer.params()]
+        self._grads = [g for layer in self.layers for g in layer.grads()]
 
     def params(self) -> list:
-        return [p for layer in self.layers for p in layer.params()]
+        """Every parameter, as views into the flat ``weights`` buffer."""
+        return self._params
 
     def grads(self) -> list:
-        return [g for layer in self.layers for g in layer.grads()]
+        """Every gradient, as views into the flat ``gradient`` buffer."""
+        return self._grads
 
     def zero_grads(self):
-        for g in self.grads():
-            g[...] = 0.0
+        self.gradient.fill(0.0)
 
     def forward(self, windows: np.ndarray) -> np.ndarray:
         """windows: (batch, input_window) -> predictions (batch,)."""
@@ -95,9 +115,9 @@ class CnnNetwork:
     def predict_one(self, window: np.ndarray) -> float:
         return float(self.forward(window[None, :])[0])
 
-    def get_weights(self) -> list:
-        return [p.copy() for p in self.params()]
+    def get_weights(self) -> np.ndarray:
+        """A copy of the flat parameter buffer."""
+        return self.weights.copy()
 
-    def set_weights(self, weights: list):
-        for param, stored in zip(self.params(), weights):
-            param[...] = stored
+    def set_weights(self, weights: np.ndarray):
+        self.weights[...] = weights

@@ -52,40 +52,36 @@ def build_training_windows(corpus, input_window: int):
 
 
 class Adam:
-    """Adam over the parameters as one flat vector, so a step is a few array operations."""
+    """Adam over one flat parameter vector, updated in place, so a step is a few array operations."""
 
-    def __init__(self, params, learning_rate: float):
+    def __init__(self, params: np.ndarray, learning_rate: float):
         self.params = params
         self.learning_rate = learning_rate
         self.beta1 = 0.9
         self.beta2 = 0.999
         self.eps = 1e-8
-        size = sum(p.size for p in params)
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        ends = np.cumsum([p.size for p in params])
-        self._slices = [slice(end - p.size, end) for p, end in zip(params, ends)]
+        self.m = np.zeros(params.size)
+        self.v = np.zeros(params.size)
         self.t = 0
 
-    def step(self, grads):
+    def step(self, grad: np.ndarray):
+        """grad: the gradient of the flat vector, in its layout."""
         self.t += 1
         correction1 = 1.0 - self.beta1**self.t
         correction2 = 1.0 - self.beta2**self.t
-        grad = np.concatenate([g.ravel() for g in grads])
         self.m *= self.beta1
         self.m += (1.0 - self.beta1) * grad
         self.v *= self.beta2
         self.v += (1.0 - self.beta2) * grad * grad
-        update = self.learning_rate * (self.m / correction1) / (np.sqrt(self.v / correction2) + self.eps)
-        for param, part in zip(self.params, self._slices):
-            param -= update[part].reshape(param.shape)
+        self.params -= self.learning_rate * (self.m / correction1) / (np.sqrt(self.v / correction2) + self.eps)
 
 
 def loss_and_grads(network: CnnNetwork, X, y):
     """Mean squared error and parameter gradients for one batch.
 
-    Returns the network's live gradient buffers; copy them before calling
-    again if you need the old values.
+    Returns the network's live gradients, one view per parameter into its
+    flat ``gradient`` buffer; copy them before calling again if you need
+    the old values.
     """
     network.zero_grads()
     pred = network.forward(X)
@@ -143,7 +139,7 @@ def train_shared_cnn(corpus, config: CnnConfig, on_epoch=None):
         X_val, y_val = X[-n_val:], y[-n_val:]
 
     network = CnnNetwork(config)
-    optimizer = Adam(network.params(), config.learning_rate)
+    optimizer = Adam(network.weights, config.learning_rate)
     shuffler = np.random.default_rng(config.seed + 1)
 
     stopper = EarlyStopping(config.patience)
@@ -152,8 +148,8 @@ def train_shared_cnn(corpus, config: CnnConfig, on_epoch=None):
         order = shuffler.permutation(len(y_train))
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            _, grads = loss_and_grads(network, X_train[batch], y_train[batch])
-            optimizer.step(grads)
+            loss_and_grads(network, X_train[batch], y_train[batch])
+            optimizer.step(network.gradient)
         val_loss = _evaluate(network, X_val, y_val)
         improved = val_loss < stopper.best_loss
         should_stop = stopper.update(val_loss)

@@ -2,18 +2,26 @@
 
 Deterministic by construction: exact greedy splits, no row or column
 subsampling, ties broken by lowest feature index then lowest threshold.
+A split is scored by the gain of Breiman et al. (1984), in the form of
+Chen & Guestrin (2016, XGBoost eq. 7) with unit hessians:
+S_L²/n_L + S_R²/n_R − S²/n, where S is a sum of targets and n a row count,
+so one cumulative sum per feature scores every boundary.
+
 Each training presorts the feature columns once (presorted column blocks,
 as in XGBoost): a node keeps, per feature, its rows in ascending order of
 that feature, and its children inherit those orders by stable partition, so
 no node sorts and one vectorised pass scores every feature's boundaries.
-
 A column with exactly two distinct values (the one-hot period position of
 the window rows, half of every design) has one boundary, so it gets no
-presorted block: the split search scores it at that boundary alone, from
-row-order sums over the rows at its low value. Those sums add the low rows'
-targets in the order the presorted scan would (the stable sort keeps equal
-values in row order) and add 0.0 for the other rows, which is exact, so
-every tree is bit-identical to the one a full sorted scan grows.
+presorted block: one matrix-vector product gives every such column's sum
+over the node rows at its low value.
+
+The forest is stored as heap-ordered arrays, one row per tree and one slot
+per node (node i has children 2i+1 and 2i+2; 2**(MAX_DEPTH+1) - 1 slots):
+``feature``, ``threshold`` and ``value``. A leaf has feature -1 and
+threshold +inf, and a leaf above the bottom level is repeated down its left
+chain, so every row takes exactly MAX_DEPTH steps to a bottom slot: routing
+all trees is MAX_DEPTH rounds of gathers.
 """
 from __future__ import annotations
 
@@ -29,19 +37,8 @@ N_ROUNDS = 200
 LEARNING_RATE = 0.1
 MAX_DEPTH = 3
 MIN_SAMPLES_LEAF = 2
-
-
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+SLOTS = 2 ** (MAX_DEPTH + 1) - 1
+BOTTOM = SLOTS // 2  # first slot at depth MAX_DEPTH; only the slots before it can split
 
 
 @dataclass(frozen=True)
@@ -50,9 +47,9 @@ class _Design:
 
     Xt is the design transposed, (features, rows). ``is_binary`` marks the
     columns with exactly two distinct values, ``lows`` and ``highs`` hold
-    those values and ``on_low`` (binary columns, rows) which rows hold the
-    low one; every other column is presorted. ``slot[f]`` is the row of
-    feature f among the columns of its kind, in column order.
+    those values and ``on_low`` (binary columns, rows) is 1.0 where a row
+    holds the low one; every other column is presorted. ``slot[f]`` is the
+    row of feature f among the columns of its kind, in column order.
     """
 
     Xt: np.ndarray
@@ -70,42 +67,34 @@ def _threshold(below, above):
     return mid if mid < above else below
 
 
-def _sse(csum, csq, nl, n, total_sum, total_sq):
-    nr = n - nl
-    return (csq - csum * csum / nl) + ((total_sq - csq) - (total_sum - csum) ** 2 / nr)
-
-
 def _best_split(design: _Design, xs, ys, rows, y, total_sum):
     """Exact greedy scan of every feature at once; (feature, threshold, gain) or None.
 
     xs and ys are (numeric features, node rows): each presorted feature's
     values in ascending order and the targets in that order; rows are the
     node's rows in ascending order, y their targets and total_sum the sum
-    of y. The first minimum per feature is its lowest threshold, and the
+    of y. The first maximum per feature is its lowest threshold, and the
     first feature reaching the largest gain wins.
     """
     n = len(y)
-    total_sq = float(y @ y)
-    base_sse = total_sq - total_sum * total_sum / n
+    parent = total_sum * total_sum / n
     gains = np.empty(len(design.slot))
     # boundary b splits after sorted row b; it needs enough rows on both
     # sides, and the value must change there
     lo, hi = MIN_SAMPLES_LEAF - 1, n - MIN_SAMPLES_LEAF
-    csum = ys.cumsum(axis=1)[:, lo:hi]
-    csq = (ys * ys).cumsum(axis=1)[:, lo:hi]
-    sse = _sse(csum, csq, np.arange(lo + 1.0, hi + 1.0), n, total_sum, total_sq)
-    sse[xs[:, lo:hi] == xs[:, lo + 1 : hi + 1]] = np.inf
-    gains[~design.is_binary] = base_sse - sse.min(axis=1)
+    nl = np.arange(lo + 1.0, hi + 1.0)
+    sl = ys.cumsum(axis=1)[:, lo:hi]
+    score = sl * sl / nl + (total_sum - sl) ** 2 / (n - nl)
+    score[xs[:, lo:hi] == xs[:, lo + 1 : hi + 1]] = -np.inf
+    gains[~design.is_binary] = score.max(axis=1) - parent
     # a binary column's one boundary follows its last low row
     on_low = design.on_low[:, rows]
     n_low = on_low.sum(axis=1)
+    low_sum = on_low @ y
     scored = (n_low >= MIN_SAMPLES_LEAF) & (n_low <= n - MIN_SAMPLES_LEAF)
-    low_y = np.where(on_low[scored], y, 0.0)
-    low_sum = low_y.cumsum(axis=1)[:, -1]
-    low_sq = (low_y * low_y).cumsum(axis=1)[:, -1]
     binary_gains = np.full(len(design.lows), -np.inf)
-    low_sse = _sse(low_sum, low_sq, n_low[scored], n, total_sum, total_sq)
-    binary_gains[scored] = base_sse - low_sse
+    sl, nl = low_sum[scored], n_low[scored]
+    binary_gains[scored] = sl * sl / nl + (total_sum - sl) ** 2 / (n - nl) - parent
     gains[design.is_binary] = binary_gains
     j = int(gains.argmax())
     if not gains[j] > 1e-12:  # require a strictly positive improvement
@@ -113,68 +102,78 @@ def _best_split(design: _Design, xs, ys, rows, y, total_sum):
     s = design.slot[j]
     if design.is_binary[j]:
         return j, _threshold(design.lows[s], design.highs[s]), float(gains[j])
-    b = lo + sse[s].argmin()
+    b = lo + score[s].argmax()
     return j, _threshold(xs[s, b], xs[s, b + 1]), float(gains[j])
 
 
-def _grow(design: _Design, residual, rows, order, xs, depth: int, fitted) -> _Node:
-    """Grow one node over `rows` (ascending) and write leaf values into `fitted`.
+def _grow(design: _Design, residual, rows, order, xs, slot: int, tree, fitted):
+    """Grow the node at heap slot `slot` over `rows` (ascending) into `tree`.
 
-    order[i] lists the node's rows in ascending order of the i-th presorted
-    feature, and xs[i] their values.
+    tree is one tree's (feature, threshold, value) rows of the forest;
+    leaf values also go into `fitted`. order[i] lists the node's rows in
+    ascending order of the i-th presorted feature, and xs[i] their values.
     """
+    feature, threshold, value = tree
     y = residual[rows]
     total = y.sum()
-    node = _Node(value=float(total / len(y)))  # y.mean(), without its overhead
+    value[slot] = total / len(y)  # y.mean(), without its overhead
     split = None
-    if depth < MAX_DEPTH and len(rows) >= 2 * MIN_SAMPLES_LEAF:
+    if slot < BOTTOM and len(rows) >= 2 * MIN_SAMPLES_LEAF:
         split = _best_split(design, xs, residual[order], rows, y, total)
     if split is None:
-        fitted[rows] = node.value
-        return node
-    feature, threshold, _ = split
-    node.feature = feature
-    node.threshold = threshold
+        fitted[rows] = value[slot]
+        while slot < BOTTOM:  # repeat the leaf down its left chain
+            slot = 2 * slot + 1
+            value[slot] = value[(slot - 1) // 2]
+        return
+    feature[slot], threshold[slot], _ = split
     # stable partitions keep each child's per-feature orders sorted
-    column = design.Xt[feature]
-    left_rows = column[rows] <= threshold
-    left = column[order] <= threshold
-    children = []
-    for row_side, side in ((left_rows, left), (~left_rows, ~left)):
+    column = design.Xt[feature[slot]]
+    left_rows = column[rows] <= threshold[slot]
+    left = column[order] <= threshold[slot]
+    for child, row_side, side in ((2 * slot + 1, left_rows, left), (2 * slot + 2, ~left_rows, ~left)):
         child_rows = rows[row_side]
         # explicit, not -1: order has no rows when every column is binary
         shape = (len(order), len(child_rows))
         child_order, child_xs = order[side].reshape(shape), xs[side].reshape(shape)
-        children.append(_grow(design, residual, child_rows, child_order, child_xs, depth + 1, fitted))
-    node.left, node.right = children
-    return node
-
-
-class RegressionTree:
-    def __init__(self, root: _Node):
-        self.root = root
-
-    def predict_one(self, row) -> float:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.value
+        _grow(design, residual, child_rows, child_order, child_xs, child, tree, fitted)
 
 
 class GradientBoostedTrees:
-    def __init__(self, base_value: float, trees: list, learning_rate: float):
+    """A forest in heap arrays of shape (trees, SLOTS); see the module docstring."""
+
+    def __init__(self, base_value: float, feature, threshold, value, learning_rate: float):
         self.base_value = base_value
-        self.trees = trees
+        self.feature = feature
+        self.threshold = threshold
+        self.value = value
         self.learning_rate = learning_rate
+        self._roots = SLOTS * np.arange(len(feature))  # flat slot of each root
+        self._left = (self._roots[:, None] + 2 * np.arange(SLOTS) + 1).ravel()  # and of each left child
+
+    def leaves(self, X) -> np.ndarray:
+        """(rows, trees) value of the leaf each row of X reaches in each tree."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        # every slot's child for every row (the right child follows the left),
+        # then MAX_DEPTH steps down from the roots
+        child = self._left + (X[:, self.feature.ravel()] > self.threshold.ravel())
+        rows = np.arange(len(X))[:, None]
+        at = self._roots
+        for _ in range(MAX_DEPTH):
+            at = child[rows, at]
+        return self.value.ravel()[at]
 
     def predict(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array([self.predict_one(row) for row in X])
+        leaves = self.leaves(X)
+        out = np.full(len(leaves), self.base_value)
+        for terms in leaves.T:  # in tree order, as predict_one adds them
+            out += self.learning_rate * terms
+        return out
 
     def predict_one(self, row) -> float:
         value = self.base_value
-        for tree in self.trees:
-            value += self.learning_rate * tree.predict_one(row)
+        for leaf in self.leaves(row)[0].tolist():
+            value += self.learning_rate * leaf
         return value
 
 
@@ -192,17 +191,20 @@ def fit_boosted_trees(X, y, n_rounds: int = N_ROUNDS, learning_rate: float = LEA
     slot[~is_binary] = np.arange(np.count_nonzero(~is_binary))
     slot[is_binary] = np.arange(np.count_nonzero(is_binary))
     lows, highs = xs[is_binary, 0], xs[is_binary, -1]
-    design = _Design(Xt, is_binary, lows, highs, Xt[is_binary] == lows[:, None], slot)
+    on_low = (Xt[is_binary] == lows[:, None]).astype(float)
+    design = _Design(Xt, is_binary, lows, highs, on_low, slot)
     order, xs = order[~is_binary], xs[~is_binary]
     base = float(y.mean())
     current = np.full(len(y), base)
     fitted = np.empty(len(y))
-    trees = []
-    for _ in range(n_rounds):
+    feature = np.full((n_rounds, SLOTS), -1, dtype=np.intp)
+    threshold = np.full((n_rounds, SLOTS), np.inf)
+    value = np.full((n_rounds, SLOTS), np.nan)
+    for t in range(n_rounds):
         residual = y - current
-        trees.append(RegressionTree(_grow(design, residual, rows, order, xs, 0, fitted)))
+        _grow(design, residual, rows, order, xs, 0, (feature[t], threshold[t], value[t]), fitted)
         current += learning_rate * fitted
-    return GradientBoostedTrees(base, trees, learning_rate)
+    return GradientBoostedTrees(base, feature, threshold, value, learning_rate)
 
 
 def train_pooled_trees(corpus, log_targets: bool = True) -> GradientBoostedTrees:

@@ -172,9 +172,6 @@ class SalesSeries:
         """Last covered period."""
         return self.start + (len(self) - 1)
 
-    def period_indices(self) -> np.ndarray:
-        return self.start.index + np.arange(len(self))
-
     def periods(self) -> list[Period]:
         return [self.start + t for t in range(len(self))]
 

@@ -3,8 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import SalesSeries
-
 
 def as_float_vector(x, name: str = "values") -> np.ndarray:
     """Coerce to a 1-D float array, rejecting empty or non-finite input."""
@@ -25,20 +23,3 @@ def check_paired_vectors(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
     if a.size != p.size:
         raise ValueError(f"length mismatch: actual has {a.size}, predicted has {p.size}")
     return a, p
-
-
-def check_horizon(horizon) -> int:
-    h = int(horizon)
-    if h < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return h
-
-
-def check_series(series, min_length: int = 1, name: str = "series") -> SalesSeries:
-    if not isinstance(series, SalesSeries):
-        raise TypeError(f"{name} must be a SalesSeries, got {type(series).__name__}")
-    if len(series) < min_length:
-        raise ValueError(
-            f"{name} for {series.product_id!r} has {len(series)} periods, needs >= {min_length}"
-        )
-    return series

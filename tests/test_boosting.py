@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from autocast.models import BoostedTreeForecaster, fit_boosted_trees
-from autocast.models.boosting import LEARNING_RATE, MAX_DEPTH, MIN_SAMPLES_LEAF, train_pooled_trees
+from autocast.models.boosting import (
+    BOTTOM,
+    LEARNING_RATE,
+    MAX_DEPTH,
+    MIN_SAMPLES_LEAF,
+    SLOTS,
+    train_pooled_trees,
+)
 from autocast.models.windows import make_window_features
 from autocast.series import Frequency
 from autocast.synth import Archetype, ArchetypeSpec, generate_corpus
@@ -62,8 +69,14 @@ class TestFitBoostedTrees:
 
 
 def single_tree(X, y):
-    """The one tree of a one-round fit; it is grown on y minus its mean."""
-    return fit_boosted_trees(X, y, n_rounds=1, learning_rate=1.0).trees[0]
+    """A one-round fit, whose one tree is grown on y minus its mean."""
+    return fit_boosted_trees(X, y, n_rounds=1, learning_rate=1.0)
+
+
+def tree_depth(model, tree=0):
+    """Levels of splits in one tree of the heap."""
+    splits = np.nonzero(model.feature[tree] >= 0)[0]
+    return 0 if len(splits) == 0 else int(np.log2(splits.max() + 1)) + 1
 
 
 class TestTreeGrowth:
@@ -71,40 +84,47 @@ class TestTreeGrowth:
         # 3 rows cannot split into two leaves of >= 2 samples each
         X = np.array([[1.0], [2.0], [3.0]])
         y = np.array([1.0, 5.0, 9.0])
-        root = single_tree(X, y).root
-        assert root.is_leaf
-        assert root.value == pytest.approx(0.0)
+        model = single_tree(X, y)
+        assert model.feature[0, 0] == -1
+        assert model.value[0, 0] == pytest.approx(0.0)
 
     def test_identical_feature_values_cannot_split(self):
         X = np.ones((10, 2))
         y = np.arange(10.0)
-        assert single_tree(X, y).root.is_leaf
+        assert single_tree(X, y).feature[0, 0] == -1
 
     def test_clean_split_found(self):
         X = np.array([[0.0], [0.0], [1.0], [1.0]])
         y = np.array([1.0, 1.0, 9.0, 9.0])
-        tree = single_tree(X, y)
-        assert [tree.predict_one(row) for row in X] == pytest.approx([-4.0, -4.0, 4.0, 4.0])
+        model = single_tree(X, y)
+        assert list(model.predict(X) - model.base_value) == pytest.approx([-4.0, -4.0, 4.0, 4.0])
 
     def test_depth_capped_at_three(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(200, 4))
         y = rng.normal(size=200)
-        root = single_tree(X, y).root
-
-        def depth(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        assert depth(root) == 3
+        model = single_tree(X, y)
+        assert model.feature.shape == (1, SLOTS) == (1, 2 ** (MAX_DEPTH + 1) - 1)
+        assert tree_depth(model) == 3
 
 
-def same_tree(node, reference):
-    """Node-by-node equality of feature, threshold and value."""
-    if (node.feature, node.threshold, node.value) != (reference.feature, reference.threshold, reference.value):
+def same_heap_tree(model, tree, node, slot=0):
+    """Slot-by-slot equality of one heap tree with an oracle tree: feature, threshold, value.
+
+    A leaf above the bottom level must also be repeated down its left chain,
+    with threshold +inf, so that routing reaches it after MAX_DEPTH steps.
+    """
+    feature, threshold, value = model.feature[tree], model.threshold[tree], model.value[tree]
+    if (feature[slot], value[slot]) != (node.feature, node.value):
         return False
-    return node.is_leaf or (same_tree(node.left, reference.left) and same_tree(node.right, reference.right))
+    if node.is_leaf:
+        chain = [slot]
+        while chain[-1] < BOTTOM:
+            chain.append(2 * chain[-1] + 1)
+        return all(feature[i] == -1 and threshold[i] == np.inf and value[i] == node.value for i in chain)
+    return threshold[slot] == node.threshold and (
+        same_heap_tree(model, tree, node.left, 2 * slot + 1) and same_heap_tree(model, tree, node.right, 2 * slot + 2)
+    )
 
 
 def tied_design(rng, n, features):
@@ -137,10 +157,12 @@ class TestMatchesSortingTrainer:
         model = fit_boosted_trees(X, y, n_rounds=n_rounds)
         base, roots = boosted_trees_sorting(X, y, n_rounds, LEARNING_RATE, MAX_DEPTH, MIN_SAMPLES_LEAF)
         assert model.base_value == base
-        assert len(model.trees) == len(roots)
-        for tree, root in zip(model.trees, roots):
-            assert same_tree(tree.root, root)
-        assert np.array_equal(model.predict(X), boosted_trees_predict(base, roots, LEARNING_RATE, X))
+        assert len(model.feature) == len(roots)
+        for tree, root in enumerate(roots):
+            assert same_heap_tree(model, tree, root)
+        want = boosted_trees_predict(base, roots, LEARNING_RATE, X)
+        assert np.array_equal(model.predict(X), want)
+        assert [model.predict_one(row) for row in X] == list(want)
         return model
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -159,13 +181,13 @@ class TestMatchesSortingTrainer:
         X[:, 2] = X[:, 0]
         model = self.check(X, X[:, 0] + 0.1 * rng.normal(size=40))
         # a tie between equal columns goes to the lower index
-        assert model.trees[0].root.feature == 0
+        assert model.feature[0, 0] == 0
 
     def test_constant_column(self):
         rng = np.random.default_rng(7)
         X = np.hstack([np.full((40, 1), 3.0), rng.normal(size=(40, 2))])
         model = self.check(X, rng.normal(size=40))
-        assert all(tree.root.feature != 0 for tree in model.trees)
+        assert np.all(model.feature[:, 0] != 0)
 
     @pytest.mark.parametrize("n", [2 * MIN_SAMPLES_LEAF, 2 * MIN_SAMPLES_LEAF + 1])
     def test_smallest_splittable_nodes(self, n):
@@ -217,6 +239,59 @@ class TestMatchesSortingTrainer:
         self.check(X, np.where(X[:, 0] > a, 10.0, 0.0) + 0.1 * rng.normal(size=40))
 
 
+class TestHeapForest:
+    """predict and predict_one route the heap arrays as the oracle walks its trees, bit for bit."""
+
+    @staticmethod
+    def fit(X, y, n_rounds=10):
+        model = fit_boosted_trees(X, y, n_rounds=n_rounds)
+        base, roots = boosted_trees_sorting(X, y, n_rounds, LEARNING_RATE, MAX_DEPTH, MIN_SAMPLES_LEAF)
+        return model, lambda rows: boosted_trees_predict(base, roots, LEARNING_RATE, rows)
+
+    @staticmethod
+    def assert_routes_like_oracle(model, oracle, rows):
+        want = oracle(rows)
+        assert np.array_equal(model.predict(rows), want)
+        assert [model.predict_one(row) for row in rows] == list(want)
+
+    def test_tree_that_stops_above_max_depth(self):
+        # residuals -10, 0, 10 by column 0: the root cuts off the pure left group,
+        # which is a leaf at depth 1, and the right child splits into leaves at depth 2
+        rng = np.random.default_rng(13)
+        group = np.repeat([0.0, 1.0, 2.0], 6)
+        X = np.column_stack([group, rng.normal(size=18)])
+        model, oracle = self.fit(X, 10.0 * group)
+        assert list(model.feature[0, :3]) == [0, -1, 0]
+        assert list(model.feature[0, 3:7]) == [-1, -1, -1, -1]
+        # the early leaf repeats down its left chain: slots 1, 3, 7
+        assert model.value[0, 1] == model.value[0, 3] == model.value[0, 7]
+        self.assert_routes_like_oracle(model, oracle, np.vstack([X, rng.normal(1.0, 1.0, size=(20, 2))]))
+
+    def test_rows_exactly_at_a_threshold_go_left(self):
+        rng = np.random.default_rng(14)
+        X = np.hstack([tied_design(rng, 60, 3), rng.normal(size=(60, 2))])
+        model, oracle = self.fit(X, rng.normal(size=60))
+        splits = np.argwhere(model.feature >= 0)
+        assert len(splits) > 0
+        rows = np.repeat(X[:1], len(splits), axis=0)
+        for row, (tree, slot) in zip(rows, splits):
+            row[model.feature[tree, slot]] = model.threshold[tree, slot]
+        self.assert_routes_like_oracle(model, oracle, rows)
+        # the clean one-column split of TestTreeGrowth cuts at 0.5
+        model = single_tree(np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([1.0, 1.0, 9.0, 9.0]))
+        assert model.threshold[0, 0] == 0.5
+        at, above = model.predict(np.array([[0.5], [np.nextafter(0.5, 1.0)]])) - model.base_value
+        assert (at, above) == (-4.0, 4.0)
+
+    def test_two_valued_column_split(self):
+        rng = np.random.default_rng(15)
+        X = np.column_stack([np.where(rng.random(40) < 0.5, 2.0, 5.0), rng.normal(size=40)])
+        model, oracle = self.fit(X, 3.0 * X[:, 0] + 0.1 * rng.normal(size=40))
+        assert (model.feature[0, 0], model.threshold[0, 0]) == (0, 3.5)
+        probes = np.column_stack([[2.0, 3.5, np.nextafter(3.5, 5.0), 5.0], [0.0, 0.0, 0.0, 0.0]])
+        self.assert_routes_like_oracle(model, oracle, np.vstack([X, probes]))
+
+
 class TestAdjacentDoubleThreshold:
     """A split between adjacent doubles must leave both children non-empty."""
 
@@ -232,11 +307,11 @@ class TestAdjacentDoubleThreshold:
             warnings.simplefilter("error")
             model = fit_boosted_trees(X, y, n_rounds=5)
             predictions = model.predict(X)
-        root = model.trees[0].root
-        assert not root.is_leaf
-        assert root.threshold == a
-        assert any(row[0] <= root.threshold for row in X)
-        assert any(row[0] > root.threshold for row in X)
+        assert model.feature[0, 0] == 0
+        threshold = model.threshold[0, 0]
+        assert threshold == a
+        assert any(row[0] <= threshold for row in X)
+        assert any(row[0] > threshold for row in X)
         assert np.all(np.isfinite(predictions))
 
 

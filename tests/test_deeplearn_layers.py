@@ -11,68 +11,94 @@ from oracles import conv1d_causal_bruteforce, full_length_cnn
 
 
 def conv_over(length, in_channels, out_channels, dilation, rng, kernel=2):
-    """Conv at every position of a length-long input whose taps stay inside it."""
+    """Conv at every position of a length-long input whose taps stay inside it.
+
+    Returns (conv, output positions, input rows): the conv reads its input
+    tap-ordered, so feed it x[:, rows, :].
+    """
     positions = np.arange((kernel - 1) * dilation, length)
-    conv = DilatedCausalConv1d(in_channels, out_channels, causal_taps(positions, kernel, dilation), rng)
-    return conv, positions
+    conv = DilatedCausalConv1d(in_channels, out_channels, kernel, rng)
+    return conv, positions, causal_taps(positions, kernel, dilation).ravel()
 
 
 def identity_conv(length, dilation=1):
     """1-in 1-out kernel-2 conv whose last tap is 1: output == input."""
-    conv, positions = conv_over(length, 1, 1, dilation, np.random.default_rng(0))
+    conv, positions, rows = conv_over(length, 1, 1, dilation, np.random.default_rng(0))
     conv.weight[...] = np.array([[[0.0]], [[1.0]]])
     conv.bias[...] = 0.0
-    return conv, positions
+    return conv, positions, rows
 
 
 class TestConvForward:
     def test_last_tap_identity(self):
         x = np.array([[3.0, 1.0, 4.0, 1.0, 5.0]])[:, :, None]
-        conv, positions = identity_conv(5)
-        np.testing.assert_array_equal(conv.forward(x), x[:, positions, :])
+        conv, positions, rows = identity_conv(5)
+        np.testing.assert_array_equal(conv.forward(x[:, rows, :]), x[:, positions, :])
 
     def test_both_taps_dilation_two(self):
-        conv, positions = identity_conv(4, dilation=2)
+        conv, positions, rows = identity_conv(4, dilation=2)
         conv.weight[...] = 1.0
-        out = conv.forward(np.array([[1.0, 2.0, 3.0, 4.0]])[:, :, None])
+        out = conv.forward(np.array([[1.0, 2.0, 3.0, 4.0]])[:, rows, None])
         np.testing.assert_array_equal(positions, [2, 3])
+        np.testing.assert_array_equal(rows, [0, 2, 1, 3])
         np.testing.assert_array_equal(out[0, :, 0], [4.0, 6.0])
 
     def test_zero_weights_give_bias(self):
-        conv, positions = conv_over(4, 2, 3, 1, np.random.default_rng(0))
+        conv, positions, rows = conv_over(4, 2, 3, 1, np.random.default_rng(0))
         conv.weight[...] = 0.0
         conv.bias[...] = np.array([0.5, -1.0, 2.0])
-        out = conv.forward(np.ones((2, 4, 2)))
+        out = conv.forward(np.ones((2, len(rows), 2)))
         for ch, b in enumerate([0.5, -1.0, 2.0]):
             np.testing.assert_array_equal(out[:, :, ch], np.full((2, len(positions)), b))
 
+    @pytest.mark.parametrize("kernel", [2, 3])
     @pytest.mark.parametrize("dilation", [1, 2, 4])
-    def test_matches_bruteforce(self, dilation):
+    def test_matches_bruteforce(self, dilation, kernel):
         rng = np.random.default_rng(dilation)
-        conv, positions = conv_over(12, 3, 2, dilation, rng)
+        conv, positions, rows = conv_over(12, 3, 2, dilation, rng, kernel)
         x = rng.normal(size=(4, 12, 3))
-        got = conv.forward(x)
+        got = conv.forward(x[:, rows, :])
         weight = conv.weight.transpose(2, 1, 0)  # the oracle's (out, in, kernel)
         want = np.array(conv1d_causal_bruteforce(x.transpose(0, 2, 1), weight, conv.bias, dilation))
         np.testing.assert_allclose(got, want[:, :, positions].transpose(0, 2, 1), rtol=1e-12, atol=1e-12)
 
+    def test_backward_sums_the_gradient_of_a_position_read_twice(self):
+        # kernel 3 at dilation 1 reads most positions through several taps
+        rng = np.random.default_rng(6)
+        conv, _, rows = conv_over(8, 2, 3, 1, rng, kernel=3)
+        x = rng.normal(size=(2, 8, 2))
+        upstream = rng.normal(size=(2, len(rows) // 3, 3))
+        conv.forward(x[:, rows, :])
+        grad_rows = conv.backward(upstream)
+        grad_x = np.zeros_like(x)
+        np.add.at(grad_x, (slice(None), rows), grad_rows)
+        # the forward pass is linear in x, so its gradient is the adjoint
+        h = rng.normal(size=x.shape)
+        delta = conv.forward(h[:, rows, :]) - conv.forward(np.zeros((2, len(rows), 2)))
+        assert np.sum(delta * upstream) == pytest.approx(np.sum(h * grad_x), rel=1e-12)
+
     def test_causality(self):
         rng = np.random.default_rng(5)
-        conv, positions = conv_over(16, 1, 2, 4, rng)
+        conv, positions, rows = conv_over(16, 1, 2, 4, rng)
         x = rng.normal(size=(1, 16, 1))
-        base = conv.forward(x)
+        base = conv.forward(x[:, rows, :])
         bumped = x.copy()
         bumped[0, 9, 0] += 10.0
-        out = conv.forward(bumped)
+        out = conv.forward(bumped[:, rows, :])
         before = positions < 9
         # outputs strictly before the bump are untouched
         np.testing.assert_array_equal(out[:, before, :], base[:, before, :])
         assert not np.allclose(out[:, ~before, :], base[:, ~before, :])
 
     def test_channel_mismatch_rejected(self):
-        conv, _ = conv_over(5, 3, 2, 1, np.random.default_rng(0))
+        conv, _, rows = conv_over(5, 3, 2, 1, np.random.default_rng(0))
         with pytest.raises(ValueError, match="3"):
-            conv.forward(np.ones((1, 5, 2)))
+            conv.forward(np.ones((1, len(rows), 2)))
+
+    def test_partial_tap_group_rejected(self):
+        conv, _, rows = conv_over(5, 1, 2, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="multiple of 2"):
+            conv.forward(np.ones((1, len(rows) + 1, 1)))
 
 
 class TestRelu:
@@ -141,7 +167,7 @@ class TestGradients:
     def test_zero_residual_gives_zero_grads(self):
         config = CnnConfig(input_window=6, kernel_size=2, dilations=(1,), channels=2, seed=0)
         network = CnnNetwork(config)
-        network.set_weights([np.zeros_like(p) for p in network.params()])
+        network.set_weights(np.zeros_like(network.get_weights()))
         X = np.random.default_rng(0).uniform(size=(3, 6))
         loss, grads = loss_and_grads(network, X, np.zeros(3))
         assert loss == 0.0
@@ -168,6 +194,7 @@ class TestGradients:
         X = np.random.default_rng(1).uniform(size=(3, 6))
         _, grads = loss_and_grads(network, X, np.ones(3))
         assert grads[0] is network.grads()[0]
+        assert all(np.shares_memory(g, network.gradient) for g in grads)
 
 
 class TestCnnConfig:
@@ -214,9 +241,33 @@ class TestNetwork:
     def test_set_weights_copies_values(self):
         network = CnnNetwork(CnnConfig(input_window=6, dilations=(1,), channels=2, seed=0))
         stored = network.get_weights()
-        stored[0][...] = 123.0
-        # get_weights returned copies, so the live params are untouched
+        stored[...] = 123.0
+        # get_weights returned a copy, so the live params are untouched
         assert not np.any(network.params()[0] == 123.0)
+        network.set_weights(stored)
+        assert all(np.all(p == 123.0) for p in network.params())
+
+    def test_parameters_are_views_of_one_flat_buffer(self):
+        network = CnnNetwork(CnnConfig(input_window=8, dilations=(1, 2), channels=3, seed=0))
+        params, grads = network.params(), network.grads()
+        assert sum(p.size for p in params) == network.weights.size == network.gradient.size
+        assert all(np.shares_memory(p, network.weights) for p in params)
+        assert all(np.shares_memory(g, network.gradient) for g in grads)
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]), network.weights)
+        network.gradient[...] = 1.0
+        network.zero_grads()
+        assert all(np.all(g == 0.0) for g in grads)
+
+    def test_weights_match_a_network_drawn_layer_by_layer(self):
+        # the flat buffer keeps the per-layer draws of the seed
+        config = CnnConfig(input_window=8, dilations=(1, 2), channels=3, seed=5)
+        rng = np.random.default_rng(5)
+        first = rng.normal(0.0, np.sqrt(2.0 / 2), size=(3, 1, 2)).transpose(2, 1, 0)
+        second = rng.normal(0.0, np.sqrt(2.0 / 6), size=(3, 3, 2)).transpose(2, 1, 0)
+        dense = rng.normal(0.0, np.sqrt(1.0 / 3), size=3)
+        params = CnnNetwork(config).params()
+        for got, want in zip(params, [first, np.zeros(3), second, np.zeros(3), dense, np.zeros(1)]):
+            np.testing.assert_array_equal(got, want)
 
 
 def full_length_reference(network, X, y):
@@ -234,16 +285,24 @@ def full_length_reference(network, X, y):
 
 class TestCone:
     def test_default_cone_reads_last_sixteen_inputs(self):
-        inputs, taps = cone(CnnConfig())
-        np.testing.assert_array_equal(inputs, np.arange(8, 24))
-        assert [len(t) for t in taps] == [8, 4, 2, 1]
-        assert all(t.shape[1] == 2 for t in taps)
+        reads = cone(CnnConfig())
+        np.testing.assert_array_equal(reads[0], np.arange(8, 24))
+        assert [len(r) for r in reads] == [16, 8, 4, 2]
 
-    def test_taps_index_the_previous_layers_positions(self):
-        # dilation 1 over 16 inputs: output i reads inputs 2i and 2i+1
-        _, taps = cone(CnnConfig())
-        np.testing.assert_array_equal(taps[0], np.arange(16).reshape(8, 2))
-        np.testing.assert_array_equal(taps[-1], [[0, 1]])
+    @pytest.mark.parametrize("window", [24, 104])
+    def test_doubling_dilations_read_every_position_once(self, window):
+        reads = cone(CnnConfig(input_window=window))
+        assert [len(r) for r in reads] == [16, 8, 4, 2]
+        assert all(len(np.unique(r)) == len(r) for r in reads)
+        np.testing.assert_array_equal(np.sort(reads[0]), np.arange(window - 16, window))
+
+    def test_each_layer_reads_the_taps_of_the_layer_above_in_read_order(self):
+        config = CnnConfig(kernel_size=3, dilations=(1, 2), input_window=10)
+        reads = cone(config)
+        np.testing.assert_array_equal(reads[1], [5, 7, 9])
+        np.testing.assert_array_equal(reads[0], causal_taps(reads[1], 3, 1).ravel())
+        # overlapping taps are kept, to be recomputed: 9 reads of 7 positions
+        np.testing.assert_array_equal(reads[0], [3, 4, 5, 5, 6, 7, 7, 8, 9])
 
     @pytest.mark.parametrize(
         "config",

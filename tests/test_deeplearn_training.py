@@ -89,32 +89,35 @@ class TestBuildTrainingWindows:
 class TestAdam:
     def test_first_step_size_is_learning_rate(self):
         w = np.array([0.0])
-        opt = Adam([w], learning_rate=0.01)
-        opt.step([np.array([1.0])])
+        opt = Adam(w, learning_rate=0.01)
+        opt.step(np.array([1.0]))
         assert w[0] == pytest.approx(-0.01, rel=1e-6)
 
     def test_descends_against_gradient_sign(self):
         w = np.array([0.0, 0.0])
-        Adam([w], learning_rate=0.1).step([np.array([1.0, -1.0])])
+        Adam(w, learning_rate=0.1).step(np.array([1.0, -1.0]))
         assert w[0] < 0 < w[1]
 
     def test_converges_on_quadratic(self):
         w = np.array([10.0])
-        opt = Adam([w], learning_rate=0.1)
+        opt = Adam(w, learning_rate=0.1)
         for _ in range(500):
-            opt.step([2.0 * (w - 3.0)])
+            opt.step(2.0 * (w - 3.0))
         assert w[0] == pytest.approx(3.0, abs=1e-3)
 
     def test_flat_state_matches_per_parameter_update(self):
-        # each parameter follows the textbook update exactly, whatever its shape
+        # each parameter, a view into the flat vector, follows the textbook update exactly
         rng = np.random.default_rng(0)
-        params = [rng.normal(size=(2, 3, 4)), rng.normal(size=4), rng.normal(size=1)]
+        shapes = [(2, 3, 4), (4,), (1,)]
+        flat = rng.normal(size=29)
+        ends = np.cumsum([np.prod(shape) for shape in shapes])
+        params = [flat[end - np.prod(shape) : end].reshape(shape) for shape, end in zip(shapes, ends)]
         expected = [p.copy() for p in params]
-        opt = Adam(params, learning_rate=0.01)
+        opt = Adam(flat, learning_rate=0.01)
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
         for t in range(1, 6):
             grads = [rng.normal(size=p.shape) for p in params]
-            opt.step(grads)
+            opt.step(np.concatenate([g.ravel() for g in grads]))
             for param, grad, (m, v) in zip(expected, grads, moments):
                 m *= 0.9
                 m += (1.0 - 0.9) * grad
@@ -160,8 +163,7 @@ class TestTrainSharedCnn:
         corpus = [monthly_series(np.full(30, 50.0), product_id=p) for p in ("a", "b")]
         net1, stats1 = train_shared_cnn(corpus, TINY)
         net2, _ = train_shared_cnn(corpus, TINY)
-        for w1, w2 in zip(net1.get_weights(), net2.get_weights()):
-            np.testing.assert_array_equal(w1, w2)
+        np.testing.assert_array_equal(net1.get_weights(), net2.get_weights())
         f1 = cnn_forecast(net1, stats1["a"], corpus[0], 6)
         f2 = cnn_forecast(net2, stats1["a"], corpus[0], 6)
         np.testing.assert_array_equal(f1.values, f2.values)
@@ -188,7 +190,7 @@ class TestTrainSharedCnn:
 def constant_predictor(config, bias):
     """Zero-weight network whose dense bias makes every prediction `bias`."""
     network = CnnNetwork(config)
-    network.set_weights([np.zeros_like(p) for p in network.params()])
+    network.set_weights(np.zeros_like(network.get_weights()))
     network.params()[-1][...] = np.array([float(bias)])
     return network
 

@@ -9,31 +9,41 @@ differenced series. At that (d, D) a stepwise search over (p, q, P, Q) moves
 to the first neighbour that lowers AICc until none does, so every candidate
 of one search is scored on the same differenced series.
 
-Each candidate is fit by Nelder-Mead on the CSS of the differenced,
-mean-centered series (zero-initialized coefficients) with a skimpy budget;
-the winner is refit generously.
+Each candidate minimizes the CSS of the differenced, mean-centred series,
+a sum of squared residuals e = a(B)/b(B) w, by Levenberg–Marquardt
+(``optim.levenberg_marquardt``). The Jacobian takes two filter calls per
+iteration (``_css_jacobian``); trial steps are scored by ``css_of``. A fit
+starts from whichever of the Hannan–Rissanen estimate (Hannan & Rissanen
+1982) and zero has the lower CSS, and a pure AR(p) is solved exactly by
+least squares. Search candidates stop once an accepted step gains at most
+SEARCH_FTOL of the CSS; the winner's refit continues from the search iterate
+to REFIT_FTOL, and a forced-order refit runs to REFIT_FTOL from its own
+start. Every fit reports whether it converged.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import lfilter
 
 from ..series import ForecastResult, SalesSeries
 from .base import BaseForecaster, ModelId
-from .optim import nelder_mead
+# perfbench/tracing.py binds nelder_mead here for its optim.nelder_mead span.
+# Nothing in this module calls it; the import leaves with that span.
+from .optim import levenberg_marquardt, nelder_mead  # noqa: F401
 
 MAX_P = 3
 MAX_D = 2
 MAX_Q = 3
 MAX_SEASONAL = 1
 
-# Skimpy budget for ranking candidates; the winner is refit generously.
-SEARCH_MAXFEV_BASE = 30
-SEARCH_MAXFEV_PER_DIM = 20
-REFIT_MAXFEV_PER_DIM = 200
+# A search candidate stops once an accepted step lowers its CSS by at most
+# this share; that moves its AICc by ~n * 1e-4, far below the gaps it ranks.
+SEARCH_FTOL = 1e-4
+# refits run to this share, or to a vanishing gradient
+REFIT_FTOL = 1e-10
 
 # KPSS level test at the 5 % level (Kwiatkowski et al. 1992, table 1)
 KPSS_CRITICAL_5PCT = 0.463
@@ -92,6 +102,7 @@ class FittedArima:
     n_eff: int
     aicc: float
     fallback: bool = False
+    converged: bool = True  # False when the CSS solver stopped short of its tolerance
 
 
 def difference(values, d: int, D: int, m: int) -> np.ndarray:
@@ -172,7 +183,7 @@ def _polys(order: ArimaOrder, params):
     a = (1 - phi(L))(1 - Phi L^m) and b = (1 + theta(L))(1 + Theta L^m), with
     at most one seasonal term each. Since m > MAX_P >= p (and MAX_Q >= q),
     the terms of lags 1..p, m and m+1..m+p never share a lag, so every
-    coefficient is one product, written in place by slice assignment. The
+    coefficient is one product, listed in lag order. The
     seasonal coefficients are added to 0.0, as accumulating them into a zeroed
     array would, so even the sign of a zero coefficient is that of the
     accumulated form. Called once per CSS evaluation with ``params`` a list
@@ -181,23 +192,22 @@ def _polys(order: ArimaOrder, params):
     p, q, P, Q, m = order.p, order.q, order.P, order.Q, order.m
     phi = params[:p]
     theta = params[p : p + q]
-    a = np.empty(p + P * m + 1)
-    a[0] = 1.0
-    a[1 : p + 1] = [-v for v in phi]
+    a = [1.0, *[-v for v in phi]]
     if P:
         Phi = params[p + q]
-        a[p + 1 : m] = 0.0
-        a[m] = 0.0 - Phi
-        a[m + 1 :] = [Phi * v + 0.0 for v in phi]
-    b = np.empty(q + Q * m + 1)
-    b[0] = 1.0
-    b[1 : q + 1] = theta
+        a += [0.0] * (m - p - 1)
+        a.append(0.0 - Phi)
+        a += [Phi * v + 0.0 for v in phi]
+    b = [1.0, *theta]
     if Q:
         Theta = params[p + q + P]
-        b[q + 1 : m] = 0.0
-        b[m] = 0.0 + Theta
-        b[m + 1 :] = [Theta * v + 0.0 for v in theta]
-    return a, b
+        b += [0.0] * (m - q - 1)
+        b.append(0.0 + Theta)
+        b += [Theta * v + 0.0 for v in theta]
+    return np.array(a), np.array(b)
+
+
+_ONE = np.ones(1)
 
 
 def _css_residuals(wc, order: ArimaOrder, params):
@@ -234,36 +244,224 @@ def _aicc(sse: float, n_eff: int, n_params: int, n_used: int) -> float:
     return loglike_part + 2 * k + (2 * k * (k + 1)) / (n_used - k - 1)
 
 
-def _fit_candidate(wc, order: ArimaOrder, generous: bool):
+class _Differenced:
+    """One differenced series, mean-centred, for the CSS fits of one (d, D).
+
+    Keeps the long-autoregression residuals of Hannan–Rissanen starts, which
+    depend on the series alone, so the candidates of a search share them.
+    """
+
+    def __init__(self, w):
+        self.mean = float(w.mean())
+        self.centered = w - self.mean
+        self._innovations = {}
+
+    def innovations(self, lags: int):
+        """Residuals of an AR(lags) least-squares fit, zero over the first lags points.
+
+        None when the lagged values are collinear.
+        """
+        if lags not in self._innovations:
+            wc = self.centered
+            n = len(wc)
+            lagged = np.column_stack([wc[lags - i : n - i] for i in range(1, lags + 1)])
+            coef = _normal_equations(lagged, wc[lags:])
+            eps = None
+            if coef is not None:
+                eps = np.zeros(n)
+                eps[lags:] = wc[lags:] - lagged @ coef
+            self._innovations[lags] = eps
+        return self._innovations[lags]
+
+
+def _normal_equations(X, y):
+    """Least squares through X'X, None when it is singular.
+
+    Start values need no more accuracy, and this costs a quarter of lstsq's SVD.
+    """
+    try:
+        return np.linalg.solve(X.T @ X, X.T @ y)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _long_ar_order(n: int, order: ArimaOrder) -> int:
+    """AR order whose residuals stand in for the innovations (Hannan & Rissanen 1982).
+
+    Schwert's 12 (n/100)^(1/4), at least twice the ARMA orders, raised past
+    the seasonal lag for a seasonal MA term while a third of the series still
+    covers it.
+    """
+    lags = max(int(12.0 * (n / 100.0) ** 0.25), 2 * max(order.p, order.q))
+    if order.Q and order.m + 1 <= n // 3:
+        lags = max(lags, order.m + 1)
+    return min(lags, n // 3)
+
+
+def _hannan_rissanen(series: _Differenced, order: ArimaOrder):
+    """Start values by OLS on lagged values and lagged long-AR residuals, or None.
+
+    The regression has the additive terms only (lags 1..p and m of the series,
+    1..q and m of the residuals); the multiplicative cross terms are left to
+    the least-squares fit.
+    """
+    wc = series.centered
+    n = len(wc)
+    p, q, P, Q, m = order.p, order.q, order.P, order.Q, order.m
+    ar_lags = list(range(1, p + 1)) + [m] * P
+    ma_lags = list(range(1, q + 1)) + [m] * Q
+    first = max(ar_lags, default=0)
+    eps = None
+    if ma_lags:
+        long_order = _long_ar_order(n, order)
+        eps = series.innovations(long_order) if long_order >= 1 else None
+        if eps is None:
+            return None
+        first = max(first, long_order + max(ma_lags))
+    if n - first < 2 * (len(ar_lags) + len(ma_lags)):
+        return None
+    columns = [wc[first - lag : n - lag] for lag in ar_lags]
+    columns += [eps[first - lag : n - lag] for lag in ma_lags]
+    coef = _normal_equations(np.column_stack(columns), wc[first:])
+    if coef is None:
+        return None
+    # regressor order (phi, Phi, theta, Theta) to parameter order (phi, theta, Phi, Theta)
+    phi, Phi, theta, Theta = coef[:p], coef[p : p + P], coef[p + P : p + P + q], coef[p + P + q :]
+    return np.concatenate([phi, _invertible(theta), Phi, _invertible(Theta)])
+
+
+def _is_invertible(theta) -> bool:
+    """Every root of 1 + theta_1 z + ... + theta_q z^q lies outside the unit circle.
+
+    The Schur–Cohn step-down: the polynomial is invertible exactly when each
+    reflection coefficient of the Levinson recursion run backwards is below 1.
+    """
+    c = list(theta)
+    for k in range(len(c), 0, -1):
+        kappa = c[k - 1]
+        if abs(kappa) >= 1.0:
+            return False
+        c = [(c[i] - kappa * c[k - 2 - i]) / (1.0 - kappa * kappa) for i in range(k - 1)]
+    return True
+
+
+def _invertible(theta) -> np.ndarray:
+    """MA coefficients of 1 + theta(B) with every root inside the unit circle reflected out.
+
+    The reflected polynomial has the same autocorrelations, and 1/b(B) stays
+    bounded, so the CSS of a start does not explode.
+    """
+    if _is_invertible(theta):
+        return theta
+    roots = np.roots(np.concatenate([theta[::-1], [1.0]]))
+    inside = np.abs(roots) < 1.0
+    roots[inside] = 1.0 / np.conj(roots[inside])
+    poly = np.poly(roots)  # monic, highest power first: rescale to constant term 1
+    reflected = np.zeros(len(theta))  # a zero leading coefficient has no root
+    reflected[: len(roots)] = np.real(poly[::-1][1:] / poly[-1])
+    return reflected
+
+
+def _css_jacobian(wc, order: ArimaOrder, params):
+    """CSS residuals e = a(B)/b(B) wc on the scored points, and their Jacobian.
+
+    With u = wc / b(B) and v = e / b(B), two filter calls,
+    de/dphi_i = -B^i (1 - Phi B^m) u, de/dPhi = -B^m (1 - phi(B)) u,
+    de/dtheta_j = -B^j (1 + Theta B^m) v and de/dTheta = -B^m (1 + theta(B)) v.
+    The series are filtered behind ``pad`` leading zeros, so each column is a
+    plain slice of one of these four, zero where its lag reaches before the
+    first point.
+    """
+    p, q, P, Q, m = order.p, order.q, order.P, order.Q, order.m
+    pad = max(q, Q * m)
+    n = len(wc) + pad
+    first = pad + _conditioning_lags(order)
+    a, b = _polys(order, params)
+    u = np.concatenate((np.zeros(pad), wc))
+    if len(b) > 1:
+        u = lfilter(_ONE, b, u)
+    e = np.convolve(a, u)[:n]
+    # one row per parameter, negated at the end
+    rows = np.empty((order.n_params, n - first))
+    if p or P:
+        s = u
+        if P:
+            s = u.copy()
+            s[m:] -= params[p + q] * u[:-m]
+            rows[p + q] = np.convolve(u, a[: p + 1])[first - m : n - m]
+        for i in range(1, p + 1):
+            rows[i - 1] = s[first - i : n - i]
+    if q or Q:
+        v = lfilter(_ONE, b, e)
+        h = v
+        if Q:
+            h = v.copy()
+            h[m:] += params[p + q + P] * v[:-m]
+            rows[p + q + P] = np.convolve(v, b[: q + 1])[first - m : n - m]
+        for j in range(1, q + 1):
+            rows[p + j - 1] = h[first - j : n - j]
+    np.negative(rows, out=rows)
+    return e[first:], rows.T
+
+
+def _ar_least_squares(wc, p: int) -> np.ndarray:
+    """Exact CSS minimizer of a pure AR(p): OLS of wc_t on its p lags."""
+    n = len(wc)
+    lagged = np.column_stack([wc[p - i : n - i] for i in range(1, p + 1)])
+    return np.linalg.lstsq(lagged, wc[p:], rcond=None)[0]
+
+
+def _fit_candidate(series: _Differenced, order: ArimaOrder, ftol: float, start=None):
+    """CSS fit of one order on one differenced series; None when unfittable.
+
+    A pure AR(p) is solved exactly. Every other order runs Levenberg–Marquardt
+    to ``ftol`` from ``start`` when given, else from whichever of the
+    Hannan–Rissanen estimate and zero has the lower CSS.
+    """
+    wc = series.centered
     n_eff = len(wc) - _conditioning_lags(order)
     if n_eff <= order.n_params + 3:
         return None
-    mu = float(wc.mean())
-    centered = wc - mu
     ndim = order.n_params
-    if ndim == 0:
-        sse = css_of(centered, order, np.empty(0))
-        if not math.isfinite(sse):
-            return None
-        return FittedArima(order, (), mu, sse, n_eff, _aicc(sse, n_eff, 0, len(wc)))
+    converged = True
+    # trial steps at a non-invertible b(B) overflow; their CSS is +inf and they are rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ndim == 0:
+            params = np.empty(0)
+            sse = css_of(wc, order, params)
+        elif order.q == order.P == order.Q == 0:
+            params = _ar_least_squares(wc, order.p)
+            sse = css_of(wc, order, params)
+        else:
+            # _polys reads Python floats faster than numpy scalars
+            def objective(x):
+                return css_of(wc, order, x.tolist())
 
-    def objective(params):
-        return css_of(centered, order, params)
+            def linearize(x):
+                return _css_jacobian(wc, order, x.tolist())
 
-    if generous:
-        maxfev, xatol = REFIT_MAXFEV_PER_DIM * ndim, 1e-6
-    else:
-        maxfev, xatol = SEARCH_MAXFEV_BASE + SEARCH_MAXFEV_PER_DIM * ndim, 1e-3
-    params, sse, _ = nelder_mead(objective, np.zeros(ndim), maxfev=maxfev, xatol=xatol)
+            if start is None:
+                zero = np.zeros(ndim)
+                params, sse = zero, objective(zero)
+                estimate = _hannan_rissanen(series, order)
+                if estimate is not None:
+                    sse_estimate = objective(estimate)
+                    if sse_estimate < sse:
+                        params, sse = estimate, sse_estimate
+            else:
+                params = np.array(start, dtype=float)
+                sse = objective(params)
+            params, sse, _, converged = levenberg_marquardt(objective, linearize, params, sse, ftol)
     if not math.isfinite(sse):
         return None
     return FittedArima(
         order,
         tuple(float(v) for v in params),
-        mu,
+        series.mean,
         sse,
         n_eff,
         _aicc(sse, n_eff, ndim, len(wc)),
+        converged=converged,
     )
 
 
@@ -290,10 +488,12 @@ def _search(values, m: int, seasonal: bool, cache: dict):
     d = choose_d(difference(values, 0, D, m))
     w = difference(values, d, D, m)
 
+    series = _Differenced(w)
+
     def score(p, q, P, Q):
         order = _make_order(p, d, q, P, D, Q, m)
         if order not in cache:
-            cache[order] = _fit_candidate(w, order, generous=False)
+            cache[order] = _fit_candidate(series, order, SEARCH_FTOL)
         fit = cache[order]
         return fit if fit is not None and math.isfinite(fit.aicc) else None
 
@@ -321,8 +521,9 @@ def _search(values, m: int, seasonal: bool, cache: dict):
 
 
 def _refit(values, fit: FittedArima) -> FittedArima:
+    """The search winner's fit continued to the refit tolerance."""
     w = difference(values, fit.order.d, fit.order.D, fit.order.m)
-    refit = _fit_candidate(w, fit.order, generous=True)
+    refit = _fit_candidate(_Differenced(w), fit.order, REFIT_FTOL, start=fit.params)
     return refit if refit is not None else fit
 
 
@@ -342,7 +543,7 @@ def fit_arima(train: SalesSeries, seasonal: bool = False, forced_order: ArimaOrd
     m = train.frequency.periods_per_year
     if forced_order is not None:
         w = difference(values, forced_order.d, forced_order.D, forced_order.m)
-        fit = _fit_candidate(w, forced_order, generous=True) if len(w) >= 4 else None
+        fit = _fit_candidate(_Differenced(w), forced_order, REFIT_FTOL) if len(w) >= 4 else None
         return fit if fit is not None else _random_walk_fit(values)
     if seasonal:
         if len(values) < 3 * m:
@@ -378,10 +579,29 @@ def fit_arima_pair(train: SalesSeries) -> tuple:
 
 
 def arima_forecast(fit: FittedArima, values, horizon: int) -> np.ndarray:
-    """Recursive ARMA forecast on the differenced scale, then undifferencing."""
+    """Recursive ARMA forecast on the differenced scale, then undifferencing.
+
+    Floored at zero. A path that overflows, as an explosive AR polynomial's
+    can, is replaced by the random walk with drift.
+    """
+    return _forecast(fit, values, horizon)[0]
+
+
+def _forecast(fit: FittedArima, values, horizon: int):
+    """arima_forecast, and whether the random walk with drift replaced the path."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     values = np.asarray(values, dtype=float)
+    # an explosive fit overflows here; its path is replaced below
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _arma_path(fit, values, horizon)
+    substituted = not np.all(np.isfinite(out))
+    if substituted:
+        out = values[-1] + _random_walk_fit(values).mean * np.arange(1, horizon + 1)
+    return np.maximum(out, 0.0), substituted
+
+
+def _arma_path(fit: FittedArima, values: np.ndarray, horizon: int) -> np.ndarray:
     order = fit.order
     w = difference(values, order.d, order.D, order.m)
     wc = w - fit.mean
@@ -424,11 +644,7 @@ def arima_forecast(fit: FittedArima, values, horizon: int) -> np.ndarray:
                     y -= pi[j] * hist[len(hist) - j]
             out[h] = y
             hist.append(y)
-    if not np.all(np.isfinite(out)):
-        rw = _random_walk_fit(values)
-        drift = rw.mean
-        out = values[-1] + drift * np.arange(1, horizon + 1)
-    return np.maximum(out, 0.0)
+    return out
 
 
 class ArimaForecaster(BaseForecaster):
@@ -449,4 +665,8 @@ class ArimaForecaster(BaseForecaster):
 
     def forecast(self, horizon: int) -> ForecastResult:
         self._check_fitted()
-        return self._result(arima_forecast(self.fit_, self.train_.values, horizon))
+        values, substituted = _forecast(self.fit_, self.train_.values, horizon)
+        if substituted:
+            # the forecast is the random walk's, so the fit reports a fallback
+            self.fit_ = replace(self.fit_, fallback=True)
+        return self._result(values)

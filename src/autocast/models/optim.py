@@ -1,9 +1,10 @@
-"""Small dependency-free Nelder-Mead, tuned for many tiny fits.
+"""Small dependency-free optimizers, tuned for many tiny fits.
 
-scipy's wrapper costs more than these objectives do, and the ARIMA order
-search runs dozens of fits per product, so the simplex loop is written out
-here. Standard coefficients: reflect 1, expand 2, outside-contract 0.5,
-shrink 0.5.
+``nelder_mead`` serves the exponential-smoothing fits, whose bounded,
+clamped objectives are not residual vectors. scipy's wrapper costs more than
+these objectives do, and smoothing runs several fits per product, so the
+simplex loop is written out here. Standard coefficients: reflect 1, expand
+2, outside-contract 0.5, shrink 0.5.
 
 The simplex lives in Python lists of floats: with at most a handful of
 dimensions, per-call numpy overhead would cost more than the arithmetic.
@@ -17,9 +18,24 @@ points are already in that order; only a shrink moves them all and re-sorts.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 
 import numpy as np
+
+# initial Levenberg-Marquardt damping, relative to the diagonal of J'J
+LM_INITIAL_DAMPING = 1e-3
+# largest cosine between the residuals and a Jacobian column at a minimum
+LM_GTOL = 1e-10
+# smallest step, relative to x, that a rejection may shrink to before f counts as minimal
+LM_XTOL = 1e-12
+MAX_JACOBIANS = 100
+# the damping grows at least 2^(k(k+1)/2)-fold over k straight rejections, so
+# the step falls below any xtol long before this many
+MAX_REJECTIONS = 60
+# gain ratios outside this band trigger one parabolic line search along the step
+RHO_LOW, RHO_HIGH = 0.9, 1.05
+MAX_LINE_STEP = 4.0
 
 
 def _ranked(points, values):
@@ -105,3 +121,85 @@ def nelder_mead(
 
     # the list is sorted, so its head is the first minimum
     return np.array(points[0]), values[0], nfev
+
+
+def levenberg_marquardt(objective, linearize, x0, f0: float, ftol: float):
+    """Minimize a sum of squares from x0, where it is f0; returns (x, f, n_jacobians, converged).
+
+    ``objective(x)`` returns the sum of squares |r(x)|^2, or +inf where it is
+    not finite; ``linearize(x)`` returns the residual vector r(x) and its
+    Jacobian J. Trial points are scored by ``objective`` alone, so a rejected
+    step costs one evaluation.
+
+    Steps solve (J'J + mu D) dx = -J'r with D = diag(J'J) (Marquardt 1963),
+    through one eigendecomposition of the scaled J'J per Jacobian, so a
+    rejected step costs no new factorization. mu follows the gain ratio rho
+    of actual to predicted decrease (Nielsen 1999): shrunk by up to 3x after a
+    good prediction, doubled and more after every rejection. When rho leaves
+    [RHO_LOW, RHO_HIGH], f along the accepted step is not the quadratic J'J
+    predicts, and one more evaluation tries the minimum of the parabola
+    through f(0), f'(0) and f(step).
+
+    Converged means one of: an accepted step lowered f by <= ftol relative;
+    every Jacobian column makes a cosine <= LM_GTOL with r (Moré 1978); or a
+    rejected step fell below LM_XTOL relative to x, so no representable step
+    lowers f. A run stopped by MAX_JACOBIANS or by a non-finite or
+    undecomposable J'J is not converged.
+    """
+    x = np.array(x0, dtype=float)
+    f = float(f0)
+    mu = LM_INITIAL_DAMPING
+    n_jac = 0
+    while n_jac < MAX_JACOBIANS:
+        residuals, jacobian = linearize(x)
+        n_jac += 1
+        gradient = residuals @ jacobian
+        normal = jacobian.T @ jacobian
+        # k is at most a handful, so the scalar work runs on Python floats
+        diagonal = normal.diagonal().tolist()
+        g = gradient.tolist()
+        if not math.isfinite(f + sum(diagonal) + sum(g)):
+            return x, f, n_jac, False
+        if all(gi * gi <= LM_GTOL * LM_GTOL * di * f for gi, di in zip(g, diagonal)):
+            return x, f, n_jac, True
+        # a column that vanishes here still gets some damping
+        floor = 1e-12 * max(diagonal)
+        scale = np.sqrt([max(d, floor) for d in diagonal])
+        try:
+            eigenvalues, vectors = np.linalg.eigh(normal / np.outer(scale, scale))
+        except np.linalg.LinAlgError:
+            return x, f, n_jac, False
+        eigenvalues = [max(v, 0.0) for v in eigenvalues.tolist()]
+        coords = ((gradient / scale) @ vectors).tolist()
+        growth = 2.0
+        for _ in range(MAX_REJECTIONS):
+            step = (vectors @ [-c / (v + mu) for c, v in zip(coords, eigenvalues)]) / scale
+            trial = x + step
+            f_trial = float(objective(trial))
+            if f_trial < f:
+                break
+            if math.sqrt(step @ step) <= LM_XTOL * (math.sqrt(x @ x) + LM_XTOL):
+                return x, f, n_jac, True
+            mu *= growth
+            growth *= 2.0
+        else:
+            return x, f, n_jac, False
+        # f - |r + J dx|^2, in the eigenbasis
+        predicted = sum(c * c * (v + 2.0 * mu) / ((v + mu) * (v + mu)) for c, v in zip(coords, eigenvalues))
+        ratio = (f - f_trial) / predicted if predicted > 0.0 else 0.0
+        if not RHO_LOW <= ratio <= RHO_HIGH:
+            slope = 2.0 * float(gradient @ step)
+            curvature = f_trial - f - slope
+            if curvature > 0.0:
+                alpha = min(-slope / (2.0 * curvature), MAX_LINE_STEP)
+                if abs(alpha - 1.0) > 0.1:
+                    longer = x + alpha * step
+                    f_longer = float(objective(longer))
+                    if f_longer < f_trial:
+                        trial, f_trial = longer, f_longer
+        mu *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+        gain = f - f_trial
+        x, f = trial, f_trial
+        if gain <= ftol * (f + gain):
+            return x, f, n_jac, True
+    return x, f, n_jac, False

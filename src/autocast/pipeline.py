@@ -150,8 +150,9 @@ class ModelScore:
     model_id: str
     metrics: MetricSet
     fallback: bool = False
-    # ARIMA/SARIMA only: order chosen by the validation-stage stepwise search,
-    # so the final refit re-estimates coefficients without repeating it
+    # ARIMA/SARIMA only: order chosen by the validation-stage stepwise search.
+    # The final refit fits that order on the full history, to convergence from
+    # its own Hannan–Rissanen or zero start, without repeating the search.
     selected_order: object | None = None
 
 

@@ -1,23 +1,38 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 import autocast.models.arima as arima_module
-from autocast.models import ArimaForecaster, ArimaOrder, arima_forecast, fit_arima, fit_arima_pair
+from autocast.models import ArimaForecaster, ArimaOrder, FittedArima, arima_forecast, fit_arima, fit_arima_pair
 from autocast.models.arima import (
     MAX_P,
     MAX_Q,
     MAX_SEASONAL,
+    REFIT_FTOL,
+    SEARCH_FTOL,
     SEASONAL_STRENGTH_THRESHOLD,
+    _conditioning_lags,
+    _css_jacobian,
+    _css_residuals,
+    _Differenced,
     _fit_candidate,
+    _invertible,
+    _is_invertible,
     _polys,
     _search,
     choose_d,
+    css_of,
     difference,
     kpss_level,
     seasonal_strength,
 )
+from autocast.models.optim import nelder_mead
+from autocast.pipeline import _is_fallback
 
-from helpers import in_range_orders, monthly_series, seasonal_values
+from helpers import in_range_orders, monthly_series, seasonal_values, weekly_series
 from oracles import kpss_level_statistic, lag_polynomials_accumulated
 
 
@@ -221,20 +236,20 @@ class TestStepwiseSearch:
     def test_winner_is_a_local_aicc_minimum(self, seed, seasonal):
         y = seasonal_values(72, amplitude=15.0, slope=0.5, noise=4.0, seed=seed)
         winner = _search(y, 12, seasonal, {})
-        w = difference(y, winner.order.d, winner.order.D, 12)
+        series = _Differenced(difference(y, winner.order.d, winner.order.D, 12))
         neighbours = list(self.neighbours(winner.order, seasonal))
         assert neighbours
         for order in neighbours:
-            fit = _fit_candidate(w, order, generous=False)
+            fit = _fit_candidate(series, order, SEARCH_FTOL)
             assert fit is None or fit.aicc >= winner.aicc, order.label()
 
     def test_pair_fits_few_orders_once_each(self, monkeypatch):
         searched = []
 
-        def counting_fit(wc, order, generous):
-            if not generous:
+        def counting_fit(series, order, ftol, start=None):
+            if ftol == SEARCH_FTOL:
                 searched.append(order)
-            return _fit_candidate(wc, order, generous)
+            return _fit_candidate(series, order, ftol, start)
 
         monkeypatch.setattr(arima_module, "_fit_candidate", counting_fit)
         y = seasonal_values(84, amplitude=25.0, slope=1.0, noise=5.0, seed=5)
@@ -285,3 +300,158 @@ class TestArimaForecasterAdapter:
         a = ArimaForecaster().fit(series).forecast(12)
         b = ArimaForecaster().fit(series).forecast(12)
         assert np.array_equal(a.values, b.values)
+
+
+def simulate_arma(order, params, n, seed, burn=300):
+    """y = b(B)/a(B) e for unit-variance Gaussian e, the lag polynomials built by convolution."""
+    p, q, P, Q, m = order.p, order.q, order.P, order.Q, order.m
+    params = list(params)
+    a = np.concatenate([[1.0], [-v for v in params[:p]]])
+    b = np.concatenate([[1.0], params[p : p + q]])
+    if P:
+        a = np.convolve(a, np.concatenate([[1.0], np.zeros(m - 1), [-params[p + q]]]))
+    if Q:
+        b = np.convolve(b, np.concatenate([[1.0], np.zeros(m - 1), [params[p + q + P]]]))
+    e = np.random.default_rng(seed).normal(0.0, 1.0, n + burn)
+    return lfilter(b, a, e)[burn:]
+
+
+class TestCssSolver:
+    """The Levenberg–Marquardt CSS fits: derivatives, exact AR, convergence, overflow."""
+
+    @pytest.mark.parametrize("m", [4, 12, 52])
+    def test_jacobian_matches_central_differences(self, m):
+        rng = np.random.default_rng(m)
+        wc = np.convolve(rng.normal(size=3 * m + 40), [1.0, 0.5, -0.3])[: 3 * m + 40]
+        for order in in_range_orders(m):
+            x = rng.normal(0.0, 0.3, order.n_params)
+            residuals, jacobian = _css_jacobian(wc, order, x.tolist())
+            first = _conditioning_lags(order)
+            assert np.allclose(residuals, _css_residuals(wc, order, x)[first:], rtol=1e-12, atol=1e-12)
+            numeric = np.empty_like(jacobian)
+            for i in range(order.n_params):
+                h = 1e-6 * max(1.0, abs(x[i]))
+                up, down = x.copy(), x.copy()
+                up[i] += h
+                down[i] -= h
+                numeric[:, i] = (_css_residuals(wc, order, up)[first:] - _css_residuals(wc, order, down)[first:]) / (2 * h)
+            assert np.max(np.abs(jacobian - numeric)) <= 1e-6 * np.max(np.abs(jacobian)), order.label()
+
+    def test_start_ma_polynomials_are_made_invertible(self):
+        rng = np.random.default_rng(4)
+        for q in (1, 2, 3):
+            for _ in range(300):
+                theta = rng.normal(0.0, 1.0, q)
+                invertible = np.all(np.abs(np.roots(np.concatenate([theta[::-1], [1.0]]))) > 1.0)
+                assert _is_invertible(theta) == invertible
+                reflected = _invertible(theta)
+                assert len(reflected) == q and _is_invertible(reflected)
+        # a zero top coefficient has no root: the length is kept
+        assert np.allclose(_invertible(np.array([2.0, 0.0])), [0.5, 0.0])
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_pure_ar_is_least_squares(self, p):
+        y = 50.0 + simulate_arma(ArimaOrder(p, 0, 0), [0.5, -0.2, 0.1][:p], 120, seed=p)
+        wc = y - y.mean()
+        lagged = np.column_stack([wc[p - i : len(wc) - i] for i in range(1, p + 1)])
+        expected = np.linalg.lstsq(lagged, wc[p:], rcond=None)[0]
+        fit = fit_arima(monthly_series(y), forced_order=ArimaOrder(p, 0, 0))
+        assert fit.converged
+        assert np.allclose(fit.params, expected, rtol=1e-10, atol=1e-10)
+        assert fit.sse == pytest.approx(css_of(wc, fit.order, expected), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "order, truth",
+        [
+            (ArimaOrder(1, 0, 1), (0.6, 0.3)),
+            (ArimaOrder(2, 0, 1), (0.5, -0.3, 0.4)),
+            (ArimaOrder(1, 0, 1, 1, 0, 1, 12), (0.5, 0.3, 0.6, -0.4)),
+        ],
+    )
+    def test_refit_converges_near_truth_below_nelder_mead(self, order, truth):
+        y = 100.0 + simulate_arma(order, truth, 1200, seed=order.n_params)
+        fit = fit_arima(monthly_series(y), forced_order=order)
+        assert fit.converged and not fit.fallback
+        # sampling error: up to ~0.1 over eight seeds, seasonal terms seeing 100 years
+        assert np.allclose(fit.params, truth, atol=0.15)
+        wc = y - y.mean()
+        k = order.n_params
+        _, nm_sse, _ = nelder_mead(lambda x: css_of(wc, order, x), np.zeros(k), maxfev=200 * k, xatol=1e-6)
+        assert fit.sse <= nm_sse * (1.0 + 1e-9)
+
+    def test_every_search_fit_converges(self):
+        y = seasonal_values(84, amplitude=25.0, slope=1.0, noise=5.0, seed=5)
+        cache = {}
+        _search(y, 12, False, cache)
+        _search(y, 12, True, cache)
+        fits = [fit for fit in cache.values() if fit is not None]
+        assert fits and all(fit.converged for fit in fits)
+
+    def test_validation_refit_continues_from_the_search_iterate(self, monkeypatch):
+        starts = []
+
+        def recording_fit(series, order, ftol, start=None):
+            if ftol == REFIT_FTOL:
+                starts.append(start)
+            return _fit_candidate(series, order, ftol, start)
+
+        monkeypatch.setattr(arima_module, "_fit_candidate", recording_fit)
+        y = seasonal_values(84, amplitude=25.0, slope=1.0, noise=5.0, seed=5)
+        winner = _search(y, 12, False, {})
+        refit = fit_arima(monthly_series(y), seasonal=False)
+        assert starts and starts[-1] == winner.params
+        assert refit.order == winner.order and refit.sse <= winner.sse and refit.converged
+
+    def test_overflowing_trial_steps_are_rejected_without_warnings(self, monkeypatch):
+        # an MA(1) near the invertibility boundary: from 0.5 the first Gauss-Newton
+        # step lands beyond it, where 1/b(B) overflows over 1500 points
+        e = np.random.default_rng(0).normal(size=1501)
+        w = e[1:] + 0.95 * e[:-1]
+        overflowed = []
+
+        def recording_css(wc, order, params):
+            sse = css_of(wc, order, params)
+            overflowed.append(math.isinf(sse))
+            return sse
+
+        monkeypatch.setattr(arima_module, "css_of", recording_css)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = _fit_candidate(_Differenced(w), ArimaOrder(0, 0, 1), REFIT_FTOL, start=(0.5,))
+        assert any(overflowed)
+        assert fit.converged and fit.params[0] == pytest.approx(0.95, abs=0.03)
+
+    def test_weekly_search_and_forced_seasonal_order(self):
+        y = seasonal_values(156, m=52, amplitude=30.0, slope=0.2, noise=5.0, seed=2)
+        series = weekly_series(y)
+        plain, seasonal = fit_arima_pair(series)
+        assert seasonal.order.is_seasonal and seasonal.order.m == 52
+        forced = fit_arima(series, forced_order=ArimaOrder(1, 0, 1, 0, 1, 1, 52))
+        for fit in (plain, seasonal, forced):
+            assert fit.converged and not fit.fallback
+            assert math.isfinite(fit.sse) and np.all(np.isfinite(fit.params))
+            forecast = arima_forecast(fit, y, 52)
+            assert len(forecast) == 52
+            assert np.all(np.isfinite(forecast)) and np.all(forecast >= 0)
+
+
+class TestForecastFallback:
+    def test_overflowing_path_is_a_flagged_random_walk(self):
+        y = simulate_ar1(0.5, 40, seed=5)
+        explosive = FittedArima(ArimaOrder(1, 0, 0), (1e200,), float(y.mean()), 1.0, 39, 0.0)
+        model = ArimaForecaster()
+        model.train_ = monthly_series(y)
+        model.fit_ = explosive
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = model.forecast(12)
+        drift = float(np.mean(np.diff(y)))
+        assert np.allclose(result.values, np.maximum(y[-1] + drift * np.arange(1, 13), 0.0))
+        assert model.fit_.fallback and _is_fallback(model)
+        assert model.fit_.order == explosive.order and model.fit_.params == explosive.params
+
+    def test_finite_path_is_not_a_fallback(self):
+        y = simulate_ar1(0.5, 40, seed=5)
+        model = ArimaForecaster(forced_order=ArimaOrder(1, 0, 0)).fit(monthly_series(y))
+        model.forecast(12)
+        assert not model.fit_.fallback

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from autocast.models.arima import ArimaOrder, css_of
-from autocast.models.optim import nelder_mead
+from autocast.models import optim
+from autocast.models.optim import levenberg_marquardt, nelder_mead
 
 from helpers import in_range_orders
 from oracles import nelder_mead_arrays
@@ -91,3 +92,54 @@ def test_budget_below_the_simplex():
 def test_zero_dimensional_input_evaluated_once():
     x, f, nfev = nelder_mead(lambda x: 2.5, np.empty(0))
     assert (x.size, f, nfev) == (0, 2.5, 1)
+
+
+def rosenbrock_least_squares(x):
+    """Residuals of Rosenbrock's function and their Jacobian."""
+    residuals = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    return residuals, np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
+def rosenbrock_sse(x):
+    residuals, _ = rosenbrock_least_squares(x)
+    return float(residuals @ residuals)
+
+
+def test_levenberg_marquardt_follows_the_valley():
+    x0 = [-1.2, 1.0]
+    x, f, n_jac, converged = levenberg_marquardt(rosenbrock_sse, rosenbrock_least_squares, x0, rosenbrock_sse(x0), 1e-10)
+    assert converged and n_jac < 100
+    assert np.allclose(x, [1.0, 1.0], atol=1e-6) and f < 1e-12
+
+
+def test_levenberg_marquardt_solves_linear_least_squares_at_once():
+    rng = np.random.default_rng(0)
+    A, y = rng.normal(size=(30, 4)), rng.normal(size=30)
+
+    def linearize(x):
+        return A @ x - y, A
+
+    x, f, n_jac, converged = levenberg_marquardt(
+        lambda x: float(np.sum((A @ x - y) ** 2)), linearize, np.zeros(4), float(y @ y), 1e-10
+    )
+    assert converged and n_jac <= 3
+    assert np.allclose(x, np.linalg.lstsq(A, y, rcond=None)[0], atol=1e-8)
+
+
+def test_levenberg_marquardt_reports_a_stopped_run(monkeypatch):
+    monkeypatch.setattr(optim, "MAX_JACOBIANS", 2)
+    x0 = [-1.2, 1.0]
+    x, f, n_jac, converged = levenberg_marquardt(rosenbrock_sse, rosenbrock_least_squares, x0, rosenbrock_sse(x0), 1e-10)
+    assert not converged and n_jac == 2 and f < rosenbrock_sse(x0)
+
+
+def test_levenberg_marquardt_rejects_non_finite_trials():
+    # beyond x = 0.5 the objective is undefined: steps there must be rejected
+    def linearize(x):
+        return np.array([x[0] - 2.0]), np.array([[1.0]])
+
+    def walled(x):
+        return math.inf if x[0] > 0.5 else float((x[0] - 2.0) ** 2)
+
+    x, f, _, converged = levenberg_marquardt(walled, linearize, [0.0], walled([0.0]), 1e-10)
+    assert converged and 0.5 - 1e-6 < x[0] <= 0.5

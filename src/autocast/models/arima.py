@@ -18,7 +18,8 @@ starts from whichever of the Hannan–Rissanen estimate (Hannan & Rissanen
 least squares. Search candidates stop once an accepted step gains at most
 SEARCH_FTOL of the CSS; the winner's refit continues from the search iterate
 to REFIT_FTOL, and a forced-order refit runs to REFIT_FTOL from its own
-start. Every fit reports whether it converged.
+start. A fit whose CSS falls to EXACT_FIT of the series' own sum of squares
+ends there. Every fit reports whether it converged.
 """
 from __future__ import annotations
 
@@ -44,6 +45,10 @@ MAX_SEASONAL = 1
 SEARCH_FTOL = 1e-4
 # refits run to this share, or to a vanishing gradient
 REFIT_FTOL = 1e-10
+# a CSS at most this share of the differenced series' sum of squares is an
+# exact fit (residuals a millionth of the series' scale); near an exact fit
+# every step still gains a steady share of the CSS, so the ftol tests never end it
+EXACT_FIT = 1e-12
 
 # KPSS level test at the 5 % level (Kwiatkowski et al. 1992, table 1)
 KPSS_CRITICAL_5PCT = 0.463
@@ -451,7 +456,8 @@ def _fit_candidate(series: _Differenced, order: ArimaOrder, ftol: float, start=N
             else:
                 params = np.array(start, dtype=float)
                 sse = objective(params)
-            params, sse, _, converged = levenberg_marquardt(objective, linearize, params, sse, ftol)
+            exact = EXACT_FIT * float(wc @ wc)
+            params, sse, _, converged = levenberg_marquardt(objective, linearize, params, sse, ftol, exact)
     if not math.isfinite(sse):
         return None
     return FittedArima(

@@ -123,7 +123,7 @@ def nelder_mead(
     return np.array(points[0]), values[0], nfev
 
 
-def levenberg_marquardt(objective, linearize, x0, f0: float, ftol: float):
+def levenberg_marquardt(objective, linearize, x0, f0: float, ftol: float, fmin: float = 0.0):
     """Minimize a sum of squares from x0, where it is f0; returns (x, f, n_jacobians, converged).
 
     ``objective(x)`` returns the sum of squares |r(x)|^2, or +inf where it is
@@ -140,10 +140,12 @@ def levenberg_marquardt(objective, linearize, x0, f0: float, ftol: float):
     predicts, and one more evaluation tries the minimum of the parabola
     through f(0), f'(0) and f(step).
 
-    Converged means one of: an accepted step lowered f by <= ftol relative;
-    every Jacobian column makes a cosine <= LM_GTOL with r (Moré 1978); or a
-    rejected step fell below LM_XTOL relative to x, so no representable step
-    lowers f. A run stopped by MAX_JACOBIANS or by a non-finite or
+    Converged means one of: f <= fmin, an exact fit as far as the caller is
+    concerned (near f = 0 every step still gains a steady share of f, so the
+    relative ftol test alone never ends it); an accepted step lowered f by
+    <= ftol relative; every Jacobian column makes a cosine <= LM_GTOL with r
+    (Moré 1978); or a rejected step fell below LM_XTOL relative to x, so no
+    representable step lowers f. A run stopped by MAX_JACOBIANS or by a non-finite or
     undecomposable J'J is not converged.
     """
     x = np.array(x0, dtype=float)
@@ -151,6 +153,8 @@ def levenberg_marquardt(objective, linearize, x0, f0: float, ftol: float):
     mu = LM_INITIAL_DAMPING
     n_jac = 0
     while n_jac < MAX_JACOBIANS:
+        if f <= fmin:
+            return x, f, n_jac, True
         residuals, jacobian = linearize(x)
         n_jac += 1
         gradient = residuals @ jacobian

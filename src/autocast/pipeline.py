@@ -5,18 +5,28 @@ history length (full pipeline, shortened holdout, or excluded). Second,
 every enabled model is fitted on a training prefix and scored on the
 held-out final year; the lowest holdout RMSE wins the recommendation.
 Third, every scored model is refitted on the full history and asked for
-the real forward horizon. Shared-weight models (pooled trees, the CNN)
-are trained once per stage before the per-product fan-out.
+the real forward horizon.
+
+Each of the last two stages fans out twice over the usable cores through
+``fanout.run_all``. First the shared-weight models, the pooled trees and
+the CNN, train on the stage's corpus as two independent tasks. Then every
+product is one task, `_validate_product` or `_finalize_product`, reading
+the shared models and nothing of any other product. Results merge in
+product-id order, and every task computes what it would compute in one
+process, so the exports are byte-identical whatever the core count. With
+one usable core both steps run serially in this process.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .deeplearn import CnnConfig, CnnForecaster, train_shared_cnn
+from .deeplearn import CnnConfig, CnnForecaster, CnnNetwork, train_shared_cnn
 from .errors import ConfigError
+from .fanout import run_all
 from .ingest import Validity, check_validity
 from .metrics import MetricSet, compute_metric_set
 from .models import (
@@ -248,7 +258,7 @@ class ForecastBundle:
 
 @dataclass
 class _SharedModels:
-    """Shared-weight artifacts trained once per stage, before the fan-out."""
+    """Shared-weight artifacts trained once per stage, before the per-product tasks."""
 
     trees: object | None = None
     trees_error: str | None = None
@@ -257,18 +267,39 @@ class _SharedModels:
 
 
 def _train_shared(corpus: list, config: PipelineConfig) -> _SharedModels:
-    shared = _SharedModels()
+    """Train the enabled shared models on one corpus, each as its own fan-out task.
+
+    The pooled trees and the CNN read nothing of each other, so on two or
+    more usable cores the CNN trains in a forked worker while this process
+    trains the trees. The CNN comes back as its flat weight vector, loaded
+    into a network built from the same config: a pickled network would lose
+    its layers' views into that buffer. A training that raises ValueError
+    leaves its model unavailable, with the message as the reason.
+    """
+    cnn_config = _cnn_config(config)
+    jobs = {}
     if ModelId.BOOSTED_TREE in config.enabled_models:
-        try:
-            shared.trees = train_pooled_trees(corpus)
-        except ValueError as exc:
-            shared.trees_error = str(exc)
+        jobs["trees"] = lambda: train_pooled_trees(corpus)
     if ModelId.CNN in config.enabled_models:
-        try:
-            shared.network, _ = train_shared_cnn(corpus, _cnn_config(config))
-        except ValueError as exc:
-            shared.network_error = str(exc)
+        jobs["network"] = lambda: train_shared_cnn(corpus, cnn_config)[0].weights
+    outcomes = dict(zip(jobs, run_all([partial(_attempt, job) for job in jobs.values()])))
+    shared = _SharedModels()
+    if "trees" in outcomes:
+        shared.trees, shared.trees_error = outcomes["trees"]
+    if "network" in outcomes:
+        weights, shared.network_error = outcomes["network"]
+        if weights is not None:
+            shared.network = CnnNetwork(cnn_config)
+            shared.network.set_weights(weights)
     return shared
+
+
+def _attempt(job) -> tuple:
+    """(result, None), or (None, message) when the job raises ValueError."""
+    try:
+        return job(), None
+    except ValueError as exc:
+        return None, str(exc)
 
 
 def _cnn_config(config: PipelineConfig) -> CnnConfig:
@@ -366,16 +397,22 @@ def _forecast_all(fitted, skipped, horizon: int, config: PipelineConfig):
         results.append(result)
         fallbacks[model_id.value] = _is_fallback(forecaster)
     if ModelId.ENSEMBLE_MEDIAN in config.enabled_models:
-        member_ids = {m.value for m in config.ensemble_members}
-        members = [r for r in results if r.model_id in member_ids]
-        if len(members) >= 2:
-            results.append(ensemble_forecast(members))
-            fallbacks[ModelId.ENSEMBLE_MEDIAN.value] = False
+        ensemble, reason = _median_ensemble(results, config)
+        if ensemble is None:
+            skipped.append((ModelId.ENSEMBLE_MEDIAN.value, reason))
         else:
-            skipped.append(
-                (ModelId.ENSEMBLE_MEDIAN.value, f"only {len(members)} member forecasts available")
-            )
+            results.append(ensemble)
+            fallbacks[ModelId.ENSEMBLE_MEDIAN.value] = False
     return results, fallbacks
+
+
+def _median_ensemble(results, config: PipelineConfig) -> tuple:
+    """(median over the member forecasts in results, None), or (None, why it is skipped)."""
+    member_ids = {m.value for m in config.ensemble_members}
+    members = [r for r in results if r.model_id in member_ids]
+    if len(members) < 2:
+        return None, f"only {len(members)} member forecasts available"
+    return ensemble_forecast(members), None
 
 
 def _holdout_length(series: SalesSeries, validity: Validity, config: PipelineConfig) -> int:
@@ -447,50 +484,55 @@ def run_validation(corpus, config: PipelineConfig | None = None) -> ValidationRe
         splits[series.product_id] = split_holdout(series, holdout)
 
     shared = _train_shared([train for train, _ in splits.values()], config)
-
-    for series in ordered:
-        if series.product_id not in splits:
-            continue
-        train, test = splits[series.product_id]
-        fitted, skipped = _fit_all(train, shared, config)
-        results, fallbacks = _forecast_all(fitted, skipped, len(test), config)
-        orders = {
-            model_id.value: forecaster.fit_.order
-            for model_id, forecaster in fitted
-            if isinstance(forecaster, ArimaForecaster)
-        }
-        scores = []
-        for result in results:
-            metrics = compute_metric_set(test.values, result.values)
-            scores.append(
-                ModelScore(
-                    result.model_id,
-                    metrics,
-                    fallback=fallbacks[result.model_id],
-                    selected_order=orders.get(result.model_id),
-                )
-            )
-        flags = []
-        if scores:
-            recommended = recommend_model(scores)
-        else:
-            recommended = ModelId.NAIVE.value
-            flags.append("no_model")
-        entries[series.product_id] = ProductValidation(
-            product_id=series.product_id,
-            validity=validities[series.product_id],
-            holdout=len(test),
-            scores=tuple(scores),
-            skipped=tuple(skipped),
-            recommended=recommended,
-            flags=tuple(flags),
-        )
+    tasks = [
+        partial(_validate_product, train, test, validities[product_id], shared, config)
+        for product_id, (train, test) in splits.items()
+    ]
+    for entry in run_all(tasks):
+        entries[entry.product_id] = entry
 
     return ValidationReport(
         frequency=config.frequency,
         holdout=config.holdout,
         seed=config.seed,
         products=tuple(entries[s.product_id] for s in ordered),
+    )
+
+
+def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity, shared: _SharedModels, config: PipelineConfig) -> ProductValidation:
+    """Fit every enabled model on the training prefix and score it on the holdout."""
+    fitted, skipped = _fit_all(train, shared, config)
+    results, fallbacks = _forecast_all(fitted, skipped, len(test), config)
+    orders = {
+        model_id.value: forecaster.fit_.order
+        for model_id, forecaster in fitted
+        if isinstance(forecaster, ArimaForecaster)
+    }
+    scores = []
+    for result in results:
+        metrics = compute_metric_set(test.values, result.values)
+        scores.append(
+            ModelScore(
+                result.model_id,
+                metrics,
+                fallback=fallbacks[result.model_id],
+                selected_order=orders.get(result.model_id),
+            )
+        )
+    flags = []
+    if scores:
+        recommended = recommend_model(scores)
+    else:
+        recommended = ModelId.NAIVE.value
+        flags.append("no_model")
+    return ProductValidation(
+        product_id=train.product_id,
+        validity=validity,
+        holdout=len(test),
+        scores=tuple(scores),
+        skipped=tuple(skipped),
+        recommended=recommended,
+        flags=tuple(flags),
     )
 
 
@@ -538,71 +580,62 @@ def finalize_and_forecast(corpus, report: ValidationReport, config: PipelineConf
         if shared.network is None:
             shared.network, shared.network_error = retried.network, retried.network_error
 
-    products = []
-    for series in ordered:
-        validation = report.product(series.product_id)
-        if validation.validity is Validity.EXCLUDED:
-            products.append(
-                ProductForecasts(
-                    product_id=series.product_id,
-                    flags=validation.flags,
-                )
-            )
-            continue
-        scored_ids = [ModelId(score.model_id) for score in validation.scores]
-        if validation.recommended is not None and ModelId(validation.recommended) not in scored_ids:
-            # no_model products still get their fallback recommendation fitted
-            scored_ids.append(ModelId(validation.recommended))
-        flags = list(validation.flags)
-        results = []
-        fitted = []
-        for model_id in scored_ids:
-            if model_id is ModelId.ENSEMBLE_MEDIAN:
-                continue
-            score = validation.score_for(model_id.value)
-            order = score.selected_order if score is not None else None
-            result, forecaster, flag = _refit_one(
-                model_id, series, validation.holdout, order, shared, config
-            )
-            if result is None:
-                flags.append(flag)
-                continue
-            if flag:
-                flags.append(flag)
-            results.append(result)
-            if forecaster is not None:
-                fitted.append((model_id, forecaster))
-        if ModelId.ENSEMBLE_MEDIAN.value in {s.model_id for s in validation.scores}:
-            member_ids = {m.value for m in config.ensemble_members}
-            members = [r for r in results if r.model_id in member_ids]
-            if len(members) >= 2:
-                results.append(ensemble_forecast(members))
-            else:
-                flags.append(
-                    f"ensemble_median: only {len(members)} member forecasts available"
-                )
-        recommended = validation.recommended
-        if recommended is not None and all(r.model_id != recommended for r in results):
-            # recommendation unavailable after refit: fall back by priority
-            present = sorted(
-                (priority_rank(r.model_id), r.model_id) for r in results
-            )
-            recommended = present[0][1] if present else None
-            flags.append("recommended_model_unavailable")
-        products.append(
-            ProductForecasts(
-                product_id=series.product_id,
-                forecasts=tuple(results),
-                recommended=recommended,
-                flags=tuple(flags),
-                decomposition=_decomposition_from(fitted, series),
-            )
-        )
+    tasks = [partial(_finalize_product, s, report.product(s.product_id), shared, config) for s in eligible]
+    finalized = {entry.product_id: entry for entry in run_all(tasks)}
+    products = tuple(
+        finalized[s.product_id]
+        if s.product_id in finalized
+        else ProductForecasts(product_id=s.product_id, flags=report.product(s.product_id).flags)
+        for s in ordered
+    )
+    return ForecastBundle(frequency=config.frequency, horizon=config.horizon, products=products)
 
-    return ForecastBundle(
-        frequency=config.frequency,
-        horizon=config.horizon,
-        products=tuple(products),
+
+def _finalize_product(series: SalesSeries, validation: ProductValidation, shared: _SharedModels, config: PipelineConfig) -> ProductForecasts:
+    """Refit one product's scored models on its full history and forecast the horizon."""
+    scored_ids = [ModelId(score.model_id) for score in validation.scores]
+    if validation.recommended is not None and ModelId(validation.recommended) not in scored_ids:
+        # no_model products still get their fallback recommendation fitted
+        scored_ids.append(ModelId(validation.recommended))
+    flags = list(validation.flags)
+    results = []
+    fitted = []
+    for model_id in scored_ids:
+        if model_id is ModelId.ENSEMBLE_MEDIAN:
+            continue
+        score = validation.score_for(model_id.value)
+        order = score.selected_order if score is not None else None
+        result, forecaster, flag = _refit_one(
+            model_id, series, validation.holdout, order, shared, config
+        )
+        if result is None:
+            flags.append(flag)
+            continue
+        if flag:
+            flags.append(flag)
+        results.append(result)
+        if forecaster is not None:
+            fitted.append((model_id, forecaster))
+    if ModelId.ENSEMBLE_MEDIAN.value in {s.model_id for s in validation.scores}:
+        ensemble, reason = _median_ensemble(results, config)
+        if ensemble is None:
+            flags.append(f"{ModelId.ENSEMBLE_MEDIAN.value}: {reason}")
+        else:
+            results.append(ensemble)
+    recommended = validation.recommended
+    if recommended is not None and all(r.model_id != recommended for r in results):
+        # recommendation unavailable after refit: fall back by priority
+        present = sorted(
+            (priority_rank(r.model_id), r.model_id) for r in results
+        )
+        recommended = present[0][1] if present else None
+        flags.append("recommended_model_unavailable")
+    return ProductForecasts(
+        product_id=series.product_id,
+        forecasts=tuple(results),
+        recommended=recommended,
+        flags=tuple(flags),
+        decomposition=_decomposition_from(fitted, series),
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from scipy.signal import lfilter
 
 import autocast.models.arima as arima_module
+from autocast.models import optim
 from autocast.models import ArimaForecaster, ArimaOrder, FittedArima, arima_forecast, fit_arima, fit_arima_pair
 from autocast.models.arima import (
     MAX_P,
@@ -155,6 +156,19 @@ class TestFitArima:
         y = simulate_ar1(0.5, 12, seed=3)
         fit = fit_arima(monthly_series(y), forced_order=ArimaOrder(1, 0, 0))
         assert fit.order == ArimaOrder(1, 0, 0)
+
+    def test_exact_fit_of_a_ramp_stops_as_converged(self, monkeypatch):
+        # the CSS of a forced ARMA(3, 3) on y = t tends to 0, where every step
+        # still gains a steady share of it: only the exact-fit floor ends the fit
+        jacobians = []
+        linearize = arima_module._css_jacobian
+        monkeypatch.setattr(arima_module, "_css_jacobian", lambda *a: jacobians.append(1) or linearize(*a))
+        y = np.arange(48.0)
+        fit = fit_arima(monthly_series(y), forced_order=ArimaOrder(3, 0, 3))
+        wc = y - y.mean()
+        assert fit.converged and not fit.fallback
+        assert fit.sse <= arima_module.EXACT_FIT * float(wc @ wc)
+        assert len(jacobians) < optim.MAX_JACOBIANS // 2
 
     def test_unfittable_forced_order_falls_back_to_random_walk(self):
         fit = fit_arima(

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import os
 
 import pytest
 
 import autocast.cli as cli
+import autocast.pipeline as pipeline
+from autocast import fanout
 from autocast.cli import main
 from autocast.ingest import write_sales_csv
 from autocast.series import Frequency
@@ -163,6 +166,22 @@ class TestForecastCommand:
         code = run(["forecast", "--input", str(sales), "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "internal error" in capsys.readouterr().err
+
+    def test_internal_error_in_a_fan_out_worker_exits_two(self, sales_csv, capsys, monkeypatch):
+        tmp_path, sales, config = sales_csv
+        parent = os.getpid()
+        recommend = pipeline.recommend_model
+
+        def recommend_in_parent_only(scores):
+            if os.getpid() != parent:
+                raise RuntimeError("unexpected in worker")
+            return recommend(scores)
+
+        monkeypatch.setattr(fanout, "usable_cores", lambda: 2)
+        monkeypatch.setattr(pipeline, "recommend_model", recommend_in_parent_only)
+        code = run(["forecast", "--input", str(sales), "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "internal error: RuntimeError: unexpected in worker" in capsys.readouterr().err
 
 
 class TestEvaluateCommand:

@@ -126,6 +126,23 @@ def test_levenberg_marquardt_solves_linear_least_squares_at_once():
     assert np.allclose(x, np.linalg.lstsq(A, y, rcond=None)[0], atol=1e-8)
 
 
+def test_levenberg_marquardt_stops_at_an_exact_fit():
+    # r = (x0^2, x1^2) vanishes at 0, where f shrinks only 16-fold per Gauss-Newton step
+    def linearize(x):
+        return x * x, np.diag(2.0 * x)
+
+    def sse(x):
+        return float(np.sum(x**4))
+
+    x0 = np.array([1.0, -2.0])
+    _, f_free, n_free, converged_free = levenberg_marquardt(sse, linearize, x0, sse(x0), 1e-10)
+    x, f, n_jac, converged = levenberg_marquardt(sse, linearize, x0, sse(x0), 1e-10, fmin=1e-12 * sse(x0))
+    assert converged and f <= 1e-12 * sse(x0) and n_jac < n_free
+    assert not converged_free and n_free == optim.MAX_JACOBIANS
+    x, f, n_jac, converged = levenberg_marquardt(sse, linearize, np.zeros(2), 0.0, 1e-10)
+    assert converged and n_jac == 0
+
+
 def test_levenberg_marquardt_reports_a_stopped_run(monkeypatch):
     monkeypatch.setattr(optim, "MAX_JACOBIANS", 2)
     x0 = [-1.2, 1.0]

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from autocast import fanout
 from autocast.errors import ConfigError
+from autocast.export import export_bundle
 from autocast.ingest import Validity
 from autocast.metrics import MetricSet
 from autocast.models import MODEL_PRIORITY, DEFAULT_MEMBERS, HwesForecaster, ModelId
@@ -17,6 +19,7 @@ from autocast.pipeline import (
     run_validation,
 )
 from autocast.series import Frequency
+from autocast.synth import ArchetypeSpec, generate_corpus
 
 from helpers import monthly_series, seasonal_values
 
@@ -349,6 +352,22 @@ class TestFinalizeAndForecast:
         for pa, pb in zip(b1.products, b2.products):
             for fa, fb in zip(pa.forecasts, pb.forecasts):
                 np.testing.assert_array_equal(fa.values, fb.values)
+
+
+class TestFanOut:
+    def test_serial_and_fanned_out_exports_are_byte_identical(self, monkeypatch, tmp_path):
+        kinds = ("seasonality", "seasonality_trend", "high_variance", "seasonality")
+        specs = [ArchetypeSpec.from_kind(f"p{i}", kind, length=48 + 6 * i) for i, kind in enumerate(kinds)]
+        corpus = generate_corpus(specs, seed=5) + [monthly_series(np.full(11, 5.0), product_id="tiny")]
+        config = PipelineConfig(gam_lambda_grid=(0.1, 1.0), seed=5)
+        exported = {}
+        for n in (1, 2):
+            monkeypatch.setattr(fanout, "usable_cores", lambda: n)
+            report, bundle = run_pipeline(corpus, config)
+            written = export_bundle(bundle, report, tmp_path / f"cores{n}", config)
+            exported[n] = {path.name: path.read_bytes() for path in written.values()}
+        assert exported[1] == exported[2]
+        assert {"forecasts.csv", "validation.csv", "summary.json"} <= set(exported[2])
 
 
 class TestValidationReportAccessors:

@@ -1,7 +1,7 @@
 """Additive model over deterministic time features, fit with the lasso.
 
 The design is intercept + linear trend + normalized exponential trend +
-Fourier seasonality + optional external regressors + a cubic spline block
+Fourier seasonality + a cubic spline block
 (t^2, t^3, and one truncated cube per interior knot). Coefficients are read
 off the exact lasso path (``lasso_path``); the penalty weight is picked on the
 last 20% of rows.
@@ -27,7 +27,6 @@ class GamDesign:
     season_length: int
     fourier_order: int
     knots: tuple
-    n_external: int
     beta: tuple            # coefficients on the raw (unstandardized) columns
     column_names: tuple
     lam: float
@@ -37,11 +36,10 @@ class GamDesign:
         return len(self.column_names)
 
 
-def _column_names(fourier_order: int, n_external: int, n_knots: int) -> tuple:
+def _column_names(fourier_order: int, n_knots: int) -> tuple:
     names = ["intercept", "trend_linear", "trend_exp"]
     for k in range(1, fourier_order + 1):
         names += [f"fourier_sin{k}", f"fourier_cos{k}"]
-    names += [f"external{i}" for i in range(n_external)]
     names += ["spline_t2", "spline_t3"]
     names += [f"spline_knot{i}" for i in range(n_knots)]
     return tuple(names)
@@ -53,7 +51,6 @@ def build_design_rows(
     season_length: int,
     fourier_order: int,
     knots,
-    external_rows=None,
 ) -> np.ndarray:
     """Raw design rows for the given integer time offsets (0 = train start)."""
     t = np.asarray(t_values, dtype=float)
@@ -62,16 +59,6 @@ def build_design_rows(
         angle = 2.0 * np.pi * k * t / season_length
         cols.append(np.sin(angle))
         cols.append(np.cos(angle))
-    if external_rows is not None:
-        external_rows = np.asarray(external_rows, dtype=float)
-        if external_rows.ndim == 1:
-            external_rows = external_rows[:, None]
-        if external_rows.shape[0] != len(t):
-            raise ValueError(
-                f"external regressors have {external_rows.shape[0]} rows, expected {len(t)}"
-            )
-        for i in range(external_rows.shape[1]):
-            cols.append(external_rows[:, i])
     # spline block scaled to the training range so cubes stay O(1)
     u = t / max(n_train - 1, 1)
     cols.append(u**2)
@@ -103,7 +90,6 @@ def _destandardize(beta_std, means, stds):
 
 def fit_gam(
     train: SalesSeries,
-    external=None,
     lam: float | None = None,
     lambda_grid=None,
 ) -> GamDesign:
@@ -114,7 +100,7 @@ def fit_gam(
     m = train.frequency.periods_per_year
     fourier_order = train.frequency.default_fourier_order
     knots = tuple((i + 1) / (N_SPLINE_KNOTS + 1) for i in range(N_SPLINE_KNOTS))
-    design = build_design_rows(np.arange(n), n, m, fourier_order, knots, external)
+    design = build_design_rows(np.arange(n), n, m, fourier_order, knots)
     std_design, means, stds = _standardize(design)
     y = train.values
     if lam is None:
@@ -123,30 +109,24 @@ def fit_gam(
         lam = select_lambda(std_design, y, lambda_grid)
     beta_std = lasso_path(std_design, y, [float(lam)])[0]
     beta = _destandardize(beta_std, means, stds)
-    n_external = 0
-    if external is not None:
-        ext = np.asarray(external, dtype=float)
-        n_external = 1 if ext.ndim == 1 else ext.shape[1]
     return GamDesign(
         n_train=n,
         season_length=m,
         fourier_order=fourier_order,
         knots=knots,
-        n_external=n_external,
         beta=tuple(float(b) for b in beta),
-        column_names=_column_names(fourier_order, n_external, N_SPLINE_KNOTS),
+        column_names=_column_names(fourier_order, N_SPLINE_KNOTS),
         lam=float(lam),
     )
 
 
-def gam_predict(design: GamDesign, t_values, external_rows=None) -> np.ndarray:
+def gam_predict(design: GamDesign, t_values) -> np.ndarray:
     rows = build_design_rows(
         t_values,
         design.n_train,
         design.season_length,
         design.fourier_order,
         design.knots,
-        external_rows,
     )
     return rows @ np.array(design.beta)
 
@@ -159,16 +139,12 @@ def gam_decompose(design: GamDesign, t_values) -> dict:
         design.season_length,
         design.fourier_order,
         design.knots,
-        np.zeros((len(np.atleast_1d(t_values)), design.n_external)) if design.n_external else None,
     )
     beta = np.array(design.beta)
-    names = design.column_names
-    seasonal_mask = np.array([name.startswith("fourier_") for name in names])
-    external_mask = np.array([name.startswith("external") for name in names])
-    trend_mask = ~(seasonal_mask | external_mask)
+    seasonal = np.array([name.startswith("fourier_") for name in design.column_names])
     return {
-        "trend": rows[:, trend_mask] @ beta[trend_mask],
-        "seasonal": rows[:, seasonal_mask] @ beta[seasonal_mask],
+        "trend": rows[:, ~seasonal] @ beta[~seasonal],
+        "seasonal": rows[:, seasonal] @ beta[seasonal],
     }
 
 
@@ -179,20 +155,17 @@ class GamForecaster(BaseForecaster):
 
     model_id = ModelId.GAM
 
-    def fit(self, series: SalesSeries, external=None) -> "GamForecaster":
+    def fit(self, series: SalesSeries) -> "GamForecaster":
         self.train_ = series
-        self.external_ = external
-        self.design_ = fit_gam(series, external, lam=self.lam, lambda_grid=self.lambda_grid)
+        self.design_ = fit_gam(series, lam=self.lam, lambda_grid=self.lambda_grid)
         return self
 
-    def forecast(self, horizon: int, external=None) -> ForecastResult:
+    def forecast(self, horizon: int) -> ForecastResult:
         self._check_fitted()
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         n = self.design_.n_train
-        if self.design_.n_external and external is None:
-            raise ValueError("model was fit with external regressors; forecast needs them too")
-        values = gam_predict(self.design_, np.arange(n, n + horizon), external)
+        values = gam_predict(self.design_, np.arange(n, n + horizon))
         return self._result(values)
 
     def decompose(self) -> dict:
@@ -200,6 +173,6 @@ class GamForecaster(BaseForecaster):
         self._check_fitted()
         n = self.design_.n_train
         parts = gam_decompose(self.design_, np.arange(n))
-        fitted = gam_predict(self.design_, np.arange(n), self.external_)
+        fitted = gam_predict(self.design_, np.arange(n))
         parts["residual"] = self.train_.values - fitted
         return parts

@@ -4,8 +4,16 @@ Products run through three stages. First each series is classified by
 history length (full pipeline, shortened holdout, or excluded). Second,
 every enabled model is fitted on a training prefix and scored on the
 held-out final year; the lowest holdout RMSE wins the recommendation.
-Third, every scored model is refitted on the full history and asked for
-the real forward horizon.
+Third, every scored model is refitted on the full history, at the ARIMA
+orders validation selected, and asked for the real forward horizon.
+
+Both stages build, fit and forecast their models through one function,
+`_run_models`, which records each model's forecast or the reason it was
+lost. Validation runs it on the training prefix with the holdout as the
+horizon. Finalize runs it on the full history, then once more on the
+prefix, for the holdout plus the horizon, for the models whose refit
+failed; their forecasts past the holdout stand in for the lost ones. The
+median ensemble is built from whatever forecasts each stage ends with.
 
 Each of the last two stages fans out twice over the usable cores through
 ``fanout.run_all``. First the shared-weight models, the pooled trees and
@@ -309,15 +317,7 @@ def _cnn_config(config: PipelineConfig) -> CnnConfig:
     )
 
 
-def _model_order(config: PipelineConfig) -> tuple:
-    """Deterministic fit order with the ensemble last, after its members."""
-    order = [m for m in MODEL_PRIORITY if m in config.enabled_models and m is not ModelId.ENSEMBLE_MEDIAN]
-    if ModelId.ENSEMBLE_MEDIAN in config.enabled_models:
-        order.append(ModelId.ENSEMBLE_MEDIAN)
-    return tuple(order)
-
-
-def _make_forecaster(model_id: ModelId, shared: _SharedModels, config: PipelineConfig) -> BaseForecaster:
+def _make_forecaster(model_id: ModelId, shared: _SharedModels, config: PipelineConfig, order=None) -> BaseForecaster:
     if model_id is ModelId.NAIVE:
         return NaiveForecaster()
     if model_id is ModelId.SES:
@@ -325,9 +325,9 @@ def _make_forecaster(model_id: ModelId, shared: _SharedModels, config: PipelineC
     if model_id is ModelId.HWES:
         return HwesForecaster()
     if model_id is ModelId.ARIMA:
-        return ArimaForecaster(seasonal=False)
+        return ArimaForecaster(seasonal=False, forced_order=order)
     if model_id is ModelId.SARIMA:
-        return ArimaForecaster(seasonal=True)
+        return ArimaForecaster(seasonal=True, forced_order=order)
     if model_id is ModelId.GAM:
         return GamForecaster(lambda_grid=config.gam_lambda_grid)
     if model_id is ModelId.BOOSTED_TREE:
@@ -346,64 +346,68 @@ def _is_fallback(forecaster: BaseForecaster) -> bool:
     return bool(getattr(state, "fallback", False))
 
 
-def _fit_all(train: SalesSeries, shared: _SharedModels, config: PipelineConfig):
-    """Fit every enabled model on one training series.
+@dataclass
+class _ModelRun:
+    """One model's fit and forecast on one series.
 
-    Returns (fitted: list of (ModelId, forecaster), skipped: list of
-    (model_id, reason)). ARIMA and SARIMA share one set of cached candidate
-    fits when both are enabled. A model that raises is skipped, never fatal.
+    forecaster is None when building or fitting failed; error holds the
+    message of whichever step failed, and result is None whenever error is set.
     """
-    fitted = []
-    skipped = []
-    order = _model_order(config)
-    pair_ids = {ModelId.ARIMA, ModelId.SARIMA}
-    joint = pair_ids <= set(order) and len(train) >= 3 * train.frequency.periods_per_year
-    for model_id in order:
-        if model_id is ModelId.ENSEMBLE_MEDIAN:
-            continue  # computed from member forecasts, not fitted
-        if joint and model_id in pair_ids:
-            if model_id is ModelId.SARIMA:
-                continue  # handled together with ARIMA below
+
+    model_id: ModelId
+    result: ForecastResult | None = None
+    error: str | None = None
+    forecaster: BaseForecaster | None = None
+
+
+def _run_models(series: SalesSeries, model_ids, horizon: int, shared: _SharedModels, config: PipelineConfig, orders=None) -> list:
+    """Fit each model on series, then forecast horizon steps; one _ModelRun per model.
+
+    orders maps ARIMA/SARIMA ids to an order to fit without searching. When
+    both search on a series of at least three years, they share one set of
+    cached candidate fits through fit_arima_pair and both take ARIMA's slot.
+    Otherwise runs follow model_ids. A model that raises is recorded, never fatal.
+    """
+    orders = orders or {}
+    pair = (ModelId.ARIMA, ModelId.SARIMA)
+    joint = (
+        all(m in model_ids and m not in orders for m in pair)
+        and len(series) >= 3 * series.frequency.periods_per_year
+    )
+    runs = []
+    for model_id in model_ids:
+        if joint and model_id in pair:
+            if model_id is ModelId.ARIMA:
+                runs.extend(_fit_pair(series))
+            continue
+        try:
+            forecaster = _make_forecaster(model_id, shared, config, orders.get(model_id))
+            forecaster.fit(series)
+            runs.append(_ModelRun(model_id, forecaster=forecaster))
+        except Exception as exc:
+            runs.append(_ModelRun(model_id, error=str(exc)))
+    for run in runs:
+        if run.forecaster is not None:
             try:
-                plain_fit, seasonal_fit = fit_arima_pair(train)
-                for seasonal, fit in ((False, plain_fit), (True, seasonal_fit)):
-                    forecaster = ArimaForecaster(seasonal=seasonal)
-                    forecaster.train_ = train
-                    forecaster.fit_ = fit
-                    fitted.append((forecaster.model_id, forecaster))
+                run.result = run.forecaster.forecast(horizon)
             except Exception as exc:
-                skipped.append((ModelId.ARIMA.value, str(exc)))
-                skipped.append((ModelId.SARIMA.value, str(exc)))
-            continue
-        try:
-            forecaster = _make_forecaster(model_id, shared, config)
-            forecaster.fit(train)
-            fitted.append((model_id, forecaster))
-        except Exception as exc:
-            skipped.append((model_id.value, str(exc)))
-    return fitted, skipped
+                run.error = str(exc)
+    return runs
 
 
-def _forecast_all(fitted, skipped, horizon: int, config: PipelineConfig):
-    """Run every fitted model forward, then the ensemble over its members."""
-    results = []
-    fallbacks = {}
-    for model_id, forecaster in fitted:
-        try:
-            result = forecaster.forecast(horizon)
-        except Exception as exc:
-            skipped.append((model_id.value, str(exc)))
-            continue
-        results.append(result)
-        fallbacks[model_id.value] = _is_fallback(forecaster)
-    if ModelId.ENSEMBLE_MEDIAN in config.enabled_models:
-        ensemble, reason = _median_ensemble(results, config)
-        if ensemble is None:
-            skipped.append((ModelId.ENSEMBLE_MEDIAN.value, reason))
-        else:
-            results.append(ensemble)
-            fallbacks[ModelId.ENSEMBLE_MEDIAN.value] = False
-    return results, fallbacks
+def _fit_pair(series: SalesSeries) -> list:
+    """ARIMA's and SARIMA's runs, fitted but not yet forecast, from one joint search."""
+    try:
+        fits = fit_arima_pair(series)
+    except Exception as exc:
+        return [_ModelRun(m, error=str(exc)) for m in (ModelId.ARIMA, ModelId.SARIMA)]
+    runs = []
+    for seasonal, fit in zip((False, True), fits):
+        forecaster = ArimaForecaster(seasonal=seasonal)
+        forecaster.train_ = series
+        forecaster.fit_ = fit
+        runs.append(_ModelRun(forecaster.model_id, forecaster=forecaster))
+    return runs
 
 
 def _median_ensemble(results, config: PipelineConfig) -> tuple:
@@ -501,24 +505,30 @@ def run_validation(corpus, config: PipelineConfig | None = None) -> ValidationRe
 
 def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity, shared: _SharedModels, config: PipelineConfig) -> ProductValidation:
     """Fit every enabled model on the training prefix and score it on the holdout."""
-    fitted, skipped = _fit_all(train, shared, config)
-    results, fallbacks = _forecast_all(fitted, skipped, len(test), config)
-    orders = {
-        model_id.value: forecaster.fit_.order
-        for model_id, forecaster in fitted
-        if isinstance(forecaster, ArimaForecaster)
-    }
-    scores = []
-    for result in results:
-        metrics = compute_metric_set(test.values, result.values)
-        scores.append(
-            ModelScore(
-                result.model_id,
-                metrics,
-                fallback=fallbacks[result.model_id],
-                selected_order=orders.get(result.model_id),
-            )
+    model_ids = [m for m in MODEL_PRIORITY if m in config.enabled_models and m is not ModelId.ENSEMBLE_MEDIAN]
+    runs = _run_models(train, model_ids, len(test), shared, config)
+    # fit failures are listed before forecast failures
+    skipped = [
+        (run.model_id.value, run.error)
+        for run in sorted(runs, key=lambda run: run.forecaster is not None)
+        if run.error is not None
+    ]
+    scores = [
+        ModelScore(
+            run.model_id.value,
+            compute_metric_set(test.values, run.result.values),
+            fallback=_is_fallback(run.forecaster),
+            selected_order=run.forecaster.fit_.order if isinstance(run.forecaster, ArimaForecaster) else None,
         )
+        for run in runs
+        if run.result is not None
+    ]
+    if ModelId.ENSEMBLE_MEDIAN in config.enabled_models:
+        ensemble, reason = _median_ensemble([run.result for run in runs if run.result is not None], config)
+        if ensemble is None:
+            skipped.append((ModelId.ENSEMBLE_MEDIAN.value, reason))
+        else:
+            scores.append(ModelScore(ensemble.model_id, compute_metric_set(test.values, ensemble.values)))
     flags = []
     if scores:
         recommended = recommend_model(scores)
@@ -536,19 +546,18 @@ def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity,
     )
 
 
-def _decomposition_from(fitted, train: SalesSeries) -> Decomposition | None:
-    for model_id, forecaster in fitted:
-        if model_id is ModelId.GAM:
-            parts = forecaster.decompose()
-            return Decomposition(
-                product_id=train.product_id,
-                start=train.start,
-                observed=train.values,
-                trend=parts["trend"],
-                seasonal=parts["seasonal"],
-                residual=parts["residual"],
-            )
-    return None
+def _decomposition(forecaster: GamForecaster) -> Decomposition:
+    """The GAM's trend/seasonal/residual paths over the series it was fitted on."""
+    parts = forecaster.decompose()
+    train = forecaster.train_
+    return Decomposition(
+        product_id=train.product_id,
+        start=train.start,
+        observed=train.values,
+        trend=parts["trend"],
+        seasonal=parts["seasonal"],
+        residual=parts["residual"],
+    )
 
 
 def finalize_and_forecast(corpus, report: ValidationReport, config: PipelineConfig | None = None) -> ForecastBundle:
@@ -593,29 +602,43 @@ def finalize_and_forecast(corpus, report: ValidationReport, config: PipelineConf
 
 def _finalize_product(series: SalesSeries, validation: ProductValidation, shared: _SharedModels, config: PipelineConfig) -> ProductForecasts:
     """Refit one product's scored models on its full history and forecast the horizon."""
-    scored_ids = [ModelId(score.model_id) for score in validation.scores]
-    if validation.recommended is not None and ModelId(validation.recommended) not in scored_ids:
+    model_ids = [ModelId(score.model_id) for score in validation.scores]
+    if validation.recommended is not None and ModelId(validation.recommended) not in model_ids:
         # no_model products still get their fallback recommendation fitted
-        scored_ids.append(ModelId(validation.recommended))
+        model_ids.append(ModelId(validation.recommended))
+    model_ids = [m for m in model_ids if m is not ModelId.ENSEMBLE_MEDIAN]
+    orders = {
+        ModelId(score.model_id): score.selected_order
+        for score in validation.scores
+        if score.selected_order is not None
+    }
+    runs = _run_models(series, model_ids, config.horizon, shared, config, orders)
+    failed = [run.model_id for run in runs if run.result is None]
+    retried = {}
+    if failed:
+        train, _ = split_holdout(series, validation.holdout)
+        horizon = validation.holdout + config.horizon
+        retried = {run.model_id: run for run in _run_models(train, failed, horizon, shared, config, orders)}
     flags = list(validation.flags)
     results = []
-    fitted = []
-    for model_id in scored_ids:
-        if model_id is ModelId.ENSEMBLE_MEDIAN:
-            continue
-        score = validation.score_for(model_id.value)
-        order = score.selected_order if score is not None else None
-        result, forecaster, flag = _refit_one(
-            model_id, series, validation.holdout, order, shared, config
-        )
-        if result is None:
-            flags.append(flag)
-            continue
-        if flag:
-            flags.append(flag)
-        results.append(result)
-        if forecaster is not None:
-            fitted.append((model_id, forecaster))
+    decomposition = None
+    for run in runs:
+        used = run
+        if run.result is None:
+            used = retried[run.model_id]
+            if used.result is None:
+                flags.append(f"{run.model_id.value}: refit failed ({used.error})")
+                continue
+            flags.append(f"{run.model_id.value}: refit failed, reusing validation fit ({run.error})")
+            used.result = ForecastResult(
+                product_id=series.product_id,
+                model_id=run.model_id.value,
+                start=series.end + 1,
+                values=used.result.values[validation.holdout:],
+            )
+        results.append(used.result)
+        if run.model_id is ModelId.GAM:
+            decomposition = _decomposition(used.forecaster)
     if ModelId.ENSEMBLE_MEDIAN.value in {s.model_id for s in validation.scores}:
         ensemble, reason = _median_ensemble(results, config)
         if ensemble is None:
@@ -635,38 +658,8 @@ def _finalize_product(series: SalesSeries, validation: ProductValidation, shared
         forecasts=tuple(results),
         recommended=recommended,
         flags=tuple(flags),
-        decomposition=_decomposition_from(fitted, series),
+        decomposition=decomposition,
     )
-
-
-def _refit_one(model_id: ModelId, series: SalesSeries, holdout: int, order, shared: _SharedModels, config: PipelineConfig):
-    """Returns (result, forecaster, flag); result None means the model is lost."""
-
-    def build() -> BaseForecaster:
-        forecaster = _make_forecaster(model_id, shared, config)
-        if order is not None and isinstance(forecaster, ArimaForecaster):
-            forecaster.forced_order = order
-        return forecaster
-
-    try:
-        forecaster = build()
-        forecaster.fit(series)
-        return forecaster.forecast(config.horizon), forecaster, None
-    except Exception as refit_exc:
-        try:
-            train, _ = split_holdout(series, holdout)
-            forecaster = build()
-            forecaster.fit(train)
-            extended = forecaster.forecast(holdout + config.horizon)
-            result = ForecastResult(
-                product_id=series.product_id,
-                model_id=model_id.value,
-                start=series.end + 1,
-                values=extended.values[holdout:],
-            )
-            return result, forecaster, f"{model_id.value}: refit failed, reusing validation fit ({refit_exc})"
-        except Exception as exc:
-            return None, None, f"{model_id.value}: refit failed ({exc})"
 
 
 def run_pipeline(corpus, config: PipelineConfig | None = None):

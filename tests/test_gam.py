@@ -11,33 +11,23 @@ from helpers import kkt_violation, monthly_series, seasonal_values, weekly_serie
 
 class TestDesignMatrix:
     def test_column_count_monthly(self):
-        # intercept + 2 trends + 2K Fourier + externals + (2 + knots) spline
+        # intercept + 2 trends + 2K Fourier + (2 + knots) spline
         design = fit_gam(monthly_series(np.arange(24.0) + 1), lam=0.0)
-        assert design.n_columns == 1 + 2 + 2 * 3 + 0 + 2 + 5
+        assert design.n_columns == 1 + 2 + 2 * 3 + 2 + 5
         assert design.column_names[0] == "intercept"
         assert design.fourier_order == 3
 
     def test_column_count_weekly(self):
         design = fit_gam(weekly_series(np.arange(60.0) + 1), lam=0.0)
         assert design.fourier_order == 10
-        assert design.n_columns == 1 + 2 + 2 * 10 + 0 + 2 + 5
+        assert design.n_columns == 1 + 2 + 2 * 10 + 2 + 5
 
-    def test_external_regressors_add_columns(self):
-        series = monthly_series(np.arange(24.0) + 1)
-        design = fit_gam(series, external=np.ones((24, 2)), lam=0.0)
-        assert design.n_external == 2
-        assert design.n_columns == 16 + 2
-
-    def test_non_finite_external_names_column(self):
-        series = monthly_series(np.arange(24.0) + 1)
-        bad = np.ones(24)
-        bad[3] = np.nan
-        with pytest.raises(ValueError, match="column"):
-            fit_gam(series, external=bad, lam=0.0)
-
-    def test_external_row_count_must_match(self):
-        with pytest.raises(ValueError, match="rows"):
-            build_design_rows(np.arange(10), 10, 12, 3, (0.5,), external_rows=np.ones(7))
+    def test_non_finite_design_names_column(self):
+        t = np.arange(10.0)
+        t[3] = np.nan
+        # the time offset fills the linear-trend column, index 1
+        with pytest.raises(ValueError, match="column 1"):
+            build_design_rows(t, 10, 12, 3, (0.5,))
 
 
 class TestFitGam:
@@ -147,14 +137,6 @@ class TestGamForecaster:
         truth = 1000.0 + 200.0 * np.cos(2.0 * np.pi * np.arange(48, 60) / 12.0)
         nrmse = np.sqrt(np.mean((result.values - truth) ** 2)) / (truth.max() - truth.min())
         assert nrmse < 0.05
-
-    def test_fit_with_externals_requires_them_at_forecast_time(self):
-        series = monthly_series(np.arange(24.0) + 10)
-        model = GamForecaster(lam=0.0).fit(series, external=np.arange(24.0))
-        with pytest.raises(ValueError, match="external"):
-            model.forecast(6)
-        result = model.forecast(6, external=np.arange(24.0, 30.0))
-        assert result.horizon == 6
 
     def test_horizon_below_one_rejected(self):
         model = GamForecaster(lam=0.0).fit(monthly_series(np.arange(24.0) + 1))

@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from autocast import fanout
+from autocast import fanout, pipeline
 from autocast.errors import ConfigError
 from autocast.export import export_bundle
 from autocast.ingest import Validity
 from autocast.metrics import MetricSet
-from autocast.models import MODEL_PRIORITY, DEFAULT_MEMBERS, HwesForecaster, ModelId
+from autocast.models import MODEL_PRIORITY, DEFAULT_MEMBERS, GamForecaster, HwesForecaster, ModelId
 from autocast.pipeline import (
     ModelScore,
     PipelineConfig,
@@ -190,6 +190,28 @@ class TestRunValidation:
         assert entry.validity is Validity.SHORT_HISTORY
         assert entry.holdout == expected_holdout
 
+    def test_joint_arima_pair_runs_alongside_every_other_model(self, monkeypatch):
+        # a 36-point training prefix is three years: ARIMA and SARIMA share
+        # one search and take ARIMA's slot, and no other model is dropped
+        calls = []
+        original = pipeline.fit_arima_pair
+
+        def counting_pair(train):
+            calls.append(len(train))
+            return original(train)
+
+        monkeypatch.setattr(pipeline, "fit_arima_pair", counting_pair)
+        prod = monthly_series(seasonal_values(48, noise=2.0, seed=3))
+        report = run_validation([prod], PipelineConfig(gam_lambda_grid=(1.0,)))
+        entry = report.products[0]
+        assert calls == [36]
+        assert entry.skipped == ()
+        assert [s.model_id for s in entry.scores] == [
+            "hwes", "ses", "gam", "arima", "sarima", "boosted_tree", "cnn", "naive", "ensemble_median",
+        ]
+        assert entry.score_for("arima").selected_order is not None
+        assert entry.score_for("sarima").selected_order is not None
+
     def test_sarima_skipped_on_short_history_with_reason(self):
         prod = monthly_series(seasonal_values(13, noise=0.5, seed=2))
         config = PipelineConfig(enabled_models=("naive", "sarima"), ensemble_members=())
@@ -318,6 +340,54 @@ class TestFinalizeAndForecast:
         assert reused.horizon == 18
         assert reused.start == prod.end + 1
         assert entry.recommended == "hwes"
+
+    def test_ensemble_uses_reused_member_forecast(self, monkeypatch):
+        prod = monthly_series(np.tile(PATTERN, 4))
+        config = PipelineConfig(
+            enabled_models=("naive", "hwes", "gam", "ensemble_median"),
+            ensemble_members=("hwes", "gam"),
+            gam_lambda_grid=(1.0,),
+        )
+        report = run_validation([prod], config)
+        original_fit = HwesForecaster.fit
+        full_length = len(prod)
+
+        def flaky_fit(self, series):
+            if len(series) == full_length:
+                raise RuntimeError("boom")
+            return original_fit(self, series)
+
+        monkeypatch.setattr(HwesForecaster, "fit", flaky_fit)
+        entry = finalize_and_forecast([prod], report, config).products[0]
+        assert "hwes: refit failed, reusing validation fit (boom)" in entry.flags
+        assert [f.model_id for f in entry.forecasts] == ["hwes", "gam", "naive", "ensemble_median"]
+        members = np.vstack([entry.forecast_for("hwes").values, entry.forecast_for("gam").values])
+        np.testing.assert_array_equal(
+            entry.forecast_for("ensemble_median").values, np.median(members, axis=0)
+        )
+
+    def test_reused_gam_fit_decomposes_its_own_training_window(self, monkeypatch):
+        prod = monthly_series(np.tile(PATTERN, 4))
+        config = cheap_config()
+        report = run_validation([prod], config)
+        original_fit = GamForecaster.fit
+        full_length = len(prod)
+
+        def flaky_fit(self, series):
+            if len(series) == full_length:
+                raise RuntimeError("boom")
+            return original_fit(self, series)
+
+        monkeypatch.setattr(GamForecaster, "fit", flaky_fit)
+        entry = finalize_and_forecast([prod], report, config).products[0]
+        assert any("gam: refit failed, reusing validation fit" in f for f in entry.flags)
+        decomposition = entry.decomposition
+        assert decomposition.start == prod.start
+        assert len(decomposition.observed) == full_length - report.products[0].holdout
+        for part in (decomposition.trend, decomposition.seasonal, decomposition.residual):
+            assert len(part) == len(decomposition.observed)
+        total = decomposition.trend + decomposition.seasonal + decomposition.residual
+        np.testing.assert_allclose(total, decomposition.observed, atol=1e-8)
 
     def test_unconditional_refit_failure_falls_back_by_priority(self, monkeypatch):
         prod = monthly_series(np.tile(PATTERN, 4))

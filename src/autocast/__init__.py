@@ -20,7 +20,7 @@ from .evaluation import (
 from .export import export_bundle, read_export_dir
 from .ingest import Validity, check_validity, ingest_sales, load_sales_csv, read_sales_csv, write_sales_csv
 from .metrics import MetricSet, compute_metric_set, compute_mape, compute_nrmse, compute_rmse
-from .models import MODEL_PRIORITY, BaseForecaster, ModelId, NotFittedError, priority_rank
+from .models.base import MODEL_PRIORITY, BaseForecaster, ModelId, NotFittedError, priority_rank
 from .pipeline import (
     ForecastBundle,
     PipelineConfig,

@@ -1,28 +1,1 @@
-from .layers import DenseLastStep, DilatedCausalConv1d, Relu
-from .network import CnnConfig, CnnNetwork
-from .training import (
-    Adam,
-    CnnForecaster,
-    EarlyStopping,
-    NormStats,
-    build_training_windows,
-    cnn_forecast,
-    loss_and_grads,
-    train_shared_cnn,
-)
-
-__all__ = [
-    "Adam",
-    "CnnConfig",
-    "CnnForecaster",
-    "CnnNetwork",
-    "DenseLastStep",
-    "DilatedCausalConv1d",
-    "EarlyStopping",
-    "NormStats",
-    "Relu",
-    "build_training_windows",
-    "cnn_forecast",
-    "loss_and_grads",
-    "train_shared_cnn",
-]
+"""The shared dilated causal CNN: the network in ``network``, its training and forecasting in ``training``."""

@@ -79,16 +79,15 @@ class Adam:
 def loss_and_grads(network: CnnNetwork, X, y):
     """Mean squared error and parameter gradients for one batch.
 
-    Returns the network's live gradients, one view per parameter into its
-    flat ``gradient`` buffer; copy them before calling again if you need
-    the old values.
+    Returns the network's live flat ``gradient`` buffer; copy it before
+    calling again if you need the old values.
     """
     network.zero_grads()
     pred = network.forward(X)
     diff = pred - y
     loss = float(diff @ diff) / len(y)
     network.backward(2.0 * diff / len(y))
-    return loss, network.grads()
+    return loss, network.gradient
 
 
 def _evaluate(network: CnnNetwork, X, y) -> float:
@@ -117,13 +116,11 @@ class EarlyStopping:
         return self.stale_epochs >= self.patience
 
 
-def train_shared_cnn(corpus, config: CnnConfig, on_epoch=None):
+def train_shared_cnn(corpus, config: CnnConfig):
     """Returns (network at its best validation epoch, per-product NormStats).
 
     Stops when the best validation loss has not improved for `patience`
-    consecutive epochs (strict improvement), or at max_epochs. on_epoch, if
-    given, is called as on_epoch(epoch, train_loss, val_loss) after each
-    epoch; the extra train-set evaluation only happens when it is set.
+    consecutive epochs (strict improvement), or at max_epochs.
     """
     X, y, stats = build_training_windows(corpus, config.input_window)
     if len(y) == 0:
@@ -144,7 +141,7 @@ def train_shared_cnn(corpus, config: CnnConfig, on_epoch=None):
 
     stopper = EarlyStopping(config.patience)
     best_weights = network.get_weights()
-    for epoch in range(config.max_epochs):
+    for _ in range(config.max_epochs):
         order = shuffler.permutation(len(y_train))
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
@@ -155,8 +152,6 @@ def train_shared_cnn(corpus, config: CnnConfig, on_epoch=None):
         should_stop = stopper.update(val_loss)
         if improved:
             best_weights = network.get_weights()
-        if on_epoch is not None:
-            on_epoch(epoch, _evaluate(network, X_train, y_train), val_loss)
         if should_stop:
             break
     network.set_weights(best_weights)

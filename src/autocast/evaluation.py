@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, EvaluationError, ExportError
 from .metrics import compute_nrmse, compute_rmse
-from .models import ModelId, priority_rank
+from .models.base import ModelId, priority_rank
 from .pipeline import ForecastBundle, ValidationReport
 from .svgplot import box_plot
 

@@ -207,9 +207,9 @@ def fit_boosted_trees(X, y, n_rounds: int = N_ROUNDS, learning_rate: float = LEA
     return GradientBoostedTrees(base, feature, threshold, value, learning_rate)
 
 
-def train_pooled_trees(corpus, log_targets: bool = True) -> GradientBoostedTrees:
+def train_pooled_trees(corpus) -> GradientBoostedTrees:
     """One model over window rows pooled from every product (sorted id order)."""
-    blocks = [make_window_features(s, log_targets) for s in sorted(corpus, key=lambda s: s.product_id)]
+    blocks = [make_window_features(s) for s in sorted(corpus, key=lambda s: s.product_id)]
     xs = [X for X, _ in blocks if len(X)]
     ys = [y for _, y in blocks if len(y)]
     if not xs:
@@ -222,9 +222,8 @@ class BoostedTreeForecaster(BaseForecaster):
 
     model_id = ModelId.BOOSTED_TREE
 
-    def __init__(self, model: GradientBoostedTrees, log_targets: bool = True):
+    def __init__(self, model: GradientBoostedTrees):
         self.model = model
-        self.log_targets = log_targets
 
     def fit(self, series: SalesSeries) -> "BoostedTreeForecaster":
         m = series.frequency.periods_per_year
@@ -244,8 +243,7 @@ class BoostedTreeForecaster(BaseForecaster):
             position = (start_pos + state["t"]) % m
             state["t"] += 1
             row = one_step_features(history, position, m)
-            value = self.model.predict_one(row)
-            return np.expm1(value) if self.log_targets else value
+            return np.expm1(self.model.predict_one(row))
 
         values = iterate_one_step(predict_one, self.train_.values, horizon)
         return self._result(values)

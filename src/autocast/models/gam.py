@@ -90,10 +90,12 @@ def _destandardize(beta_std, means, stds):
 
 def fit_gam(
     train: SalesSeries,
-    lam: float | None = None,
     lambda_grid=None,
 ) -> GamDesign:
-    """Fit on the training rows; lam=None selects from the log grid."""
+    """Fit on the training rows; lambda is picked from lambda_grid (default: the log grid).
+
+    A one-entry grid fixes lambda: select_lambda returns it unscored.
+    """
     n = len(train)
     if n < 12:
         raise ValueError(f"fit needs at least 12 points, got {n}")
@@ -103,10 +105,9 @@ def fit_gam(
     design = build_design_rows(np.arange(n), n, m, fourier_order, knots)
     std_design, means, stds = _standardize(design)
     y = train.values
-    if lam is None:
-        if lambda_grid is None:
-            lambda_grid = default_lambda_grid(std_design, y)
-        lam = select_lambda(std_design, y, lambda_grid)
+    if lambda_grid is None:
+        lambda_grid = default_lambda_grid(std_design, y)
+    lam = select_lambda(std_design, y, lambda_grid)
     beta_std = lasso_path(std_design, y, [float(lam)])[0]
     beta = _destandardize(beta_std, means, stds)
     return GamDesign(
@@ -149,15 +150,14 @@ def gam_decompose(design: GamDesign, t_values) -> dict:
 
 
 class GamForecaster(BaseForecaster):
-    def __init__(self, lam: float | None = None, lambda_grid=None):
-        self.lam = lam
+    def __init__(self, lambda_grid=None):
         self.lambda_grid = lambda_grid
 
     model_id = ModelId.GAM
 
     def fit(self, series: SalesSeries) -> "GamForecaster":
         self.train_ = series
-        self.design_ = fit_gam(series, lam=self.lam, lambda_grid=self.lambda_grid)
+        self.design_ = fit_gam(series, lambda_grid=self.lambda_grid)
         return self
 
     def forecast(self, horizon: int) -> ForecastResult:

@@ -206,13 +206,6 @@ def lasso_path(design, target, lams) -> np.ndarray:
     return np.column_stack([intercept, coefs])
 
 
-def lasso_objective(design, target, beta, lam: float) -> float:
-    M = np.asarray(design, dtype=float)
-    y = np.asarray(target, dtype=float)
-    r = y - M @ beta
-    return float((r @ r) / (2 * len(y)) + lam * np.abs(beta[1:]).sum())
-
-
 def lambda_max(design, target) -> float:
     """Smallest lambda that zeroes every penalized coefficient."""
     M = np.asarray(design, dtype=float)

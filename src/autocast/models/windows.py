@@ -14,11 +14,11 @@ def feature_length(m: int) -> int:
     return 2 * m
 
 
-def make_window_features(series: SalesSeries, log_targets: bool = False):
+def make_window_features(series: SalesSeries):
     """Returns (X, y) arrays with one row per period t >= m; empty for short series.
 
     Row t: values v_{t-m}..v_{t-1} in order, then the one-hot seasonal
-    position of t. Targets are log1p-transformed when log_targets is set.
+    position of t. Targets are log1p-transformed.
     """
     m = series.frequency.periods_per_year
     n = len(series)
@@ -31,10 +31,7 @@ def make_window_features(series: SalesSeries, log_targets: bool = False):
     for i, t in enumerate(range(m, n)):
         X[i, :m] = values[t - m : t]
         X[i, m + (start_pos + t) % m] = 1.0
-    y = values[m:]
-    if log_targets:
-        y = np.log1p(y)
-    return X, y.copy()
+    return X, np.log1p(values[m:])
 
 
 def one_step_features(history: np.ndarray, next_position: int, m: int) -> np.ndarray:

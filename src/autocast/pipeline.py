@@ -27,32 +27,24 @@ one usable core both steps run serially in this process.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
-from .deeplearn import CnnConfig, CnnForecaster, CnnNetwork, train_shared_cnn
+from .deeplearn.network import CnnConfig, CnnNetwork
+from .deeplearn.training import CnnForecaster, train_shared_cnn
 from .errors import ConfigError
 from .fanout import run_all
 from .ingest import Validity, check_validity
 from .metrics import MetricSet, compute_metric_set
-from .models import (
-    MODEL_PRIORITY,
-    ArimaForecaster,
-    BaseForecaster,
-    BoostedTreeForecaster,
-    DEFAULT_MEMBERS,
-    GamForecaster,
-    HwesForecaster,
-    ModelId,
-    NaiveForecaster,
-    SesForecaster,
-    ensemble_forecast,
-    fit_arima_pair,
-    priority_rank,
-    train_pooled_trees,
-)
+from .models.arima import ArimaForecaster, fit_arima_pair
+from .models.base import MODEL_PRIORITY, BaseForecaster, ModelId, priority_rank
+from .models.boosting import BoostedTreeForecaster, train_pooled_trees
+from .models.ensemble import DEFAULT_MEMBERS, ensemble_forecast
+from .models.gam import GamForecaster
+from .models.naive import NaiveForecaster
+from .models.smoothing import HwesForecaster, SesForecaster
 from .series import ForecastResult, Frequency, SalesSeries, split_holdout
 
 MIN_HOLDOUT = 3
@@ -112,21 +104,15 @@ class PipelineConfig:
         }
 
 
-_CONFIG_KEYS = {
-    "frequency",
-    "horizon",
-    "holdout",
-    "enabled_models",
-    "ensemble_members",
-    "seed",
-    "gam_lambda_grid",
-    "input_path",
-    "output_dir",
-}
+_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
 
 
 def parse_config(path) -> PipelineConfig:
-    """Read a JSON config file; missing keys take defaults, unknown keys fail."""
+    """Read a JSON config file; missing keys take defaults, unknown keys fail.
+
+    Values are converted and checked by PipelineConfig itself; its
+    ValueError or TypeError becomes a ConfigError naming the file.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -139,24 +125,15 @@ def parse_config(path) -> PipelineConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
-    kwargs = dict(raw)
+    for key in ("horizon", "holdout", "seed"):
+        if key in raw and raw[key] is not None:
+            if not isinstance(raw[key], int) or isinstance(raw[key], bool):
+                raise ConfigError(f"{key}: expected an integer, got {raw[key]!r}")
+    for key in ("input_path", "output_dir"):
+        if key in raw and raw[key] is not None and not isinstance(raw[key], str):
+            raise ConfigError(f"{key}: expected a string, got {raw[key]!r}")
     try:
-        if "frequency" in kwargs:
-            kwargs["frequency"] = Frequency(kwargs["frequency"])
-        if "enabled_models" in kwargs:
-            kwargs["enabled_models"] = tuple(ModelId(m) for m in kwargs["enabled_models"])
-        if "ensemble_members" in kwargs:
-            kwargs["ensemble_members"] = tuple(ModelId(m) for m in kwargs["ensemble_members"])
-        if "gam_lambda_grid" in kwargs and kwargs["gam_lambda_grid"] is not None:
-            kwargs["gam_lambda_grid"] = tuple(kwargs["gam_lambda_grid"])
-        for key in ("horizon", "holdout", "seed"):
-            if key in kwargs and kwargs[key] is not None:
-                if not isinstance(kwargs[key], int) or isinstance(kwargs[key], bool):
-                    raise ConfigError(f"{key}: expected an integer, got {kwargs[key]!r}")
-        for key in ("input_path", "output_dir"):
-            if key in kwargs and kwargs[key] is not None and not isinstance(kwargs[key], str):
-                raise ConfigError(f"{key}: expected a string, got {kwargs[key]!r}")
-        return PipelineConfig(**kwargs)
+        return PipelineConfig(**raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
 
@@ -281,7 +258,7 @@ def _train_shared(corpus: list, config: PipelineConfig) -> _SharedModels:
     more usable cores the CNN trains in a forked worker while this process
     trains the trees. The CNN comes back as its flat weight vector, loaded
     into a network built from the same config: a pickled network would lose
-    its layers' views into that buffer. A training that raises ValueError
+    its (weight, bias) views into that buffer. A training that raises ValueError
     leaves its model unavailable, with the message as the reason.
     """
     cnn_config = _cnn_config(config)

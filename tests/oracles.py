@@ -7,8 +7,9 @@ round: a CNN that convolves every position of the window, and the tree
 trainer that sorts every feature at every node, which the presorted trainer
 must reproduce bit for bit. The fit kernels' array formulations (Nelder-Mead
 on a numpy simplex, lag polynomials accumulated into zeroed arrays, the
-smoothing recursions on numpy scalars) are kept verbatim as well: the
-kernels must reproduce them bit for bit.
+smoothing recursions on numpy scalars, the CNN's cone as one object per
+layer) are kept verbatim as well: the kernels must reproduce them bit for
+bit.
 """
 import math
 from dataclasses import dataclass
@@ -159,6 +160,148 @@ def full_length_cnn(convs, dense_weight, dense_bias, X, y):
         grads[:0] = [grad_weight, grad_z.sum(axis=(0, 2))]
         grad_x = grad_padded[:, :, (kernel - 1) * dilation :]
     return pred, grads
+
+
+class Layer:
+    param_names: tuple = ()
+
+    def params(self) -> list:
+        return [getattr(self, name) for name in self.param_names]
+
+    def grads(self) -> list:
+        return [getattr(self, "grad_" + name) for name in self.param_names]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+
+def causal_taps(positions, kernel_size: int, dilation: int) -> np.ndarray:
+    """(len(positions), kernel_size) input positions each output position reads.
+
+    Tap k (0-based) reads position t - (kernel-1-k)*dilation, so the last tap
+    is the current step.
+    """
+    lags = dilation * np.arange(kernel_size - 1, -1, -1)
+    return np.asarray(positions)[:, None] - lags
+
+
+class DilatedCausalConv1d(Layer):
+    """Causal conv over tap-ordered input: (batch, outputs*kernel, in) -> (batch, outputs, out).
+
+    The dilation lives in which positions the network feeds the layer
+    (causal_taps of its outputs, raveled), not in the layer. Weights are
+    stored (kernel, in_channels, out_channels), so the taps of one output
+    position form one row of the matrix multiply.
+    """
+
+    param_names = ("weight", "bias")
+
+    def __init__(self, in_channels: int, out_channels: int, kernel_size: int, rng):
+        scale = np.sqrt(2.0 / (in_channels * kernel_size))
+        # drawn (out, in, kernel) so a seed gives the same weights whatever the storage order
+        self.weight = rng.normal(0.0, scale, size=(out_channels, in_channels, kernel_size)).transpose(2, 1, 0).copy()
+        self.bias = np.zeros(out_channels)
+        self.grad_weight = np.zeros_like(self.weight)
+        self.grad_bias = np.zeros_like(self.bias)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        kernel, in_channels, out_channels = self.weight.shape
+        if x.ndim != 3 or x.shape[2] != in_channels or x.shape[1] % kernel:
+            raise ValueError(f"expected (batch, a multiple of {kernel} positions, {in_channels}), got {x.shape}")
+        self._in_shape = x.shape
+        self._cols = x.reshape(-1, kernel * in_channels)
+        out = self._cols @ self.weight.reshape(-1, out_channels) + self.bias
+        return out.reshape(x.shape[0], x.shape[1] // kernel, out_channels)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        out_channels = self.weight.shape[2]
+        flat = grad_out.reshape(-1, out_channels)
+        self.grad_bias += flat.sum(axis=0)
+        self.grad_weight += (self._cols.T @ flat).reshape(self.weight.shape)
+        return (flat @ self.weight.reshape(-1, out_channels).T).reshape(self._in_shape)
+
+
+class Relu(Layer):
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._mask = x > 0
+        return np.where(self._mask, x, 0.0)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        return np.where(self._mask, grad_out, 0.0)
+
+
+class DenseLastStep(Layer):
+    """Linear head over the channels of the final time step only."""
+
+    param_names = ("weight", "bias")
+
+    def __init__(self, in_channels: int, rng):
+        scale = np.sqrt(1.0 / in_channels)
+        self.weight = rng.normal(0.0, scale, size=in_channels)
+        self.bias = np.zeros(1)
+        self.grad_weight = np.zeros_like(self.weight)
+        self.grad_bias = np.zeros_like(self.bias)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._last = x[:, -1, :]
+        self._in_shape = x.shape
+        return self._last @ self.weight + self.bias[0]
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self.grad_weight += grad_out @ self._last
+        self.grad_bias[0] += grad_out.sum()
+        grad_in = np.zeros(self._in_shape)
+        grad_in[:, -1, :] = np.outer(grad_out, self.weight)
+        return grad_in
+
+
+class LayerStackCnn:
+    """The conv+ReLU stack over the head's cone as one object per layer, each with its own arrays."""
+
+    def __init__(self, input_window, kernel_size, dilations, channels, seed):
+        rng = np.random.default_rng(seed)
+        positions = np.array([input_window - 1])
+        for dilation in reversed(dilations):
+            positions = causal_taps(positions, kernel_size, dilation).ravel()
+        self.inputs = positions
+        self.layers = []
+        in_channels = 1
+        for _ in dilations:
+            self.layers.append(DilatedCausalConv1d(in_channels, channels, kernel_size, rng))
+            self.layers.append(Relu())
+            in_channels = channels
+        self.layers.append(DenseLastStep(in_channels, rng))
+
+    def flat_params(self):
+        return np.concatenate([p.ravel() for layer in self.layers for p in layer.params()])
+
+    def forward(self, windows):
+        x = np.asarray(windows, dtype=float)[:, self.inputs, None]
+        for layer in self.layers:
+            x = layer.forward(x)
+        return x
+
+    def loss_gradient(self, X, y):
+        """Gradient of the batch's mean squared error, flattened layer by layer."""
+        for layer in self.layers:
+            for grad in layer.grads():
+                grad.fill(0.0)
+        diff = self.forward(X) - y
+        grad = 2.0 * diff / len(y)
+        for layer in reversed(self.layers):
+            grad = layer.backward(grad)
+        return np.concatenate([g.ravel() for layer in self.layers for g in layer.grads()])
+
+
+def lasso_objective(design, target, beta, lam):
+    """(1/2n)||y - M beta||^2 + lam * sum_{j>0} |beta_j|; column 0 is the unpenalized intercept."""
+    M = np.asarray(design, dtype=float)
+    y = np.asarray(target, dtype=float)
+    r = y - M @ beta
+    return float((r @ r) / (2 * len(y)) + lam * np.abs(beta[1:]).sum())
 
 
 def _midranks(values):

@@ -7,8 +7,13 @@ from scipy.signal import lfilter
 
 import autocast.models.arima as arima_module
 from autocast.models import optim
-from autocast.models import ArimaForecaster, ArimaOrder, FittedArima, arima_forecast, fit_arima, fit_arima_pair
 from autocast.models.arima import (
+    ArimaForecaster,
+    ArimaOrder,
+    FittedArima,
+    arima_forecast,
+    fit_arima,
+    fit_arima_pair,
     MAX_P,
     MAX_Q,
     MAX_SEASONAL,

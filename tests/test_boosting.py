@@ -3,13 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from autocast.models import BoostedTreeForecaster, fit_boosted_trees
 from autocast.models.boosting import (
     BOTTOM,
     LEARNING_RATE,
     MAX_DEPTH,
     MIN_SAMPLES_LEAF,
     SLOTS,
+    BoostedTreeForecaster,
+    fit_boosted_trees,
     train_pooled_trees,
 )
 from autocast.models.windows import make_window_features
@@ -39,7 +40,7 @@ class TestFitBoostedTrees:
 
     def test_month_function_training_mape_below_one_percent(self):
         series = monthly_series(np.tile(MONTH_PATTERN, 4))
-        X, y = make_window_features(series, log_targets=True)
+        X, y = make_window_features(series)
         model = fit_boosted_trees(X, y)
         predicted = np.expm1(model.predict(X))
         actual = np.expm1(y)
@@ -145,7 +146,7 @@ def synth_windows(frequency=Frequency.MONTHLY):
         for i, kind in enumerate(Archetype)
     ]
     corpus = generate_corpus(specs, seed=3, frequency=frequency)
-    blocks = [make_window_features(s, log_targets=True) for s in sorted(corpus, key=lambda s: s.product_id)]
+    blocks = [make_window_features(s) for s in sorted(corpus, key=lambda s: s.product_id)]
     return np.vstack([X for X, _ in blocks if len(X)]), np.concatenate([y for _, y in blocks if len(y)])
 
 

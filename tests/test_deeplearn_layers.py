@@ -3,136 +3,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from autocast.deeplearn import CnnConfig, CnnNetwork, loss_and_grads
-from autocast.deeplearn.layers import DenseLastStep, DilatedCausalConv1d, Relu, causal_taps
-from autocast.deeplearn.network import cone
+from autocast.deeplearn.network import CnnConfig, CnnNetwork, causal_taps, cone
+from autocast.deeplearn.training import loss_and_grads
 
-from oracles import conv1d_causal_bruteforce, full_length_cnn
-
-
-def conv_over(length, in_channels, out_channels, dilation, rng, kernel=2):
-    """Conv at every position of a length-long input whose taps stay inside it.
-
-    Returns (conv, output positions, input rows): the conv reads its input
-    tap-ordered, so feed it x[:, rows, :].
-    """
-    positions = np.arange((kernel - 1) * dilation, length)
-    conv = DilatedCausalConv1d(in_channels, out_channels, kernel, rng)
-    return conv, positions, causal_taps(positions, kernel, dilation).ravel()
+from oracles import LayerStackCnn, conv1d_causal_bruteforce, full_length_cnn
 
 
-def identity_conv(length, dilation=1):
-    """1-in 1-out kernel-2 conv whose last tap is 1: output == input."""
-    conv, positions, rows = conv_over(length, 1, 1, dilation, np.random.default_rng(0))
-    conv.weight[...] = np.array([[[0.0]], [[1.0]]])
-    conv.bias[...] = 0.0
-    return conv, positions, rows
+def pairs(network):
+    """Every (weight, bias) view pair, conv blocks first, then the head."""
+    return network.convs + [network.head]
 
 
-class TestConvForward:
-    def test_last_tap_identity(self):
-        x = np.array([[3.0, 1.0, 4.0, 1.0, 5.0]])[:, :, None]
-        conv, positions, rows = identity_conv(5)
-        np.testing.assert_array_equal(conv.forward(x[:, rows, :]), x[:, positions, :])
-
-    def test_both_taps_dilation_two(self):
-        conv, positions, rows = identity_conv(4, dilation=2)
-        conv.weight[...] = 1.0
-        out = conv.forward(np.array([[1.0, 2.0, 3.0, 4.0]])[:, rows, None])
-        np.testing.assert_array_equal(positions, [2, 3])
-        np.testing.assert_array_equal(rows, [0, 2, 1, 3])
-        np.testing.assert_array_equal(out[0, :, 0], [4.0, 6.0])
-
-    def test_zero_weights_give_bias(self):
-        conv, positions, rows = conv_over(4, 2, 3, 1, np.random.default_rng(0))
-        conv.weight[...] = 0.0
-        conv.bias[...] = np.array([0.5, -1.0, 2.0])
-        out = conv.forward(np.ones((2, len(rows), 2)))
-        for ch, b in enumerate([0.5, -1.0, 2.0]):
-            np.testing.assert_array_equal(out[:, :, ch], np.full((2, len(positions)), b))
-
-    @pytest.mark.parametrize("kernel", [2, 3])
-    @pytest.mark.parametrize("dilation", [1, 2, 4])
-    def test_matches_bruteforce(self, dilation, kernel):
-        rng = np.random.default_rng(dilation)
-        conv, positions, rows = conv_over(12, 3, 2, dilation, rng, kernel)
-        x = rng.normal(size=(4, 12, 3))
-        got = conv.forward(x[:, rows, :])
-        weight = conv.weight.transpose(2, 1, 0)  # the oracle's (out, in, kernel)
-        want = np.array(conv1d_causal_bruteforce(x.transpose(0, 2, 1), weight, conv.bias, dilation))
-        np.testing.assert_allclose(got, want[:, :, positions].transpose(0, 2, 1), rtol=1e-12, atol=1e-12)
-
-    def test_backward_sums_the_gradient_of_a_position_read_twice(self):
-        # kernel 3 at dilation 1 reads most positions through several taps
-        rng = np.random.default_rng(6)
-        conv, _, rows = conv_over(8, 2, 3, 1, rng, kernel=3)
-        x = rng.normal(size=(2, 8, 2))
-        upstream = rng.normal(size=(2, len(rows) // 3, 3))
-        conv.forward(x[:, rows, :])
-        grad_rows = conv.backward(upstream)
-        grad_x = np.zeros_like(x)
-        np.add.at(grad_x, (slice(None), rows), grad_rows)
-        # the forward pass is linear in x, so its gradient is the adjoint
-        h = rng.normal(size=x.shape)
-        delta = conv.forward(h[:, rows, :]) - conv.forward(np.zeros((2, len(rows), 2)))
-        assert np.sum(delta * upstream) == pytest.approx(np.sum(h * grad_x), rel=1e-12)
-
-    def test_causality(self):
-        rng = np.random.default_rng(5)
-        conv, positions, rows = conv_over(16, 1, 2, 4, rng)
-        x = rng.normal(size=(1, 16, 1))
-        base = conv.forward(x[:, rows, :])
-        bumped = x.copy()
-        bumped[0, 9, 0] += 10.0
-        out = conv.forward(bumped[:, rows, :])
-        before = positions < 9
-        # outputs strictly before the bump are untouched
-        np.testing.assert_array_equal(out[:, before, :], base[:, before, :])
-        assert not np.allclose(out[:, ~before, :], base[:, ~before, :])
-
-    def test_channel_mismatch_rejected(self):
-        conv, _, rows = conv_over(5, 3, 2, 1, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="3"):
-            conv.forward(np.ones((1, len(rows), 2)))
-
-    def test_partial_tap_group_rejected(self):
-        conv, _, rows = conv_over(5, 1, 2, 1, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="multiple of 2"):
-            conv.forward(np.ones((1, len(rows) + 1, 1)))
-
-
-class TestRelu:
-    def test_forward_clips_negatives(self):
-        relu = Relu()
-        out = relu.forward(np.array([[-1.0, 0.0, 2.5]]))
-        np.testing.assert_array_equal(out, [[0.0, 0.0, 2.5]])
-
-    def test_backward_masks_gradient(self):
-        relu = Relu()
-        relu.forward(np.array([[-1.0, 0.0, 2.5]]))
-        grad = relu.backward(np.array([[1.0, 1.0, 1.0]]))
-        np.testing.assert_array_equal(grad, [[0.0, 0.0, 1.0]])
-
-
-class TestDenseLastStep:
-    def test_reads_only_final_step(self):
-        dense = DenseLastStep(2, np.random.default_rng(0))
-        dense.weight[...] = np.array([1.0, 10.0])
-        dense.bias[...] = 0.5
-        x = np.zeros((1, 4, 2))
-        x[0, -1, :] = [3.0, 2.0]
-        x[0, 0, :] = [99.0, 99.0]
-        assert dense.forward(x)[0] == pytest.approx(3.0 + 20.0 + 0.5)
-
-    def test_backward_routes_to_final_step(self):
-        dense = DenseLastStep(2, np.random.default_rng(0))
-        dense.weight[...] = np.array([2.0, -1.0])
-        x = np.ones((1, 3, 2))
-        dense.forward(x)
-        grad_in = dense.backward(np.array([1.0]))
-        assert grad_in.shape == x.shape
-        np.testing.assert_array_equal(grad_in[0, :2, :], 0.0)
-        np.testing.assert_array_equal(grad_in[0, -1, :], [2.0, -1.0])
+def grad_pairs(network):
+    return network.conv_grads + [network.head_grad]
 
 
 def central_difference_check(config, data_seed, h=1e-5):
@@ -142,19 +25,18 @@ def central_difference_check(config, data_seed, h=1e-5):
     X = rng.uniform(0.2, 2.0, size=(4, config.input_window))
     y = rng.uniform(0.2, 2.0, size=4)
     _, live = loss_and_grads(network, X, y)
-    analytic = [g.copy() for g in live]
+    analytic = live.copy()
+    weights = network.weights
     worst = 0.0
-    for param, grad in zip(network.params(), analytic):
-        flat, gflat = param.reshape(-1), grad.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            loss_plus = float(np.mean((network.forward(X) - y) ** 2))
-            flat[j] = orig - h
-            loss_minus = float(np.mean((network.forward(X) - y) ** 2))
-            flat[j] = orig
-            numeric = (loss_plus - loss_minus) / (2 * h)
-            worst = max(worst, abs(gflat[j] - numeric) / max(abs(gflat[j]), abs(numeric), 1e-4))
+    for j in range(weights.size):
+        orig = weights[j]
+        weights[j] = orig + h
+        loss_plus = float(np.mean((network.forward(X) - y) ** 2))
+        weights[j] = orig - h
+        loss_minus = float(np.mean((network.forward(X) - y) ** 2))
+        weights[j] = orig
+        numeric = (loss_plus - loss_minus) / (2 * h)
+        worst = max(worst, abs(analytic[j] - numeric) / max(abs(analytic[j]), abs(numeric), 1e-4))
     return worst
 
 
@@ -169,10 +51,9 @@ class TestGradients:
         network = CnnNetwork(config)
         network.set_weights(np.zeros_like(network.get_weights()))
         X = np.random.default_rng(0).uniform(size=(3, 6))
-        loss, grads = loss_and_grads(network, X, np.zeros(3))
+        loss, gradient = loss_and_grads(network, X, np.zeros(3))
         assert loss == 0.0
-        for g in grads:
-            np.testing.assert_array_equal(g, 0.0)
+        np.testing.assert_array_equal(gradient, 0.0)
 
     def test_backward_is_linear_in_upstream_grad(self):
         config = CnnConfig(input_window=8, kernel_size=2, dilations=(1, 2), channels=3, seed=4)
@@ -182,19 +63,17 @@ class TestGradients:
         upstream = np.random.default_rng(10).normal(size=5)
         network.zero_grads()
         network.backward(upstream)
-        once = [g.copy() for g in network.grads()]
+        once = network.gradient.copy()
         network.zero_grads()
         network.backward(2.0 * upstream)
-        for g2, g1 in zip(network.grads(), once):
-            np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(network.gradient, 2.0 * once, rtol=1e-12, atol=1e-15)
 
     def test_loss_and_grads_returns_live_buffers(self):
         config = CnnConfig(input_window=6, kernel_size=2, dilations=(1,), channels=2, seed=0)
         network = CnnNetwork(config)
         X = np.random.default_rng(1).uniform(size=(3, 6))
-        _, grads = loss_and_grads(network, X, np.ones(3))
-        assert grads[0] is network.grads()[0]
-        assert all(np.shares_memory(g, network.gradient) for g in grads)
+        _, gradient = loss_and_grads(network, X, np.ones(3))
+        assert gradient is network.gradient
 
 
 class TestCnnConfig:
@@ -243,13 +122,16 @@ class TestNetwork:
         stored = network.get_weights()
         stored[...] = 123.0
         # get_weights returned a copy, so the live params are untouched
-        assert not np.any(network.params()[0] == 123.0)
+        assert not np.any(network.weights == 123.0)
         network.set_weights(stored)
-        assert all(np.all(p == 123.0) for p in network.params())
+        assert all(np.all(w == 123.0) and np.all(b == 123.0) for w, b in pairs(network))
 
     def test_parameters_are_views_of_one_flat_buffer(self):
         network = CnnNetwork(CnnConfig(input_window=8, dilations=(1, 2), channels=3, seed=0))
-        params, grads = network.params(), network.grads()
+        params = [p for pair in pairs(network) for p in pair]
+        grads = [g for pair in grad_pairs(network) for g in pair]
+        assert [p.shape for p in params] == [(2, 1, 3), (3,), (2, 3, 3), (3,), (3,), (1,)]
+        assert [g.shape for g in grads] == [p.shape for p in params]
         assert sum(p.size for p in params) == network.weights.size == network.gradient.size
         assert all(np.shares_memory(p, network.weights) for p in params)
         assert all(np.shares_memory(g, network.gradient) for g in grads)
@@ -265,19 +147,31 @@ class TestNetwork:
         first = rng.normal(0.0, np.sqrt(2.0 / 2), size=(3, 1, 2)).transpose(2, 1, 0)
         second = rng.normal(0.0, np.sqrt(2.0 / 6), size=(3, 3, 2)).transpose(2, 1, 0)
         dense = rng.normal(0.0, np.sqrt(1.0 / 3), size=3)
-        params = CnnNetwork(config).params()
+        params = [p for pair in pairs(CnnNetwork(config)) for p in pair]
         for got, want in zip(params, [first, np.zeros(3), second, np.zeros(3), dense, np.zeros(1)]):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kernel", [2, 3])
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    def test_one_block_matches_bruteforce_conv(self, dilation, kernel):
+        # tap k reads t - (kernel-1-k)*dilation: the head reads the last step of a
+        # triple-loop convolution over the whole window, ReLU applied
+        config = CnnConfig(input_window=12, kernel_size=kernel, dilations=(dilation,), channels=2, seed=dilation)
+        network = CnnNetwork(config)
+        (weight, bias), (head_weight, head_bias) = network.convs[0], network.head
+        X = np.random.default_rng(dilation).normal(size=(4, 12))
+        conv = np.array(conv1d_causal_bruteforce(X[:, None, :], weight.transpose(2, 1, 0), bias, dilation))
+        want = np.maximum(conv[:, :, -1], 0.0) @ head_weight + head_bias[0]
+        np.testing.assert_allclose(network.forward(X), want, rtol=1e-12, atol=1e-12)
 
 
 def full_length_reference(network, X, y):
     """Predictions and gradients of the same weights convolved over the whole window."""
-    convs = [layer for layer in network.layers if isinstance(layer, DilatedCausalConv1d)]
-    dense = network.layers[-1]
+    head_weight, head_bias = network.head
     return full_length_cnn(
-        [(c.weight.transpose(2, 1, 0), c.bias, d) for c, d in zip(convs, network.config.dilations)],
-        dense.weight,
-        dense.bias[0],
+        [(w.transpose(2, 1, 0), b, d) for (w, b), d in zip(network.convs, network.config.dilations)],
+        head_weight,
+        head_bias[0],
         X,
         y,
     )
@@ -322,8 +216,36 @@ class TestCone:
         y = rng.uniform(0.2, 2.0, size=32)
         want_pred, want_grads = full_length_reference(network, X, y)
         np.testing.assert_allclose(network.forward(X), want_pred, rtol=1e-12)
-        _, grads = loss_and_grads(network, X, y)
+        loss_and_grads(network, X, y)
+        grads = [g for pair in grad_pairs(network) for g in pair]
         assert len(grads) == len(want_grads)
         for got, want in zip(grads, want_grads):
             want = want.transpose(2, 1, 0) if want.ndim == 3 else want
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestMatchesLayerStack:
+    """The flat network reproduces the one-object-per-layer stack it replaced, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            CnnConfig(),
+            CnnConfig(input_window=104),
+            CnnConfig(input_window=10, kernel_size=3, dilations=(1, 2), channels=5),
+            CnnConfig(input_window=6, dilations=(1, 2), channels=4),
+        ],
+        ids=["monthly", "weekly", "kernel3_overlapping_taps", "tiny"],
+    )
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_weights_predictions_and_gradient(self, config, seed):
+        config = replace(config, seed=seed)
+        network = CnnNetwork(config)
+        oracle = LayerStackCnn(config.input_window, config.kernel_size, config.dilations, config.channels, seed)
+        assert network.weights.tobytes() == oracle.flat_params().tobytes()
+        rng = np.random.default_rng(seed + 70)
+        X = rng.uniform(0.2, 2.0, size=(32, config.input_window))
+        y = rng.uniform(0.2, 2.0, size=32)
+        assert network.forward(X).tobytes() == oracle.forward(X).tobytes()
+        _, gradient = loss_and_grads(network, X, y)
+        assert gradient.tobytes() == oracle.loss_gradient(X, y).tobytes()

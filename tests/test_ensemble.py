@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autocast.models import DEFAULT_MEMBERS, ModelId, ensemble_forecast
+from autocast.models.base import ModelId
+from autocast.models.ensemble import DEFAULT_MEMBERS, ensemble_forecast
 from autocast.series import ForecastResult, Frequency, Period
 
 from oracles import median_bruteforce

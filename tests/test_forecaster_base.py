@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from autocast.models import (
+from autocast.models.arima import ArimaForecaster
+from autocast.models.base import (
     MODEL_PRIORITY,
-    ArimaForecaster,
     BaseForecaster,
-    GamForecaster,
-    HwesForecaster,
     ModelId,
-    NaiveForecaster,
     NotFittedError,
-    SesForecaster,
     iterate_one_step,
     priority_rank,
 )
+from autocast.models.gam import GamForecaster
+from autocast.models.naive import NaiveForecaster
+from autocast.models.smoothing import HwesForecaster, SesForecaster
 
 from helpers import monthly_series
 

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from autocast.models import GamForecaster, fit_gam, gam_decompose, gam_predict
-from autocast.models.gam import N_SPLINE_KNOTS, _standardize, build_design_rows
+from autocast.models.gam import (
+    N_SPLINE_KNOTS,
+    GamForecaster,
+    _standardize,
+    build_design_rows,
+    fit_gam,
+    gam_decompose,
+    gam_predict,
+)
 import autocast.models.lasso as lasso_module
 from autocast.models.lasso import default_lambda_grid, lasso_path
 
@@ -12,13 +19,13 @@ from helpers import kkt_violation, monthly_series, seasonal_values, weekly_serie
 class TestDesignMatrix:
     def test_column_count_monthly(self):
         # intercept + 2 trends + 2K Fourier + (2 + knots) spline
-        design = fit_gam(monthly_series(np.arange(24.0) + 1), lam=0.0)
+        design = fit_gam(monthly_series(np.arange(24.0) + 1), lambda_grid=(0.0,))
         assert design.n_columns == 1 + 2 + 2 * 3 + 2 + 5
         assert design.column_names[0] == "intercept"
         assert design.fourier_order == 3
 
     def test_column_count_weekly(self):
-        design = fit_gam(weekly_series(np.arange(60.0) + 1), lam=0.0)
+        design = fit_gam(weekly_series(np.arange(60.0) + 1), lambda_grid=(0.0,))
         assert design.fourier_order == 10
         assert design.n_columns == 1 + 2 + 2 * 10 + 2 + 5
 
@@ -33,7 +40,7 @@ class TestDesignMatrix:
 class TestFitGam:
     def test_exact_linear_recovery_at_lambda_zero(self):
         y = 3.0 + 2.0 * np.arange(36)
-        design = fit_gam(monthly_series(y), lam=0.0)
+        design = fit_gam(monthly_series(y), lambda_grid=(0.0,))
         beta = np.array(design.beta)
         assert beta[0] == pytest.approx(3.0, abs=1e-6)
         assert beta[1] == pytest.approx(2.0, abs=1e-6)
@@ -53,7 +60,8 @@ class TestFitGam:
     def test_huge_lambda_collapses_to_training_mean(self):
         t = np.arange(48)
         y = 1000.0 + 200.0 * np.cos(2.0 * np.pi * t / 12.0)
-        design = fit_gam(monthly_series(y), lam=1e9)
+        design = fit_gam(monthly_series(y), lambda_grid=(1e9,))
+        assert design.lam == 1e9
         forecast = gam_predict(design, np.arange(48, 66))
         assert np.allclose(forecast, y.mean(), atol=1e-6)
 
@@ -139,12 +147,12 @@ class TestGamForecaster:
         assert nrmse < 0.05
 
     def test_horizon_below_one_rejected(self):
-        model = GamForecaster(lam=0.0).fit(monthly_series(np.arange(24.0) + 1))
+        model = GamForecaster(lambda_grid=(0.0,)).fit(monthly_series(np.arange(24.0) + 1))
         with pytest.raises(ValueError):
             model.forecast(0)
 
     def test_forecast_values_floored(self):
         # steep negative trend forces the raw extrapolation negative
         y = np.maximum(100.0 - 5.0 * np.arange(24), 0)
-        model = GamForecaster(lam=0.0).fit(monthly_series(y))
+        model = GamForecaster(lambda_grid=(0.0,)).fit(monthly_series(y))
         assert np.all(model.forecast(18).values >= 0)

@@ -6,13 +6,13 @@ from autocast.models.lasso import (
     default_lambda_grid,
     lambda_max,
     lasso_coordinate_descent,
-    lasso_objective,
     lasso_path,
     select_lambda,
     soft_threshold,
 )
 
 from helpers import kkt_violation
+from oracles import lasso_objective
 
 
 def random_system(rng, n=40, k=6):

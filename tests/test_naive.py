@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autocast.models import ModelId, NaiveForecaster, naive_forecast
+from autocast.models.base import ModelId
+from autocast.models.naive import NaiveForecaster, naive_forecast
 
 from helpers import monthly_series, weekly_series
 

@@ -8,7 +8,10 @@ from autocast.errors import ConfigError
 from autocast.export import export_bundle
 from autocast.ingest import Validity
 from autocast.metrics import MetricSet
-from autocast.models import MODEL_PRIORITY, DEFAULT_MEMBERS, GamForecaster, HwesForecaster, ModelId
+from autocast.models.base import MODEL_PRIORITY, ModelId
+from autocast.models.ensemble import DEFAULT_MEMBERS
+from autocast.models.gam import GamForecaster
+from autocast.models.smoothing import HwesForecaster
 from autocast.pipeline import (
     ModelScore,
     PipelineConfig,
@@ -121,6 +124,18 @@ class TestParseConfig:
     def test_unknown_model_name_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(self.write(tmp_path, {"enabled_models": ["prophet"]}))
+
+    def test_unknown_frequency_names_the_file(self, tmp_path):
+        path = self.write(tmp_path, {"frequency": "daily"})
+        with pytest.raises(ConfigError, match="daily") as raised:
+            parse_config(path)
+        assert str(path) in str(raised.value)
+
+    def test_scalar_lambda_grid_names_the_file(self, tmp_path):
+        path = self.write(tmp_path, {"gam_lambda_grid": 5})
+        with pytest.raises(ConfigError, match="not iterable") as raised:
+            parse_config(path)
+        assert str(path) in str(raised.value)
 
 
 def score(model_id, rmse, nrmse=None):

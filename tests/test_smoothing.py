@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from autocast.models import HwesForecaster, HwesState, SesForecaster, fit_hwes, fit_ses
 from autocast.models.smoothing import (
     PARAM_CEIL,
     PARAM_FLOOR,
+    HwesForecaster,
+    HwesState,
+    SesForecaster,
     _holt_pass,
     _hwes_init,
     _hwes_pass,
     _ses_pass,
+    fit_hwes,
+    fit_ses,
     hwes_forecast,
 )
 

@@ -21,7 +21,7 @@ class TestMakeWindowFeatures:
         values = np.arange(13.0) + 1
         X, y = make_window_features(monthly_series(values))
         assert list(X[0, :12]) == list(values[:12])  # v_0..v_11 for t=12
-        assert y[0] == values[12]
+        assert y[0] == np.log1p(values[12])
 
     def test_rows_never_contain_the_target(self):
         values = np.arange(30.0) + 1
@@ -29,7 +29,8 @@ class TestMakeWindowFeatures:
         for i in range(len(y)):
             t = 12 + i
             assert list(X[i, :12]) == list(values[t - 12 : t])
-            assert y[i] not in X[i, :12]  # strictly increasing values: no leak
+            assert y[i] == np.log1p(values[t])
+            assert values[t] not in X[i, :12]  # strictly increasing values: no leak
 
     def test_one_hot_marks_target_position(self):
         series = monthly_series(np.arange(26.0) + 1)  # starts in January
@@ -46,9 +47,8 @@ class TestMakeWindowFeatures:
 
     def test_log_targets(self):
         values = np.arange(20.0) + 1
-        _, y_raw = make_window_features(monthly_series(values))
-        _, y_log = make_window_features(monthly_series(values), log_targets=True)
-        assert np.allclose(y_log, np.log1p(y_raw))
+        _, y = make_window_features(monthly_series(values))
+        np.testing.assert_array_equal(y, np.log1p(values[12:]))
 
     def test_log1p_roundtrip_precision(self):
         values = np.array([0.0, 1.0, 17.5, 1e3, 1e6, 1e9])

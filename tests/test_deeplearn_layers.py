@@ -165,6 +165,54 @@ class TestNetwork:
         np.testing.assert_allclose(network.forward(X), want, rtol=1e-12, atol=1e-12)
 
 
+def one_channel_network(input_window, dilation, taps):
+    """One 1-in 1-out kernel-2 block with the given tap weights, head weight 1, head bias 0.5."""
+    network = CnnNetwork(CnnConfig(input_window=input_window, dilations=(dilation,), channels=1, seed=0))
+    (weight, bias), (head_weight, head_bias) = network.convs[0], network.head
+    weight[...] = np.reshape(taps, weight.shape)
+    bias[...] = 0.0
+    head_weight[...] = 1.0
+    head_bias[...] = 0.5
+    return network
+
+
+class TestBlocks:
+    def test_last_tap_identity(self):
+        network = one_channel_network(5, 1, [0.0, 1.0])
+        X = np.array([[3.0, 1.0, 4.0, 1.0, 5.0], [3.0, 1.0, 4.0, 1.0, -5.0]])
+        # relu(x[-1]) + 0.5: the last tap is the current step, a negative one is clipped
+        np.testing.assert_array_equal(network.forward(X), [5.5, 0.5])
+
+    def test_both_taps_dilation_two(self):
+        network = one_channel_network(4, 2, [1.0, 1.0])
+        assert network.forward(np.array([[1.0, 2.0, 3.0, 4.0]]))[0] == 2.0 + 4.0 + 0.5
+
+    def test_zero_weights_give_bias(self):
+        network = CnnNetwork(CnnConfig(input_window=6, dilations=(1, 2), channels=3, seed=0))
+        for weight, bias in network.convs:
+            weight[...] = 0.0
+            bias[...] = [0.5, -1.0, 2.0]
+        head_weight, head_bias = network.head
+        X = np.random.default_rng(0).normal(size=(2, 6))
+        # the top block outputs relu(bias) whatever the input
+        want = np.maximum([0.5, -1.0, 2.0], 0.0) @ head_weight + head_bias[0]
+        np.testing.assert_array_equal(network.forward(X), [want, want])
+
+    def test_relu_masks_forward_and_backward(self):
+        network = CnnNetwork(CnnConfig(input_window=8, dilations=(1, 2), channels=3, seed=1))
+        top_weight, top_bias = network.convs[-1]
+        top_weight[...] = 0.0
+        top_bias[...] = -1.0
+        X = np.random.default_rng(2).uniform(0.2, 2.0, size=(4, 8))
+        # every top ReLU is off: the head sees zeros, and only the head bias gets a gradient
+        np.testing.assert_array_equal(network.forward(X), network.head[1][0])
+        network.zero_grads()
+        network.backward(np.ones(4))
+        assert network.head_grad[1][0] == 4.0
+        network.head_grad[1][...] = 0.0
+        np.testing.assert_array_equal(network.gradient, 0.0)
+
+
 def full_length_reference(network, X, y):
     """Predictions and gradients of the same weights convolved over the whole window."""
     head_weight, head_bias = network.head

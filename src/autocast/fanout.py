@@ -1,19 +1,27 @@
 """Independent jobs spread over the usable cores: one forked worker per extra core.
 
 ``run_all(tasks)`` calls every zero-argument task once and returns their
-results in task order. Task i runs in process i mod N, where N is the
-number of usable cores, capped by the number of tasks: process 0 is the
-caller itself, and each other share runs in a child forked for it. The
-caller computes its own share instead of waiting, so a profiler or timer
-in the calling process keeps seeing work.
+results in task order. It forks one worker for each usable core past the
+first, and no more workers than there are tasks past the first. The calling
+process works beside them, so a profiler or timer in it keeps seeing work.
+
+The processes claim tasks from one queue. The caller takes task 0, and
+every other index is written in order to an unlinked temporary file before
+the fork. All processes share that file's offset, so each 4-byte read
+takes the next unclaimed index, and a process stops claiming at the end of
+the file. A slow task thus never holds back the tasks queued behind it, as
+a fixed share would. A regular file, unlike a pipe, holds any number of
+indices without blocking its writer.
 
 A worker inherits the tasks and everything they read through ``os.fork``,
-so nothing is sent to it. It pickles its results, or the exception that
-stopped it, to a pipe and leaves by ``os._exit``. A share stops at its first
-failing task. Once every worker has been reaped, the caller raises the
-exception of the lowest failing task index, which is the one a serial run
-would have raised. A worker that dies without sending a result makes the
-caller raise ``RuntimeError``.
+so nothing is sent to it. It pickles its ``(index, value)`` pairs, and the
+exception that stopped it if one did, to a pipe and leaves by ``os._exit``.
+Each process stops claiming at its first failing task. Indices are claimed
+in order, and every claimed task either finishes or stops its process, so
+every task below the lowest failing index has run. Once every worker has
+been reaped, the caller raises that lowest failure, which is the one a
+serial run would have raised. A worker that dies without sending its
+results makes the caller raise ``RuntimeError``.
 
 The tasks run serially in the caller without ``os.fork``, with one usable
 core, with fewer than two tasks, or while the caller runs other Python
@@ -26,8 +34,12 @@ import os
 import pickle
 import signal
 import sys
+import tempfile
 import threading
 import traceback
+from itertools import chain
+
+CLAIM_BYTES = 4  # one unsigned little-endian task index per claim record
 
 
 class WorkerTraceback(Exception):
@@ -50,23 +62,25 @@ def run_all(tasks) -> list:
     n_procs = min(usable_cores(), len(tasks))
     if n_procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [task() for task in tasks]
-    shares = [range(k, len(tasks), n_procs) for k in range(n_procs)]
     _flush_std_streams()  # or a child would write the caller's buffered output again
     workers = []
     outcomes = []
-    try:
-        for share in shares[1:]:
-            workers.append(_fork(tasks, share))
-        outcomes.append(_run_share(tasks, shares[0]))
-    except BaseException:
-        for pid, _ in workers:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        outcomes += [_receive(pid, fd) for pid, fd in workers]
+    with tempfile.TemporaryFile() as queue:
+        queue.write(b"".join(index.to_bytes(CLAIM_BYTES, "little") for index in range(1, len(tasks))))
+        queue.seek(0)
+        try:
+            for _ in range(n_procs - 1):
+                workers.append(_fork(tasks, queue.fileno()))
+            outcomes.append(_run_claimed(tasks, chain([0], _claims(queue.fileno()))))
+        except BaseException:
+            for pid, _ in workers:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            outcomes += [_receive(pid, fd) for pid, fd in workers]
     results = [None] * len(tasks)
-    for share, (values, _) in zip(shares, outcomes):
-        for index, value in zip(share, values):
+    for pairs, _ in outcomes:
+        for index, value in pairs:
             results[index] = value
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
@@ -77,33 +91,48 @@ def run_all(tasks) -> list:
     return results
 
 
-def _run_share(tasks, share, catch=Exception):
-    """(values of the tasks run, None or (index, exception, traceback text) of the first failure).
+def _claims(fd: int):
+    """The task indices this process claims from the queue file, until it is drained."""
+    while True:
+        index = _claim(fd)
+        if index is None:
+            return
+        yield index
+
+
+def _claim(fd: int) -> int | None:
+    """The next unclaimed index, or None once the queue is drained."""
+    record = os.read(fd, CLAIM_BYTES)
+    return int.from_bytes(record, "little") if record else None
+
+
+def _run_claimed(tasks, indices, catch=Exception) -> tuple:
+    """([(index, value)] of the tasks run, None or (index, exception, traceback text) of the first failure).
 
     A worker catches BaseException, so that an interrupt or exit in a task
     is still sent to the caller and raised there.
     """
-    values = []
-    for index in share:
+    pairs = []
+    for index in indices:
         try:
-            values.append(tasks[index]())
+            pairs.append((index, tasks[index]()))
         except catch as exc:
             text = traceback.format_exc() if catch is BaseException else None
-            return values, (index, exc, text)
-    return values, None
+            return pairs, (index, exc, text)
+    return pairs, None
 
 
-def _fork(tasks, share) -> tuple:
-    """Start a worker for one share; returns (pid, read end of its result pipe)."""
+def _fork(tasks, queue_fd: int) -> tuple:
+    """Start a worker that claims tasks from the queue; returns (pid, read end of its result pipe)."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
-            values, failure = _run_share(tasks, share, catch=BaseException)
+            pairs, failure = _run_claimed(tasks, _claims(queue_fd), catch=BaseException)
             try:
-                payload = pickle.dumps((values, _sendable(failure)), pickle.HIGHEST_PROTOCOL)
+                payload = pickle.dumps((pairs, _sendable(failure)), pickle.HIGHEST_PROTOCOL)
             except Exception as exc:
                 lost = RuntimeError(f"fan-out worker {os.getpid()} could not send its results: {exc!r}")
                 payload = pickle.dumps(([], (-1, lost, traceback.format_exc())))

@@ -15,14 +15,18 @@ prefix, for the holdout plus the horizon, for the models whose refit
 failed; their forecasts past the holdout stand in for the lost ones. The
 median ensemble is built from whatever forecasts each stage ends with.
 
-Each of the last two stages fans out twice over the usable cores through
-``fanout.run_all``. First the shared-weight models, the pooled trees and
-the CNN, train on the stage's corpus as two independent tasks. Then every
-product is one task, `_validate_product` or `_finalize_product`, reading
-the shared models and nothing of any other product. Results merge in
-product-id order, and every task computes what it would compute in one
-process, so the exports are byte-identical whatever the core count. With
-one usable core both steps run serially in this process.
+Each of the last two stages is one ``fanout.run_all`` call, `_run_stage`,
+over the usable cores. Its queue holds the pooled-tree training, the CNN
+training and then one task per product, so product fits run beside the
+shared trainings instead of after them. A product task is `_run_models`
+for every model but the two shared-weight ones, whose runs it leaves
+pending in their slots. Once the queue is drained, this process fills the
+pending runs from the trained shared models, then scores, ensembles and
+recommends (validation) or retries failed refits on the prefix (finalize).
+That part runs the same code whatever the core count, every task computes
+what it would compute in one process, and results merge in product-id
+order, so the exports are byte-identical however the tasks were placed.
+With one usable core the whole queue runs serially in this process.
 """
 from __future__ import annotations
 
@@ -241,9 +245,13 @@ class ForecastBundle:
         raise KeyError(f"no forecasts for product {product_id!r}")
 
 
+# models whose weights are trained once per stage, on every product's series
+SHARED_MODELS = (ModelId.BOOSTED_TREE, ModelId.CNN)
+
+
 @dataclass
 class _SharedModels:
-    """Shared-weight artifacts trained once per stage, before the per-product tasks."""
+    """Shared-weight artifacts trained once per stage, from the stage's queue."""
 
     trees: object | None = None
     trees_error: str | None = None
@@ -251,15 +259,17 @@ class _SharedModels:
     network_error: str | None = None
 
 
-def _train_shared(corpus: list, config: PipelineConfig) -> _SharedModels:
-    """Train the enabled shared models on one corpus, each as its own fan-out task.
+def _run_stage(corpus: list, config: PipelineConfig, tasks: list) -> tuple:
+    """(the enabled shared models trained on corpus, each task's result), from one queue.
 
-    The pooled trees and the CNN read nothing of each other, so on two or
-    more usable cores the CNN trains in a forked worker while this process
-    trains the trees. The CNN comes back as its flat weight vector, loaded
+    The queue holds the pooled-tree training, the CNN training and then the
+    tasks, none of which reads another. The calling process takes the first
+    entry, so on two or more usable cores it trains the trees while a forked
+    worker trains the CNN, and every process then claims tasks until the
+    queue is drained. The CNN comes back as its flat weight vector, loaded
     into a network built from the same config: a pickled network would lose
-    its (weight, bias) views into that buffer. A training that raises ValueError
-    leaves its model unavailable, with the message as the reason.
+    its (weight, bias) views into that buffer. A training that raises
+    ValueError leaves its model unavailable, with the message as the reason.
     """
     cnn_config = _cnn_config(config)
     jobs = {}
@@ -267,7 +277,8 @@ def _train_shared(corpus: list, config: PipelineConfig) -> _SharedModels:
         jobs["trees"] = lambda: train_pooled_trees(corpus)
     if ModelId.CNN in config.enabled_models:
         jobs["network"] = lambda: train_shared_cnn(corpus, cnn_config)[0].weights
-    outcomes = dict(zip(jobs, run_all([partial(_attempt, job) for job in jobs.values()])))
+    results = run_all([partial(_attempt, job) for job in jobs.values()] + tasks)
+    outcomes = dict(zip(jobs, results))
     shared = _SharedModels()
     if "trees" in outcomes:
         shared.trees, shared.trees_error = outcomes["trees"]
@@ -276,7 +287,7 @@ def _train_shared(corpus: list, config: PipelineConfig) -> _SharedModels:
         if weights is not None:
             shared.network = CnnNetwork(cnn_config)
             shared.network.set_weights(weights)
-    return shared
+    return shared, results[len(jobs):]
 
 
 def _attempt(job) -> tuple:
@@ -329,6 +340,9 @@ class _ModelRun:
 
     forecaster is None when building or fitting failed; error holds the
     message of whichever step failed, and result is None whenever error is set.
+    A run with neither forecaster nor error is pending: a shared model left
+    for `_fill_pending`. That is a test of fields, not of identity, so it
+    survives the pickling that brings a worker's runs back.
     """
 
     model_id: ModelId
@@ -336,14 +350,19 @@ class _ModelRun:
     error: str | None = None
     forecaster: BaseForecaster | None = None
 
+    @property
+    def pending(self) -> bool:
+        return self.forecaster is None and self.error is None
 
-def _run_models(series: SalesSeries, model_ids, horizon: int, shared: _SharedModels, config: PipelineConfig, orders=None) -> list:
+
+def _run_models(series: SalesSeries, model_ids, horizon: int, shared: _SharedModels | None, config: PipelineConfig, orders=None) -> list:
     """Fit each model on series, then forecast horizon steps; one _ModelRun per model.
 
     orders maps ARIMA/SARIMA ids to an order to fit without searching. When
     both search on a series of at least three years, they share one set of
     cached candidate fits through fit_arima_pair and both take ARIMA's slot.
-    Otherwise runs follow model_ids. A model that raises is recorded, never fatal.
+    Otherwise runs follow model_ids. A model that raises is recorded, never
+    fatal. With shared None, the shared models' runs are left pending.
     """
     orders = orders or {}
     pair = (ModelId.ARIMA, ModelId.SARIMA)
@@ -356,6 +375,9 @@ def _run_models(series: SalesSeries, model_ids, horizon: int, shared: _SharedMod
         if joint and model_id in pair:
             if model_id is ModelId.ARIMA:
                 runs.extend(_fit_pair(series))
+            continue
+        if shared is None and model_id in SHARED_MODELS:
+            runs.append(_ModelRun(model_id))
             continue
         try:
             forecaster = _make_forecaster(model_id, shared, config, orders.get(model_id))
@@ -370,6 +392,14 @@ def _run_models(series: SalesSeries, model_ids, horizon: int, shared: _SharedMod
             except Exception as exc:
                 run.error = str(exc)
     return runs
+
+
+def _fill_pending(runs: list, series: SalesSeries, horizon: int, shared: _SharedModels, config: PipelineConfig) -> None:
+    """Replace each pending run in runs, in its slot, by its model's run on series."""
+    pending = [i for i, run in enumerate(runs) if run.pending]
+    filled = _run_models(series, [runs[i].model_id for i in pending], horizon, shared, config)
+    for i, run in zip(pending, filled):
+        runs[i] = run
 
 
 def _fit_pair(series: SalesSeries) -> list:
@@ -464,13 +494,15 @@ def run_validation(corpus, config: PipelineConfig | None = None) -> ValidationRe
         holdout = _holdout_length(series, validity, config)
         splits[series.product_id] = split_holdout(series, holdout)
 
-    shared = _train_shared([train for train, _ in splits.values()], config)
-    tasks = [
-        partial(_validate_product, train, test, validities[product_id], shared, config)
-        for product_id, (train, test) in splits.items()
-    ]
-    for entry in run_all(tasks):
-        entries[entry.product_id] = entry
+    model_ids = [m for m in MODEL_PRIORITY if m in config.enabled_models and m is not ModelId.ENSEMBLE_MEDIAN]
+    shared, stage_runs = _run_stage(
+        [train for train, _ in splits.values()],
+        config,
+        [partial(_run_models, train, model_ids, len(test), None, config) for train, test in splits.values()],
+    )
+    for (product_id, (train, test)), runs in zip(splits.items(), stage_runs):
+        _fill_pending(runs, train, len(test), shared, config)
+        entries[product_id] = _validate_product(train, test, validities[product_id], runs, config)
 
     return ValidationReport(
         frequency=config.frequency,
@@ -480,10 +512,8 @@ def run_validation(corpus, config: PipelineConfig | None = None) -> ValidationRe
     )
 
 
-def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity, shared: _SharedModels, config: PipelineConfig) -> ProductValidation:
-    """Fit every enabled model on the training prefix and score it on the holdout."""
-    model_ids = [m for m in MODEL_PRIORITY if m in config.enabled_models and m is not ModelId.ENSEMBLE_MEDIAN]
-    runs = _run_models(train, model_ids, len(test), shared, config)
+def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity, runs: list, config: PipelineConfig) -> ProductValidation:
+    """Score each model's run on the training prefix against the holdout, then recommend."""
     # fit failures are listed before forecast failures
     skipped = [
         (run.model_id.value, run.error)
@@ -553,21 +583,31 @@ def finalize_and_forecast(corpus, report: ValidationReport, config: PipelineConf
     eligible = [
         s for s in ordered if report.product(s.product_id).validity is not Validity.EXCLUDED
     ]
-    shared = _train_shared(eligible, config)
+    plans = [_refit_plan(report.product(s.product_id)) for s in eligible]
+    shared, stage_runs = _run_stage(
+        eligible,
+        config,
+        [
+            partial(_run_models, s, model_ids, config.horizon, None, config, orders)
+            for s, (model_ids, orders) in zip(eligible, plans)
+        ],
+    )
     if shared.trees_error or shared.network_error:
         # full-history training failed where the prefixes worked: fall back
         # to the validation-stage corpus so those forecasts are not lost
         prefixes = [
             split_holdout(s, report.product(s.product_id).holdout)[0] for s in eligible
         ]
-        retried = _train_shared(prefixes, config)
+        retried, _ = _run_stage(prefixes, config, [])
         if shared.trees is None:
             shared.trees, shared.trees_error = retried.trees, retried.trees_error
         if shared.network is None:
             shared.network, shared.network_error = retried.network, retried.network_error
 
-    tasks = [partial(_finalize_product, s, report.product(s.product_id), shared, config) for s in eligible]
-    finalized = {entry.product_id: entry for entry in run_all(tasks)}
+    finalized = {}
+    for s, (_, orders), runs in zip(eligible, plans, stage_runs):
+        _fill_pending(runs, s, config.horizon, shared, config)
+        finalized[s.product_id] = _finalize_product(s, report.product(s.product_id), runs, orders, shared, config)
     products = tuple(
         finalized[s.product_id]
         if s.product_id in finalized
@@ -577,8 +617,8 @@ def finalize_and_forecast(corpus, report: ValidationReport, config: PipelineConf
     return ForecastBundle(frequency=config.frequency, horizon=config.horizon, products=products)
 
 
-def _finalize_product(series: SalesSeries, validation: ProductValidation, shared: _SharedModels, config: PipelineConfig) -> ProductForecasts:
-    """Refit one product's scored models on its full history and forecast the horizon."""
+def _refit_plan(validation: ProductValidation) -> tuple:
+    """(models to refit on the full history, ARIMA/SARIMA orders validation selected)."""
     model_ids = [ModelId(score.model_id) for score in validation.scores]
     if validation.recommended is not None and ModelId(validation.recommended) not in model_ids:
         # no_model products still get their fallback recommendation fitted
@@ -589,7 +629,11 @@ def _finalize_product(series: SalesSeries, validation: ProductValidation, shared
         for score in validation.scores
         if score.selected_order is not None
     }
-    runs = _run_models(series, model_ids, config.horizon, shared, config, orders)
+    return model_ids, orders
+
+
+def _finalize_product(series: SalesSeries, validation: ProductValidation, runs: list, orders: dict, shared: _SharedModels, config: PipelineConfig) -> ProductForecasts:
+    """One product's forecasts from its full-history runs; failed refits retry on the prefix."""
     failed = [run.model_id for run in runs if run.result is None]
     retried = {}
     if failed:

@@ -168,18 +168,33 @@ class TestForecastCommand:
         assert "internal error" in capsys.readouterr().err
 
     def test_internal_error_in_a_fan_out_worker_exits_two(self, sales_csv, capsys, monkeypatch):
-        tmp_path, sales, config = sales_csv
+        tmp_path, sales, _ = sales_csv
+        config = tmp_path / "shared.json"
+        shared_models = {"enabled_models": ["naive", "boosted_tree", "cnn"], "ensemble_members": [], "horizon": 6}
+        config.write_text(json.dumps(shared_models))
         parent = os.getpid()
-        recommend = pipeline.recommend_model
+        trees, cnn = pipeline.train_pooled_trees, pipeline.train_shared_cnn
+        started_r, started_w = os.pipe()
 
-        def recommend_in_parent_only(scores):
+        def trees_once_cnn_started(corpus):
+            # the caller trains the trees (task 0), so a worker must claim the CNN
+            os.read(started_r, 1)
+            return trees(corpus)
+
+        def cnn_in_parent_only(corpus, cnn_config):
+            os.write(started_w, b"s")
             if os.getpid() != parent:
                 raise RuntimeError("unexpected in worker")
-            return recommend(scores)
+            return cnn(corpus, cnn_config)
 
         monkeypatch.setattr(fanout, "usable_cores", lambda: 2)
-        monkeypatch.setattr(pipeline, "recommend_model", recommend_in_parent_only)
-        code = run(["forecast", "--input", str(sales), "--config", str(config), "--out", str(tmp_path / "o")])
+        monkeypatch.setattr(pipeline, "train_pooled_trees", trees_once_cnn_started)
+        monkeypatch.setattr(pipeline, "train_shared_cnn", cnn_in_parent_only)
+        try:
+            code = run(["forecast", "--input", str(sales), "--config", str(config), "--out", str(tmp_path / "o")])
+        finally:
+            os.close(started_r)
+            os.close(started_w)
         assert code == 2
         assert "internal error: RuntimeError: unexpected in worker" in capsys.readouterr().err
 

@@ -207,7 +207,9 @@ class TestRunValidation:
 
     def test_joint_arima_pair_runs_alongside_every_other_model(self, monkeypatch):
         # a 36-point training prefix is three years: ARIMA and SARIMA share
-        # one search and take ARIMA's slot, and no other model is dropped
+        # one search and take ARIMA's slot, and no other model is dropped;
+        # one usable core keeps the counted call in this process
+        monkeypatch.setattr(fanout, "usable_cores", lambda: 1)
         calls = []
         original = pipeline.fit_arima_pair
 
@@ -439,20 +441,67 @@ class TestFinalizeAndForecast:
                 np.testing.assert_array_equal(fa.values, fb.values)
 
 
+def ragged_corpus():
+    """Lengths 8-40: one product excluded, shortened holdouts, prefixes the trees and CNN refuse."""
+    kinds = ("seasonality", "seasonality_trend", "seasonality", "seasonality_trend", "high_variance")
+    lengths = (8, 13, 17, 21, 25, 29, 33, 36, 40)
+    specs = [
+        ArchetypeSpec.from_kind(f"r{i}", kinds[i % len(kinds)], length=n) for i, n in enumerate(lengths)
+    ]
+    return generate_corpus(specs, seed=11)
+
+
 class TestFanOut:
+    @staticmethod
+    def exports_at_every_core_count(monkeypatch, tmp_path, corpus, config):
+        """(report, bundle) of a 3-process run, after checking that 1, 2 and 3 processes export the same bytes."""
+        exported = {}
+        for n in (1, 2, 3):
+            monkeypatch.setattr(fanout, "usable_cores", lambda: n)
+            report, bundle = run_pipeline(corpus, config)
+            written = export_bundle(bundle, report, tmp_path / f"cores{n}", config)
+            exported[n] = {path.name: path.read_bytes() for path in written.values()}
+        assert exported[1] == exported[2] == exported[3]
+        assert {"forecasts.csv", "validation.csv", "summary.json"} <= set(exported[1])
+        assert any(name.endswith(".svg") for name in exported[1])
+        return report, bundle
+
     def test_serial_and_fanned_out_exports_are_byte_identical(self, monkeypatch, tmp_path):
         kinds = ("seasonality", "seasonality_trend", "high_variance", "seasonality")
         specs = [ArchetypeSpec.from_kind(f"p{i}", kind, length=48 + 6 * i) for i, kind in enumerate(kinds)]
         corpus = generate_corpus(specs, seed=5) + [monthly_series(np.full(11, 5.0), product_id="tiny")]
         config = PipelineConfig(gam_lambda_grid=(0.1, 1.0), seed=5)
-        exported = {}
-        for n in (1, 2):
-            monkeypatch.setattr(fanout, "usable_cores", lambda: n)
-            report, bundle = run_pipeline(corpus, config)
-            written = export_bundle(bundle, report, tmp_path / f"cores{n}", config)
-            exported[n] = {path.name: path.read_bytes() for path in written.values()}
-        assert exported[1] == exported[2]
-        assert {"forecasts.csv", "validation.csv", "summary.json"} <= set(exported[2])
+        self.exports_at_every_core_count(monkeypatch, tmp_path, corpus, config)
+
+    def test_ragged_corpus_exports_are_byte_identical(self, monkeypatch, tmp_path):
+        config = PipelineConfig(gam_lambda_grid=(0.1, 1.0), seed=11)
+        report, _ = self.exports_at_every_core_count(monkeypatch, tmp_path, ragged_corpus(), config)
+        assert report.product("r0").validity is Validity.EXCLUDED
+        assert report.product("r1").holdout == 3
+        skipped = dict(report.product("r1").skipped)
+        assert "12 points" in skipped["boosted_tree"] and "24 points" in skipped["cnn"]
+        assert report.product("r8").score_for("cnn") is not None
+
+    def test_failed_full_history_training_falls_back_to_prefixes_alike(self, monkeypatch, tmp_path):
+        corpus = ragged_corpus()
+        full_length = {s.product_id: len(s) for s in corpus}
+        trees, cnn = pipeline.train_pooled_trees, pipeline.train_shared_cnn
+
+        def on_prefixes_only(train):
+            def guarded(histories, *args):
+                if all(len(s) == full_length[s.product_id] for s in histories):
+                    raise ValueError("full-history training overflowed")
+                return train(histories, *args)
+
+            return guarded
+
+        monkeypatch.setattr(pipeline, "train_pooled_trees", on_prefixes_only(trees))
+        monkeypatch.setattr(pipeline, "train_shared_cnn", on_prefixes_only(cnn))
+        config = PipelineConfig(gam_lambda_grid=(0.1, 1.0), seed=11)
+        _, bundle = self.exports_at_every_core_count(monkeypatch, tmp_path, corpus, config)
+        # the prefix-trained shared models still forecast from each full history
+        assert bundle.product("r8").forecast_for("boosted_tree") is not None
+        assert bundle.product("r8").forecast_for("cnn") is not None
 
 
 class TestValidationReportAccessors:

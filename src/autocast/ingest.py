@@ -53,7 +53,9 @@ def ingest_sales(records, frequency: Frequency) -> list[SalesSeries]:
 
     Records may arrive in any order; the result is sorted by product id.
     Dates may be ISO-8601 strings or date objects. An empty input yields an
-    empty list. Malformed rows raise IngestError naming the offending row.
+    empty list. Malformed rows raise IngestError naming the offending row,
+    and a period whose quantities sum past the float range raises one naming
+    the product and period.
     """
     totals: dict[str, dict[int, float]] = {}
     for i, record in enumerate(records):
@@ -86,6 +88,9 @@ def ingest_sales(records, frequency: Frequency) -> list[SalesSeries]:
         first, last = min(by_period), max(by_period)
         values = np.zeros(last - first + 1)
         for index, total in by_period.items():
+            if not np.isfinite(total):
+                label = Period(frequency, index).label()
+                raise IngestError(f"product {product_id!r}, period {label}: quantities sum beyond float range")
             values[index - first] = max(0.0, total)
         result.append(
             SalesSeries(product_id, frequency, Period(frequency, first), values)

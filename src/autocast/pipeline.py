@@ -16,17 +16,18 @@ failed; their forecasts past the holdout stand in for the lost ones. The
 median ensemble is built from whatever forecasts each stage ends with.
 
 Each of the last two stages is one ``fanout.run_all`` call, `_run_stage`,
-over the usable cores. Its queue holds the pooled-tree training, the CNN
-training and then one task per product, so product fits run beside the
-shared trainings instead of after them. A product task is `_run_models`
-for every model but the two shared-weight ones, whose runs it leaves
-pending in their slots. Once the queue is drained, this process fills the
-pending runs from the trained shared models, then scores, ensembles and
-recommends (validation) or retries failed refits on the prefix (finalize).
-That part runs the same code whatever the core count, every task computes
-what it would compute in one process, and results merge in product-id
-order, so the exports are byte-identical however the tasks were placed.
-With one usable core the whole queue runs serially in this process.
+over a pool of forked workers, one per usable core. Its queue holds the
+pooled-tree training, the CNN training and then one task per product, so
+product fits run beside the shared trainings instead of after them. A
+product task is `_run_models` for every model but the two shared-weight
+ones, whose runs it leaves pending in their slots. Once every task has
+returned, this process fills the pending runs from the trained shared
+models, then scores, ensembles and recommends (validation) or retries
+failed refits on the prefix (finalize). That part runs the same code
+whatever the core count, every task computes what it would compute in one
+process, and results merge in product-id order, so the exports are
+byte-identical however the tasks were placed. With one usable core the
+whole queue runs serially in this process.
 """
 from __future__ import annotations
 
@@ -82,6 +83,8 @@ class PipelineConfig:
             raise ConfigError(f"horizon: must be >= 1, got {self.horizon}")
         if self.holdout < MIN_HOLDOUT:
             raise ConfigError(f"holdout: must be >= {MIN_HOLDOUT}, got {self.holdout}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if len(set(enabled)) != len(enabled):
             raise ConfigError("enabled_models: duplicate entries")
         missing = [m.value for m in members if m not in enabled]
@@ -263,10 +266,10 @@ def _run_stage(corpus: list, config: PipelineConfig, tasks: list) -> tuple:
     """(the enabled shared models trained on corpus, each task's result), from one queue.
 
     The queue holds the pooled-tree training, the CNN training and then the
-    tasks, none of which reads another. The calling process takes the first
-    entry, so on two or more usable cores it trains the trees while a forked
-    worker trains the CNN, and every process then claims tasks until the
-    queue is drained. The CNN comes back as its flat weight vector, loaded
+    tasks, none of which reads another. On two or more usable cores the
+    forked workers take entries in queue order, so the trees and the CNN
+    train side by side and each worker then takes the next product task as
+    it comes free. The CNN comes back as its flat weight vector, loaded
     into a network built from the same config: a pickled network would lose
     its (weight, bias) views into that buffer. A training that raises
     ValueError leaves its model unavailable, with the message as the reason.

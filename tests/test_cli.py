@@ -110,6 +110,19 @@ class TestValidateCommand:
         assert summary["seed"] == 42
         assert summary["config"]["seed"] == 42
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_exits_one(self, sales_csv, capsys, where):
+        tmp_path, sales, config = sales_csv
+        argv = ["validate", "--input", str(sales), "--out", str(tmp_path / "o")]
+        if where == "config":
+            config = tmp_path / "negative_seed.json"
+            config.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--config", str(config), "--seed", "-1"]
+        assert run(argv) == 1
+        assert "error: seed: must be >= 0, got -1" in capsys.readouterr().err
+
     def test_missing_input_exits_one(self, sales_csv, capsys):
         tmp_path, _, config = sales_csv
         code = run(
@@ -156,6 +169,13 @@ class TestForecastCommand:
         assert code == 1
         assert "horizon" in capsys.readouterr().err
 
+    def test_overflowing_period_total_exits_one(self, tmp_path, capsys):
+        sales = tmp_path / "overflow.csv"
+        sales.write_text("product_id,date,quantity\na,2023-01-01,1e308\na,2023-01-15,1e308\nb,2023-01-01,1\n")
+        code = run(["forecast", "--input", str(sales), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "error: product 'a', period 2023-01" in capsys.readouterr().err
+
     def test_internal_error_exits_two(self, sales_csv, capsys, monkeypatch):
         tmp_path, sales, config = sales_csv
 
@@ -173,28 +193,16 @@ class TestForecastCommand:
         shared_models = {"enabled_models": ["naive", "boosted_tree", "cnn"], "ensemble_members": [], "horizon": 6}
         config.write_text(json.dumps(shared_models))
         parent = os.getpid()
-        trees, cnn = pipeline.train_pooled_trees, pipeline.train_shared_cnn
-        started_r, started_w = os.pipe()
-
-        def trees_once_cnn_started(corpus):
-            # the caller trains the trees (task 0), so a worker must claim the CNN
-            os.read(started_r, 1)
-            return trees(corpus)
+        cnn = pipeline.train_shared_cnn
 
         def cnn_in_parent_only(corpus, cnn_config):
-            os.write(started_w, b"s")
             if os.getpid() != parent:
                 raise RuntimeError("unexpected in worker")
             return cnn(corpus, cnn_config)
 
         monkeypatch.setattr(fanout, "usable_cores", lambda: 2)
-        monkeypatch.setattr(pipeline, "train_pooled_trees", trees_once_cnn_started)
         monkeypatch.setattr(pipeline, "train_shared_cnn", cnn_in_parent_only)
-        try:
-            code = run(["forecast", "--input", str(sales), "--config", str(config), "--out", str(tmp_path / "o")])
-        finally:
-            os.close(started_r)
-            os.close(started_w)
+        code = run(["forecast", "--input", str(sales), "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "internal error: RuntimeError: unexpected in worker" in capsys.readouterr().err
 

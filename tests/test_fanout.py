@@ -1,6 +1,11 @@
 import os
+import pickle
 import signal
+import subprocess
+import sys
 import threading
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,30 +44,6 @@ def in_worker() -> bool:
     return os.getpid() != PARENT
 
 
-@pytest.fixture()
-def worker_claims():
-    """Tasks [wait, task]; the caller runs wait, which returns once task has started elsewhere.
-
-    The caller always runs task 0, so task 1 must be claimed by a worker.
-    """
-    read_fd, write_fd = os.pipe()
-
-    def wait():
-        os.read(read_fd, 1)
-        return 0
-
-    def tasks(task):
-        def started():
-            os.write(write_fd, b"s")
-            return task()
-
-        return [wait, started]
-
-    yield tasks
-    os.close(read_fd)
-    os.close(write_fd)
-
-
 def assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -82,7 +63,7 @@ def test_results_come_back_in_task_order(cores, n_cores):
     assert_no_children()
 
 
-def test_caller_runs_task_zero_and_every_task_runs_exactly_once(cores, tmp_path):
+def test_every_task_runs_exactly_once_in_a_worker(cores, tmp_path):
     cores(3)
     log = tmp_path / "ran"
 
@@ -96,17 +77,36 @@ def test_caller_runs_task_zero_and_every_task_runs_exactly_once(cores, tmp_path)
 
     results = fanout.run_all([lambda i=i: task(i) for i in range(60)])
     assert [i for i, _ in results] == list(range(60))
-    assert results[0][1] == PARENT
+    assert PARENT not in {pid for _, pid in results}
     assert sorted(int(line) for line in log.read_text().split()) == list(range(60))
     assert_no_children()
 
 
-@pytest.mark.parametrize("n_cores", [2, 3])
-def test_a_queue_longer_than_a_pipe_holds_is_claimed_without_blocking(cores, n_cores):
-    # 20 000 four-byte indices outgrow a 64 KiB pipe buffer
-    cores(n_cores)
-    assert fanout.run_all([lambda i=i: i for i in range(20_000)]) == list(range(20_000))
+def test_consecutive_calls_both_fan_out_and_leave_no_thread_behind(cores):
+    # a pool thread left running would make the next call, and the next stage, serial
+    cores(2)
+    threads = threading.active_count()
+    for _ in range(2):
+        assert PARENT not in fanout.run_all([os.getpid] * 4)
+        assert threading.active_count() == threads
     assert_no_children()
+
+
+def test_output_buffered_before_a_fan_out_is_written_once(tmp_path):
+    script = tmp_path / "buffered.py"
+    script.write_text(
+        "import sys\n"
+        "from autocast import fanout\n"
+        "fanout.usable_cores = lambda: 2\n"
+        "print('before')\n"
+        "fanout.run_all([lambda i=i: sys.stdout.write(f'task {i}\\n') for i in range(4)])\n"
+    )
+    # stdout is a pipe and PYTHONUNBUFFERED is unset, so 'before' is still buffered at the fork
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(fanout.__file__).parents[1])
+    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.startswith("before\n")
+    assert sorted(out.splitlines()) == ["before"] + [f"task {i}" for i in range(4)]
 
 
 @pytest.mark.parametrize("n_cores, n_tasks", [(1, 4), (2, 1), (2, 0)])
@@ -134,15 +134,14 @@ def test_serial_while_another_thread_runs(cores):
     assert not thread.is_alive()
 
 
-def test_worker_exception_reaches_the_caller(cores, worker_claims):
+def test_worker_exception_keeps_the_worker_traceback_as_its_cause(cores):
     cores(2)
 
     def task():
         raise RuntimeError("worker task failed")
 
     with pytest.raises(RuntimeError, match="worker task failed") as caught:
-        fanout.run_all(worker_claims(task))
-    assert isinstance(caught.value.__cause__, fanout.WorkerTraceback)
+        fanout.run_all([lambda: 0, task])
     assert "in task" in str(caught.value.__cause__)
     assert_no_children()
 
@@ -161,71 +160,62 @@ def test_the_lowest_failing_task_wins_as_in_a_serial_run(cores):
     assert_no_children()
 
 
-def test_unpicklable_worker_exception_arrives_as_runtime_error(cores, worker_claims):
+def test_unpicklable_worker_exception_breaks_the_pool(cores):
     cores(2)
 
     def task():
         raise Unpicklable(1, 2)
 
-    with pytest.raises(RuntimeError, match="Unpicklable: 1/2"):
-        fanout.run_all(worker_claims(task))
+    with pytest.raises(BrokenProcessPool) as caught:
+        fanout.run_all([lambda: 0, task])
+    assert isinstance(caught.value, RuntimeError)
     assert_no_children()
 
 
-def test_unpicklable_worker_result_is_reported(cores, worker_claims):
+def test_unpicklable_worker_result_raises_its_pickling_error(cores):
     cores(2)
-    with pytest.raises(RuntimeError, match="could not send its results"):
-        fanout.run_all(worker_claims(lambda: (lambda: None)))
+    with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
+        fanout.run_all([lambda: 0, lambda: (lambda: None)])
     assert_no_children()
 
 
-def test_worker_that_dies_mid_task_makes_the_caller_raise(cores, worker_claims):
+def test_worker_that_dies_mid_task_breaks_the_pool(cores):
     cores(2)
-    with pytest.raises(RuntimeError, match="exited with status 1 without sending its results"):
-        fanout.run_all(worker_claims(lambda: os._exit(1)) + [lambda: 0])
+    with pytest.raises(BrokenProcessPool) as caught:
+        fanout.run_all([lambda: 0, lambda: os._exit(1), lambda: 2])
+    assert isinstance(caught.value, RuntimeError)
     assert_no_children()
 
 
-def test_worker_that_dies_between_claims_makes_the_caller_raise(cores, worker_claims):
-    cores(2)
-
-    def task():
-        # rebinds the claim only in the worker's copy of the module
-        fanout._claim = lambda fd: os._exit(3)
-        return 1
-
-    claim = fanout._claim
-    with pytest.raises(RuntimeError, match="exited with status 3 without sending its results"):
-        fanout.run_all(worker_claims(task) + [lambda: 2] * 5)
-    assert fanout._claim is claim
-    assert_no_children()
-
-
-def test_caller_failure_still_reaps_the_workers(cores):
+def test_a_failing_task_leaves_no_child_and_no_extra_thread(cores):
     cores(3)
+    threads = threading.active_count()
 
-    def task():
-        if not in_worker():
-            raise KeyError("caller")
-        return 0
+    def task(i):
+        if i == 1:
+            raise KeyError("task 1")
+        return i
 
-    with pytest.raises(KeyError, match="caller"):
-        fanout.run_all([task] * 3)
+    with pytest.raises(KeyError, match="task 1"):
+        fanout.run_all([lambda i=i: task(i) for i in range(3)])
+    assert threading.active_count() == threads
     assert_no_children()
 
 
-def test_cnn_trained_in_a_worker_forecasts_as_one_trained_in_process(cores, monkeypatch, worker_claims):
+def test_cnn_trained_in_a_worker_forecasts_as_one_trained_in_process(cores, monkeypatch):
     specs = [ArchetypeSpec.from_kind(f"p{i}", "seasonality", length=48) for i in range(3)]
     corpus = generate_corpus(specs, seed=3)
     config = PipelineConfig(enabled_models=("naive", "boosted_tree", "cnn"), ensemble_members=())
     shared = {}
     cores(1)
     shared[1], _ = _run_stage(corpus, config, [])
-    # the caller's tree training (task 0) waits until the CNN training has started in the worker
-    wait, started = worker_claims(lambda: None)
-    trees, cnn = pipeline.train_pooled_trees, pipeline.train_shared_cnn
-    monkeypatch.setattr(pipeline, "train_pooled_trees", lambda c: (wait(), trees(c))[1])
-    monkeypatch.setattr(pipeline, "train_shared_cnn", lambda c, cfg: (started(), cnn(c, cfg))[1])
+    cnn = pipeline.train_shared_cnn
+
+    def cnn_in_worker(corpus, cnn_config):
+        assert in_worker()
+        return cnn(corpus, cnn_config)
+
+    monkeypatch.setattr(pipeline, "train_shared_cnn", cnn_in_worker)
     cores(2)
     shared[2], _ = _run_stage(corpus, config, [])
     assert shared[2].network is not None and shared[2].trees is not None

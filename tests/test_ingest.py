@@ -55,6 +55,12 @@ class TestIngestSales:
         with pytest.raises(IngestError):
             ingest_sales([("A", "2023-01-01", float("nan"))], Frequency.MONTHLY)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_overflowing_period_total_names_product_and_period(self, sign):
+        records = [("A", "2023-01-01", 1), ("a", "2023-02-03", sign * 1e308), ("a", "2023-02-20", sign * 1e308)]
+        with pytest.raises(IngestError, match="product 'a', period 2023-02"):
+            ingest_sales(records, Frequency.MONTHLY)
+
     def test_weekly_periods(self):
         (s,) = ingest_sales([("A", "2023-01-09", 4), ("A", "2023-01-12", 1)], Frequency.WEEKLY)
         assert s.frequency is Frequency.WEEKLY

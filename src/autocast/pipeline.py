@@ -9,22 +9,26 @@ orders validation selected, and asked for the real forward horizon.
 
 Both stages build, fit and forecast their models through one function,
 `_run_models`, which records each model's forecast or the reason it was
-lost. Validation runs it on the training prefix with the holdout as the
-horizon. Finalize runs it on the full history, then once more on the
-prefix, for the holdout plus the horizon, for the models whose refit
-failed; their forecasts past the holdout stand in for the lost ones. The
-median ensemble is built from whatever forecasts each stage ends with.
+lost. Only model-domain failures (`MODEL_FAILURES`) are recorded; any
+other exception is a bug and propagates. Validation runs it on the
+training prefix with the holdout as the horizon. Finalize runs it on the
+full history. The models whose refit failed then run once more as
+validation ran them: on the prefix, with shared models trained on the
+prefixes, for the holdout plus the horizon. Their forecasts past the
+holdout stand in for the lost ones. The median ensemble is built from
+whatever forecasts each stage ends with.
 
-Each of the last two stages is one ``fanout.run_all`` call, `_run_stage`,
-over a pool of forked workers, one per usable core. Its queue holds the
-pooled-tree training, the CNN training and then one task per product, so
-product fits run beside the shared trainings instead of after them. A
-product task is `_run_models` for every model but the two shared-weight
-ones, whose runs it leaves pending in their slots. Once every task has
-returned, this process fills the pending runs from the trained shared
-models, then scores, ensembles and recommends (validation) or retries
-failed refits on the prefix (finalize). That part runs the same code
-whatever the core count, every task computes what it would compute in one
+Each of these runs is one `_run_stage` call, a single ``fanout.run_all``
+queue over a pool of forked workers, one per usable core. A job is one
+product's series, models, horizon and forced orders. The queue holds one
+task per shared-weight model (pooled trees, CNN) that some job lists,
+which trains the model on the stage's corpus and then fits and forecasts
+it on each of those jobs, and then one task per job for its other models.
+So the shared models run in the process that trained them, and product
+fits run beside the shared trainings instead of after them. Once every
+task has returned, this process puts the shared runs in their jobs' slots,
+then scores, ensembles and recommends (validation) or assembles the
+bundle (finalize). Every task computes what it would compute in one
 process, and results merge in product-id order, so the exports are
 byte-identical however the tasks were placed. With one usable core the
 whole queue runs serially in this process.
@@ -37,7 +41,7 @@ from functools import partial
 
 import numpy as np
 
-from .deeplearn.network import CnnConfig, CnnNetwork
+from .deeplearn.network import CnnConfig
 from .deeplearn.training import CnnForecaster, train_shared_cnn
 from .errors import ConfigError
 from .fanout import run_all
@@ -248,57 +252,59 @@ class ForecastBundle:
         raise KeyError(f"no forecasts for product {product_id!r}")
 
 
+# model-domain failures: a model that raises one on some series is recorded
+# as lost there; any other exception is a bug and propagates.
+# numpy.linalg.LinAlgError is a ValueError.
+MODEL_FAILURES = (ValueError, ArithmeticError)
+
 # models whose weights are trained once per stage, on every product's series
 SHARED_MODELS = (ModelId.BOOSTED_TREE, ModelId.CNN)
 
 
-@dataclass
-class _SharedModels:
-    """Shared-weight artifacts trained once per stage, from the stage's queue."""
+def _run_stage(corpus: list, jobs: list, config: PipelineConfig) -> list:
+    """Each job's runs, from one queue; a job is `_run_models`' (series, model_ids, horizon, orders).
 
-    trees: object | None = None
-    trees_error: str | None = None
-    network: object | None = None
-    network_error: str | None = None
-
-
-def _run_stage(corpus: list, config: PipelineConfig, tasks: list) -> tuple:
-    """(the enabled shared models trained on corpus, each task's result), from one queue.
-
-    The queue holds the pooled-tree training, the CNN training and then the
-    tasks, none of which reads another. On two or more usable cores the
-    forked workers take entries in queue order, so the trees and the CNN
-    train side by side and each worker then takes the next product task as
-    it comes free. The CNN comes back as its flat weight vector, loaded
-    into a network built from the same config: a pickled network would lose
-    its (weight, bias) views into that buffer. A training that raises
-    ValueError leaves its model unavailable, with the message as the reason.
+    The queue holds one `_shared_runs` task per shared model that some job
+    lists, and then one `_run_models` task per job for its other models,
+    none of which reads another. On two or more usable cores the forked
+    workers take entries in queue order, so the shared models train side by
+    side, each then runs on its jobs in the process that trained it, and
+    each worker then takes the next job as it comes free. The shared runs
+    fill their jobs' pending slots, so every job's runs come in the order
+    one `_run_models` call on all of its models would give.
     """
-    cnn_config = _cnn_config(config)
-    jobs = {}
-    if ModelId.BOOSTED_TREE in config.enabled_models:
-        jobs["trees"] = lambda: train_pooled_trees(corpus)
-    if ModelId.CNN in config.enabled_models:
-        jobs["network"] = lambda: train_shared_cnn(corpus, cnn_config)[0].weights
-    results = run_all([partial(_attempt, job) for job in jobs.values()] + tasks)
-    outcomes = dict(zip(jobs, results))
-    shared = _SharedModels()
-    if "trees" in outcomes:
-        shared.trees, shared.trees_error = outcomes["trees"]
-    if "network" in outcomes:
-        weights, shared.network_error = outcomes["network"]
-        if weights is not None:
-            shared.network = CnnNetwork(cnn_config)
-            shared.network.set_weights(weights)
-    return shared, results[len(jobs):]
+    shared = [m for m in SHARED_MODELS if any(m in model_ids for _, model_ids, _, _ in jobs)]
+    results = run_all(
+        [partial(_shared_runs, model_id, corpus, jobs, config) for model_id in shared]
+        + [partial(_run_models, *job, config) for job in jobs]
+    )
+    shared_runs = {model_id: iter(runs) for model_id, runs in zip(shared, results)}
+    stage_runs = results[len(shared):]
+    for runs in stage_runs:
+        for i, run in enumerate(runs):
+            if run.pending:
+                runs[i] = next(shared_runs[run.model_id])
+    return stage_runs
 
 
-def _attempt(job) -> tuple:
-    """(result, None), or (None, message) when the job raises ValueError."""
+def _shared_runs(model_id: ModelId, corpus: list, jobs: list, config: PipelineConfig) -> list:
+    """model_id trained on corpus, then its run on each job that lists it, in job order.
+
+    A training that raises a model failure leaves each of those runs with
+    its message.
+    """
+    listed = [job for job in jobs if model_id in job[1]]
     try:
-        return job(), None
-    except ValueError as exc:
-        return None, str(exc)
+        if model_id is ModelId.BOOSTED_TREE:
+            trained = train_pooled_trees(corpus)
+        else:
+            trained = train_shared_cnn(corpus, _cnn_config(config))[0]
+    except MODEL_FAILURES as exc:
+        return [_ModelRun(model_id, error=str(exc)) for _ in listed]
+    return [
+        _run_models(series, [model_id], horizon, orders, config, trained)[0]
+        for series, _, horizon, orders in listed
+    ]
 
 
 def _cnn_config(config: PipelineConfig) -> CnnConfig:
@@ -308,7 +314,7 @@ def _cnn_config(config: PipelineConfig) -> CnnConfig:
     )
 
 
-def _make_forecaster(model_id: ModelId, shared: _SharedModels, config: PipelineConfig, order=None) -> BaseForecaster:
+def _make_forecaster(model_id: ModelId, config: PipelineConfig, order=None, trained=None) -> BaseForecaster:
     if model_id is ModelId.NAIVE:
         return NaiveForecaster()
     if model_id is ModelId.SES:
@@ -322,13 +328,9 @@ def _make_forecaster(model_id: ModelId, shared: _SharedModels, config: PipelineC
     if model_id is ModelId.GAM:
         return GamForecaster(lambda_grid=config.gam_lambda_grid)
     if model_id is ModelId.BOOSTED_TREE:
-        if shared.trees is None:
-            raise ValueError(shared.trees_error or "pooled tree model unavailable")
-        return BoostedTreeForecaster(shared.trees)
+        return BoostedTreeForecaster(trained)
     if model_id is ModelId.CNN:
-        if shared.network is None:
-            raise ValueError(shared.network_error or "shared network unavailable")
-        return CnnForecaster(shared.network)
+        return CnnForecaster(trained)
     raise ValueError(f"no forecaster for {model_id}")
 
 
@@ -343,9 +345,10 @@ class _ModelRun:
 
     forecaster is None when building or fitting failed; error holds the
     message of whichever step failed, and result is None whenever error is set.
-    A run with neither forecaster nor error is pending: a shared model left
-    for `_fill_pending`. That is a test of fields, not of identity, so it
-    survives the pickling that brings a worker's runs back.
+    A run with neither forecaster nor error is pending: a shared model's
+    slot, which `_run_stage` fills from `_shared_runs`. That is a test of
+    fields, not of identity, so it survives the pickling that brings a
+    worker's runs back.
     """
 
     model_id: ModelId
@@ -358,16 +361,17 @@ class _ModelRun:
         return self.forecaster is None and self.error is None
 
 
-def _run_models(series: SalesSeries, model_ids, horizon: int, shared: _SharedModels | None, config: PipelineConfig, orders=None) -> list:
+def _run_models(series: SalesSeries, model_ids, horizon: int, orders: dict, config: PipelineConfig, trained=None) -> list:
     """Fit each model on series, then forecast horizon steps; one _ModelRun per model.
 
     orders maps ARIMA/SARIMA ids to an order to fit without searching. When
     both search on a series of at least three years, they share one set of
     cached candidate fits through fit_arima_pair and both take ARIMA's slot.
-    Otherwise runs follow model_ids. A model that raises is recorded, never
-    fatal. With shared None, the shared models' runs are left pending.
+    Otherwise runs follow model_ids. A model that raises a MODEL_FAILURES
+    exception is recorded, never fatal. trained is the shared model a
+    `_shared_runs` task runs; without it the shared models' runs are left
+    pending.
     """
-    orders = orders or {}
     pair = (ModelId.ARIMA, ModelId.SARIMA)
     joint = (
         all(m in model_ids and m not in orders for m in pair)
@@ -379,37 +383,29 @@ def _run_models(series: SalesSeries, model_ids, horizon: int, shared: _SharedMod
             if model_id is ModelId.ARIMA:
                 runs.extend(_fit_pair(series))
             continue
-        if shared is None and model_id in SHARED_MODELS:
+        if trained is None and model_id in SHARED_MODELS:
             runs.append(_ModelRun(model_id))
             continue
         try:
-            forecaster = _make_forecaster(model_id, shared, config, orders.get(model_id))
+            forecaster = _make_forecaster(model_id, config, orders.get(model_id), trained)
             forecaster.fit(series)
             runs.append(_ModelRun(model_id, forecaster=forecaster))
-        except Exception as exc:
+        except MODEL_FAILURES as exc:
             runs.append(_ModelRun(model_id, error=str(exc)))
     for run in runs:
         if run.forecaster is not None:
             try:
                 run.result = run.forecaster.forecast(horizon)
-            except Exception as exc:
+            except MODEL_FAILURES as exc:
                 run.error = str(exc)
     return runs
-
-
-def _fill_pending(runs: list, series: SalesSeries, horizon: int, shared: _SharedModels, config: PipelineConfig) -> None:
-    """Replace each pending run in runs, in its slot, by its model's run on series."""
-    pending = [i for i, run in enumerate(runs) if run.pending]
-    filled = _run_models(series, [runs[i].model_id for i in pending], horizon, shared, config)
-    for i, run in zip(pending, filled):
-        runs[i] = run
 
 
 def _fit_pair(series: SalesSeries) -> list:
     """ARIMA's and SARIMA's runs, fitted but not yet forecast, from one joint search."""
     try:
         fits = fit_arima_pair(series)
-    except Exception as exc:
+    except MODEL_FAILURES as exc:
         return [_ModelRun(m, error=str(exc)) for m in (ModelId.ARIMA, ModelId.SARIMA)]
     runs = []
     for seasonal, fit in zip((False, True), fits):
@@ -498,13 +494,12 @@ def run_validation(corpus, config: PipelineConfig | None = None) -> ValidationRe
         splits[series.product_id] = split_holdout(series, holdout)
 
     model_ids = [m for m in MODEL_PRIORITY if m in config.enabled_models and m is not ModelId.ENSEMBLE_MEDIAN]
-    shared, stage_runs = _run_stage(
+    stage_runs = _run_stage(
         [train for train, _ in splits.values()],
+        [(train, model_ids, len(test), {}) for train, test in splits.values()],
         config,
-        [partial(_run_models, train, model_ids, len(test), None, config) for train, test in splits.values()],
     )
     for (product_id, (train, test)), runs in zip(splits.items(), stage_runs):
-        _fill_pending(runs, train, len(test), shared, config)
         entries[product_id] = _validate_product(train, test, validities[product_id], runs, config)
 
     return ValidationReport(
@@ -573,9 +568,11 @@ def _decomposition(forecaster: GamForecaster) -> Decomposition:
 def finalize_and_forecast(corpus, report: ValidationReport, config: PipelineConfig | None = None) -> ForecastBundle:
     """Refit scored models on full history and forecast the forward horizon.
 
-    A model that fails to refit falls back to its validation-stage fit: that
-    model is refitted on the training prefix and its forecast extended past
-    the holdout, keeping the same forward window as everyone else.
+    A model that fails to refit falls back to its validation fit. The failed
+    (product, model) pairs run through one more stage on the training
+    prefixes, whose shared models train on the corpus validation trained
+    them on, for the holdout plus the horizon. The forecast past the
+    holdout keeps the same forward window as everyone else.
     """
     config = config or PipelineConfig()
     ordered = _check_corpus(corpus)
@@ -586,31 +583,26 @@ def finalize_and_forecast(corpus, report: ValidationReport, config: PipelineConf
     eligible = [
         s for s in ordered if report.product(s.product_id).validity is not Validity.EXCLUDED
     ]
-    plans = [_refit_plan(report.product(s.product_id)) for s in eligible]
-    shared, stage_runs = _run_stage(
+    validations = [report.product(s.product_id) for s in eligible]
+    plans = [_refit_plan(validation) for validation in validations]
+    stage_runs = _run_stage(
         eligible,
+        [(s, model_ids, config.horizon, orders) for s, (model_ids, orders) in zip(eligible, plans)],
         config,
-        [
-            partial(_run_models, s, model_ids, config.horizon, None, config, orders)
-            for s, (model_ids, orders) in zip(eligible, plans)
-        ],
     )
-    if shared.trees_error or shared.network_error:
-        # full-history training failed where the prefixes worked: fall back
-        # to the validation-stage corpus so those forecasts are not lost
-        prefixes = [
-            split_holdout(s, report.product(s.product_id).holdout)[0] for s in eligible
-        ]
-        retried, _ = _run_stage(prefixes, config, [])
-        if shared.trees is None:
-            shared.trees, shared.trees_error = retried.trees, retried.trees_error
-        if shared.network is None:
-            shared.network, shared.network_error = retried.network, retried.network_error
+    failed = [[run.model_id for run in runs if run.result is None] for runs in stage_runs]
+    retried = [{} for _ in eligible]
+    if any(failed):
+        prefixes = [split_holdout(s, v.holdout)[0] for s, v in zip(eligible, validations)]
+        retry = [i for i, model_ids in enumerate(failed) if model_ids]
+        jobs = [(prefixes[i], failed[i], validations[i].holdout + config.horizon, plans[i][1]) for i in retry]
+        for i, runs in zip(retry, _run_stage(prefixes, jobs, config)):
+            retried[i] = {run.model_id: run for run in runs}
 
-    finalized = {}
-    for s, (_, orders), runs in zip(eligible, plans, stage_runs):
-        _fill_pending(runs, s, config.horizon, shared, config)
-        finalized[s.product_id] = _finalize_product(s, report.product(s.product_id), runs, orders, shared, config)
+    finalized = {
+        s.product_id: _finalize_product(s, validation, runs, prefix_runs, config)
+        for s, validation, runs, prefix_runs in zip(eligible, validations, stage_runs, retried)
+    }
     products = tuple(
         finalized[s.product_id]
         if s.product_id in finalized
@@ -635,14 +627,8 @@ def _refit_plan(validation: ProductValidation) -> tuple:
     return model_ids, orders
 
 
-def _finalize_product(series: SalesSeries, validation: ProductValidation, runs: list, orders: dict, shared: _SharedModels, config: PipelineConfig) -> ProductForecasts:
-    """One product's forecasts from its full-history runs; failed refits retry on the prefix."""
-    failed = [run.model_id for run in runs if run.result is None]
-    retried = {}
-    if failed:
-        train, _ = split_holdout(series, validation.holdout)
-        horizon = validation.holdout + config.horizon
-        retried = {run.model_id: run for run in _run_models(train, failed, horizon, shared, config, orders)}
+def _finalize_product(series: SalesSeries, validation: ProductValidation, runs: list, retried: dict, config: PipelineConfig) -> ProductForecasts:
+    """One product's forecasts from its full-history runs; retried holds the prefix runs of failed refits."""
     flags = list(validation.flags)
     results = []
     decomposition = None

@@ -9,6 +9,7 @@ import autocast.pipeline as pipeline
 from autocast import fanout
 from autocast.cli import main
 from autocast.ingest import write_sales_csv
+from autocast.models.smoothing import HwesForecaster
 from autocast.series import Frequency
 from autocast.synth import ArchetypeSpec, generate_corpus
 
@@ -205,6 +206,20 @@ class TestForecastCommand:
         code = run(["forecast", "--input", str(sales), "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "internal error: RuntimeError: unexpected in worker" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    def test_programming_error_in_a_model_fit_exits_two(self, sales_csv, capsys, monkeypatch, n_cores):
+        tmp_path, sales, config = sales_csv
+
+        def broken_fit(self, series):
+            raise TypeError("fit() got an unexpected argument")
+
+        monkeypatch.setattr(fanout, "usable_cores", lambda: n_cores)
+        monkeypatch.setattr(HwesForecaster, "fit", broken_fit)
+        code = run(["forecast", "--input", str(sales), "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "internal error: TypeError: fit() got an unexpected argument" in capsys.readouterr().err
 
 
 class TestEvaluateCommand:

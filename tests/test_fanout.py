@@ -12,7 +12,13 @@ import pytest
 
 from autocast import fanout, pipeline
 from autocast.deeplearn.training import CnnForecaster
-from autocast.pipeline import PipelineConfig, _run_stage
+from autocast.models.arima import ArimaForecaster
+from autocast.models.base import ModelId
+from autocast.models.boosting import BoostedTreeForecaster
+from autocast.models.gam import GamForecaster
+from autocast.models.naive import NaiveForecaster
+from autocast.models.smoothing import HwesForecaster, SesForecaster
+from autocast.pipeline import PipelineConfig, _run_stage, run_pipeline
 from autocast.synth import ArchetypeSpec, generate_corpus
 
 PARENT = os.getpid()
@@ -206,9 +212,10 @@ def test_cnn_trained_in_a_worker_forecasts_as_one_trained_in_process(cores, monk
     specs = [ArchetypeSpec.from_kind(f"p{i}", "seasonality", length=48) for i in range(3)]
     corpus = generate_corpus(specs, seed=3)
     config = PipelineConfig(enabled_models=("naive", "boosted_tree", "cnn"), ensemble_members=())
-    shared = {}
+    model_ids = [ModelId.NAIVE, ModelId.BOOSTED_TREE, ModelId.CNN]
+    jobs = [(series, model_ids, 12, {}) for series in corpus]
     cores(1)
-    shared[1], _ = _run_stage(corpus, config, [])
+    serial = _run_stage(corpus, jobs, config)
     cnn = pipeline.train_shared_cnn
 
     def cnn_in_worker(corpus, cnn_config):
@@ -217,12 +224,39 @@ def test_cnn_trained_in_a_worker_forecasts_as_one_trained_in_process(cores, monk
 
     monkeypatch.setattr(pipeline, "train_shared_cnn", cnn_in_worker)
     cores(2)
-    shared[2], _ = _run_stage(corpus, config, [])
-    assert shared[2].network is not None and shared[2].trees is not None
-    for series in corpus:
-        forecasts = [CnnForecaster(shared[n].network).fit(series).forecast(12) for n in (1, 2)]
-        assert forecasts[0].values.tobytes() == forecasts[1].values.tobytes()
-    # the loaded network computes from the buffer it was loaded into
-    shared[2].network.weights[:] = 0.0
-    for series in corpus:
-        assert not np.any(CnnForecaster(shared[2].network).fit(series).forecast(12).values)
+    fanned = _run_stage(corpus, jobs, config)
+    for serial_runs, fanned_runs in zip(serial, fanned):
+        assert [run.model_id for run in fanned_runs] == model_ids
+        for a, b in zip(serial_runs, fanned_runs):
+            assert a.result.values.tobytes() == b.result.values.tobytes()
+
+
+def test_no_model_fits_or_forecasts_in_the_caller_at_two_cores(cores, monkeypatch):
+    in_caller = []
+
+    def in_workers_only(name, method):
+        def wrapped(*args, **kwargs):
+            if not in_worker():
+                in_caller.append(name)
+            return method(*args, **kwargs)
+
+        return wrapped
+
+    forecasters = (
+        NaiveForecaster, SesForecaster, HwesForecaster, ArimaForecaster,
+        GamForecaster, BoostedTreeForecaster, CnnForecaster,
+    )
+    for cls in forecasters:
+        for method in ("fit", "forecast"):
+            monkeypatch.setattr(cls, method, in_workers_only(f"{cls.__name__}.{method}", getattr(cls, method)))
+    for name in ("fit_arima_pair", "train_pooled_trees", "train_shared_cnn"):
+        monkeypatch.setattr(pipeline, name, in_workers_only(name, getattr(pipeline, name)))
+    kinds = ("seasonality", "seasonality_trend")
+    specs = [ArchetypeSpec.from_kind(f"p{i}", kind, length=48) for i, kind in enumerate(kinds)]
+    cores(2)
+    report, bundle = run_pipeline(generate_corpus(specs, seed=3), PipelineConfig(gam_lambda_grid=(1.0,)))
+    assert in_caller == []
+    for validation, entry in zip(report.products, bundle.products):
+        assert {s.model_id for s in validation.scores} == {m.value for m in ModelId}
+        assert not any("refit failed" in flag for flag in entry.flags)
+        assert len(entry.forecasts) == len(ModelId)

@@ -9,6 +9,7 @@ from autocast.export import export_bundle
 from autocast.ingest import Validity
 from autocast.metrics import MetricSet
 from autocast.models.base import MODEL_PRIORITY, ModelId
+from autocast.models.boosting import BoostedTreeForecaster, train_pooled_trees
 from autocast.models.ensemble import DEFAULT_MEMBERS
 from autocast.models.gam import GamForecaster
 from autocast.models.smoothing import HwesForecaster
@@ -21,7 +22,7 @@ from autocast.pipeline import (
     run_pipeline,
     run_validation,
 )
-from autocast.series import Frequency
+from autocast.series import Frequency, split_holdout
 from autocast.synth import ArchetypeSpec, generate_corpus
 
 from helpers import monthly_series, seasonal_values
@@ -345,7 +346,7 @@ class TestFinalizeAndForecast:
 
         def flaky_fit(self, series):
             if len(series) == full_length:
-                raise RuntimeError("boom")
+                raise ValueError("boom")
             return original_fit(self, series)
 
         monkeypatch.setattr(HwesForecaster, "fit", flaky_fit)
@@ -371,7 +372,7 @@ class TestFinalizeAndForecast:
 
         def flaky_fit(self, series):
             if len(series) == full_length:
-                raise RuntimeError("boom")
+                raise ValueError("boom")
             return original_fit(self, series)
 
         monkeypatch.setattr(HwesForecaster, "fit", flaky_fit)
@@ -392,7 +393,7 @@ class TestFinalizeAndForecast:
 
         def flaky_fit(self, series):
             if len(series) == full_length:
-                raise RuntimeError("boom")
+                raise ValueError("boom")
             return original_fit(self, series)
 
         monkeypatch.setattr(GamForecaster, "fit", flaky_fit)
@@ -413,7 +414,7 @@ class TestFinalizeAndForecast:
         assert report.products[0].recommended == "hwes"
 
         def broken_fit(self, series):
-            raise RuntimeError("boom")
+            raise ValueError("boom")
 
         monkeypatch.setattr(HwesForecaster, "fit", broken_fit)
         bundle = finalize_and_forecast([prod], report, config)
@@ -499,9 +500,53 @@ class TestFanOut:
         monkeypatch.setattr(pipeline, "train_shared_cnn", on_prefixes_only(cnn))
         config = PipelineConfig(gam_lambda_grid=(0.1, 1.0), seed=11)
         _, bundle = self.exports_at_every_core_count(monkeypatch, tmp_path, corpus, config)
-        # the prefix-trained shared models still forecast from each full history
-        assert bundle.product("r8").forecast_for("boosted_tree") is not None
-        assert bundle.product("r8").forecast_for("cnn") is not None
+        # the prefix-trained shared models forecast from each prefix, as in validation
+        entry = bundle.product("r8")
+        for model_id in ("boosted_tree", "cnn"):
+            assert entry.forecast_for(model_id) is not None
+            flag = f"{model_id}: refit failed, reusing validation fit (full-history training overflowed)"
+            assert flag in entry.flags
+
+    def test_failed_shared_refit_forecasts_from_the_validation_fit(self, monkeypatch):
+        corpus = ragged_corpus()
+        config = PipelineConfig(enabled_models=("naive", "boosted_tree"), ensemble_members=(), seed=11)
+        report = run_validation(corpus, config)
+        full_length = {s.product_id: len(s) for s in corpus}
+        original_fit = BoostedTreeForecaster.fit
+
+        def prefix_only_fit(self, series):
+            if len(series) == full_length[series.product_id]:
+                raise ValueError("full history refused")
+            return original_fit(self, series)
+
+        monkeypatch.setattr(BoostedTreeForecaster, "fit", prefix_only_fit)
+        bundle = finalize_and_forecast(corpus, report, config)
+        eligible = [s for s in corpus if report.product(s.product_id).validity is not Validity.EXCLUDED]
+        prefixes = [split_holdout(s, report.product(s.product_id).holdout)[0] for s in eligible]
+        validation_trees = train_pooled_trees(prefixes)
+        prefix = prefixes[-1]
+        holdout = report.product(prefix.product_id).holdout
+        expected = BoostedTreeForecaster(validation_trees).fit(prefix).forecast(holdout + config.horizon)
+        entry = bundle.product(prefix.product_id)
+        assert entry.forecast_for("boosted_tree").values.tobytes() == expected.values[holdout:].tobytes()
+        assert "boosted_tree: refit failed, reusing validation fit (full history refused)" in entry.flags
+
+    def test_finalize_trains_only_the_shared_models_it_runs(self, monkeypatch):
+        monkeypatch.setattr(fanout, "usable_cores", lambda: 1)
+        prod = monthly_series(seasonal_values(25, noise=0.5, seed=1))
+        config = PipelineConfig(enabled_models=("cnn",), ensemble_members=())
+        report = run_validation([prod], config)
+        assert report.products[0].recommended == "naive"
+        calls = []
+        cnn = pipeline.train_shared_cnn
+
+        def counted(*args):
+            calls.append(args)
+            return cnn(*args)
+
+        monkeypatch.setattr(pipeline, "train_shared_cnn", counted)
+        finalize_and_forecast([prod], report, config)
+        assert calls == []
 
 
 class TestValidationReportAccessors:

@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .errors import AutocastError, ConfigError, IngestError
 from .evaluation import summarize, write_evaluation
-from .export import export_bundle, read_export_dir, write_summary_json, write_validation_csv
+from .export import export_bundle, make_output_dir, read_export_dir, write_summary_json, write_validation_csv
 from .ingest import load_sales_csv, write_sales_csv
 from .pipeline import PipelineConfig, finalize_and_forecast, parse_config, run_validation
 from .series import Frequency
@@ -63,8 +62,7 @@ def cmd_validate(args) -> int:
     config = _load_config(args)
     corpus = _load_corpus(args.input, config.frequency)
     report = run_validation(corpus, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(args.out)
     write_validation_csv(report, out / "validation.csv")
     write_summary_json(report, None, config, out / "summary.json")
     _print_report_summary(report)

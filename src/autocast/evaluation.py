@@ -10,12 +10,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, EvaluationError, ExportError
+from .errors import DegenerateSampleError, EvaluationError
+from .export import _open_write, make_output_dir
 from .metrics import compute_nrmse, compute_rmse
 from .models.base import ModelId, priority_rank
 from .pipeline import ForecastBundle, ValidationReport
@@ -149,38 +149,6 @@ class EvaluationSummary:
     wilcoxon_recommended: dict | None
     wilcoxon_best: dict | None
     alternative: str
-
-    def as_dict(self) -> dict:
-        def ratios(entries):
-            return [
-                {
-                    "product_id": r.product_id,
-                    "model_id": r.model_id,
-                    "model_nrmse": r.model_nrmse,
-                    "naive_nrmse": r.naive_nrmse,
-                    "ratio": r.ratio,
-                }
-                for r in entries
-            ]
-
-        return {
-            "n_products": self.n_products,
-            "scored": list(self.scored),
-            "missing_actuals": list(self.missing_actuals),
-            "undefined_ratio": list(self.undefined_ratio),
-            "per_model_mean_nrmse": self.per_model_mean_nrmse,
-            "recommended_histogram": self.recommended_histogram,
-            "best_histogram": self.best_histogram,
-            "recommended_ratios": ratios(self.recommended_ratios),
-            "best_ratios": ratios(self.best_ratios),
-            "recommended_quartiles": list(self.recommended_quartiles)
-            if self.recommended_quartiles
-            else None,
-            "best_quartiles": list(self.best_quartiles) if self.best_quartiles else None,
-            "wilcoxon_recommended": self.wilcoxon_recommended,
-            "wilcoxon_best": self.wilcoxon_best,
-            "alternative": self.alternative,
-        }
 
 
 def _actual_window(actual, start, horizon: int):
@@ -324,44 +292,29 @@ def _fmt(value) -> str:
 
 def write_evaluation(summary: EvaluationSummary, output_dir) -> dict:
     """Write evaluation.json, ratios.csv, and (when possible) boxplot.svg."""
-    out = Path(output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ExportError(f"cannot create output directory {out}: {exc}") from exc
+    out = make_output_dir(output_dir)
+    written = {"evaluation": out / "evaluation.json", "ratios": out / "ratios.csv"}
+    with _open_write(written["evaluation"]) as fh:
+        fh.write(json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n")
 
-    written = {}
-    path = out / "evaluation.json"
-    try:
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            fh.write(json.dumps(summary.as_dict(), indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise ExportError(f"cannot write {path}: {exc}") from exc
-    written["evaluation"] = path
-
-    path = out / "ratios.csv"
     best_by_id = {r.product_id: r for r in summary.best_ratios}
-    try:
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(RATIOS_HEADER)
-            for rec in summary.recommended_ratios:
-                best = best_by_id.get(rec.product_id)
-                writer.writerow(
-                    [
-                        rec.product_id,
-                        rec.model_id,
-                        _fmt(rec.model_nrmse),
-                        best.model_id if best else "",
-                        _fmt(best.model_nrmse if best else None),
-                        _fmt(rec.naive_nrmse),
-                        _fmt(rec.ratio),
-                        _fmt(best.ratio if best else None),
-                    ]
-                )
-    except OSError as exc:
-        raise ExportError(f"cannot write {path}: {exc}") from exc
-    written["ratios"] = path
+    with _open_write(written["ratios"]) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RATIOS_HEADER)
+        for rec in summary.recommended_ratios:
+            best = best_by_id.get(rec.product_id)
+            writer.writerow(
+                [
+                    rec.product_id,
+                    rec.model_id,
+                    _fmt(rec.model_nrmse),
+                    best.model_id if best else "",
+                    _fmt(best.model_nrmse if best else None),
+                    _fmt(rec.naive_nrmse),
+                    _fmt(rec.ratio),
+                    _fmt(best.ratio if best else None),
+                ]
+            )
 
     groups = []
     rec_values = [r.ratio for r in summary.recommended_ratios if r.ratio is not None]
@@ -371,12 +324,7 @@ def write_evaluation(summary: EvaluationSummary, output_dir) -> dict:
     if best_values:
         groups.append(("best", best_values))
     if groups:
-        path = out / "boxplot.svg"
-        svg = box_plot("error ratio vs naive baseline", groups, clip=RATIO_CLIP)
-        try:
-            with path.open("w", newline="", encoding="utf-8") as fh:
-                fh.write(svg)
-        except OSError as exc:
-            raise ExportError(f"cannot write {path}: {exc}") from exc
-        written["boxplot"] = path
+        written["boxplot"] = out / "boxplot.svg"
+        with _open_write(written["boxplot"]) as fh:
+            fh.write(box_plot("error ratio vs naive baseline", groups, clip=RATIO_CLIP))
     return written

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import ExportError
@@ -38,6 +39,16 @@ def _open_write(path: Path):
         return path.open("w", newline="", encoding="utf-8")
     except OSError as exc:
         raise ExportError(f"cannot write {path}: {exc}") from exc
+
+
+def make_output_dir(output_dir) -> Path:
+    """output_dir as a Path, created with its parents if missing."""
+    out = Path(output_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ExportError(f"cannot create output directory {out}: {exc}") from exc
+    return out
 
 
 def write_forecasts_csv(bundle: ForecastBundle, path) -> Path:
@@ -106,7 +117,7 @@ def _summary_payload(report: ValidationReport, bundle: ForecastBundle | None, co
         "recommendation_histogram": dict(sorted(histogram.items())),
         "model_skip_counts": dict(sorted(skip_counts.items())),
         "seed": report.seed,
-        "config": config.as_dict(),
+        "config": asdict(config),
     }
     if bundle is not None:
         payload["horizon"] = bundle.horizon
@@ -151,11 +162,7 @@ def write_decomposition_svg(decomposition, path) -> Path:
 
 def export_bundle(bundle: ForecastBundle, report: ValidationReport, output_dir, config: PipelineConfig | None = None) -> dict:
     """Write all result files into output_dir; returns {name: Path}."""
-    out = Path(output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ExportError(f"cannot create output directory {out}: {exc}") from exc
+    out = make_output_dir(output_dir)
 
     written = {
         "forecasts": write_forecasts_csv(bundle, out / "forecasts.csv"),

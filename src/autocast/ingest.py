@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IngestError
+from .errors import ExportError, IngestError
 from .series import Frequency, Period, SalesSeries
 
 CSV_HEADER = ["product_id", "date", "quantity"]
@@ -136,7 +136,11 @@ def load_sales_csv(path, frequency: Frequency) -> list[SalesSeries]:
 
 def write_sales_csv(path, corpus: list[SalesSeries]) -> None:
     """Write series back out in the ingestion CSV format (one row per period)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    try:
+        fh = Path(path).open("w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ExportError(f"cannot write {path}: {exc}") from exc
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for series in corpus:

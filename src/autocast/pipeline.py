@@ -11,12 +11,11 @@ Both stages build, fit and forecast their models through one function,
 `_run_models`, which records each model's forecast or the reason it was
 lost. Only model-domain failures (`MODEL_FAILURES`) are recorded; any
 other exception is a bug and propagates. Validation runs it on the
-training prefix with the holdout as the horizon. Finalize runs it on the
-full history. The models whose refit failed then run once more as
-validation ran them: on the prefix, with shared models trained on the
-prefixes, for the holdout plus the horizon. Their forecasts past the
-holdout stand in for the lost ones. The median ensemble is built from
-whatever forecasts each stage ends with.
+training prefix for the holdout plus the horizon: it scores the first
+part and keeps the rest as the model's forward forecast. Finalize runs it
+on the full history; a model whose refit failed uses the forward forecast
+validation kept, so nothing is fitted on the prefix a second time. The
+median ensemble is built from whatever forecasts each stage ends with.
 
 Each of these runs is one `_run_stage` call, a single ``fanout.run_all``
 queue over a pool of forked workers, one per usable core. A job is one
@@ -100,20 +99,6 @@ class PipelineConfig:
                 raise ConfigError("gam_lambda_grid: entries must be finite and >= 0")
             object.__setattr__(self, "gam_lambda_grid", grid)
 
-    def as_dict(self) -> dict:
-        """JSON-ready echo of every setting, enums flattened to their values."""
-        return {
-            "frequency": self.frequency.value,
-            "horizon": self.horizon,
-            "holdout": self.holdout,
-            "enabled_models": [m.value for m in self.enabled_models],
-            "ensemble_members": [m.value for m in self.ensemble_members],
-            "seed": self.seed,
-            "gam_lambda_grid": list(self.gam_lambda_grid) if self.gam_lambda_grid else None,
-            "input_path": self.input_path,
-            "output_dir": self.output_dir,
-        }
-
 
 _CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
 
@@ -160,6 +145,10 @@ class ModelScore:
     # The final refit fits that order on the full history, to convergence from
     # its own Hannan–Rissanen or zero start, without repeating the search.
     selected_order: object | None = None
+    # the same fit's forecast past the holdout, from the period after the
+    # product's history; finalize uses it when the full-history refit fails.
+    # Not exported, so a report read back from disk has none.
+    forward: ForecastResult | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -496,7 +485,7 @@ def run_validation(corpus, config: PipelineConfig | None = None) -> ValidationRe
     model_ids = [m for m in MODEL_PRIORITY if m in config.enabled_models and m is not ModelId.ENSEMBLE_MEDIAN]
     stage_runs = _run_stage(
         [train for train, _ in splits.values()],
-        [(train, model_ids, len(test), {}) for train, test in splits.values()],
+        [(train, model_ids, len(test) + config.horizon, {}) for train, test in splits.values()],
         config,
     )
     for (product_id, (train, test)), runs in zip(splits.items(), stage_runs):
@@ -511,7 +500,11 @@ def run_validation(corpus, config: PipelineConfig | None = None) -> ValidationRe
 
 
 def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity, runs: list, config: PipelineConfig) -> ProductValidation:
-    """Score each model's run on the training prefix against the holdout, then recommend."""
+    """Score the holdout part of each model's run on the training prefix, then recommend.
+
+    Each score keeps the rest of its run as the model's forward forecast.
+    """
+    holdout = len(test)
     # fit failures are listed before forecast failures
     skipped = [
         (run.model_id.value, run.error)
@@ -521,9 +514,10 @@ def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity,
     scores = [
         ModelScore(
             run.model_id.value,
-            compute_metric_set(test.values, run.result.values),
+            compute_metric_set(test.values, run.result.values[:holdout]),
             fallback=_is_fallback(run.forecaster),
             selected_order=run.forecaster.fit_.order if isinstance(run.forecaster, ArimaForecaster) else None,
+            forward=ForecastResult(train.product_id, run.model_id.value, test.end + 1, run.result.values[holdout:]),
         )
         for run in runs
         if run.result is not None
@@ -533,7 +527,8 @@ def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity,
         if ensemble is None:
             skipped.append((ModelId.ENSEMBLE_MEDIAN.value, reason))
         else:
-            scores.append(ModelScore(ensemble.model_id, compute_metric_set(test.values, ensemble.values)))
+            # finalize rebuilds the ensemble from its members, so it keeps no forward forecast
+            scores.append(ModelScore(ensemble.model_id, compute_metric_set(test.values, ensemble.values[:holdout])))
     flags = []
     if scores:
         recommended = recommend_model(scores)
@@ -543,7 +538,7 @@ def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity,
     return ProductValidation(
         product_id=train.product_id,
         validity=validity,
-        holdout=len(test),
+        holdout=holdout,
         scores=tuple(scores),
         skipped=tuple(skipped),
         recommended=recommended,
@@ -568,11 +563,9 @@ def _decomposition(forecaster: GamForecaster) -> Decomposition:
 def finalize_and_forecast(corpus, report: ValidationReport, config: PipelineConfig | None = None) -> ForecastBundle:
     """Refit scored models on full history and forecast the forward horizon.
 
-    A model that fails to refit falls back to its validation fit. The failed
-    (product, model) pairs run through one more stage on the training
-    prefixes, whose shared models train on the corpus validation trained
-    them on, for the holdout plus the horizon. The forecast past the
-    holdout keeps the same forward window as everyone else.
+    A model whose refit fails reuses the forecast past the holdout that its
+    validation fit made, when the report holds one that covers the horizon;
+    otherwise it is flagged and dropped.
     """
     config = config or PipelineConfig()
     ordered = _check_corpus(corpus)
@@ -590,18 +583,9 @@ def finalize_and_forecast(corpus, report: ValidationReport, config: PipelineConf
         [(s, model_ids, config.horizon, orders) for s, (model_ids, orders) in zip(eligible, plans)],
         config,
     )
-    failed = [[run.model_id for run in runs if run.result is None] for runs in stage_runs]
-    retried = [{} for _ in eligible]
-    if any(failed):
-        prefixes = [split_holdout(s, v.holdout)[0] for s, v in zip(eligible, validations)]
-        retry = [i for i, model_ids in enumerate(failed) if model_ids]
-        jobs = [(prefixes[i], failed[i], validations[i].holdout + config.horizon, plans[i][1]) for i in retry]
-        for i, runs in zip(retry, _run_stage(prefixes, jobs, config)):
-            retried[i] = {run.model_id: run for run in runs}
-
     finalized = {
-        s.product_id: _finalize_product(s, validation, runs, prefix_runs, config)
-        for s, validation, runs, prefix_runs in zip(eligible, validations, stage_runs, retried)
+        s.product_id: _finalize_product(s, validation, runs, config)
+        for s, validation, runs in zip(eligible, validations, stage_runs)
     }
     products = tuple(
         finalized[s.product_id]
@@ -627,28 +611,22 @@ def _refit_plan(validation: ProductValidation) -> tuple:
     return model_ids, orders
 
 
-def _finalize_product(series: SalesSeries, validation: ProductValidation, runs: list, retried: dict, config: PipelineConfig) -> ProductForecasts:
-    """One product's forecasts from its full-history runs; retried holds the prefix runs of failed refits."""
+def _finalize_product(series: SalesSeries, validation: ProductValidation, runs: list, config: PipelineConfig) -> ProductForecasts:
+    """One product's forecasts from its full-history runs, failed refits replaced by validation's forecasts."""
     flags = list(validation.flags)
     results = []
     decomposition = None
     for run in runs:
-        used = run
-        if run.result is None:
-            used = retried[run.model_id]
-            if used.result is None:
-                flags.append(f"{run.model_id.value}: refit failed ({used.error})")
+        result = run.result
+        if result is None:
+            result = _validation_forecast(series, validation, run.model_id, config.horizon)
+            if result is None:
+                flags.append(f"{run.model_id.value}: refit failed ({run.error})")
                 continue
             flags.append(f"{run.model_id.value}: refit failed, reusing validation fit ({run.error})")
-            used.result = ForecastResult(
-                product_id=series.product_id,
-                model_id=run.model_id.value,
-                start=series.end + 1,
-                values=used.result.values[validation.holdout:],
-            )
-        results.append(used.result)
-        if run.model_id is ModelId.GAM:
-            decomposition = _decomposition(used.forecaster)
+        elif run.model_id is ModelId.GAM:
+            decomposition = _decomposition(run.forecaster)
+        results.append(result)
     if ModelId.ENSEMBLE_MEDIAN.value in {s.model_id for s in validation.scores}:
         ensemble, reason = _median_ensemble(results, config)
         if ensemble is None:
@@ -670,6 +648,15 @@ def _finalize_product(series: SalesSeries, validation: ProductValidation, runs: 
         flags=tuple(flags),
         decomposition=decomposition,
     )
+
+
+def _validation_forecast(series: SalesSeries, validation: ProductValidation, model_id: ModelId, horizon: int) -> ForecastResult | None:
+    """model_id's forecast past the holdout from validation, cut to horizon; None unless it covers that window."""
+    score = validation.score_for(model_id.value)
+    forward = score.forward if score is not None else None
+    if forward is None or forward.start != series.end + 1 or forward.horizon < horizon:
+        return None
+    return ForecastResult(series.product_id, model_id.value, forward.start, forward.values[:horizon])
 
 
 def run_pipeline(corpus, config: PipelineConfig | None = None):

@@ -69,6 +69,13 @@ class TestSynthCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_output_exits_one(self, workspace, capsys):
+        tmp_path, spec_path, _ = workspace
+        (tmp_path / "afile").write_text("")
+        code = run(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "afile" / "x.csv")])
+        assert code == 1
+        assert "error: cannot write" in capsys.readouterr().err
+
 
 @pytest.fixture()
 def sales_csv(workspace):
@@ -136,6 +143,14 @@ class TestValidateCommand:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_uncreatable_output_directory_exits_one(self, sales_csv, capsys):
+        tmp_path, sales, config = sales_csv
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+        code = run(["validate", "--input", str(sales), "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert "error: cannot create output directory" in capsys.readouterr().err
 
 
 class TestForecastCommand:

@@ -107,7 +107,7 @@ class TestExportBundle:
         histogram = summary["recommendation_histogram"]
         assert sum(histogram.values()) == 2
         assert [e["product_id"] for e in summary["exclusions"]] == ["tiny"]
-        assert summary["config"]["enabled_models"] == list(CONFIG.as_dict()["enabled_models"])
+        assert summary["config"]["enabled_models"] == [m.value for m in CONFIG.enabled_models]
         assert summary["seed"] == 0
 
     def test_export_is_byte_deterministic(self, pipeline_run, tmp_path):

@@ -1,13 +1,15 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from autocast import fanout, pipeline
 from autocast.errors import ConfigError
-from autocast.export import export_bundle
+from autocast.export import export_bundle, read_export_dir
 from autocast.ingest import Validity
 from autocast.metrics import MetricSet
+from autocast.models.arima import ArimaForecaster, arima_forecast, fit_arima_pair
 from autocast.models.base import MODEL_PRIORITY, ModelId
 from autocast.models.boosting import BoostedTreeForecaster, train_pooled_trees
 from autocast.models.ensemble import DEFAULT_MEMBERS
@@ -74,9 +76,9 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match="gam_lambda_grid"):
             PipelineConfig(gam_lambda_grid=(1.0, -2.0))
 
-    def test_as_dict_round_trips_through_constructor(self):
+    def test_asdict_round_trips_through_constructor(self):
         config = cheap_config(horizon=6, seed=3)
-        rebuilt = PipelineConfig(**config.as_dict())
+        rebuilt = PipelineConfig(**asdict(config))
         assert rebuilt == config
 
 
@@ -384,7 +386,8 @@ class TestFinalizeAndForecast:
             entry.forecast_for("ensemble_median").values, np.median(members, axis=0)
         )
 
-    def test_reused_gam_fit_decomposes_its_own_training_window(self, monkeypatch):
+    def test_reused_gam_forecast_has_no_decomposition(self, monkeypatch):
+        # the decomposition always describes a full-history GAM fit
         prod = monthly_series(np.tile(PATTERN, 4))
         config = cheap_config()
         report = run_validation([prod], config)
@@ -398,29 +401,67 @@ class TestFinalizeAndForecast:
 
         monkeypatch.setattr(GamForecaster, "fit", flaky_fit)
         entry = finalize_and_forecast([prod], report, config).products[0]
-        assert any("gam: refit failed, reusing validation fit" in f for f in entry.flags)
-        decomposition = entry.decomposition
-        assert decomposition.start == prod.start
-        assert len(decomposition.observed) == full_length - report.products[0].holdout
-        for part in (decomposition.trend, decomposition.seasonal, decomposition.residual):
-            assert len(part) == len(decomposition.observed)
-        total = decomposition.trend + decomposition.seasonal + decomposition.residual
-        np.testing.assert_allclose(total, decomposition.observed, atol=1e-8)
+        assert "gam: refit failed, reusing validation fit (boom)" in entry.flags
+        forward = report.products[0].score_for("gam").forward
+        assert entry.forecast_for("gam").values.tobytes() == forward.values.tobytes()
+        assert entry.decomposition is None
 
-    def test_unconditional_refit_failure_falls_back_by_priority(self, monkeypatch):
-        prod = monthly_series(np.tile(PATTERN, 4))
-        config = PipelineConfig(enabled_models=("naive", "hwes"), ensemble_members=())
+    def test_failed_arima_refits_reuse_the_validation_search_winners(self, monkeypatch):
+        # validation's joint search fits the pair on the prefix; the forced
+        # full-history refits fail, and each model reuses its own search
+        # winner's forecast past the holdout, not a refit of its order
+        prod = monthly_series(seasonal_values(60, noise=3.0, seed=4))
+        config = PipelineConfig(enabled_models=("naive", "arima", "sarima"), ensemble_members=())
         report = run_validation([prod], config)
-        assert report.products[0].recommended == "hwes"
+        holdout = report.products[0].holdout
+        original_fit = ArimaForecaster.fit
+
+        def flaky_fit(self, series):
+            if len(series) == len(prod):
+                raise ValueError("boom")
+            return original_fit(self, series)
+
+        monkeypatch.setattr(ArimaForecaster, "fit", flaky_fit)
+        entry = finalize_and_forecast([prod], report, config).products[0]
+        prefix = split_holdout(prod, holdout)[0]
+        for model_id, fit in zip(("arima", "sarima"), fit_arima_pair(prefix)):
+            expected = arima_forecast(fit, prefix.values, holdout + config.horizon)[holdout:]
+            assert entry.forecast_for(model_id).values.tobytes() == expected.tobytes()
+            assert f"{model_id}: refit failed, reusing validation fit (boom)" in entry.flags
+
+    def test_reused_forecast_must_cover_the_finalize_horizon(self, monkeypatch):
+        prod = monthly_series(np.tile(PATTERN, 4))
+        report = run_validation([prod], cheap_config(horizon=6))
 
         def broken_fit(self, series):
             raise ValueError("boom")
 
         monkeypatch.setattr(HwesForecaster, "fit", broken_fit)
-        bundle = finalize_and_forecast([prod], report, config)
-        entry = bundle.products[0]
+        shorter = finalize_and_forecast([prod], report, cheap_config(horizon=4)).products[0]
+        forward = report.products[0].score_for("hwes").forward
+        assert shorter.forecast_for("hwes").values.tobytes() == forward.values[:4].tobytes()
+        longer = finalize_and_forecast([prod], report, cheap_config(horizon=18)).products[0]
+        assert longer.forecast_for("hwes") is None
+        assert "hwes: refit failed (boom)" in longer.flags
+
+    def test_unconditional_refit_failure_falls_back_by_priority(self, monkeypatch, tmp_path):
+        # a report read back from an export keeps no validation forecasts,
+        # so a failed refit is dropped and the recommendation falls back
+        prod = monthly_series(np.tile(PATTERN, 4))
+        config = PipelineConfig(enabled_models=("naive", "hwes"), ensemble_members=())
+        report, bundle = run_pipeline([prod], config)
+        export_bundle(bundle, report, tmp_path, config)
+        restored, _ = read_export_dir(tmp_path)
+        assert restored.products[0].recommended == "hwes"
+
+        def broken_fit(self, series):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(HwesForecaster, "fit", broken_fit)
+        entry = finalize_and_forecast([prod], restored, config).products[0]
         assert entry.recommended == "naive"
         assert "recommended_model_unavailable" in entry.flags
+        assert "hwes: refit failed (boom)" in entry.flags
         assert entry.forecast_for("hwes") is None
 
     def test_report_corpus_mismatch_rejected(self):
@@ -483,7 +524,7 @@ class TestFanOut:
         assert "12 points" in skipped["boosted_tree"] and "24 points" in skipped["cnn"]
         assert report.product("r8").score_for("cnn") is not None
 
-    def test_failed_full_history_training_falls_back_to_prefixes_alike(self, monkeypatch, tmp_path):
+    def test_failed_full_history_training_reuses_validation_forecasts_alike(self, monkeypatch, tmp_path):
         corpus = ragged_corpus()
         full_length = {s.product_id: len(s) for s in corpus}
         trees, cnn = pipeline.train_pooled_trees, pipeline.train_shared_cnn
@@ -499,13 +540,35 @@ class TestFanOut:
         monkeypatch.setattr(pipeline, "train_pooled_trees", on_prefixes_only(trees))
         monkeypatch.setattr(pipeline, "train_shared_cnn", on_prefixes_only(cnn))
         config = PipelineConfig(gam_lambda_grid=(0.1, 1.0), seed=11)
-        _, bundle = self.exports_at_every_core_count(monkeypatch, tmp_path, corpus, config)
-        # the prefix-trained shared models forecast from each prefix, as in validation
+        report, bundle = self.exports_at_every_core_count(monkeypatch, tmp_path, corpus, config)
+        # the shared models' forecasts are the ones validation made from each prefix
         entry = bundle.product("r8")
         for model_id in ("boosted_tree", "cnn"):
-            assert entry.forecast_for(model_id) is not None
+            forward = report.product("r8").score_for(model_id).forward
+            assert entry.forecast_for(model_id).values.tobytes() == forward.values.tobytes()
             flag = f"{model_id}: refit failed, reusing validation fit (full-history training overflowed)"
             assert flag in entry.flags
+
+    def test_failed_full_history_training_is_not_repeated(self, monkeypatch):
+        # one usable core keeps every training call in this process
+        monkeypatch.setattr(fanout, "usable_cores", lambda: 1)
+        corpus = ragged_corpus()
+        config = PipelineConfig(enabled_models=("naive", "boosted_tree"), ensemble_members=(), seed=11)
+        report = run_validation(corpus, config)
+        full_length = {s.product_id: len(s) for s in corpus}
+        calls = []
+
+        def full_history_refused(histories):
+            calls.append(len(histories))
+            if all(len(s) == full_length[s.product_id] for s in histories):
+                raise ValueError("full history refused")
+            return train_pooled_trees(histories)
+
+        monkeypatch.setattr(pipeline, "train_pooled_trees", full_history_refused)
+        bundle = finalize_and_forecast(corpus, report, config)
+        assert len(calls) == 1
+        entry = bundle.product("r8")
+        assert "boosted_tree: refit failed, reusing validation fit (full history refused)" in entry.flags
 
     def test_failed_shared_refit_forecasts_from_the_validation_fit(self, monkeypatch):
         corpus = ragged_corpus()

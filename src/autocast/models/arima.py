@@ -12,14 +12,14 @@ of one search is scored on the same differenced series.
 Each candidate minimizes the CSS of the differenced, mean-centred series,
 a sum of squared residuals e = a(B)/b(B) w, by Levenberg–Marquardt
 (``optim.levenberg_marquardt``). The Jacobian takes two filter calls per
-iteration (``_css_jacobian``); trial steps are scored by ``css_of``. A fit
-starts from whichever of the Hannan–Rissanen estimate (Hannan & Rissanen
-1982) and zero has the lower CSS, and a pure AR(p) is solved exactly by
-least squares. Search candidates stop once an accepted step gains at most
-SEARCH_FTOL of the CSS; the winner's refit continues from the search iterate
-to REFIT_FTOL, and a forced-order refit runs to REFIT_FTOL from its own
-start. A fit whose CSS falls to EXACT_FIT of the series' own sum of squares
-ends there. Every fit reports whether it converged.
+iteration (``_css_jacobian``); trial steps are scored by ``css_of``. A pure
+AR(p) is solved exactly by least squares; every other candidate starts from
+zero coefficients, as R's ``arima`` starts its CSS fit. Search candidates
+stop once an accepted step gains at most SEARCH_FTOL of the CSS; the
+winner's refit continues from the search iterate to REFIT_FTOL, and a
+forced-order refit runs to REFIT_FTOL from zero. A fit whose CSS falls to
+EXACT_FIT of the series' own sum of squares ends there. Every fit reports
+whether it converged.
 """
 from __future__ import annotations
 
@@ -250,121 +250,11 @@ def _aicc(sse: float, n_eff: int, n_params: int, n_used: int) -> float:
 
 
 class _Differenced:
-    """One differenced series, mean-centred, for the CSS fits of one (d, D).
-
-    Keeps the long-autoregression residuals of Hannan–Rissanen starts, which
-    depend on the series alone, so the candidates of a search share them.
-    """
+    """One differenced series, mean-centred, for the CSS fits of one (d, D)."""
 
     def __init__(self, w):
         self.mean = float(w.mean())
         self.centered = w - self.mean
-        self._innovations = {}
-
-    def innovations(self, lags: int):
-        """Residuals of an AR(lags) least-squares fit, zero over the first lags points.
-
-        None when the lagged values are collinear.
-        """
-        if lags not in self._innovations:
-            wc = self.centered
-            n = len(wc)
-            lagged = np.column_stack([wc[lags - i : n - i] for i in range(1, lags + 1)])
-            coef = _normal_equations(lagged, wc[lags:])
-            eps = None
-            if coef is not None:
-                eps = np.zeros(n)
-                eps[lags:] = wc[lags:] - lagged @ coef
-            self._innovations[lags] = eps
-        return self._innovations[lags]
-
-
-def _normal_equations(X, y):
-    """Least squares through X'X, None when it is singular.
-
-    Start values need no more accuracy, and this costs a quarter of lstsq's SVD.
-    """
-    try:
-        return np.linalg.solve(X.T @ X, X.T @ y)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _long_ar_order(n: int, order: ArimaOrder) -> int:
-    """AR order whose residuals stand in for the innovations (Hannan & Rissanen 1982).
-
-    Schwert's 12 (n/100)^(1/4), at least twice the ARMA orders, raised past
-    the seasonal lag for a seasonal MA term while a third of the series still
-    covers it.
-    """
-    lags = max(int(12.0 * (n / 100.0) ** 0.25), 2 * max(order.p, order.q))
-    if order.Q and order.m + 1 <= n // 3:
-        lags = max(lags, order.m + 1)
-    return min(lags, n // 3)
-
-
-def _hannan_rissanen(series: _Differenced, order: ArimaOrder):
-    """Start values by OLS on lagged values and lagged long-AR residuals, or None.
-
-    The regression has the additive terms only (lags 1..p and m of the series,
-    1..q and m of the residuals); the multiplicative cross terms are left to
-    the least-squares fit.
-    """
-    wc = series.centered
-    n = len(wc)
-    p, q, P, Q, m = order.p, order.q, order.P, order.Q, order.m
-    ar_lags = list(range(1, p + 1)) + [m] * P
-    ma_lags = list(range(1, q + 1)) + [m] * Q
-    first = max(ar_lags, default=0)
-    eps = None
-    if ma_lags:
-        long_order = _long_ar_order(n, order)
-        eps = series.innovations(long_order) if long_order >= 1 else None
-        if eps is None:
-            return None
-        first = max(first, long_order + max(ma_lags))
-    if n - first < 2 * (len(ar_lags) + len(ma_lags)):
-        return None
-    columns = [wc[first - lag : n - lag] for lag in ar_lags]
-    columns += [eps[first - lag : n - lag] for lag in ma_lags]
-    coef = _normal_equations(np.column_stack(columns), wc[first:])
-    if coef is None:
-        return None
-    # regressor order (phi, Phi, theta, Theta) to parameter order (phi, theta, Phi, Theta)
-    phi, Phi, theta, Theta = coef[:p], coef[p : p + P], coef[p + P : p + P + q], coef[p + P + q :]
-    return np.concatenate([phi, _invertible(theta), Phi, _invertible(Theta)])
-
-
-def _is_invertible(theta) -> bool:
-    """Every root of 1 + theta_1 z + ... + theta_q z^q lies outside the unit circle.
-
-    The Schur–Cohn step-down: the polynomial is invertible exactly when each
-    reflection coefficient of the Levinson recursion run backwards is below 1.
-    """
-    c = list(theta)
-    for k in range(len(c), 0, -1):
-        kappa = c[k - 1]
-        if abs(kappa) >= 1.0:
-            return False
-        c = [(c[i] - kappa * c[k - 2 - i]) / (1.0 - kappa * kappa) for i in range(k - 1)]
-    return True
-
-
-def _invertible(theta) -> np.ndarray:
-    """MA coefficients of 1 + theta(B) with every root inside the unit circle reflected out.
-
-    The reflected polynomial has the same autocorrelations, and 1/b(B) stays
-    bounded, so the CSS of a start does not explode.
-    """
-    if _is_invertible(theta):
-        return theta
-    roots = np.roots(np.concatenate([theta[::-1], [1.0]]))
-    inside = np.abs(roots) < 1.0
-    roots[inside] = 1.0 / np.conj(roots[inside])
-    poly = np.poly(roots)  # monic, highest power first: rescale to constant term 1
-    reflected = np.zeros(len(theta))  # a zero leading coefficient has no root
-    reflected[: len(roots)] = np.real(poly[::-1][1:] / poly[-1])
-    return reflected
 
 
 def _css_jacobian(wc, order: ArimaOrder, params):
@@ -420,8 +310,7 @@ def _fit_candidate(series: _Differenced, order: ArimaOrder, ftol: float, start=N
     """CSS fit of one order on one differenced series; None when unfittable.
 
     A pure AR(p) is solved exactly. Every other order runs Levenberg–Marquardt
-    to ``ftol`` from ``start`` when given, else from whichever of the
-    Hannan–Rissanen estimate and zero has the lower CSS.
+    to ``ftol`` from ``start`` when given, else from zero, as R's arima does.
     """
     wc = series.centered
     n_eff = len(wc) - _conditioning_lags(order)
@@ -445,17 +334,8 @@ def _fit_candidate(series: _Differenced, order: ArimaOrder, ftol: float, start=N
             def linearize(x):
                 return _css_jacobian(wc, order, x.tolist())
 
-            if start is None:
-                zero = np.zeros(ndim)
-                params, sse = zero, objective(zero)
-                estimate = _hannan_rissanen(series, order)
-                if estimate is not None:
-                    sse_estimate = objective(estimate)
-                    if sse_estimate < sse:
-                        params, sse = estimate, sse_estimate
-            else:
-                params = np.array(start, dtype=float)
-                sse = objective(params)
+            params = np.zeros(ndim) if start is None else np.array(start, dtype=float)
+            sse = objective(params)
             exact = EXACT_FIT * float(wc @ wc)
             params, sse, _, converged = levenberg_marquardt(objective, linearize, params, sse, ftol, exact)
     if not math.isfinite(sse):

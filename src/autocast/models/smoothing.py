@@ -33,7 +33,6 @@ class HwesState:
     level: float
     trend: float
     seasonal: tuple
-    fallback: bool = False
 
     @property
     def season_length(self) -> int:
@@ -104,17 +103,17 @@ def _hwes_pass(values, m, alpha, beta, gamma, init):
     return sse, level, trend, seasonal
 
 
-def fit_ses(values, alpha: float | None = None):
-    """Optimize alpha on one-step SSE unless a fixed alpha is given."""
+def fit_ses(values):
+    """Optimize alpha on one-step SSE."""
     values = np.asarray(values, dtype=float).tolist()
     if len(values) == 1:
-        return 0.3 if alpha is None else alpha, values[0]
-    if alpha is None:
-        def objective(p):
-            return _ses_pass(values, _clamp(p)[0])[0]
+        return 0.3, values[0]
 
-        best, _, _ = nelder_mead(objective, np.array([0.3]), maxfev=80)
-        alpha = _clamp(best.tolist())[0]
+    def objective(p):
+        return _ses_pass(values, _clamp(p)[0])[0]
+
+    best, _, _ = nelder_mead(objective, np.array([0.3]), maxfev=80)
+    alpha = _clamp(best.tolist())[0]
     _, level = _ses_pass(values, alpha)
     return alpha, level
 
@@ -123,8 +122,8 @@ def fit_hwes(train: SalesSeries) -> HwesState:
     """Additive Holt-Winters with Nelder-Mead over (alpha, beta, gamma).
 
     Degrades to Holt when fewer than two full seasons are available and to
-    simple smoothing below 4 points. Non-finite losses fall back to SES with
-    alpha=0.3 and set the fallback flag.
+    simple smoothing below 4 points; a fit whose best loss is not finite
+    degrades one step the same way.
     """
     values = train.values.tolist()
     m = train.frequency.periods_per_year
@@ -161,9 +160,6 @@ def fit_hwes(train: SalesSeries) -> HwesState:
             return HwesState(a, b, 0.0, level, trend, (0.0,))
 
     alpha, level = fit_ses(values)
-    if not np.isfinite(level):
-        _, level = fit_ses(values, alpha=0.3)
-        return HwesState(0.3, 0.0, 0.0, float(level), 0.0, (0.0,), fallback=True)
     return HwesState(alpha, 0.0, 0.0, float(level), 0.0, (0.0,))
 
 

@@ -128,6 +128,11 @@ def parse_config(path) -> PipelineConfig:
     for key in ("input_path", "output_dir"):
         if key in raw and raw[key] is not None and not isinstance(raw[key], str):
             raise ConfigError(f"{key}: expected a string, got {raw[key]!r}")
+    # a string is iterable too: "naive" would read as the models n, a, i, v, e
+    for key in ("enabled_models", "ensemble_members", "gam_lambda_grid"):
+        value = raw.get(key, [])
+        if not isinstance(value, list) and not (key == "gam_lambda_grid" and value is None):
+            raise ConfigError(f"config {path}: {key}: expected a JSON array, got {value!r}")
     try:
         return PipelineConfig(**raw)
     except (ValueError, TypeError) as exc:
@@ -143,7 +148,7 @@ class ModelScore:
     fallback: bool = False
     # ARIMA/SARIMA only: order chosen by the validation-stage stepwise search.
     # The final refit fits that order on the full history, to convergence from
-    # its own Hannan–Rissanen or zero start, without repeating the search.
+    # zero, without repeating the search.
     selected_order: object | None = None
     # the same fit's forecast past the holdout, from the period after the
     # product's history; finalize uses it when the full-history refit fails.
@@ -324,8 +329,8 @@ def _make_forecaster(model_id: ModelId, config: PipelineConfig, order=None, trai
 
 
 def _is_fallback(forecaster: BaseForecaster) -> bool:
-    state = getattr(forecaster, "state_", None) or getattr(forecaster, "fit_", None)
-    return bool(getattr(state, "fallback", False))
+    """Only an ARIMA fit falls back: to the random walk, when nothing fits or its path overflows."""
+    return isinstance(forecaster, ArimaForecaster) and forecaster.fit_.fallback
 
 
 @dataclass

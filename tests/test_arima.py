@@ -25,8 +25,6 @@ from autocast.models.arima import (
     _css_residuals,
     _Differenced,
     _fit_candidate,
-    _invertible,
-    _is_invertible,
     _polys,
     _search,
     choose_d,
@@ -356,17 +354,22 @@ class TestCssSolver:
                 numeric[:, i] = (_css_residuals(wc, order, up)[first:] - _css_residuals(wc, order, down)[first:]) / (2 * h)
             assert np.max(np.abs(jacobian - numeric)) <= 1e-6 * np.max(np.abs(jacobian)), order.label()
 
-    def test_start_ma_polynomials_are_made_invertible(self):
-        rng = np.random.default_rng(4)
-        for q in (1, 2, 3):
-            for _ in range(300):
-                theta = rng.normal(0.0, 1.0, q)
-                invertible = np.all(np.abs(np.roots(np.concatenate([theta[::-1], [1.0]]))) > 1.0)
-                assert _is_invertible(theta) == invertible
-                reflected = _invertible(theta)
-                assert len(reflected) == q and _is_invertible(reflected)
-        # a zero top coefficient has no root: the length is kept
-        assert np.allclose(_invertible(np.array([2.0, 0.0])), [0.5, 0.0])
+    def test_search_and_forced_order_fits_start_at_zero(self, monkeypatch):
+        starts = []
+
+        def recording_lm(objective, linearize, x0, f0, ftol, fmin=0.0):
+            starts.append(np.array(x0, dtype=float))
+            return optim.levenberg_marquardt(objective, linearize, x0, f0, ftol, fmin)
+
+        monkeypatch.setattr(arima_module, "levenberg_marquardt", recording_lm)
+        y = seasonal_values(84, amplitude=25.0, slope=1.0, noise=5.0, seed=5)
+        cache = {}
+        _search(y, 12, False, cache)
+        _search(y, 12, True, cache)
+        searched = len(starts)
+        fit_arima(monthly_series(y), forced_order=ArimaOrder(1, 1, 1, 0, 1, 1, 12))
+        assert searched >= 4 and len(starts) == searched + 1
+        assert all(not np.any(x0) for x0 in starts)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_pure_ar_is_least_squares(self, p):
@@ -385,6 +388,8 @@ class TestCssSolver:
             (ArimaOrder(1, 0, 1), (0.6, 0.3)),
             (ArimaOrder(2, 0, 1), (0.5, -0.3, 0.4)),
             (ArimaOrder(1, 0, 1, 1, 0, 1, 12), (0.5, 0.3, 0.6, -0.4)),
+            (ArimaOrder(0, 0, 1), (-0.7,)),
+            (ArimaOrder(0, 0, 1, 0, 0, 1, 12), (0.4, -0.5)),
         ],
     )
     def test_refit_converges_near_truth_below_nelder_mead(self, order, truth):

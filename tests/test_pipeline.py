@@ -134,11 +134,24 @@ class TestParseConfig:
             parse_config(path)
         assert str(path) in str(raised.value)
 
-    def test_scalar_lambda_grid_names_the_file(self, tmp_path):
-        path = self.write(tmp_path, {"gam_lambda_grid": 5})
-        with pytest.raises(ConfigError, match="not iterable") as raised:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("gam_lambda_grid", "12"),
+            ("gam_lambda_grid", 5),
+            ("enabled_models", "naive"),
+            ("ensemble_members", "naive"),
+            ("enabled_models", None),
+        ],
+    )
+    def test_list_keys_require_a_json_array(self, tmp_path, key, value):
+        path = self.write(tmp_path, {key: value})
+        with pytest.raises(ConfigError, match=f"{key}: expected a JSON array") as raised:
             parse_config(path)
         assert str(path) in str(raised.value)
+
+    def test_null_lambda_grid_takes_the_default(self, tmp_path):
+        assert parse_config(self.write(tmp_path, {"gam_lambda_grid": None})).gam_lambda_grid is None
 
 
 def score(model_id, rmse, nrmse=None):

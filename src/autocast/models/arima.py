@@ -11,10 +11,14 @@ of one search is scored on the same differenced series.
 
 Each candidate minimizes the CSS of the differenced, mean-centred series,
 a sum of squared residuals e = a(B)/b(B) w, by Levenberg–Marquardt
-(``optim.levenberg_marquardt``). The Jacobian takes two filter calls per
-iteration (``_css_jacobian``); trial steps are scored by ``css_of``. A pure
-AR(p) is solved exactly by least squares; every other candidate starts from
-zero coefficients, as R's ``arima`` starts its CSS fit. Search candidates
+(``optim.levenberg_marquardt``). Dividing by b(B), whose leading coefficient
+is 1, is a unit lower-triangular banded solve (LAPACK's ``dtbtrs``, in
+``_inverse_filter``). ``scipy.signal.lfilter`` runs the same recursion, but
+importing ``scipy.signal`` cost every cold run over a second and ~75 MB of
+RSS, for this one function. The Jacobian takes two banded triangular solves
+per iteration (``_css_jacobian``); trial steps are scored by ``css_of``. A
+pure AR(p) is solved exactly by least squares; every other candidate starts
+from zero coefficients, as R's ``arima`` starts its CSS fit. Search candidates
 stop once an accepted step gains at most SEARCH_FTOL of the CSS; the
 winner's refit continues from the search iterate to REFIT_FTOL, and a
 forced-order refit runs to REFIT_FTOL from zero. A fit whose CSS falls to
@@ -27,7 +31,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dtbtrs
 
 from ..series import ForecastResult, SalesSeries
 from .base import BaseForecaster, ModelId
@@ -212,16 +216,27 @@ def _polys(order: ArimaOrder, params):
     return np.array(a), np.array(b)
 
 
-_ONE = np.ones(1)
+def _inverse_filter(b, x):
+    """u with b(B) u = x, where b[0] = 1: a unit lower-triangular banded solve.
+
+    Column t of the band holds b, so row k is the k-th subdiagonal b[k]. The
+    band is built Fortran-ordered, as LAPACK stores it, so it is passed
+    without a copy. A band taller than the series is allowed. A non-invertible
+    b overflows to non-finite values without a floating-point warning.
+    """
+    band = np.empty((len(b), len(x)), order="F")
+    band[:] = b[:, None]
+    u, info = dtbtrs(band, x, uplo="L", diag="U")
+    if info != 0:
+        raise RuntimeError(f"dtbtrs rejected argument {-info}")
+    return u
 
 
 def _css_residuals(wc, order: ArimaOrder, params):
     a, b = _polys(order, params)
-    if len(b) == 1:
-        # pure AR: the inverse filter is a finite convolution
-        eps = np.convolve(wc, a)[: len(wc)]
-    else:
-        eps = lfilter(a, b, wc)
+    eps = np.convolve(wc, a)[: len(wc)]
+    if len(b) > 1:
+        eps = _inverse_filter(b, eps)
     return eps
 
 
@@ -260,7 +275,9 @@ class _Differenced:
 def _css_jacobian(wc, order: ArimaOrder, params):
     """CSS residuals e = a(B)/b(B) wc on the scored points, and their Jacobian.
 
-    With u = wc / b(B) and v = e / b(B), two filter calls,
+    With u = wc / b(B) and v = e / b(B), two banded triangular solves
+    (``_inverse_filter``; not ``lfilter``, whose ``scipy.signal`` import
+    costs every cold run about a second and ~75 MB of RSS),
     de/dphi_i = -B^i (1 - Phi B^m) u, de/dPhi = -B^m (1 - phi(B)) u,
     de/dtheta_j = -B^j (1 + Theta B^m) v and de/dTheta = -B^m (1 + theta(B)) v.
     The series are filtered behind ``pad`` leading zeros, so each column is a
@@ -274,7 +291,7 @@ def _css_jacobian(wc, order: ArimaOrder, params):
     a, b = _polys(order, params)
     u = np.concatenate((np.zeros(pad), wc))
     if len(b) > 1:
-        u = lfilter(_ONE, b, u)
+        u = _inverse_filter(b, u)
     e = np.convolve(a, u)[:n]
     # one row per parameter, negated at the end
     rows = np.empty((order.n_params, n - first))
@@ -287,7 +304,7 @@ def _css_jacobian(wc, order: ArimaOrder, params):
         for i in range(1, p + 1):
             rows[i - 1] = s[first - i : n - i]
     if q or Q:
-        v = lfilter(_ONE, b, e)
+        v = _inverse_filter(b, e)
         h = v
         if Q:
             h = v.copy()

@@ -25,6 +25,7 @@ from autocast.models.arima import (
     _css_residuals,
     _Differenced,
     _fit_candidate,
+    _inverse_filter,
     _polys,
     _search,
     choose_d,
@@ -96,6 +97,43 @@ class TestLagPolynomials:
                 for given in (params.tolist(), tuple(params), params):
                     a, b = _polys(order, given)
                     assert a.tobytes() == a_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+
+
+class TestInverseFilter:
+    """The banded triangular solve against scipy.signal.lfilter as the oracle."""
+
+    @staticmethod
+    def assert_matches_lfilter(b, x):
+        given = x.copy()
+        u = _inverse_filter(b, x)
+        expected = lfilter([1.0], b, x)
+        assert u.shape == x.shape and np.array_equal(x, given)
+        assert np.max(np.abs(u - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("m", [12, 52])
+    def test_every_ma_band_matches_lfilter(self, m):
+        rng = np.random.default_rng(m)
+        for q in range(MAX_Q + 1):
+            for Q in range(MAX_SEASONAL + 1):
+                order = ArimaOrder(0, 0, q, 0, 0, Q, m if Q else 1)
+                # |theta| summing below 1 and |Theta| < 1 keep b(B) invertible
+                params = [*rng.uniform(-0.3, 0.3, q), *rng.uniform(-0.9, 0.9, Q)]
+                _, b = _polys(order, params)
+                for n in (4 * m, 20, 1):
+                    # at n = 20 the seasonal band is taller than the series
+                    self.assert_matches_lfilter(b, rng.normal(size=n))
+
+    def test_non_invertible_band_overflows_without_warnings(self):
+        x = np.random.default_rng(0).normal(size=1500)
+        order = ArimaOrder(0, 0, 1)
+        _, b = _polys(order, [3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = _inverse_filter(b, x)
+        assert not np.all(np.isfinite(u))
+        # the fits score such steps under this errstate and reject them
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert css_of(x, order, [3.0]) == math.inf
 
 
 class TestDifference:

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -326,3 +329,17 @@ class TestArgumentErrors:
     def test_no_arguments_exits_one(self, capsys):
         assert run([]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestStartUp:
+    def test_import_leaves_heavy_scipy_modules_unloaded(self):
+        # a cold CLI run pays for every module the import loads; scipy.signal alone
+        # cost over a second and ~75 MB when the ARIMA filter came from it
+        probe = (
+            "import sys, autocast, autocast.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate') if m in sys.modules))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"

@@ -26,14 +26,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config(args) -> PipelineConfig:
     config = parse_config(args.config) if args.config else PipelineConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "input", None) is not None:
-        overrides["input_path"] = args.input
-    if getattr(args, "out", None) is not None:
-        overrides["output_dir"] = args.out
-    return replace(config, **overrides) if overrides else config
+    if args.seed is not None:
+        return replace(config, seed=args.seed)
+    return config
 
 
 def _load_corpus(path, frequency: Frequency):

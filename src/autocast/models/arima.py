@@ -24,6 +24,12 @@ winner's refit continues from the search iterate to REFIT_FTOL, and a
 forced-order refit runs to REFIT_FTOL from zero. A fit whose CSS falls to
 EXACT_FIT of the series' own sum of squares ends there. Every fit reports
 whether it converged.
+
+The model is its lag polynomials a(B), b(B) (``_polys``) and pi(B) =
+(1 - B)^d (1 - B^m)^D (``_differencing``); differencing is the product pi(B) y.
+A forecast solves a(B) w = b(B) e past the end of the history with the future
+shocks zero, then pi(B) y = w (Box, Jenkins, Reinsel & Ljung, *Time Series
+Analysis*, ch. 5), each by the banded solve the fit makes.
 """
 from __future__ import annotations
 
@@ -114,15 +120,23 @@ class FittedArima:
     converged: bool = True  # False when the CSS solver stopped short of its tolerance
 
 
+def _differencing(d: int, D: int, m: int) -> np.ndarray:
+    """The differencing polynomial pi(B) = (1 - B)^d (1 - B^m)^D, in lag order."""
+    pi = np.array([1.0])
+    for lag in [1] * d + [m] * D:
+        factor = np.zeros(lag + 1)
+        factor[[0, lag]] = 1.0, -1.0
+        pi = np.convolve(pi, factor)
+    return pi
+
+
 def difference(values, d: int, D: int, m: int) -> np.ndarray:
-    w = np.asarray(values, dtype=float)
-    for _ in range(d):
-        w = np.diff(w)
-    for _ in range(D):
-        if len(w) <= m:
-            return np.empty(0)
-        w = w[m:] - w[:-m]
-    return w
+    """pi(B) y at every point with a full lag window; empty when the series is shorter than pi."""
+    pi = _differencing(d, D, m)
+    y = np.asarray(values, dtype=float)
+    if len(y) < len(pi):
+        return np.empty(0)
+    return np.convolve(y, pi, mode="valid")
 
 
 def kpss_level(values) -> float:
@@ -482,7 +496,7 @@ def fit_arima_pair(train: SalesSeries) -> tuple:
 
 
 def arima_forecast(fit: FittedArima, values, horizon: int) -> np.ndarray:
-    """Recursive ARMA forecast on the differenced scale, then undifferencing.
+    """ARMA forecast on the differenced scale, then undifferenced (``_arma_path``).
 
     Floored at zero. A path that overflows, as an explosive AR polynomial's
     can, is replaced by the random walk with drift.
@@ -500,54 +514,30 @@ def _forecast(fit: FittedArima, values, horizon: int):
         out = _arma_path(fit, values, horizon)
     substituted = not np.all(np.isfinite(out))
     if substituted:
-        out = values[-1] + _random_walk_fit(values).mean * np.arange(1, horizon + 1)
+        out = _arma_path(_random_walk_fit(values), values, horizon)
     return np.maximum(out, 0.0), substituted
 
 
 def _arma_path(fit: FittedArima, values: np.ndarray, horizon: int) -> np.ndarray:
+    """The forecast path, not floored: the model's equations solved with the history fixed.
+
+    The future of the centred differenced series w solves a(B) w = r, where r
+    is b(B) e - a(B) w of the history continued by zeros; that of y solves
+    pi(B) y = w + mean the same way.
+    """
     order = fit.order
-    w = difference(values, order.d, order.D, order.m)
-    wc = w - fit.mean
+    future = np.zeros(horizon)
+    w = difference(values, order.d, order.D, order.m) - fit.mean
+    n = len(w)
     a, b = _polys(order, fit.params)
-    eps = _css_residuals(wc, order, fit.params) if len(wc) else np.empty(0)
+    eps = _css_residuals(w, order, fit.params) if n else w
+    r = np.convolve(b, np.concatenate((eps, future)))[n : n + horizon]
+    r -= np.convolve(a, np.concatenate((w, future)))[n : n + horizon]
+    w_future = _inverse_filter(a, r) + fit.mean
 
-    n = len(wc)
-    wc_ext = np.concatenate([wc, np.zeros(horizon)])
-    eps_ext = np.concatenate([eps, np.zeros(horizon)])
-    for h in range(1, horizon + 1):
-        t = n + h - 1
-        acc = 0.0
-        for j in range(1, len(a)):
-            if t - j >= 0:
-                acc -= a[j] * wc_ext[t - j]
-        for j in range(max(h, 1), len(b)):
-            if t - j >= 0:
-                acc += b[j] * eps_ext[t - j]
-        wc_ext[t] = acc
-    w_future = wc_ext[n:] + fit.mean
-
-    # invert the differencing: y_t = w_t - sum_{j>=1} pi_j y_{t-j}
-    pi = np.array([1.0])
-    for _ in range(order.d):
-        pi = np.convolve(pi, [1.0, -1.0])
-    seasonal_poly = np.zeros(order.m + 1)
-    seasonal_poly[0] = 1.0
-    seasonal_poly[-1] = -1.0
-    for _ in range(order.D):
-        pi = np.convolve(pi, seasonal_poly)
-    if len(pi) == 1:
-        out = w_future
-    else:
-        hist = list(values)
-        out = np.empty(horizon)
-        for h in range(horizon):
-            y = w_future[h]
-            for j in range(1, len(pi)):
-                if len(hist) - j >= 0:
-                    y -= pi[j] * hist[len(hist) - j]
-            out[h] = y
-            hist.append(y)
-    return out
+    pi = _differencing(order.d, order.D, order.m)
+    n = len(values)
+    return _inverse_filter(pi, w_future - np.convolve(pi, np.concatenate((values, future)))[n : n + horizon])
 
 
 class ArimaForecaster(BaseForecaster):

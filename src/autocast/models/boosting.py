@@ -236,12 +236,10 @@ class BoostedTreeForecaster(BaseForecaster):
         self._check_fitted()
         m = self.train_.frequency.periods_per_year
         start_pos = self.train_.start.position_in_year
-        n = len(self.train_)
-        state = {"t": n}
 
         def predict_one(history):
-            position = (start_pos + state["t"]) % m
-            state["t"] += 1
+            # the history holds every point before the one predicted
+            position = (start_pos + len(history)) % m
             row = one_step_features(history, position, m)
             return np.expm1(self.model.predict_one(row))
 

@@ -169,10 +169,6 @@ class GamForecaster(BaseForecaster):
         return self._result(values)
 
     def decompose(self) -> dict:
-        """Trend/seasonal/residual paths over the training window."""
+        """Trend and seasonal paths over the training window."""
         self._check_fitted()
-        n = self.design_.n_train
-        parts = gam_decompose(self.design_, np.arange(n))
-        fitted = gam_predict(self.design_, np.arange(n))
-        parts["residual"] = self.train_.values - fitted
-        return parts
+        return gam_decompose(self.design_, np.arange(self.design_.n_train))

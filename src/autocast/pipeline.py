@@ -69,8 +69,6 @@ class PipelineConfig:
     ensemble_members: tuple = DEFAULT_MEMBERS
     seed: int = 0
     gam_lambda_grid: tuple | None = None
-    input_path: str | None = None
-    output_dir: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "frequency", Frequency(self.frequency))
@@ -125,9 +123,6 @@ def parse_config(path) -> PipelineConfig:
         if key in raw and raw[key] is not None:
             if not isinstance(raw[key], int) or isinstance(raw[key], bool):
                 raise ConfigError(f"{key}: expected an integer, got {raw[key]!r}")
-    for key in ("input_path", "output_dir"):
-        if key in raw and raw[key] is not None and not isinstance(raw[key], str):
-            raise ConfigError(f"{key}: expected a string, got {raw[key]!r}")
     # a string is iterable too: "naive" would read as the models n, a, i, v, e
     for key in ("enabled_models", "ensemble_members", "gam_lambda_grid"):
         value = raw.get(key, [])
@@ -193,14 +188,13 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Additive trend/seasonal/residual paths over the training window."""
+    """The observed series and its additive trend and seasonal paths over the training window."""
 
     product_id: str
     start: object
     observed: np.ndarray = field(repr=False)
     trend: np.ndarray = field(repr=False)
     seasonal: np.ndarray = field(repr=False)
-    residual: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -552,7 +546,7 @@ def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity,
 
 
 def _decomposition(forecaster: GamForecaster) -> Decomposition:
-    """The GAM's trend/seasonal/residual paths over the series it was fitted on."""
+    """The GAM's trend and seasonal paths over the series it was fitted on."""
     parts = forecaster.decompose()
     train = forecaster.train_
     return Decomposition(
@@ -561,7 +555,6 @@ def _decomposition(forecaster: GamForecaster) -> Decomposition:
         observed=train.values,
         trend=parts["trend"],
         seasonal=parts["seasonal"],
-        residual=parts["residual"],
     )
 
 

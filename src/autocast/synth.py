@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -217,16 +217,7 @@ def generate_corpus(
     corpus = []
     for spec in specs:
         if spec.seed is None:
-            spec = ArchetypeSpec(
-                product_id=spec.product_id,
-                kind=spec.kind,
-                length=spec.length,
-                base_level=spec.base_level,
-                amplitude=spec.amplitude,
-                trend=spec.trend,
-                noise=spec.noise,
-                seed=derive_product_seed(seed, spec.product_id),
-            )
+            spec = replace(spec, seed=derive_product_seed(seed, spec.product_id))
         corpus.append(generate_product(spec, frequency, start))
     return corpus
 

@@ -597,3 +597,81 @@ def hwes_pass_arrays(values, m, alpha, beta, gamma, level, trend, seasonal):
         trend = beta * (level - prev_level) + (1.0 - beta) * trend
         seasonal[pos] = gamma * (y - prev_level - prev_trend) + (1.0 - gamma) * s_old
     return sse, level, trend, seasonal
+
+
+def difference_by_diffs(values, d, D, m):
+    """Differencing by d first differences, then D seasonal differences of lag m."""
+    w = np.asarray(values, dtype=float)
+    for _ in range(d):
+        w = np.diff(w)
+    for _ in range(D):
+        if len(w) <= m:
+            return np.empty(0)
+        w = w[m:] - w[:-m]
+    return w
+
+
+def css_residuals_recursion(wc, a, b):
+    """e_t = sum_j a_j wc_{t-j} - sum_{j>=1} b_j e_{t-j}, with zeros before the first point."""
+    eps = np.zeros(len(wc))
+    for t in range(len(wc)):
+        acc = 0.0
+        for j in range(len(a)):
+            if t - j >= 0:
+                acc += a[j] * wc[t - j]
+        for j in range(1, len(b)):
+            if t - j >= 0:
+                acc -= b[j] * eps[t - j]
+        eps[t] = acc
+    return eps
+
+
+def arima_path_recursion(order, params, mean, values, horizon):
+    """ARIMA forecast path, step by step and lag by lag, not floored.
+
+    The ARMA recursion on the differenced, mean-centred scale with future
+    shocks set to zero, then the differencing inverted one step at a time.
+    order has p, d, q, P, D, Q and m; mean is the differenced series' mean.
+    """
+    w = difference_by_diffs(values, order.d, order.D, order.m)
+    wc = w - mean
+    a, b = lag_polynomials_accumulated(order, params)
+    eps = css_residuals_recursion(wc, a, b)
+
+    n = len(wc)
+    wc_ext = np.concatenate([wc, np.zeros(horizon)])
+    eps_ext = np.concatenate([eps, np.zeros(horizon)])
+    for h in range(1, horizon + 1):
+        t = n + h - 1
+        acc = 0.0
+        for j in range(1, len(a)):
+            if t - j >= 0:
+                acc -= a[j] * wc_ext[t - j]
+        for j in range(max(h, 1), len(b)):
+            if t - j >= 0:
+                acc += b[j] * eps_ext[t - j]
+        wc_ext[t] = acc
+    w_future = wc_ext[n:] + mean
+
+    # invert the differencing: y_t = w_t - sum_{j>=1} pi_j y_{t-j}
+    pi = np.array([1.0])
+    for _ in range(order.d):
+        pi = np.convolve(pi, [1.0, -1.0])
+    seasonal_poly = np.zeros(order.m + 1)
+    seasonal_poly[0] = 1.0
+    seasonal_poly[-1] = -1.0
+    for _ in range(order.D):
+        pi = np.convolve(pi, seasonal_poly)
+    if len(pi) == 1:
+        out = w_future
+    else:
+        hist = list(values)
+        out = np.empty(horizon)
+        for h in range(horizon):
+            y = w_future[h]
+            for j in range(1, len(pi)):
+                if len(hist) - j >= 0:
+                    y -= pi[j] * hist[len(hist) - j]
+            out[h] = y
+            hist.append(y)
+    return out

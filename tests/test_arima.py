@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from autocast.models.arima import (
     arima_forecast,
     fit_arima,
     fit_arima_pair,
+    MAX_D,
     MAX_P,
     MAX_Q,
     MAX_SEASONAL,
@@ -38,7 +40,12 @@ from autocast.models.optim import nelder_mead
 from autocast.pipeline import _is_fallback
 
 from helpers import in_range_orders, monthly_series, seasonal_values, weekly_series
-from oracles import kpss_level_statistic, lag_polynomials_accumulated
+from oracles import (
+    arima_path_recursion,
+    difference_by_diffs,
+    kpss_level_statistic,
+    lag_polynomials_accumulated,
+)
 
 
 def simulate_ar1(phi, n, seed, burn=100):
@@ -153,6 +160,20 @@ class TestDifference:
     def test_removes_linear_trend(self):
         y = 5.0 + 3.0 * np.arange(30)
         assert np.allclose(difference(y, 1, 0, 1), 3.0)
+
+    @pytest.mark.parametrize("m", [4, 12, 52])
+    def test_convolution_matches_repeated_diffs(self, m):
+        rng = np.random.default_rng(m)
+        for n in (1, m, m + 1, m + 3, 4 * m):
+            y = 100.0 + rng.normal(scale=20.0, size=n)
+            for d in range(3):
+                for D in range(2):
+                    got, expected = difference(y, d, D, m), difference_by_diffs(y, d, D, m)
+                    assert got.shape == expected.shape
+                    if d == 1 and D == 0:
+                        assert np.array_equal(got, expected)
+                    elif len(expected):
+                        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(y))
 
 
 class TestFitArima:
@@ -332,6 +353,50 @@ class TestArimaForecast:
         y = np.array([50.0, 40.0, 30.0, 20.0, 10.0, 5.0, 2.0, 1.0, 0.5, 0.2])
         fit = fit_arima(monthly_series(y), seasonal=False)
         assert np.all(arima_forecast(fit, y, 24) >= 0)
+
+
+class TestForecastAgainstRecursion:
+    """The banded-solve forecast against the step-by-step recursion, to 1e-10 of its scale."""
+
+    @staticmethod
+    def assert_matches_recursion(order, params, y, horizons):
+        w = difference(y, order.d, order.D, order.m)
+        fit = FittedArima(order, tuple(params), float(w.mean()), 1.0, len(w), 0.0)
+        for horizon in horizons:
+            expected = arima_path_recursion(order, params, fit.mean, y, horizon)
+            assert np.all(np.isfinite(expected))
+            got = arima_forecast(fit, y, horizon)
+            assert got.shape == (horizon,)
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(got - np.maximum(expected, 0.0))) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("m", [4, 12, 52])
+    def test_every_order_and_differencing(self, m):
+        rng = np.random.default_rng(m)
+        y = seasonal_values(3 * m + 10, amplitude=25.0, slope=1.0, noise=5.0, seed=m, m=m)
+        for plain in [ArimaOrder(0, 0, 0), *in_range_orders(m)]:
+            for d in range(MAX_D + 1):
+                for D in range(MAX_SEASONAL + 1):
+                    seasonal = plain.P + plain.Q + D
+                    order = replace(plain, d=d, D=D, m=m if seasonal else 1)
+                    # |coefficients| summing below 1 keep a(B) stationary and b(B) invertible
+                    params = rng.uniform(-0.25, 0.25, order.n_params)
+                    self.assert_matches_recursion(order, params, y, (1, m, 2 * m + 3))
+
+    @pytest.mark.parametrize(
+        "order, params",
+        [
+            (ArimaOrder(1, 0, 0), [0.97]),
+            (ArimaOrder(2, 1, 0), [1.2, -0.3]),
+            (ArimaOrder(3, 0, 0, 1, 1, 0, 12), [0.5, 0.2, -0.1, 0.8]),
+            (ArimaOrder(0, 0, 1), [0.9]),
+            (ArimaOrder(0, 2, 3), [0.6, -0.3, 0.2]),
+            (ArimaOrder(0, 1, 2, 0, 1, 1, 12), [-0.4, 0.3, -0.7]),
+        ],
+    )
+    def test_pure_ar_and_pure_ma(self, order, params):
+        y = seasonal_values(60, amplitude=25.0, slope=1.0, noise=5.0, seed=3)
+        self.assert_matches_recursion(order, params, y, (1, 12, 27))
 
 
 class TestArimaForecasterAdapter:

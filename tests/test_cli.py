@@ -180,6 +180,16 @@ class TestForecastCommand:
         assert code == 1
         assert "horizont" in capsys.readouterr().err
 
+    def test_config_naming_input_or_output_paths_exits_one(self, sales_csv, capsys):
+        # the paths come only from --input and --out
+        tmp_path, sales, _ = sales_csv
+        for key in ("input_path", "output_dir"):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({key: str(sales)}))
+            code = run(["forecast", "--input", str(sales), "--config", str(bad), "--out", str(tmp_path / "o")])
+            assert code == 1
+            assert key in capsys.readouterr().err
+
     def test_zero_horizon_config_exits_one(self, sales_csv, capsys):
         tmp_path, sales, _ = sales_csv
         bad = tmp_path / "bad.json"

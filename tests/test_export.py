@@ -144,7 +144,6 @@ class TestExportBundle:
                 observed=np.ones(12),
                 trend=np.ones(12),
                 seasonal=np.zeros(12),
-                residual=np.zeros(12),
             )
             result = ForecastResult(pid, "naive", Period(Frequency.MONTHLY, 252), np.ones(3))
             return ProductForecasts(
@@ -170,7 +169,6 @@ class TestExportBundle:
             observed=np.arange(12.0),
             trend=np.arange(12.0),
             seasonal=np.zeros(12),
-            residual=np.zeros(12),
         )
         path = write_decomposition_svg(decomposition, tmp_path / "d.svg")
         text = path.read_text()

@@ -13,7 +13,7 @@ from autocast.models.arima import ArimaForecaster, arima_forecast, fit_arima_pai
 from autocast.models.base import MODEL_PRIORITY, ModelId
 from autocast.models.boosting import BoostedTreeForecaster, train_pooled_trees
 from autocast.models.ensemble import DEFAULT_MEMBERS
-from autocast.models.gam import GamForecaster
+from autocast.models.gam import GamForecaster, gam_predict
 from autocast.models.smoothing import HwesForecaster
 from autocast.pipeline import (
     ModelScore,
@@ -338,11 +338,15 @@ class TestFinalizeAndForecast:
 
     def test_gam_decomposition_attached(self):
         prod = monthly_series(np.tile(PATTERN, 4))
-        report, bundle = run_pipeline([prod], cheap_config())
+        config = cheap_config()
+        report, bundle = run_pipeline([prod], config)
         decomposition = bundle.products[0].decomposition
         assert decomposition is not None
-        total = decomposition.trend + decomposition.seasonal + decomposition.residual
-        np.testing.assert_allclose(total, decomposition.observed, atol=1e-8)
+        np.testing.assert_array_equal(decomposition.observed, prod.values)
+        # the full-history GAM fit's own fitted values
+        design = GamForecaster(lambda_grid=config.gam_lambda_grid).fit(prod).design_
+        fitted = gam_predict(design, np.arange(len(prod.values)))
+        np.testing.assert_allclose(decomposition.trend + decomposition.seasonal, fitted, atol=1e-8)
 
     def test_no_model_product_still_gets_naive_forecast(self):
         prod = monthly_series(seasonal_values(25, noise=0.5, seed=1))

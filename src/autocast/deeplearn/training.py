@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..models.base import BaseForecaster, ModelId, iterate_one_step
-from ..series import ForecastResult, SalesSeries
+from ..series import SalesSeries
 from .network import CnnConfig, CnnNetwork
 
 
@@ -158,29 +158,11 @@ def train_shared_cnn(corpus, config: CnnConfig):
     return network, stats
 
 
-def cnn_forecast(network: CnnNetwork, stats: NormStats, train: SalesSeries, horizon: int) -> ForecastResult:
-    """Iterated one-step forecasting on the normalized scale."""
-    window = network.config.input_window
-    if len(train) < window:
-        raise ValueError(f"need at least {window} points of history, got {len(train)}")
-    scaled = train.values / stats.scale
-
-    def predict_one(history):
-        return network.predict_one(history[-window:])
-
-    values = iterate_one_step(predict_one, scaled, horizon) * stats.scale
-    return ForecastResult(
-        product_id=train.product_id,
-        model_id="cnn",
-        start=train.end + 1,
-        values=np.maximum(values, 0.0),
-    )
-
-
 class CnnForecaster(BaseForecaster):
     """Per-product adapter around the shared network.
 
-    The normalization scale is recomputed from the fitted series, which
+    Forecasts iterate one-step predictions on the normalized scale. The
+    normalization scale is recomputed from the fitted series, which
     matches the scale used when that series contributed pooled windows.
     """
 
@@ -189,14 +171,16 @@ class CnnForecaster(BaseForecaster):
     def __init__(self, network: CnnNetwork):
         self.network = network
 
-    def fit(self, series: SalesSeries) -> "CnnForecaster":
+    def _fit(self, series: SalesSeries) -> None:
         window = self.network.config.input_window
         if len(series) < window:
             raise ValueError(f"need at least {window} points of history, got {len(series)}")
-        self.train_ = series
         self.stats_ = NormStats.from_series(series)
-        return self
 
-    def forecast(self, horizon: int) -> ForecastResult:
-        self._check_fitted()
-        return cnn_forecast(self.network, self.stats_, self.train_, horizon)
+    def _path(self, horizon: int) -> np.ndarray:
+        window = self.network.config.input_window
+
+        def predict_one(history):
+            return self.network.predict_one(history[-window:])
+
+        return iterate_one_step(predict_one, self.train_.values / self.stats_.scale, horizon) * self.stats_.scale

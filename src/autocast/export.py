@@ -87,7 +87,7 @@ def write_validation_csv(report: ValidationReport, path) -> Path:
     return path
 
 
-def _summary_payload(report: ValidationReport, bundle: ForecastBundle | None, config: PipelineConfig | None) -> dict:
+def _summary_payload(report: ValidationReport, bundle: ForecastBundle | None, config: PipelineConfig) -> dict:
     validity_counts = {v.value: 0 for v in Validity}
     histogram = {}
     exclusions = []
@@ -104,13 +104,6 @@ def _summary_payload(report: ValidationReport, bundle: ForecastBundle | None, co
         for model_id, _ in product.skipped:
             skip_counts[model_id] = skip_counts.get(model_id, 0) + 1
 
-    if config is None:
-        config = PipelineConfig(
-            frequency=report.frequency,
-            holdout=report.holdout,
-            seed=report.seed,
-            horizon=bundle.horizon if bundle is not None else None,
-        )
     payload = {
         "products": {"total": len(report.products), **validity_counts},
         "exclusions": exclusions,
@@ -127,7 +120,7 @@ def _summary_payload(report: ValidationReport, bundle: ForecastBundle | None, co
     return payload
 
 
-def write_summary_json(report: ValidationReport, bundle: ForecastBundle | None, config: PipelineConfig | None, path) -> Path:
+def write_summary_json(report: ValidationReport, bundle: ForecastBundle | None, config: PipelineConfig, path) -> Path:
     path = Path(path)
     payload = _summary_payload(report, bundle, config)
     with _open_write(path) as fh:
@@ -160,7 +153,7 @@ def write_decomposition_svg(decomposition, path) -> Path:
     return path
 
 
-def export_bundle(bundle: ForecastBundle, report: ValidationReport, output_dir, config: PipelineConfig | None = None) -> dict:
+def export_bundle(bundle: ForecastBundle, report: ValidationReport, output_dir, config: PipelineConfig) -> dict:
     """Write all result files into output_dir; returns {name: Path}."""
     out = make_output_dir(output_dir)
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from ..series import ForecastResult, SalesSeries
+from ..series import SalesSeries
 from .base import BaseForecaster, ModelId
 # perfbench/tracing.py binds nelder_mead here for its optim.nelder_mead span.
 # Nothing in this module calls it; the import leaves with that span.
@@ -495,19 +495,12 @@ def fit_arima_pair(train: SalesSeries) -> tuple:
     return plain, _refit(values, best_seasonal)
 
 
-def arima_forecast(fit: FittedArima, values, horizon: int) -> np.ndarray:
-    """ARMA forecast on the differenced scale, then undifferenced (``_arma_path``).
+def arima_forecast(fit: FittedArima, values, horizon: int) -> tuple:
+    """The forecast path (``_arma_path``), and whether the random walk with drift replaced it.
 
-    Floored at zero. A path that overflows, as an explosive AR polynomial's
-    can, is replaced by the random walk with drift.
+    A path that overflows, as an explosive AR polynomial's can, is replaced
+    by the random walk's.
     """
-    return _forecast(fit, values, horizon)[0]
-
-
-def _forecast(fit: FittedArima, values, horizon: int):
-    """arima_forecast, and whether the random walk with drift replaced the path."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     values = np.asarray(values, dtype=float)
     # an explosive fit overflows here; its path is replaced below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -515,11 +508,11 @@ def _forecast(fit: FittedArima, values, horizon: int):
     substituted = not np.all(np.isfinite(out))
     if substituted:
         out = _arma_path(_random_walk_fit(values), values, horizon)
-    return np.maximum(out, 0.0), substituted
+    return out, substituted
 
 
 def _arma_path(fit: FittedArima, values: np.ndarray, horizon: int) -> np.ndarray:
-    """The forecast path, not floored: the model's equations solved with the history fixed.
+    """The forecast path: the model's equations solved with the history fixed.
 
     The future of the centred differenced series w solves a(B) w = r, where r
     is b(B) e - a(B) w of the history continued by zeros; that of y solves
@@ -551,15 +544,12 @@ class ArimaForecaster(BaseForecaster):
     def model_id(self) -> ModelId:
         return ModelId.SARIMA if self.seasonal else ModelId.ARIMA
 
-    def fit(self, series: SalesSeries) -> "ArimaForecaster":
-        self.train_ = series
+    def _fit(self, series: SalesSeries) -> None:
         self.fit_ = fit_arima(series, seasonal=self.seasonal, forced_order=self.forced_order)
-        return self
 
-    def forecast(self, horizon: int) -> ForecastResult:
-        self._check_fitted()
-        values, substituted = _forecast(self.fit_, self.train_.values, horizon)
+    def _path(self, horizon: int) -> np.ndarray:
+        path, substituted = arima_forecast(self.fit_, self.train_.values, horizon)
         if substituted:
             # the forecast is the random walk's, so the fit reports a fallback
             self.fit_ = replace(self.fit_, fallback=True)
-        return self._result(values)
+        return path

@@ -47,33 +47,47 @@ class NotFittedError(RuntimeError):
 
 
 class BaseForecaster:
-    """fit/forecast contract shared by every model in the zoo.
+    """The fit/forecast contract shared by every model in the zoo.
 
-    fit() returns self. Fitted state lives in attributes with a trailing
-    underscore.
+    A model supplies ``_fit(series)``, which fits its state or raises, and
+    ``_path(horizon)``, its raw forecast path for horizon >= 1. Only this
+    class records, checks, floors and dates: fit() runs _fit and then records
+    the series as ``train_`` (a fit that raises leaves the model unfitted)
+    and returns self; forecast() raises NotFittedError before a successful
+    fit and ValueError for a horizon below 1, floors the path at 0, and
+    dates it from the period after the training series. Fitted state lives
+    in attributes with a trailing underscore.
     """
 
     model_id: ModelId
+    train_: SalesSeries | None = None
 
     def fit(self, series: SalesSeries) -> "BaseForecaster":
-        raise NotImplementedError
+        self.train_ = None
+        self._fit(series)
+        self.train_ = series
+        return self
 
     def forecast(self, horizon: int) -> ForecastResult:
-        raise NotImplementedError
-
-    def _check_fitted(self):
-        if getattr(self, "train_", None) is None:
-            raise NotFittedError(f"{type(self).__name__} is not fitted; call fit() first")
-
-    def _result(self, values) -> ForecastResult:
         self._check_fitted()
-        values = np.maximum(np.asarray(values, dtype=float), 0.0)
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
         return ForecastResult(
             product_id=self.train_.product_id,
             model_id=self.model_id.value,
             start=self.train_.end + 1,
-            values=values,
+            values=np.maximum(np.asarray(self._path(horizon), dtype=float), 0.0),
         )
+
+    def _fit(self, series: SalesSeries) -> None:
+        raise NotImplementedError
+
+    def _path(self, horizon: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def _check_fitted(self):
+        if self.train_ is None:
+            raise NotFittedError(f"{type(self).__name__} is not fitted; call fit() first")
 
 
 def iterate_one_step(predict_one, history: np.ndarray, horizon: int) -> np.ndarray:
@@ -82,8 +96,6 @@ def iterate_one_step(predict_one, history: np.ndarray, horizon: int) -> np.ndarr
     Each prediction is floored at 0 before it is appended, so the floor is
     part of the feedback loop, not a cosmetic pass at the end.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     working = np.asarray(history, dtype=float).copy()
     out = np.empty(horizon)
     for h in range(horizon):

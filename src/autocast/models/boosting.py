@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..series import ForecastResult, SalesSeries
+from ..series import SalesSeries
 from .base import BaseForecaster, ModelId, iterate_one_step
 from .windows import make_window_features, one_step_features
 
@@ -163,13 +163,6 @@ class GradientBoostedTrees:
             at = child[rows, at]
         return self.value.ravel()[at]
 
-    def predict(self, X) -> np.ndarray:
-        leaves = self.leaves(X)
-        out = np.full(len(leaves), self.base_value)
-        for terms in leaves.T:  # in tree order, as predict_one adds them
-            out += self.learning_rate * terms
-        return out
-
     def predict_one(self, row) -> float:
         value = self.base_value
         for leaf in self.leaves(row)[0].tolist():
@@ -225,15 +218,12 @@ class BoostedTreeForecaster(BaseForecaster):
     def __init__(self, model: GradientBoostedTrees):
         self.model = model
 
-    def fit(self, series: SalesSeries) -> "BoostedTreeForecaster":
+    def _fit(self, series: SalesSeries) -> None:
         m = series.frequency.periods_per_year
         if len(series) < m:
             raise ValueError(f"need at least {m} points of history, got {len(series)}")
-        self.train_ = series
-        return self
 
-    def forecast(self, horizon: int) -> ForecastResult:
-        self._check_fitted()
+    def _path(self, horizon: int) -> np.ndarray:
         m = self.train_.frequency.periods_per_year
         start_pos = self.train_.start.position_in_year
 
@@ -243,5 +233,4 @@ class BoostedTreeForecaster(BaseForecaster):
             row = one_step_features(history, position, m)
             return np.expm1(self.model.predict_one(row))
 
-        values = iterate_one_step(predict_one, self.train_.values, horizon)
-        return self._result(values)
+        return iterate_one_step(predict_one, self.train_.values, horizon)

@@ -13,7 +13,8 @@ def ensemble_forecast(forecasts) -> ForecastResult:
     """Combine member forecasts for one product into an EnsembleMedian result.
 
     With an even member count the median is the mean of the two central
-    values. Members must agree on product, start, and horizon.
+    values. Members must agree on product, start, and horizon; being
+    forecasts they are never negative, and neither is their median.
     """
     if len(forecasts) < 2:
         raise ValueError(f"ensemble needs at least 2 member forecasts, got {len(forecasts)}")
@@ -23,10 +24,9 @@ def ensemble_forecast(forecasts) -> ForecastResult:
             raise ValueError(f"mixed products: {other.product_id!r} vs {first.product_id!r}")
         if other.start != first.start or other.horizon != first.horizon:
             raise ValueError("members disagree on forecast start or horizon")
-    values = np.median(np.vstack([f.values for f in forecasts]), axis=0)
     return ForecastResult(
         product_id=first.product_id,
         model_id=ModelId.ENSEMBLE_MEDIAN.value,
         start=first.start,
-        values=np.maximum(values, 0.0),
+        values=np.median(np.vstack([f.values for f in forecasts]), axis=0),
     )

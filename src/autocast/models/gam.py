@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..series import ForecastResult, SalesSeries
+from ..series import SalesSeries
 from .base import BaseForecaster, ModelId
 from .lasso import default_lambda_grid, lasso_path, select_lambda
 
@@ -155,18 +155,12 @@ class GamForecaster(BaseForecaster):
 
     model_id = ModelId.GAM
 
-    def fit(self, series: SalesSeries) -> "GamForecaster":
-        self.train_ = series
+    def _fit(self, series: SalesSeries) -> None:
         self.design_ = fit_gam(series, lambda_grid=self.lambda_grid)
-        return self
 
-    def forecast(self, horizon: int) -> ForecastResult:
-        self._check_fitted()
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+    def _path(self, horizon: int) -> np.ndarray:
         n = self.design_.n_train
-        values = gam_predict(self.design_, np.arange(n, n + horizon))
-        return self._result(values)
+        return gam_predict(self.design_, np.arange(n, n + horizon))
 
     def decompose(self) -> dict:
         """Trend and seasonal paths over the training window."""

@@ -3,39 +3,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..series import ForecastResult, SalesSeries
+from ..series import SalesSeries
 from .base import BaseForecaster, ModelId
 
 
-def naive_forecast(train: SalesSeries, horizon: int) -> ForecastResult:
+class NaiveForecaster(BaseForecaster):
     """Mean of all training values in the same month(week)-of-year.
 
     Positions never seen in training fall back to the overall mean.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    m = train.frequency.periods_per_year
-    positions = np.array([p.position_in_year for p in train.periods()])
-    overall = float(train.values.mean())
-    by_position = np.full(m, overall)
-    for pos in range(m):
-        mask = positions == pos
-        if mask.any():
-            by_position[pos] = float(train.values[mask].mean())
-    start = train.end + 1
-    values = np.array(
-        [by_position[(start + h).position_in_year] for h in range(horizon)]
-    )
-    return ForecastResult(train.product_id, ModelId.NAIVE.value, start, np.maximum(values, 0.0))
 
-
-class NaiveForecaster(BaseForecaster):
     model_id = ModelId.NAIVE
 
-    def fit(self, series: SalesSeries) -> "NaiveForecaster":
-        self.train_ = series
-        return self
+    def _fit(self, series: SalesSeries) -> None:
+        m = series.frequency.periods_per_year
+        positions = np.array([p.position_in_year for p in series.periods()])
+        overall = float(series.values.mean())
+        self.by_position_ = np.full(m, overall)
+        for pos in range(m):
+            mask = positions == pos
+            if mask.any():
+                self.by_position_[pos] = float(series.values[mask].mean())
+        self.next_position_ = (series.end + 1).position_in_year
 
-    def forecast(self, horizon: int) -> ForecastResult:
-        self._check_fitted()
-        return naive_forecast(self.train_, horizon)
+    def _path(self, horizon: int) -> np.ndarray:
+        m = len(self.by_position_)
+        return self.by_position_[(self.next_position_ + np.arange(horizon)) % m]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..series import ForecastResult, SalesSeries
+from ..series import SalesSeries
 from .base import BaseForecaster, ModelId
 from .optim import nelder_mead
 
@@ -164,13 +164,11 @@ def fit_hwes(train: SalesSeries) -> HwesState:
 
 
 def hwes_forecast(state: HwesState, horizon: int) -> np.ndarray:
-    """Linear trend continuation plus the repeating seasonal pattern, floored at 0."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    """Linear trend continuation plus the repeating seasonal pattern."""
     m = state.season_length
     steps = np.arange(1, horizon + 1)
     seasonal = np.array([state.seasonal[h % m] for h in steps])
-    return np.maximum(state.level + steps * state.trend + seasonal, 0.0)
+    return state.level + steps * state.trend + seasonal
 
 
 class SesForecaster(BaseForecaster):
@@ -178,25 +176,19 @@ class SesForecaster(BaseForecaster):
 
     model_id = ModelId.SES
 
-    def fit(self, series: SalesSeries) -> "SesForecaster":
-        self.train_ = series
+    def _fit(self, series: SalesSeries) -> None:
         alpha, level = fit_ses(series.values)
         self.state_ = HwesState(alpha, 0.0, 0.0, level, 0.0, (0.0,))
-        return self
 
-    def forecast(self, horizon: int) -> ForecastResult:
-        self._check_fitted()
-        return self._result(hwes_forecast(self.state_, horizon))
+    def _path(self, horizon: int) -> np.ndarray:
+        return hwes_forecast(self.state_, horizon)
 
 
 class HwesForecaster(BaseForecaster):
     model_id = ModelId.HWES
 
-    def fit(self, series: SalesSeries) -> "HwesForecaster":
-        self.train_ = series
+    def _fit(self, series: SalesSeries) -> None:
         self.state_ = fit_hwes(series)
-        return self
 
-    def forecast(self, horizon: int) -> ForecastResult:
-        self._check_fitted()
-        return self._result(hwes_forecast(self.state_, horizon))
+    def _path(self, horizon: int) -> np.ndarray:
+        return hwes_forecast(self.state_, horizon)

@@ -196,7 +196,7 @@ class TestFitArima:
         rng = np.random.default_rng(seed)
         y = np.maximum(rng.normal(100.0, 5.0, 60), 0)
         fit = fit_arima(monthly_series(y), seasonal=False)
-        forecast = arima_forecast(fit, y, 12)
+        forecast, _ = arima_forecast(fit, y, 12)
         assert forecast.mean() == pytest.approx(y.mean(), rel=0.05)
 
     @pytest.mark.parametrize("seed", [0, 1, 4])
@@ -242,7 +242,7 @@ class TestFitArima:
     def test_random_walk_fallback_forecasts_with_drift(self):
         values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         fit = fit_arima(monthly_series(values), forced_order=ArimaOrder(0, 2, 0))
-        assert list(arima_forecast(fit, values, 3)) == [6.0, 7.0, 8.0]
+        assert list(arima_forecast(fit, values, 3)[0]) == [6.0, 7.0, 8.0]
 
 
 class TestFitArimaPair:
@@ -335,24 +335,13 @@ class TestStepwiseSearch:
 
 
 class TestArimaForecast:
-    def test_horizon_below_one_rejected(self):
-        y = simulate_ar1(0.5, 40, seed=5)
-        fit = fit_arima(monthly_series(y), forced_order=ArimaOrder(1, 0, 0))
-        with pytest.raises(ValueError):
-            arima_forecast(fit, y, 0)
-
     def test_ar1_forecast_decays_toward_level(self):
         y = simulate_ar1(0.8, 200, seed=1)
         fit = fit_arima(monthly_series(y), forced_order=ArimaOrder(1, 0, 0))
-        forecast = arima_forecast(fit, y, 30)
+        forecast, _ = arima_forecast(fit, y, 30)
         level = fit.mean
         gaps = np.abs(forecast - level)
         assert gaps[-1] <= gaps[0] + 1e-9  # geometric pull toward the mean
-
-    def test_values_floored_at_zero(self):
-        y = np.array([50.0, 40.0, 30.0, 20.0, 10.0, 5.0, 2.0, 1.0, 0.5, 0.2])
-        fit = fit_arima(monthly_series(y), seasonal=False)
-        assert np.all(arima_forecast(fit, y, 24) >= 0)
 
 
 class TestForecastAgainstRecursion:
@@ -365,10 +354,10 @@ class TestForecastAgainstRecursion:
         for horizon in horizons:
             expected = arima_path_recursion(order, params, fit.mean, y, horizon)
             assert np.all(np.isfinite(expected))
-            got = arima_forecast(fit, y, horizon)
-            assert got.shape == (horizon,)
+            got, substituted = arima_forecast(fit, y, horizon)
+            assert got.shape == (horizon,) and not substituted
             scale = np.max(np.abs(expected))
-            assert np.max(np.abs(got - np.maximum(expected, 0.0))) <= 1e-10 * scale
+            assert np.max(np.abs(got - expected)) <= 1e-10 * scale
 
     @pytest.mark.parametrize("m", [4, 12, 52])
     def test_every_order_and_differencing(self, m):
@@ -412,7 +401,7 @@ class TestArimaForecasterAdapter:
         assert result.model_id == "arima"
         assert result.start == series.end + 1
         assert result.horizon == 12
-        assert np.array_equal(result.values, arima_forecast(model.fit_, y, 12))
+        assert np.array_equal(result.values, np.maximum(arima_forecast(model.fit_, y, 12)[0], 0.0))
 
     def test_deterministic(self):
         y = simulate_ar1(0.6, 60, seed=8)
@@ -557,7 +546,7 @@ class TestCssSolver:
         for fit in (plain, seasonal, forced):
             assert fit.converged and not fit.fallback
             assert math.isfinite(fit.sse) and np.all(np.isfinite(fit.params))
-            forecast = arima_forecast(fit, y, 52)
+            forecast, _ = arima_forecast(fit, y, 52)
             assert len(forecast) == 52
             assert np.all(np.isfinite(forecast)) and np.all(forecast >= 0)
 

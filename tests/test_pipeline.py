@@ -442,7 +442,7 @@ class TestFinalizeAndForecast:
         entry = finalize_and_forecast([prod], report, config).products[0]
         prefix = split_holdout(prod, holdout)[0]
         for model_id, fit in zip(("arima", "sarima"), fit_arima_pair(prefix)):
-            expected = arima_forecast(fit, prefix.values, holdout + config.horizon)[holdout:]
+            expected = np.maximum(arima_forecast(fit, prefix.values, holdout + config.horizon)[0], 0.0)[holdout:]
             assert entry.forecast_for(model_id).values.tobytes() == expected.tobytes()
             assert f"{model_id}: refit failed, reusing validation fit (boom)" in entry.flags
 

@@ -36,19 +36,10 @@ class TestHwesForecastArithmetic:
         state = HwesState(0.3, 0.1, 0.1, level=10.0, trend=1.0, seasonal=(0.0,))
         assert list(hwes_forecast(state, 3)) == [11.0, 12.0, 13.0]
 
-    def test_negative_path_floored(self):
-        state = HwesState(0.3, 0.1, 0.1, level=1.0, trend=-2.0, seasonal=(0.0,))
-        assert list(hwes_forecast(state, 2)) == [0.0, 0.0]
-
     def test_seasonal_rotation_is_end_aligned(self):
         # index h % m serves the h-th step after training
         state = HwesState(0.5, 0.1, 0.1, level=0.0, trend=0.0, seasonal=(5.0, -2.0, 7.0))
-        assert list(hwes_forecast(state, 4)) == [0.0, 7.0, 5.0, 0.0]  # s1, s2, s0, s1 floored
-
-    def test_horizon_below_one_rejected(self):
-        state = HwesState(0.3, 0.1, 0.1, 1.0, 0.0, (0.0,))
-        with pytest.raises(ValueError):
-            hwes_forecast(state, 0)
+        assert list(hwes_forecast(state, 4)) == [-2.0, 7.0, 5.0, -2.0]  # s1, s2, s0, s1
 
 
 class TestFitHwes:

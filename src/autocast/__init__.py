@@ -19,7 +19,7 @@ from .evaluation import (
 )
 from .export import export_bundle, read_export_dir
 from .ingest import Validity, check_validity, ingest_sales, load_sales_csv, read_sales_csv, write_sales_csv
-from .metrics import MetricSet, compute_metric_set, compute_mape, compute_nrmse, compute_rmse
+from .metrics import MetricSet, compute_metric_set
 from .models.base import MODEL_PRIORITY, BaseForecaster, ModelId, NotFittedError, priority_rank
 from .pipeline import (
     ForecastBundle,
@@ -61,10 +61,7 @@ __all__ = [
     "ValidationReport",
     "Validity",
     "check_validity",
-    "compute_mape",
     "compute_metric_set",
-    "compute_nrmse",
-    "compute_rmse",
     "error_ratio",
     "export_bundle",
     "finalize_and_forecast",

@@ -106,18 +106,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="autocast", description="Automated sales forecasting engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    validate = sub.add_parser("validate", help="score all models on each product's holdout")
-    validate.add_argument("--input", required=True, help="sales CSV (product_id,date,quantity)")
-    validate.add_argument("--config", help="JSON pipeline config")
-    validate.add_argument("--out", required=True, help="output directory")
-    validate.add_argument("--seed", type=int, help="override the config seed")
+    pipeline_args = argparse.ArgumentParser(add_help=False)
+    pipeline_args.add_argument("--input", required=True, help="sales CSV (product_id,date,quantity)")
+    pipeline_args.add_argument("--config", help="JSON pipeline config")
+    pipeline_args.add_argument("--out", required=True, help="output directory")
+    pipeline_args.add_argument("--seed", type=int, help="override the config seed")
+
+    validate = sub.add_parser("validate", parents=[pipeline_args], help="score all models on each product's holdout")
     validate.set_defaults(func=cmd_validate)
 
-    forecast = sub.add_parser("forecast", help="validate, retrain on full history, export forecasts")
-    forecast.add_argument("--input", required=True, help="sales CSV (product_id,date,quantity)")
-    forecast.add_argument("--config", help="JSON pipeline config")
-    forecast.add_argument("--out", required=True, help="output directory")
-    forecast.add_argument("--seed", type=int, help="override the config seed")
+    forecast = sub.add_parser("forecast", parents=[pipeline_args], help="validate, retrain on full history, export forecasts")
     forecast.set_defaults(func=cmd_forecast)
 
     evaluate = sub.add_parser("evaluate", help="compare exported forecasts against realized actuals")

@@ -15,8 +15,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, EvaluationError
-from .export import _open_write, make_output_dir
-from .metrics import compute_nrmse, compute_rmse
+from .export import make_output_dir
+from .ingest import open_for_write
+from .metrics import compute_metric_set, format_metric
 from .models.base import ModelId, priority_rank
 from .pipeline import ForecastBundle, ValidationReport
 from .svgplot import box_plot
@@ -221,27 +222,27 @@ def summarize(report: ValidationReport, bundle: ForecastBundle, actuals, alterna
 
         realized = {}
         for result in product.forecasts:
-            rmse = compute_rmse(window, result.values)
-            nrmse = compute_nrmse(window, result.values)
-            realized[result.model_id] = (rmse, nrmse)
-            if nrmse is not None:
+            metrics = compute_metric_set(window, result.values)
+            realized[result.model_id] = metrics
+            if metrics.nrmse is not None:
                 total, count = model_nrmse_sums.get(result.model_id, (0.0, 0))
-                model_nrmse_sums[result.model_id] = (total + nrmse, count + 1)
+                model_nrmse_sums[result.model_id] = (total + metrics.nrmse, count + 1)
 
-        best_id = min(realized, key=lambda m: (realized[m][0], priority_rank(ModelId(m))))
+        best_id = min(realized, key=lambda m: (realized[m].rmse, priority_rank(m)))
         best_hist[best_id] = best_hist.get(best_id, 0) + 1
 
         recommended_id = report.product(pid).recommended
         if recommended_id is not None:
             recommended_hist[recommended_id] = recommended_hist.get(recommended_id, 0) + 1
 
-        naive_nrmse = realized.get(ModelId.NAIVE.value, (None, None))[1]
+        nrmse = {model_id: metrics.nrmse for model_id, metrics in realized.items()}
+        naive_nrmse = nrmse.get(ModelId.NAIVE.value)
         product_defined = True
         for model_id, bucket_ratios, bucket_pairs in (
             (recommended_id, recommended_ratios, recommended_pairs),
             (best_id, best_ratios, best_pairs),
         ):
-            model_nrmse = realized.get(model_id, (None, None))[1] if model_id else None
+            model_nrmse = nrmse.get(model_id)
             ratio = error_ratio(model_nrmse, naive_nrmse)
             bucket_ratios.append(ErrorRatio(pid, model_id or "", model_nrmse, naive_nrmse, ratio))
             if ratio is None:
@@ -286,19 +287,15 @@ RATIOS_HEADER = [
 ]
 
 
-def _fmt(value) -> str:
-    return "" if value is None else f"{value:.6f}"
-
-
 def write_evaluation(summary: EvaluationSummary, output_dir) -> dict:
     """Write evaluation.json, ratios.csv, and (when possible) boxplot.svg."""
     out = make_output_dir(output_dir)
     written = {"evaluation": out / "evaluation.json", "ratios": out / "ratios.csv"}
-    with _open_write(written["evaluation"]) as fh:
+    with open_for_write(written["evaluation"]) as fh:
         fh.write(json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n")
 
     best_by_id = {r.product_id: r for r in summary.best_ratios}
-    with _open_write(written["ratios"]) as fh:
+    with open_for_write(written["ratios"]) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RATIOS_HEADER)
         for rec in summary.recommended_ratios:
@@ -307,12 +304,12 @@ def write_evaluation(summary: EvaluationSummary, output_dir) -> dict:
                 [
                     rec.product_id,
                     rec.model_id,
-                    _fmt(rec.model_nrmse),
+                    format_metric(rec.model_nrmse),
                     best.model_id if best else "",
-                    _fmt(best.model_nrmse if best else None),
-                    _fmt(rec.naive_nrmse),
-                    _fmt(rec.ratio),
-                    _fmt(best.ratio if best else None),
+                    format_metric(best.model_nrmse if best else None),
+                    format_metric(rec.naive_nrmse),
+                    format_metric(rec.ratio),
+                    format_metric(best.ratio if best else None),
                 ]
             )
 
@@ -325,6 +322,6 @@ def write_evaluation(summary: EvaluationSummary, output_dir) -> dict:
         groups.append(("best", best_values))
     if groups:
         written["boxplot"] = out / "boxplot.svg"
-        with _open_write(written["boxplot"]) as fh:
+        with open_for_write(written["boxplot"]) as fh:
             fh.write(box_plot("error ratio vs naive baseline", groups, clip=RATIO_CLIP))
     return written

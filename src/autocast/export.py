@@ -13,8 +13,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .errors import ExportError
-from .ingest import Validity
-from .metrics import MetricSet
+from .ingest import Validity, open_for_write, read_csv_rows
+from .metrics import MetricSet, format_metric
+from .models.base import ModelId
 from .pipeline import (
     ForecastBundle,
     ModelScore,
@@ -30,17 +31,6 @@ FORECASTS_HEADER = ["product_id", "model_id", "period", "value"]
 VALIDATION_HEADER = ["product_id", "model_id", "rmse", "nrmse", "mape", "recommended"]
 
 
-def _fmt_metric(value) -> str:
-    return "" if value is None else f"{value:.6f}"
-
-
-def _open_write(path: Path):
-    try:
-        return path.open("w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ExportError(f"cannot write {path}: {exc}") from exc
-
-
 def make_output_dir(output_dir) -> Path:
     """output_dir as a Path, created with its parents if missing."""
     out = Path(output_dir)
@@ -54,7 +44,7 @@ def make_output_dir(output_dir) -> Path:
 def write_forecasts_csv(bundle: ForecastBundle, path) -> Path:
     """One row per (product, model, period), in bundle order."""
     path = Path(path)
-    with _open_write(path) as fh:
+    with open_for_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(FORECASTS_HEADER)
         for product in bundle.products:
@@ -69,7 +59,7 @@ def write_forecasts_csv(bundle: ForecastBundle, path) -> Path:
 def write_validation_csv(report: ValidationReport, path) -> Path:
     """One row per (product, model) holdout score; excluded products have none."""
     path = Path(path)
-    with _open_write(path) as fh:
+    with open_for_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(VALIDATION_HEADER)
         for product in report.products:
@@ -78,9 +68,9 @@ def write_validation_csv(report: ValidationReport, path) -> Path:
                     [
                         product.product_id,
                         score.model_id,
-                        _fmt_metric(score.metrics.rmse),
-                        _fmt_metric(score.metrics.nrmse),
-                        _fmt_metric(score.metrics.mape),
+                        format_metric(score.metrics.rmse),
+                        format_metric(score.metrics.nrmse),
+                        format_metric(score.metrics.mape),
                         "true" if score.model_id == product.recommended else "false",
                     ]
                 )
@@ -92,6 +82,9 @@ def _summary_payload(report: ValidationReport, bundle: ForecastBundle | None, co
     histogram = {}
     exclusions = []
     skip_counts = {}
+    # a bundle's flags carry the product's validation flags and add its refit's
+    bundle_flags = {p.product_id: p.flags for p in bundle.products} if bundle is not None else {}
+    flags = {}
     for product in report.products:
         validity_counts[product.validity.value] += 1
         if product.validity is Validity.EXCLUDED:
@@ -99,6 +92,7 @@ def _summary_payload(report: ValidationReport, bundle: ForecastBundle | None, co
                 {"product_id": product.product_id, "reason": "; ".join(product.flags)}
             )
             continue
+        flags[product.product_id] = list(bundle_flags.get(product.product_id, product.flags))
         if product.recommended is not None:
             histogram[product.recommended] = histogram.get(product.recommended, 0) + 1
         for model_id, _ in product.skipped:
@@ -107,6 +101,7 @@ def _summary_payload(report: ValidationReport, bundle: ForecastBundle | None, co
     payload = {
         "products": {"total": len(report.products), **validity_counts},
         "exclusions": exclusions,
+        "flags": flags,
         "recommendation_histogram": dict(sorted(histogram.items())),
         "model_skip_counts": dict(sorted(skip_counts.items())),
         "seed": report.seed,
@@ -123,7 +118,7 @@ def _summary_payload(report: ValidationReport, bundle: ForecastBundle | None, co
 def write_summary_json(report: ValidationReport, bundle: ForecastBundle | None, config: PipelineConfig, path) -> Path:
     path = Path(path)
     payload = _summary_payload(report, bundle, config)
-    with _open_write(path) as fh:
+    with open_for_write(path) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -148,7 +143,7 @@ def write_decomposition_svg(decomposition, path) -> Path:
         decomposition.start.label(),
         end.label(),
     )
-    with _open_write(path) as fh:
+    with open_for_write(path) as fh:
         fh.write(svg)
     return path
 
@@ -177,29 +172,6 @@ def export_bundle(bundle: ForecastBundle, report: ValidationReport, output_dir, 
     return written
 
 
-def _read_rows(path: Path, expected_header: list) -> list:
-    if not path.exists():
-        raise ExportError(f"file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ExportError(f"{path}: empty file, expected header {','.join(expected_header)}")
-        if header != expected_header:
-            raise ExportError(f"{path}: bad header {header!r}, expected {expected_header}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise ExportError(
-                    f"{path} line {line_no}: expected {len(expected_header)} fields, got {len(row)}"
-                )
-            rows.append((line_no, row))
-    return rows
-
-
 def _frequency_of_label(label: str) -> Frequency:
     return Frequency.WEEKLY if "-W" in label else Frequency.MONTHLY
 
@@ -207,23 +179,23 @@ def _frequency_of_label(label: str) -> Frequency:
 def read_forecasts_csv(path) -> list[ForecastResult]:
     """Parse forecasts.csv back into ForecastResult values.
 
-    Rows of one (product, model) block must be contiguous ascending periods.
+    Rows of one (product, model) block must be contiguous ascending periods
+    of a known model, and its values finite and non-negative. The first
+    row's period label sets the frequency of every row.
     """
     path = Path(path)
     groups = {}
-    order = []
-    for line_no, (product_id, model_id, label, value) in _read_rows(path, FORECASTS_HEADER):
+    frequency = None
+    for line_no, (product_id, model_id, label, value) in read_csv_rows(path, FORECASTS_HEADER, ExportError):
         key = (product_id, model_id)
         try:
-            frequency = _frequency_of_label(label)
+            ModelId(model_id)
+            frequency = frequency or _frequency_of_label(label)
             period = Period.parse(frequency, label)
             number = float(value)
         except ValueError as exc:
             raise ExportError(f"{path} line {line_no}: {exc}") from exc
-        if key not in groups:
-            groups[key] = (period, [])
-            order.append(key)
-        start, values = groups[key]
+        start, values = groups.setdefault(key, (period, []))
         if period.index != start.index + len(values):
             raise ExportError(
                 f"{path} line {line_no}: period {label} breaks the contiguous run "
@@ -231,10 +203,11 @@ def read_forecasts_csv(path) -> list[ForecastResult]:
             )
         values.append(number)
     results = []
-    for key in order:
-        product_id, model_id = key
-        start, values = groups[key]
-        results.append(ForecastResult(product_id, model_id, start, values))
+    for (product_id, model_id), (start, values) in groups.items():
+        try:
+            results.append(ForecastResult(product_id, model_id, start, values))
+        except ValueError as exc:
+            raise ExportError(f"{path}: {model_id} {exc}") from exc
     return results
 
 
@@ -243,8 +216,8 @@ def read_validation_csv(path):
     path = Path(path)
     scores = {}
     recommended = {}
-    for line_no, (product_id, model_id, rmse, nrmse, mape, rec) in _read_rows(
-        path, VALIDATION_HEADER
+    for line_no, (product_id, model_id, rmse, nrmse, mape, rec) in read_csv_rows(
+        path, VALIDATION_HEADER, ExportError
     ):
         try:
             metrics = MetricSet(
@@ -269,27 +242,25 @@ def read_export_dir(directory) -> tuple[ValidationReport, ForecastBundle]:
 
     Only the fields evaluation needs are recovered: per-product forecasts,
     holdout metrics, and the recommendation. Validity detail, flags, and the
-    decompositions are not round-tripped.
+    decompositions are not round-tripped. Any malformed value, or forecasts
+    that the other rows or the recommendation contradict, raises ExportError
+    naming the file.
     """
     directory = Path(directory)
-    results = read_forecasts_csv(directory / "forecasts.csv")
+    forecasts_path = directory / "forecasts.csv"
+    results = read_forecasts_csv(forecasts_path)
     scores, recommended = read_validation_csv(directory / "validation.csv")
 
     by_product = {}
-    product_order = []
     for result in results:
-        if result.product_id not in by_product:
-            by_product[result.product_id] = []
-            product_order.append(result.product_id)
-        by_product[result.product_id].append(result)
+        by_product.setdefault(result.product_id, []).append(result)
 
     frequency = results[0].start.frequency if results else Frequency.MONTHLY
     horizon = results[0].horizon if results else 1
 
     validations = []
     forecasts = []
-    for product_id in product_order:
-        product_results = by_product[product_id]
+    for product_id, product_results in by_product.items():
         validations.append(
             ProductValidation(
                 product_id=product_id,
@@ -299,13 +270,16 @@ def read_export_dir(directory) -> tuple[ValidationReport, ForecastBundle]:
                 recommended=recommended.get(product_id),
             )
         )
-        forecasts.append(
-            ProductForecasts(
-                product_id=product_id,
-                forecasts=tuple(product_results),
-                recommended=recommended.get(product_id),
+        try:
+            forecasts.append(
+                ProductForecasts(
+                    product_id=product_id,
+                    forecasts=tuple(product_results),
+                    recommended=recommended.get(product_id),
+                )
             )
-        )
+        except ValueError as exc:
+            raise ExportError(f"{forecasts_path}: {exc}") from exc
     report = ValidationReport(frequency=frequency, holdout=0, seed=0, products=tuple(validations))
     bundle = ForecastBundle(frequency=frequency, horizon=horizon, products=tuple(forecasts))
     return report, bundle

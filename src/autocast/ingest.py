@@ -3,6 +3,10 @@
 Quantities are summed into their containing period, interior gaps become
 explicit zeros, and per-period sums that end up negative (returns exceeding
 sales) are floored at zero.
+
+The package's one CSV row reader (`read_csv_rows`) and one output-file
+opener (`open_for_write`) live here, the lowest layer, so that export and
+evaluation share them without an import cycle.
 """
 from __future__ import annotations
 
@@ -98,34 +102,44 @@ def ingest_sales(records, frequency: Frequency) -> list[SalesSeries]:
     return result
 
 
-def read_sales_csv(path) -> list[tuple[str, dt.date, float]]:
-    """Read raw records from a `product_id,date,quantity` CSV file."""
+def read_csv_rows(path, header: list, error: type) -> list:
+    """(line number, fields) of each non-blank row of a CSV file that starts with header.
+
+    A missing or empty file, another header, or a row whose field count is
+    not the header's raises `error`, naming the file and, for a row, its line.
+    """
     path = Path(path)
     if not path.exists():
-        raise IngestError(f"input file not found: {path}")
-    records = []
+        raise error(f"file not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            first = next(reader)
         except StopIteration:
-            raise IngestError(f"{path}: empty file, expected header {','.join(CSV_HEADER)}")
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise IngestError(
-                f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
-            )
+            raise error(f"{path}: empty file, expected header {','.join(header)}")
+        if [h.strip() for h in first] != header:
+            raise error(f"{path}: bad header {first!r}, expected {','.join(header)}")
+        rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 3:
-                raise IngestError(f"{path} line {line_no}: expected 3 fields, got {len(row)}")
-            row_label = f"{path} line {line_no}"
-            day = _coerce_date(row[1], row_label)
-            try:
-                qty = float(row[2])
-            except ValueError as exc:
-                raise IngestError(f"{row_label}: invalid quantity {row[2]!r}") from exc
-            records.append((row[0], day, qty))
+            if len(row) != len(header):
+                raise error(f"{path} line {line_no}: expected {len(header)} fields, got {len(row)}")
+            rows.append((line_no, row))
+    return rows
+
+
+def read_sales_csv(path) -> list[tuple[str, dt.date, float]]:
+    """Read raw records from a `product_id,date,quantity` CSV file."""
+    records = []
+    for line_no, (product_id, date_text, quantity) in read_csv_rows(path, CSV_HEADER, IngestError):
+        row_label = f"{path} line {line_no}"
+        day = _coerce_date(date_text, row_label)
+        try:
+            qty = float(quantity)
+        except ValueError as exc:
+            raise IngestError(f"{row_label}: invalid quantity {quantity!r}") from exc
+        records.append((product_id, day, qty))
     return records
 
 
@@ -134,13 +148,17 @@ def load_sales_csv(path, frequency: Frequency) -> list[SalesSeries]:
     return ingest_sales(read_sales_csv(path), frequency)
 
 
-def write_sales_csv(path, corpus: list[SalesSeries]) -> None:
-    """Write series back out in the ingestion CSV format (one row per period)."""
+def open_for_write(path):
+    """path opened for UTF-8 text writing, newlines untranslated; OSError becomes ExportError."""
     try:
-        fh = Path(path).open("w", newline="", encoding="utf-8")
+        return Path(path).open("w", newline="", encoding="utf-8")
     except OSError as exc:
         raise ExportError(f"cannot write {path}: {exc}") from exc
-    with fh:
+
+
+def write_sales_csv(path, corpus: list[SalesSeries]) -> None:
+    """Write series back out in the ingestion CSV format (one row per period)."""
+    with open_for_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for series in corpus:

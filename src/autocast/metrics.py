@@ -2,8 +2,8 @@
 
 nRMSE divides by the range of the actuals so products at different scales
 become comparable; it is undefined (None) when the actuals are constant.
-MAPE skips periods whose actual value is zero and reports how many were
-skipped; it is undefined when every actual is zero.
+MAPE skips periods whose actual value is zero; it is undefined when every
+actual is zero.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ class MetricSet:
     rmse: float
     nrmse: float | None
     mape: float | None
-    mape_skipped: int = 0
 
 
 def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
@@ -40,46 +39,24 @@ def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
     return a, p
 
 
-def _rmse(a: np.ndarray, p: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((a - p) ** 2)))
-
-
-def _nrmse(a: np.ndarray, rmse: float) -> float | None:
-    value_range = float(np.max(a) - np.min(a))
-    return None if value_range == 0.0 else rmse / value_range
-
-
-def _mape(a: np.ndarray, p: np.ndarray) -> tuple[float | None, int]:
-    nonzero = a != 0
-    skipped = int(np.sum(~nonzero))
-    if skipped == a.size:
-        return None, skipped
-    return float(np.mean(np.abs((a[nonzero] - p[nonzero]) / a[nonzero]))), skipped
-
-
-def compute_rmse(actual, predicted) -> float:
-    """Root mean squared error, sqrt(mean((actual - predicted)^2))."""
-    return _rmse(*_paired(actual, predicted))
-
-
-def compute_nrmse(actual, predicted) -> float | None:
-    """RMSE divided by the range of the actuals; None for constant actuals."""
-    a, p = _paired(actual, predicted)
-    return _nrmse(a, _rmse(a, p))
-
-
-def compute_mape(actual, predicted) -> tuple[float | None, int]:
-    """Mean absolute percentage error over nonzero actuals, as a fraction.
-
-    Returns (mape, skipped) where skipped counts zero-actual periods that
-    were excluded; mape is None when all actuals are zero.
-    """
-    return _mape(*_paired(actual, predicted))
-
-
 def compute_metric_set(actual, predicted) -> MetricSet:
-    """All three metrics for one (actual, predicted) pair, checked once."""
+    """All three metrics for one (actual, predicted) pair, checked once.
+
+    RMSE is sqrt(mean((actual - predicted)^2)); nRMSE is RMSE over the range
+    of the actuals; MAPE is the mean absolute percentage error over nonzero
+    actuals, as a fraction.
+    """
     a, p = _paired(actual, predicted)
-    rmse = _rmse(a, p)
-    mape, skipped = _mape(a, p)
-    return MetricSet(rmse=rmse, nrmse=_nrmse(a, rmse), mape=mape, mape_skipped=skipped)
+    rmse = float(np.sqrt(np.mean((a - p) ** 2)))
+    value_range = float(np.max(a) - np.min(a))
+    nonzero = a != 0
+    return MetricSet(
+        rmse=rmse,
+        nrmse=None if value_range == 0.0 else rmse / value_range,
+        mape=float(np.mean(np.abs((a[nonzero] - p[nonzero]) / a[nonzero]))) if nonzero.any() else None,
+    )
+
+
+def format_metric(value) -> str:
+    """value to the exports' 6 decimal places, or "" when it is undefined (None)."""
+    return "" if value is None else f"{value:.6f}"

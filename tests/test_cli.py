@@ -103,6 +103,7 @@ class TestValidateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["products"]["total"] == 2
         assert sum(summary["recommendation_histogram"].values()) == 2
+        assert summary["flags"] == {"s1": [], "s2": []}
 
     def test_seed_override_lands_in_summary(self, sales_csv):
         tmp_path, sales, config = sales_csv
@@ -171,6 +172,24 @@ class TestForecastCommand:
         for name in names:
             second = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert first[name] == second, name
+
+    def test_refit_failure_flag_lands_in_summary(self, sales_csv, monkeypatch):
+        tmp_path, sales, config = sales_csv
+        original_fit = HwesForecaster.fit
+
+        def flaky_fit(self, series):
+            if len(series) == 48:
+                raise ValueError("boom")
+            return original_fit(self, series)
+
+        monkeypatch.setattr(fanout, "usable_cores", lambda: 1)
+        monkeypatch.setattr(HwesForecaster, "fit", flaky_fit)
+        out = tmp_path / "fc"
+        assert run(["forecast", "--input", str(sales), "--config", str(config), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["flags"] == {
+            pid: ["hwes: refit failed, reusing validation fit (boom)"] for pid in ("s1", "s2")
+        }
 
     def test_unknown_config_key_exits_one(self, sales_csv, capsys):
         tmp_path, sales, _ = sales_csv
@@ -311,6 +330,24 @@ class TestEvaluateCommand:
         ) == 0
         payload = json.loads((tmp_path / "ev" / "evaluation.json").read_text())
         assert payload["alternative"] == "greater"
+
+    def test_negative_forecast_value_exits_one(self, workspace, capsys):
+        tmp_path, _, _ = workspace
+        fc = tmp_path / "fc"
+        fc.mkdir()
+        (fc / "forecasts.csv").write_text("product_id,model_id,period,value\ns1,naive,2020-01,-1\n")
+        (fc / "validation.csv").write_text("product_id,model_id,rmse,nrmse,mape,recommended\n")
+        (tmp_path / "actuals.csv").write_text("product_id,date,quantity\ns1,2020-01-01,1\n")
+        code = run(
+            [
+                "evaluate",
+                "--forecasts", str(fc),
+                "--actuals", str(tmp_path / "actuals.csv"),
+                "--out", str(tmp_path / "ev"),
+            ]
+        )
+        assert code == 1
+        assert "forecasts.csv: naive forecast for 's1' contains negative values" in capsys.readouterr().err
 
     def test_missing_forecast_dir_exits_one(self, workspace, capsys):
         tmp_path, _, _ = workspace

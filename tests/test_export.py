@@ -107,6 +107,7 @@ class TestExportBundle:
         histogram = summary["recommendation_histogram"]
         assert sum(histogram.values()) == 2
         assert [e["product_id"] for e in summary["exclusions"]] == ["tiny"]
+        assert summary["flags"] == {"alpha": [], "beta": []}
         assert summary["config"]["enabled_models"] == [m.value for m in CONFIG.enabled_models]
         assert summary["seed"] == 0
 
@@ -255,6 +256,48 @@ class TestMalformedInputs:
         with pytest.raises(ExportError, match="true/false"):
             read_validation_csv(path)
 
+    @staticmethod
+    def write_export(directory, forecast_rows, recommended="naive"):
+        directory.mkdir()
+        (directory / "forecasts.csv").write_text("product_id,model_id,period,value\n" + forecast_rows)
+        (directory / "validation.csv").write_text(
+            "product_id,model_id,rmse,nrmse,mape,recommended\n"
+            f"p1,{recommended},1.000000,,,true\n"
+        )
+        return directory
+
+    @pytest.mark.parametrize("value", ["nan", "-1.000000"])
+    def test_non_finite_or_negative_value_rejected(self, tmp_path, value):
+        path = tmp_path / "forecasts.csv"
+        path.write_text(f"product_id,model_id,period,value\np1,naive,2020-01,{value}\n")
+        with pytest.raises(ExportError, match="forecasts.csv: naive forecast for 'p1'"):
+            read_forecasts_csv(path)
+
+    def test_unknown_model_rejected(self, tmp_path):
+        path = tmp_path / "forecasts.csv"
+        path.write_text("product_id,model_id,period,value\np1,oracle,2020-01,1.000000\n")
+        with pytest.raises(ExportError, match="line 2: 'oracle'"):
+            read_forecasts_csv(path)
+
+    def test_mixed_frequencies_rejected(self, tmp_path):
+        path = tmp_path / "forecasts.csv"
+        path.write_text("product_id,model_id,period,value\np1,naive,2020-01,1.0\np2,naive,2020-W01,1.0\n")
+        with pytest.raises(ExportError, match="line 3: invalid monthly period label '2020-W01'"):
+            read_forecasts_csv(path)
+
+    def test_short_model_block_rejected(self, tmp_path):
+        directory = self.write_export(
+            tmp_path / "fc",
+            "p1,naive,2020-01,1.000000\np1,naive,2020-02,1.000000\np1,hwes,2020-01,1.000000\n",
+        )
+        with pytest.raises(ExportError, match="forecasts.csv: p1: forecasts disagree"):
+            read_export_dir(directory)
+
+    def test_recommended_model_without_rows_rejected(self, tmp_path):
+        directory = self.write_export(tmp_path / "fc", "p1,naive,2020-01,1.000000\n", recommended="hwes")
+        with pytest.raises(ExportError, match="forecasts.csv: p1: recommended model 'hwes' has no forecast"):
+            read_export_dir(directory)
+
 
 class TestWriterFormatting:
     def test_values_written_with_six_decimals(self, tmp_path):
@@ -284,6 +327,19 @@ class TestWriterFormatting:
         )
         path = write_validation_csv(report, tmp_path / "v.csv")
         assert "p1,naive,1.000000,,,true" in path.read_text()
+
+    def test_summary_flags_without_bundle_come_from_the_report(self, tmp_path):
+        from autocast.ingest import Validity
+        from autocast.pipeline import ProductValidation
+
+        products = (
+            ProductValidation("p1", Validity.SHORT_HISTORY, 3, recommended="naive", flags=("no_model",)),
+            ProductValidation("p2", Validity.EXCLUDED, 0, flags=("excluded: 8 periods < 12",)),
+        )
+        report = ValidationReport(frequency=Frequency.MONTHLY, holdout=12, seed=0, products=products)
+        summary = json.loads(write_summary_json(report, None, CONFIG, tmp_path / "s.json").read_text())
+        assert summary["flags"] == {"p1": ["no_model"]}
+        assert summary["exclusions"] == [{"product_id": "p2", "reason": "excluded: 8 periods < 12"}]
 
     def test_summary_without_bundle(self, tmp_path):
         report = ValidationReport(frequency=Frequency.MONTHLY, holdout=12, seed=4)

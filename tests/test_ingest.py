@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from autocast.errors import IngestError
+from autocast.errors import ExportError, IngestError
 from autocast.ingest import (
     Validity,
     check_validity,
     ingest_sales,
     load_sales_csv,
+    read_csv_rows,
     write_sales_csv,
 )
 from autocast.series import Frequency, Period, SalesSeries
@@ -126,3 +127,22 @@ class TestCsvRoundTrip:
         path.write_text("product_id,date,quantity\nA,2023-01-01,1\nA,2023-02-30,2\n")
         with pytest.raises(IngestError, match="line 3"):
             load_sales_csv(path, Frequency.MONTHLY)
+
+
+class TestReadCsvRows:
+    def test_rows_with_line_numbers_skipping_blank_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(" a,b\n1,2\n\n3,4\n")
+        assert read_csv_rows(path, ["a", "b"], IngestError) == [(2, ["1", "2"]), (4, ["3", "4"])]
+
+    @pytest.mark.parametrize("error", [IngestError, ExportError])
+    @pytest.mark.parametrize(
+        "text, match",
+        [(None, "not found"), ("", "empty file"), ("a,c\n", "bad header"), ("a,b\n1,2\n1\n", "line 3")],
+    )
+    def test_raises_the_error_type_it_is_given(self, tmp_path, error, text, match):
+        path = tmp_path / "t.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(error, match=match):
+            read_csv_rows(path, ["a", "b"], error)

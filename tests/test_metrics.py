@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from autocast.metrics import compute_mape, compute_metric_set, compute_nrmse, compute_rmse
+from autocast.metrics import compute_metric_set, format_metric
 
 from oracles import mape_bruteforce, nrmse_bruteforce, rmse_bruteforce
 
@@ -14,29 +14,48 @@ from oracles import mape_bruteforce, nrmse_bruteforce, rmse_bruteforce
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=32)
 
 
+def rmse(actual, predicted):
+    return compute_metric_set(actual, predicted).rmse
+
+
+def nrmse(actual, predicted):
+    return compute_metric_set(actual, predicted).nrmse
+
+
+def mape(actual, predicted):
+    return compute_metric_set(actual, predicted).mape
+
+
 class TestRmse:
     def test_perfect_prediction(self):
-        assert compute_rmse([1, 2, 3], [1, 2, 3]) == 0.0
+        assert rmse([1, 2, 3], [1, 2, 3]) == 0.0
 
     def test_hand_worked_value(self):
         # errors 0, 1, 2 -> sqrt((0+1+4)/3)
-        assert compute_rmse([2, 4, 6], [2, 5, 8]) == pytest.approx(math.sqrt(5 / 3), abs=1e-12)
+        assert rmse([2, 4, 6], [2, 5, 8]) == pytest.approx(math.sqrt(5 / 3), abs=1e-12)
 
     def test_single_point(self):
-        assert compute_rmse([0], [3]) == 3.0
+        assert rmse([0], [3]) == 3.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            compute_rmse([1, 2], [1])
+            rmse([1, 2], [1])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            compute_rmse([], [])
+            rmse([], [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            rmse([1.0, bad], [1.0, 2.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            rmse([1.0, 2.0], [bad, 2.0])
 
     @given(st.lists(finite_floats, min_size=1, max_size=50), st.data())
     def test_nonnegative_and_zero_iff_equal(self, actual, data):
         predicted = data.draw(st.lists(finite_floats, min_size=len(actual), max_size=len(actual)))
-        value = compute_rmse(actual, predicted)
+        value = rmse(actual, predicted)
         assert value >= 0.0
         if actual == predicted:
             assert value == 0.0
@@ -46,13 +65,13 @@ class TestRmse:
 
 class TestNrmse:
     def test_hand_worked_value(self):
-        assert compute_nrmse([2, 4, 6], [2, 5, 8]) == pytest.approx(math.sqrt(5 / 3) / 4, abs=1e-12)
+        assert nrmse([2, 4, 6], [2, 5, 8]) == pytest.approx(math.sqrt(5 / 3) / 4, abs=1e-12)
 
     def test_constant_actuals_undefined(self):
-        assert compute_nrmse([5, 5, 5], [1, 2, 3]) is None
+        assert nrmse([5, 5, 5], [1, 2, 3]) is None
 
     def test_perfect_prediction(self):
-        assert compute_nrmse([1, 2, 3], [1, 2, 3]) == 0.0
+        assert nrmse([1, 2, 3], [1, 2, 3]) == 0.0
 
     @given(
         st.lists(st.integers(min_value=-1000, max_value=1000).map(float), min_size=2, max_size=30),
@@ -68,8 +87,8 @@ class TestNrmse:
                 max_size=len(actual),
             )
         )
-        base = compute_nrmse(actual, predicted)
-        scaled = compute_nrmse(
+        base = nrmse(actual, predicted)
+        scaled = nrmse(
             [scale * a + shift for a in actual], [scale * p + shift for p in predicted]
         )
         if base is None:
@@ -80,22 +99,17 @@ class TestNrmse:
 
 class TestMape:
     def test_hand_worked_value(self):
-        value, skipped = compute_mape([100, 200], [110, 180])
-        assert value == pytest.approx(0.10, abs=1e-12)
-        assert skipped == 0
+        assert mape([100, 200], [110, 180]) == pytest.approx(0.10, abs=1e-12)
 
     def test_zero_actual_skipped(self):
-        value, skipped = compute_mape([0, 100], [5, 110])
-        assert value == pytest.approx(0.10, abs=1e-12)
-        assert skipped == 1
+        # the zero-actual period would divide by zero; only 100 -> 110 counts
+        assert mape([0, 100], [5, 110]) == pytest.approx(0.10, abs=1e-12)
 
     def test_all_zero_actuals_undefined(self):
-        value, skipped = compute_mape([0, 0], [1, 2])
-        assert value is None
-        assert skipped == 2
+        assert mape([0, 0], [1, 2]) is None
 
     def test_perfect_prediction(self):
-        assert compute_mape([1, 2], [1, 2]) == (0.0, 0)
+        assert mape([1, 2], [1, 2]) == 0.0
 
 
 class TestAgainstBruteforceOracle:
@@ -108,19 +122,18 @@ class TestAgainstBruteforceOracle:
             actual = rng.uniform(-100, 100, size=n)
             predicted = rng.uniform(-100, 100, size=n)
             expect = rmse_bruteforce(list(actual), list(predicted))
-            got = compute_rmse(actual, predicted)
+            got = rmse(actual, predicted)
             assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
             expect_n = nrmse_bruteforce(list(actual), list(predicted))
-            got_n = compute_nrmse(actual, predicted)
+            got_n = nrmse(actual, predicted)
             if expect_n is None:
                 assert got_n is None
             else:
                 assert got_n == pytest.approx(expect_n, rel=1e-12, abs=1e-12)
 
-            expect_m, expect_sk = mape_bruteforce(list(actual), list(predicted))
-            got_m, got_sk = compute_mape(actual, predicted)
-            assert got_sk == expect_sk
+            expect_m, _ = mape_bruteforce(list(actual), list(predicted))
+            got_m = mape(actual, predicted)
             if expect_m is None:
                 assert got_m is None
             else:
@@ -132,10 +145,14 @@ class TestMetricSet:
         ms = compute_metric_set([2, 4, 6], [2, 5, 8])
         assert ms.rmse == pytest.approx(math.sqrt(5 / 3), abs=1e-12)
         assert ms.nrmse == pytest.approx(math.sqrt(5 / 3) / 4, abs=1e-12)
-        assert ms.mape is not None
-        assert ms.mape_skipped == 0
+        assert ms.mape == pytest.approx((1 / 4 + 2 / 6) / 3, abs=1e-12)
 
     def test_constant_actuals(self):
         ms = compute_metric_set([5, 5], [6, 7])
         assert ms.nrmse is None
         assert ms.rmse > 0
+
+    def test_format_metric(self):
+        assert format_metric(1.23456789) == "1.234568"
+        assert format_metric(0.0) == "0.000000"
+        assert format_metric(None) == ""

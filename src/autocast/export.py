@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import asdict
 from pathlib import Path
@@ -211,14 +212,21 @@ def read_forecasts_csv(path) -> list[ForecastResult]:
     return results
 
 
-def read_validation_csv(path):
-    """Parse validation.csv into ({product: [ModelScore...]}, {product: recommended})."""
+def read_validation_csv(path, product_ids):
+    """Parse validation.csv into ({product: [ModelScore...]}, {product: recommended}).
+
+    Metrics must be finite and non-negative; only nrmse and mape may be
+    empty (undefined). A row for a product not in product_ids, the
+    products forecasts.csv holds, is rejected.
+    """
     path = Path(path)
     scores = {}
     recommended = {}
     for line_no, (product_id, model_id, rmse, nrmse, mape, rec) in read_csv_rows(
         path, VALIDATION_HEADER, ExportError
     ):
+        if product_id not in product_ids:
+            raise ExportError(f"{path} line {line_no}: product {product_id!r} has no forecasts")
         try:
             metrics = MetricSet(
                 rmse=float(rmse),
@@ -227,6 +235,11 @@ def read_validation_csv(path):
             )
         except ValueError as exc:
             raise ExportError(f"{path} line {line_no}: {exc}") from exc
+        values = (metrics.rmse, metrics.nrmse, metrics.mape)
+        if not all(v is None or (math.isfinite(v) and v >= 0) for v in values):
+            raise ExportError(
+                f"{path} line {line_no}: metrics must be finite and >= 0, got {rmse!r}, {nrmse!r}, {mape!r}"
+            )
         if rec not in ("true", "false"):
             raise ExportError(f"{path} line {line_no}: recommended must be true/false, got {rec!r}")
         scores.setdefault(product_id, []).append(ModelScore(model_id, metrics))
@@ -242,18 +255,17 @@ def read_export_dir(directory) -> tuple[ValidationReport, ForecastBundle]:
 
     Only the fields evaluation needs are recovered: per-product forecasts,
     holdout metrics, and the recommendation. Validity detail, flags, and the
-    decompositions are not round-tripped. Any malformed value, or forecasts
-    that the other rows or the recommendation contradict, raises ExportError
-    naming the file.
+    decompositions are not round-tripped. Any malformed value, forecasts
+    that the other rows or the recommendation contradict, or validation rows
+    for a product without forecasts raise ExportError naming the file.
     """
     directory = Path(directory)
     forecasts_path = directory / "forecasts.csv"
     results = read_forecasts_csv(forecasts_path)
-    scores, recommended = read_validation_csv(directory / "validation.csv")
-
     by_product = {}
     for result in results:
         by_product.setdefault(result.product_id, []).append(result)
+    scores, recommended = read_validation_csv(directory / "validation.csv", by_product)
 
     frequency = results[0].start.frequency if results else Frequency.MONTHLY
     horizon = results[0].horizon if results else 1

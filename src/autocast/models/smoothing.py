@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 
@@ -46,7 +47,8 @@ def _clamp(params):
 # The passes run once per objective evaluation. They take the series as a
 # list of floats (values.tolist()), the seasonal components as a list and the
 # parameters as floats: float arithmetic is the IEEE double arithmetic numpy
-# scalars do, without their per-operation overhead.
+# scalars do, without their per-operation overhead. Holt runs through
+# _hwes_pass too, so its loop keeps per-step work to the recursion itself.
 def _ses_pass(values, alpha):
     level = values[0]
     sse = 0.0
@@ -55,20 +57,6 @@ def _ses_pass(values, alpha):
         sse += err * err
         level += alpha * err
     return sse, level
-
-
-def _holt_pass(values, alpha, beta):
-    level = values[0]
-    trend = values[1] - values[0]
-    sse = 0.0
-    for y in values[1:]:
-        prev_level = level
-        pred = level + trend
-        err = y - pred
-        sse += err * err
-        level = alpha * y + (1.0 - alpha) * pred
-        trend = beta * (level - prev_level) + (1.0 - beta) * trend
-    return sse, level, trend
 
 
 def _hwes_init(values, m):
@@ -88,18 +76,17 @@ def _hwes_init(values, m):
 def _hwes_pass(values, m, alpha, beta, gamma, init):
     level, trend, seasonal = init
     seasonal = list(seasonal)
+    keep_a, keep_b, keep_g = 1.0 - alpha, 1.0 - beta, 1.0 - gamma
     sse = 0.0
-    for t, y in enumerate(values):
-        pos = t % m
+    for pos, y in zip(cycle(range(m)), values):
         s_old = seasonal[pos]
-        pred = level + trend + s_old
-        err = y - pred
+        base = level + trend
+        err = y - (base + s_old)
         sse += err * err
+        seasonal[pos] = gamma * (y - level - trend) + keep_g * s_old
         prev_level = level
-        prev_trend = trend
-        level = alpha * (y - s_old) + (1.0 - alpha) * (level + trend)
-        trend = beta * (level - prev_level) + (1.0 - beta) * trend
-        seasonal[pos] = gamma * (y - prev_level - prev_trend) + (1.0 - gamma) * s_old
+        level = alpha * (y - s_old) + keep_a * base
+        trend = beta * (level - prev_level) + keep_b * trend
     return sse, level, trend, seasonal
 
 
@@ -148,15 +135,20 @@ def fit_hwes(train: SalesSeries) -> HwesState:
             end_aligned = tuple(seasonal[(n - 1 + k) % m] for k in range(m))
             return HwesState(a, b, g, level, trend, end_aligned)
     if n >= 4:
+        # Holt is the pass with one seasonal slot that never moves, started
+        # from the first point and the first difference
+        rest = values[1:]
+        init = (values[0], values[1] - values[0], [0.0])
+
         def objective(params):
             a, b = _clamp(params)
-            sse = _holt_pass(values, a, b)[0]
+            sse = _hwes_pass(rest, 1, a, b, 0.0, init)[0]
             return sse if math.isfinite(sse) else math.inf
 
         best, best_sse, _ = nelder_mead(objective, np.array([0.3, 0.1]), maxfev=200)
         if math.isfinite(best_sse):
             a, b = _clamp(best.tolist())
-            _, level, trend = _holt_pass(values, a, b)
+            _, level, trend, _ = _hwes_pass(rest, 1, a, b, 0.0, init)
             return HwesState(a, b, 0.0, level, trend, (0.0,))
 
     alpha, level = fit_ses(values)

@@ -12,9 +12,10 @@ Both stages build, fit and forecast their models through one function,
 lost. Only model-domain failures (`MODEL_FAILURES`) are recorded; any
 other exception is a bug and propagates. Validation runs it on the
 training prefix for the holdout plus the horizon: it scores the first
-part and keeps the rest as the model's forward forecast. Finalize runs it
-on the full history; a model whose refit failed uses the forward forecast
-validation kept, so nothing is fitted on the prefix a second time. The
+part and keeps the rest as the model's forward forecast. Finalize takes
+only the report validation just made, runs it on the full history, and
+gives a model whose refit failed its forward forecast, so every scored
+model reaches the bundle and nothing is fitted on the prefix again. The
 median ensemble is built from whatever forecasts each stage ends with.
 
 Each of these runs is one `_run_stage` call, a single ``fanout.run_all``
@@ -145,9 +146,9 @@ class ModelScore:
     # The final refit fits that order on the full history, to convergence from
     # zero, without repeating the search.
     selected_order: object | None = None
-    # the same fit's forecast past the holdout, from the period after the
-    # product's history; finalize uses it when the full-history refit fails.
-    # Not exported, so a report read back from disk has none.
+    # the same fit's forecast of the horizon past the holdout; finalize uses it
+    # when the full-history refit fails. Not exported: finalize takes only the
+    # report run_validation hands it in the same process.
     forward: ForecastResult | None = field(default=None, repr=False, compare=False)
 
 
@@ -160,12 +161,6 @@ class ProductValidation:
     skipped: tuple = ()  # (model_id, reason) pairs
     recommended: str | None = None
     flags: tuple = ()
-
-    def score_for(self, model_id: str) -> ModelScore | None:
-        for score in self.scores:
-            if score.model_id == model_id:
-                return score
-        return None
 
 
 @dataclass(frozen=True)
@@ -559,102 +554,87 @@ def _decomposition(forecaster: GamForecaster) -> Decomposition:
 
 
 def finalize_and_forecast(corpus, report: ValidationReport, config: PipelineConfig | None = None) -> ForecastBundle:
-    """Refit scored models on full history and forecast the forward horizon.
+    """Refit the scored models on the full history and forecast config.horizon periods.
 
-    A model whose refit fails reuses the forecast past the holdout that its
-    validation fit made, when the report holds one that covers the horizon;
-    otherwise it is flagged and dropped.
+    report must be the one run_validation made from corpus under config, so
+    that a model whose refit fails can use its validation forecast. Any other
+    report, one read back from an export or made at another horizon, raises
+    ValueError.
     """
     config = config or PipelineConfig()
     ordered = _check_corpus(corpus)
-    report_ids = [p.product_id for p in report.products]
-    if report_ids != [s.product_id for s in ordered]:
+    if [p.product_id for p in report.products] != [s.product_id for s in ordered]:
         raise ValueError("report does not match corpus: product ids differ")
+    for s, v in zip(ordered, report.products):
+        for score in v.scores:
+            forward = score.forward
+            if score.model_id != ModelId.ENSEMBLE_MEDIAN.value and (
+                forward is None or (forward.start, forward.horizon) != (s.end + 1, config.horizon)
+            ):
+                raise ValueError(
+                    f"report does not match corpus and config: {s.product_id}/{score.model_id} "
+                    f"has no validation forecast of {config.horizon} periods"
+                )
 
-    eligible = [
-        s for s in ordered if report.product(s.product_id).validity is not Validity.EXCLUDED
-    ]
-    validations = [report.product(s.product_id) for s in eligible]
-    plans = [_refit_plan(validation) for validation in validations]
-    stage_runs = _run_stage(
-        eligible,
-        [(s, model_ids, config.horizon, orders) for s, (model_ids, orders) in zip(eligible, plans)],
-        config,
-    )
-    finalized = {
-        s.product_id: _finalize_product(s, validation, runs, config)
-        for s, validation, runs in zip(eligible, validations, stage_runs)
-    }
+    eligible = [(s, v) for s, v in zip(ordered, report.products) if v.validity is not Validity.EXCLUDED]
+    stage_runs = _run_stage([s for s, _ in eligible], [_refit_job(s, v, config.horizon) for s, v in eligible], config)
+    finalized = {s.product_id: _finalize_product(s, v, runs, config) for (s, v), runs in zip(eligible, stage_runs)}
     products = tuple(
-        finalized[s.product_id]
-        if s.product_id in finalized
-        else ProductForecasts(product_id=s.product_id, flags=report.product(s.product_id).flags)
-        for s in ordered
+        finalized[v.product_id] if v.product_id in finalized else ProductForecasts(v.product_id, flags=v.flags)
+        for v in report.products
     )
     return ForecastBundle(frequency=config.frequency, horizon=config.horizon, products=products)
 
 
-def _refit_plan(validation: ProductValidation) -> tuple:
-    """(models to refit on the full history, ARIMA/SARIMA orders validation selected)."""
-    model_ids = [ModelId(score.model_id) for score in validation.scores]
-    if validation.recommended is not None and ModelId(validation.recommended) not in model_ids:
-        # no_model products still get their fallback recommendation fitted
-        model_ids.append(ModelId(validation.recommended))
-    model_ids = [m for m in model_ids if m is not ModelId.ENSEMBLE_MEDIAN]
+def _refit_job(series: SalesSeries, validation: ProductValidation, horizon: int) -> tuple:
+    """series' `_run_models` job: the scored models, at the ARIMA/SARIMA orders validation selected.
+
+    A no_model product has no scores; its fallback recommendation, naive, is fitted.
+    """
+    model_ids = [ModelId(s.model_id) for s in validation.scores if s.model_id != ModelId.ENSEMBLE_MEDIAN.value]
     orders = {
         ModelId(score.model_id): score.selected_order
         for score in validation.scores
         if score.selected_order is not None
     }
-    return model_ids, orders
+    return series, model_ids or [ModelId.NAIVE], horizon, orders
 
 
 def _finalize_product(series: SalesSeries, validation: ProductValidation, runs: list, config: PipelineConfig) -> ProductForecasts:
-    """One product's forecasts from its full-history runs, failed refits replaced by validation's forecasts."""
+    """One product's forecasts from its full-history runs, failed refits replaced by validation's forecasts.
+
+    Only a no_model product's naive has none, so when its refit fails the product has no forecasts.
+    """
     flags = list(validation.flags)
+    forwards = {score.model_id: score.forward for score in validation.scores}
     results = []
     decomposition = None
     for run in runs:
-        result = run.result
-        if result is None:
-            result = _validation_forecast(series, validation, run.model_id, config.horizon)
-            if result is None:
-                flags.append(f"{run.model_id.value}: refit failed ({run.error})")
-                continue
+        if run.result is not None:
+            results.append(run.result)
+            if run.model_id is ModelId.GAM:
+                decomposition = _decomposition(run.forecaster)
+        elif run.model_id.value in forwards:
+            results.append(forwards[run.model_id.value])
             flags.append(f"{run.model_id.value}: refit failed, reusing validation fit ({run.error})")
-        elif run.model_id is ModelId.GAM:
-            decomposition = _decomposition(run.forecaster)
-        results.append(result)
-    if ModelId.ENSEMBLE_MEDIAN.value in {s.model_id for s in validation.scores}:
+        else:
+            flags.append(f"{run.model_id.value}: refit failed ({run.error})")
+    if ModelId.ENSEMBLE_MEDIAN.value in forwards:
         ensemble, reason = _median_ensemble(results, config)
         if ensemble is None:
-            flags.append(f"{ModelId.ENSEMBLE_MEDIAN.value}: {reason}")
-        else:
-            results.append(ensemble)
-    recommended = validation.recommended
-    if recommended is not None and all(r.model_id != recommended for r in results):
-        # recommendation unavailable after refit: fall back by priority
-        present = sorted(
-            (priority_rank(r.model_id), r.model_id) for r in results
-        )
-        recommended = present[0][1] if present else None
+            raise ValueError(
+                f"report does not match config: {series.product_id}/{ModelId.ENSEMBLE_MEDIAN.value} has {reason}"
+            )
+        results.append(ensemble)
+    if not results:
         flags.append("recommended_model_unavailable")
     return ProductForecasts(
         product_id=series.product_id,
         forecasts=tuple(results),
-        recommended=recommended,
+        recommended=validation.recommended if results else None,
         flags=tuple(flags),
         decomposition=decomposition,
     )
-
-
-def _validation_forecast(series: SalesSeries, validation: ProductValidation, model_id: ModelId, horizon: int) -> ForecastResult | None:
-    """model_id's forecast past the holdout from validation, cut to horizon; None unless it covers that window."""
-    score = validation.score_for(model_id.value)
-    forward = score.forward if score is not None else None
-    if forward is None or forward.start != series.end + 1 or forward.horizon < horizon:
-        return None
-    return ForecastResult(series.product_id, model_id.value, forward.start, forward.values[:horizon])
 
 
 def run_pipeline(corpus, config: PipelineConfig | None = None):

@@ -349,6 +349,31 @@ class TestEvaluateCommand:
         assert code == 1
         assert "forecasts.csv: naive forecast for 's1' contains negative values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("s1,naive,nan,,,true", "validation.csv line 2: metrics must be finite and >= 0"),
+            ("s2,naive,1.0,,,true", "validation.csv line 2: product 's2' has no forecasts"),
+        ],
+    )
+    def test_bad_validation_row_exits_one(self, workspace, capsys, row, message):
+        tmp_path, _, _ = workspace
+        fc = tmp_path / "fc"
+        fc.mkdir()
+        (fc / "forecasts.csv").write_text("product_id,model_id,period,value\ns1,naive,2020-01,1\n")
+        (fc / "validation.csv").write_text(f"product_id,model_id,rmse,nrmse,mape,recommended\n{row}\n")
+        (tmp_path / "actuals.csv").write_text("product_id,date,quantity\ns1,2020-01-01,1\n")
+        code = run(
+            [
+                "evaluate",
+                "--forecasts", str(fc),
+                "--actuals", str(tmp_path / "actuals.csv"),
+                "--out", str(tmp_path / "ev"),
+            ]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_missing_forecast_dir_exits_one(self, workspace, capsys):
         tmp_path, _, _ = workspace
         (tmp_path / "actuals.csv").write_text("product_id,date,quantity\n")

@@ -88,7 +88,7 @@ class TestExportBundle:
     def test_validation_round_trip_within_six_decimals(self, pipeline_run, export_dir):
         _, report, _ = pipeline_run
         out, _ = export_dir
-        scores, recommended = read_validation_csv(out / "validation.csv")
+        scores, recommended = read_validation_csv(out / "validation.csv", {p.product_id for p in report.products})
         for product in report.scored_products:
             assert recommended[product.product_id] == product.recommended
             back = {s.model_id: s for s in scores[product.product_id]}
@@ -246,7 +246,7 @@ class TestMalformedInputs:
             "p1,hwes,2.000000,,,true\n"
         )
         with pytest.raises(ExportError, match="two recommended"):
-            read_validation_csv(path)
+            read_validation_csv(path, {"p1"})
 
     def test_bad_recommended_flag_rejected(self, tmp_path):
         path = tmp_path / "validation.csv"
@@ -254,7 +254,21 @@ class TestMalformedInputs:
             "product_id,model_id,rmse,nrmse,mape,recommended\np1,naive,1.000000,,,yes\n"
         )
         with pytest.raises(ExportError, match="true/false"):
-            read_validation_csv(path)
+            read_validation_csv(path, {"p1"})
+
+    @pytest.mark.parametrize("cells", ["nan,,", "inf,,", "-1.000000,,", "1.0,nan,", "1.0,,inf", "1.0,-0.5,"])
+    def test_non_finite_or_negative_metric_rejected(self, tmp_path, cells):
+        path = tmp_path / "validation.csv"
+        path.write_text(f"product_id,model_id,rmse,nrmse,mape,recommended\np1,naive,{cells},true\n")
+        with pytest.raises(ExportError, match="validation.csv line 2: metrics must be finite and >= 0"):
+            read_validation_csv(path, {"p1"})
+
+    def test_validation_rows_for_a_product_without_forecasts_rejected(self, tmp_path):
+        directory = self.write_export(tmp_path / "fc", "p1,naive,2020-01,1.000000\n")
+        with open(directory / "validation.csv", "a") as fh:
+            fh.write("p2,naive,1.000000,,,true\n")
+        with pytest.raises(ExportError, match="validation.csv line 3: product 'p2' has no forecasts"):
+            read_export_dir(directory)
 
     @staticmethod
     def write_export(directory, forecast_rows, recommended="naive"):

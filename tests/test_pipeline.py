@@ -14,6 +14,7 @@ from autocast.models.base import MODEL_PRIORITY, ModelId
 from autocast.models.boosting import BoostedTreeForecaster, train_pooled_trees
 from autocast.models.ensemble import DEFAULT_MEMBERS
 from autocast.models.gam import GamForecaster, gam_predict
+from autocast.models.naive import NaiveForecaster
 from autocast.models.smoothing import HwesForecaster
 from autocast.pipeline import (
     ModelScore,
@@ -154,6 +155,10 @@ class TestParseConfig:
         assert parse_config(self.write(tmp_path, {"gam_lambda_grid": None})).gam_lambda_grid is None
 
 
+def score_of(validation, model_id):
+    return next(s for s in validation.scores if s.model_id == model_id)
+
+
 def score(model_id, rmse, nrmse=None):
     return ModelScore(model_id, MetricSet(rmse=rmse, nrmse=nrmse, mape=None))
 
@@ -190,8 +195,8 @@ class TestRunValidation:
         report = run_validation([prod], cheap_config())
         entry = report.products[0]
         assert entry.recommended == "hwes"
-        assert entry.score_for("naive").metrics.rmse == 0.0
-        assert entry.score_for("hwes").metrics.nrmse <= 1e-9
+        assert score_of(entry, "naive").metrics.rmse == 0.0
+        assert score_of(entry, "hwes").metrics.nrmse <= 1e-9
         assert entry.validity is Validity.FULL_PIPELINE
         assert entry.holdout == 12
 
@@ -200,7 +205,7 @@ class TestRunValidation:
         report = run_validation([prod], cheap_config())
         entry = report.products[0]
         best = min(s.metrics.rmse for s in entry.scores)
-        picked = entry.score_for(entry.recommended).metrics.rmse
+        picked = score_of(entry, entry.recommended).metrics.rmse
         assert picked <= best + 1e-9 * max(1.0, picked)
 
     def test_eleven_points_excluded_with_reason(self):
@@ -242,8 +247,8 @@ class TestRunValidation:
         assert [s.model_id for s in entry.scores] == [
             "hwes", "ses", "gam", "arima", "sarima", "boosted_tree", "cnn", "naive", "ensemble_median",
         ]
-        assert entry.score_for("arima").selected_order is not None
-        assert entry.score_for("sarima").selected_order is not None
+        assert score_of(entry, "arima").selected_order is not None
+        assert score_of(entry, "sarima").selected_order is not None
 
     def test_sarima_skipped_on_short_history_with_reason(self):
         prod = monthly_series(seasonal_values(13, noise=0.5, seed=2))
@@ -334,7 +339,7 @@ class TestFinalizeAndForecast:
         np.testing.assert_allclose(
             entry.forecast_for("ensemble_median").values, np.median(members, axis=0)
         )
-        assert report.products[0].score_for("ensemble_median") is not None
+        assert any(s.model_id == "ensemble_median" for s in report.products[0].scores)
 
     def test_gam_decomposition_attached(self):
         prod = monthly_series(np.tile(PATTERN, 4))
@@ -419,7 +424,7 @@ class TestFinalizeAndForecast:
         monkeypatch.setattr(GamForecaster, "fit", flaky_fit)
         entry = finalize_and_forecast([prod], report, config).products[0]
         assert "gam: refit failed, reusing validation fit (boom)" in entry.flags
-        forward = report.products[0].score_for("gam").forward
+        forward = score_of(report.products[0], "gam").forward
         assert entry.forecast_for("gam").values.tobytes() == forward.values.tobytes()
         assert entry.decomposition is None
 
@@ -446,40 +451,47 @@ class TestFinalizeAndForecast:
             assert entry.forecast_for(model_id).values.tobytes() == expected.tobytes()
             assert f"{model_id}: refit failed, reusing validation fit (boom)" in entry.flags
 
-    def test_reused_forecast_must_cover_the_finalize_horizon(self, monkeypatch):
+    @pytest.mark.parametrize("horizon", [4, 18])
+    def test_report_made_at_another_horizon_is_refused(self, horizon):
+        # its validation forecasts are shorter or longer than the finalize horizon
         prod = monthly_series(np.tile(PATTERN, 4))
         report = run_validation([prod], cheap_config(horizon=6))
+        with pytest.raises(ValueError, match=f"no validation forecast of {horizon} periods"):
+            finalize_and_forecast([prod], report, cheap_config(horizon=horizon))
 
-        def broken_fit(self, series):
-            raise ValueError("boom")
-
-        monkeypatch.setattr(HwesForecaster, "fit", broken_fit)
-        shorter = finalize_and_forecast([prod], report, cheap_config(horizon=4)).products[0]
-        forward = report.products[0].score_for("hwes").forward
-        assert shorter.forecast_for("hwes").values.tobytes() == forward.values[:4].tobytes()
-        longer = finalize_and_forecast([prod], report, cheap_config(horizon=18)).products[0]
-        assert longer.forecast_for("hwes") is None
-        assert "hwes: refit failed (boom)" in longer.flags
-
-    def test_unconditional_refit_failure_falls_back_by_priority(self, monkeypatch, tmp_path):
-        # a report read back from an export keeps no validation forecasts,
-        # so a failed refit is dropped and the recommendation falls back
+    def test_report_read_back_from_an_export_is_refused(self, tmp_path):
+        # an export keeps no validation forecasts, so a failed refit would have nothing to reuse
         prod = monthly_series(np.tile(PATTERN, 4))
         config = PipelineConfig(enabled_models=("naive", "hwes"), ensemble_members=())
         report, bundle = run_pipeline([prod], config)
         export_bundle(bundle, report, tmp_path, config)
         restored, _ = read_export_dir(tmp_path)
-        assert restored.products[0].recommended == "hwes"
+        with pytest.raises(ValueError, match="no validation forecast of 18 periods"):
+            finalize_and_forecast([prod], restored, config)
+
+    def test_report_made_with_other_ensemble_members_is_refused(self):
+        # the report scored an ensemble that this config's members cannot build
+        prod = monthly_series(np.tile(PATTERN, 4))
+        enabled = ("naive", "ses", "hwes", "gam", "ensemble_median")
+        report = run_validation([prod], cheap_config(enabled_models=enabled, ensemble_members=("hwes", "gam")))
+        with pytest.raises(ValueError, match="ensemble_median has only 1 member forecasts available"):
+            finalize_and_forecast([prod], report, cheap_config(enabled_models=enabled, ensemble_members=("gam",)))
+
+    def test_failed_naive_refit_of_a_no_model_product_leaves_it_without_forecasts(self, monkeypatch):
+        # naive is refitted only as the fallback recommendation, with no validation fit behind it
+        prod = monthly_series(seasonal_values(30, noise=0.5, seed=1))
+        config = PipelineConfig(enabled_models=("cnn",), ensemble_members=())
+        report = run_validation([prod], config)
+        assert report.products[0].scores == ()
 
         def broken_fit(self, series):
             raise ValueError("boom")
 
-        monkeypatch.setattr(HwesForecaster, "fit", broken_fit)
-        entry = finalize_and_forecast([prod], restored, config).products[0]
-        assert entry.recommended == "naive"
-        assert "recommended_model_unavailable" in entry.flags
-        assert "hwes: refit failed (boom)" in entry.flags
-        assert entry.forecast_for("hwes") is None
+        monkeypatch.setattr(NaiveForecaster, "fit", broken_fit)
+        entry = finalize_and_forecast([prod], report, config).products[0]
+        assert entry.forecasts == ()
+        assert entry.recommended is None
+        assert entry.flags[-2:] == ("naive: refit failed (boom)", "recommended_model_unavailable")
 
     def test_report_corpus_mismatch_rejected(self):
         prod = monthly_series(np.tile(PATTERN, 4))
@@ -539,7 +551,7 @@ class TestFanOut:
         assert report.product("r1").holdout == 3
         skipped = dict(report.product("r1").skipped)
         assert "12 points" in skipped["boosted_tree"] and "24 points" in skipped["cnn"]
-        assert report.product("r8").score_for("cnn") is not None
+        assert any(s.model_id == "cnn" for s in report.product("r8").scores)
 
     def test_failed_full_history_training_reuses_validation_forecasts_alike(self, monkeypatch, tmp_path):
         corpus = ragged_corpus()
@@ -561,7 +573,7 @@ class TestFanOut:
         # the shared models' forecasts are the ones validation made from each prefix
         entry = bundle.product("r8")
         for model_id in ("boosted_tree", "cnn"):
-            forward = report.product("r8").score_for(model_id).forward
+            forward = score_of(report.product("r8"), model_id).forward
             assert entry.forecast_for(model_id).values.tobytes() == forward.values.tobytes()
             flag = f"{model_id}: refit failed, reusing validation fit (full-history training overflowed)"
             assert flag in entry.flags

@@ -7,7 +7,6 @@ from autocast.models.smoothing import (
     HwesForecaster,
     HwesState,
     SesForecaster,
-    _holt_pass,
     _hwes_init,
     _hwes_pass,
     _ses_pass,
@@ -203,7 +202,8 @@ class TestMatchesArrayFormulation:
             alpha, beta, gamma = rng.uniform(0.001, 0.999, size=3)  # numpy scalars, as np.clip gives them
             floats = values.tolist()
             assert _ses_pass(floats, float(alpha)) == ses_pass_arrays(values, alpha)
-            assert _holt_pass(floats, float(alpha), float(beta)) == holt_pass_arrays(values, alpha, beta)
+            holt = _hwes_pass(floats[1:], 1, float(alpha), float(beta), 0.0, (floats[0], floats[1] - floats[0], [0.0]))
+            assert holt[:3] == holt_pass_arrays(values, alpha, beta)
             level, trend, seasonal = _hwes_init(values, m)
             init = (level, trend, seasonal.tolist())
             got = _hwes_pass(floats, m, float(alpha), float(beta), float(gamma), init)

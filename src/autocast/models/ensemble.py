@@ -6,7 +6,9 @@ import numpy as np
 from ..series import ForecastResult
 from .base import ModelId
 
-DEFAULT_MEMBERS = (ModelId.HWES, ModelId.GAM, ModelId.ARIMA, ModelId.BOOSTED_TREE)
+# the models the median ensemble combines; on a product it takes those among
+# them that produced a forecast there, and needs at least two
+MEMBERS = (ModelId.HWES, ModelId.GAM, ModelId.ARIMA, ModelId.BOOSTED_TREE)
 
 
 def ensemble_forecast(forecasts) -> ForecastResult:

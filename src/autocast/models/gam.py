@@ -92,9 +92,10 @@ def fit_gam(
     train: SalesSeries,
     lambda_grid=None,
 ) -> GamDesign:
-    """Fit on the training rows; lambda is picked from lambda_grid (default: the log grid).
+    """Fit on the training rows; lambda is picked from lambda_grid, by default `default_lambda_grid`.
 
-    A one-entry grid fixes lambda: select_lambda returns it unscored.
+    The pipeline always takes the default. A one-entry grid fixes lambda:
+    select_lambda returns it unscored.
     """
     n = len(train)
     if n < 12:
@@ -150,13 +151,12 @@ def gam_decompose(design: GamDesign, t_values) -> dict:
 
 
 class GamForecaster(BaseForecaster):
-    def __init__(self, lambda_grid=None):
-        self.lambda_grid = lambda_grid
+    """`fit_gam` at the default lambda grid, forecast past the training end."""
 
     model_id = ModelId.GAM
 
     def _fit(self, series: SalesSeries) -> None:
-        self.design_ = fit_gam(series, lambda_grid=self.lambda_grid)
+        self.design_ = fit_gam(series)
 
     def _path(self, horizon: int) -> np.ndarray:
         n = self.design_.n_train

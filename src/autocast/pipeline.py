@@ -50,7 +50,7 @@ from .metrics import MetricSet, compute_metric_set
 from .models.arima import ArimaForecaster, fit_arima_pair
 from .models.base import MODEL_PRIORITY, BaseForecaster, ModelId, priority_rank
 from .models.boosting import BoostedTreeForecaster, train_pooled_trees
-from .models.ensemble import DEFAULT_MEMBERS, ensemble_forecast
+from .models.ensemble import MEMBERS, ensemble_forecast
 from .models.gam import GamForecaster
 from .models.naive import NaiveForecaster
 from .models.smoothing import HwesForecaster, SesForecaster
@@ -61,42 +61,30 @@ MIN_HOLDOUT = 3
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Run settings; horizon and holdout default per frequency when omitted."""
+    """Run settings: frequency, horizon (defaults per frequency), enabled_models and seed.
+
+    The pipeline fixes the rest itself: a full-history product holds back
+    one year, the median ensemble combines whichever of `MEMBERS` ran, and
+    the GAM picks its lasso penalty from `default_lambda_grid`.
+    """
 
     frequency: Frequency = Frequency.MONTHLY
     horizon: int | None = None
-    holdout: int | None = None
     enabled_models: tuple = MODEL_PRIORITY
-    ensemble_members: tuple = DEFAULT_MEMBERS
     seed: int = 0
-    gam_lambda_grid: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "frequency", Frequency(self.frequency))
         if self.horizon is None:
             object.__setattr__(self, "horizon", self.frequency.default_horizon)
-        if self.holdout is None:
-            object.__setattr__(self, "holdout", self.frequency.default_holdout)
         enabled = tuple(ModelId(m) for m in self.enabled_models)
-        members = tuple(ModelId(m) for m in self.ensemble_members)
         object.__setattr__(self, "enabled_models", enabled)
-        object.__setattr__(self, "ensemble_members", members)
         if self.horizon < 1:
             raise ConfigError(f"horizon: must be >= 1, got {self.horizon}")
-        if self.holdout < MIN_HOLDOUT:
-            raise ConfigError(f"holdout: must be >= {MIN_HOLDOUT}, got {self.holdout}")
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if len(set(enabled)) != len(enabled):
             raise ConfigError("enabled_models: duplicate entries")
-        missing = [m.value for m in members if m not in enabled]
-        if missing:
-            raise ConfigError(f"ensemble_members: {missing} not in enabled_models")
-        if self.gam_lambda_grid is not None:
-            grid = tuple(float(g) for g in self.gam_lambda_grid)
-            if not grid or any(g < 0 or not np.isfinite(g) for g in grid):
-                raise ConfigError("gam_lambda_grid: entries must be finite and >= 0")
-            object.__setattr__(self, "gam_lambda_grid", grid)
 
 
 _CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
@@ -120,15 +108,14 @@ def parse_config(path) -> PipelineConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
-    for key in ("horizon", "holdout", "seed"):
+    for key in ("horizon", "seed"):
         if key in raw and raw[key] is not None:
             if not isinstance(raw[key], int) or isinstance(raw[key], bool):
                 raise ConfigError(f"{key}: expected an integer, got {raw[key]!r}")
     # a string is iterable too: "naive" would read as the models n, a, i, v, e
-    for key in ("enabled_models", "ensemble_members", "gam_lambda_grid"):
-        value = raw.get(key, [])
-        if not isinstance(value, list) and not (key == "gam_lambda_grid" and value is None):
-            raise ConfigError(f"config {path}: {key}: expected a JSON array, got {value!r}")
+    value = raw.get("enabled_models", [])
+    if not isinstance(value, list):
+        raise ConfigError(f"config {path}: enabled_models: expected a JSON array, got {value!r}")
     try:
         return PipelineConfig(**raw)
     except (ValueError, TypeError) as exc:
@@ -259,7 +246,7 @@ def _run_stage(corpus: list, jobs: list, config: PipelineConfig) -> list:
     shared = [m for m in SHARED_MODELS if any(m in model_ids for _, model_ids, _, _ in jobs)]
     results = run_all(
         [partial(_shared_runs, model_id, corpus, jobs, config) for model_id in shared]
-        + [partial(_run_models, *job, config) for job in jobs]
+        + [partial(_run_models, *job) for job in jobs]
     )
     shared_runs = {model_id: iter(runs) for model_id, runs in zip(shared, results)}
     stage_runs = results[len(shared):]
@@ -285,7 +272,7 @@ def _shared_runs(model_id: ModelId, corpus: list, jobs: list, config: PipelineCo
     except MODEL_FAILURES as exc:
         return [_ModelRun(model_id, error=str(exc)) for _ in listed]
     return [
-        _run_models(series, [model_id], horizon, orders, config, trained)[0]
+        _run_models(series, [model_id], horizon, orders, trained)[0]
         for series, _, horizon, orders in listed
     ]
 
@@ -297,7 +284,7 @@ def _cnn_config(config: PipelineConfig) -> CnnConfig:
     )
 
 
-def _make_forecaster(model_id: ModelId, config: PipelineConfig, order=None, trained=None) -> BaseForecaster:
+def _make_forecaster(model_id: ModelId, order=None, trained=None) -> BaseForecaster:
     if model_id is ModelId.NAIVE:
         return NaiveForecaster()
     if model_id is ModelId.SES:
@@ -309,7 +296,7 @@ def _make_forecaster(model_id: ModelId, config: PipelineConfig, order=None, trai
     if model_id is ModelId.SARIMA:
         return ArimaForecaster(seasonal=True, forced_order=order)
     if model_id is ModelId.GAM:
-        return GamForecaster(lambda_grid=config.gam_lambda_grid)
+        return GamForecaster()
     if model_id is ModelId.BOOSTED_TREE:
         return BoostedTreeForecaster(trained)
     if model_id is ModelId.CNN:
@@ -344,7 +331,7 @@ class _ModelRun:
         return self.forecaster is None and self.error is None
 
 
-def _run_models(series: SalesSeries, model_ids, horizon: int, orders: dict, config: PipelineConfig, trained=None) -> list:
+def _run_models(series: SalesSeries, model_ids, horizon: int, orders: dict, trained=None) -> list:
     """Fit each model on series, then forecast horizon steps; one _ModelRun per model.
 
     orders maps ARIMA/SARIMA ids to an order to fit without searching. When
@@ -370,7 +357,7 @@ def _run_models(series: SalesSeries, model_ids, horizon: int, orders: dict, conf
             runs.append(_ModelRun(model_id))
             continue
         try:
-            forecaster = _make_forecaster(model_id, config, orders.get(model_id), trained)
+            forecaster = _make_forecaster(model_id, orders.get(model_id), trained)
             forecaster.fit(series)
             runs.append(_ModelRun(model_id, forecaster=forecaster))
         except MODEL_FAILURES as exc:
@@ -399,20 +386,12 @@ def _fit_pair(series: SalesSeries) -> list:
     return runs
 
 
-def _median_ensemble(results, config: PipelineConfig) -> tuple:
-    """(median over the member forecasts in results, None), or (None, why it is skipped)."""
-    member_ids = {m.value for m in config.ensemble_members}
-    members = [r for r in results if r.model_id in member_ids]
-    if len(members) < 2:
-        return None, f"only {len(members)} member forecasts available"
-    return ensemble_forecast(members), None
-
-
-def _holdout_length(series: SalesSeries, validity: Validity, config: PipelineConfig) -> int:
+def _holdout_length(series: SalesSeries, validity: Validity) -> int:
+    year = series.frequency.periods_per_year
     if validity is Validity.FULL_PIPELINE:
-        return config.holdout
+        return year
     # shortened holdout keeps at least one year of training data
-    return max(MIN_HOLDOUT, len(series) - series.frequency.periods_per_year)
+    return max(MIN_HOLDOUT, len(series) - year)
 
 
 def _check_corpus(corpus) -> list:
@@ -473,7 +452,7 @@ def run_validation(corpus, config: PipelineConfig | None = None) -> ValidationRe
                 flags=(f"excluded: {len(series)} periods < {year}",),
             )
             continue
-        holdout = _holdout_length(series, validity, config)
+        holdout = _holdout_length(series, validity)
         splits[series.product_id] = split_holdout(series, holdout)
 
     model_ids = [m for m in MODEL_PRIORITY if m in config.enabled_models and m is not ModelId.ENSEMBLE_MEDIAN]
@@ -487,7 +466,7 @@ def run_validation(corpus, config: PipelineConfig | None = None) -> ValidationRe
 
     return ValidationReport(
         frequency=config.frequency,
-        holdout=config.holdout,
+        holdout=config.frequency.periods_per_year,
         seed=config.seed,
         products=tuple(entries[s.product_id] for s in ordered),
     )
@@ -517,11 +496,12 @@ def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity,
         if run.result is not None
     ]
     if ModelId.ENSEMBLE_MEDIAN in config.enabled_models:
-        ensemble, reason = _median_ensemble([run.result for run in runs if run.result is not None], config)
-        if ensemble is None:
-            skipped.append((ModelId.ENSEMBLE_MEDIAN.value, reason))
+        members = [run.result for run in runs if run.result is not None and run.model_id in MEMBERS]
+        if len(members) < 2:
+            skipped.append((ModelId.ENSEMBLE_MEDIAN.value, f"only {len(members)} member forecasts available"))
         else:
             # finalize rebuilds the ensemble from its members, so it keeps no forward forecast
+            ensemble = ensemble_forecast(members)
             scores.append(ModelScore(ensemble.model_id, compute_metric_set(test.values, ensemble.values[:holdout])))
     flags = []
     if scores:
@@ -578,7 +558,7 @@ def finalize_and_forecast(corpus, report: ValidationReport, config: PipelineConf
 
     eligible = [(s, v) for s, v in zip(ordered, report.products) if v.validity is not Validity.EXCLUDED]
     stage_runs = _run_stage([s for s, _ in eligible], [_refit_job(s, v, config.horizon) for s, v in eligible], config)
-    finalized = {s.product_id: _finalize_product(s, v, runs, config) for (s, v), runs in zip(eligible, stage_runs)}
+    finalized = {s.product_id: _finalize_product(s, v, runs) for (s, v), runs in zip(eligible, stage_runs)}
     products = tuple(
         finalized[v.product_id] if v.product_id in finalized else ProductForecasts(v.product_id, flags=v.flags)
         for v in report.products
@@ -600,7 +580,7 @@ def _refit_job(series: SalesSeries, validation: ProductValidation, horizon: int)
     return series, model_ids or [ModelId.NAIVE], horizon, orders
 
 
-def _finalize_product(series: SalesSeries, validation: ProductValidation, runs: list, config: PipelineConfig) -> ProductForecasts:
+def _finalize_product(series: SalesSeries, validation: ProductValidation, runs: list) -> ProductForecasts:
     """One product's forecasts from its full-history runs, failed refits replaced by validation's forecasts.
 
     Only a no_model product's naive has none, so when its refit fails the product has no forecasts.
@@ -620,12 +600,8 @@ def _finalize_product(series: SalesSeries, validation: ProductValidation, runs: 
         else:
             flags.append(f"{run.model_id.value}: refit failed ({run.error})")
     if ModelId.ENSEMBLE_MEDIAN.value in forwards:
-        ensemble, reason = _median_ensemble(results, config)
-        if ensemble is None:
-            raise ValueError(
-                f"report does not match config: {series.product_id}/{ModelId.ENSEMBLE_MEDIAN.value} has {reason}"
-            )
-        results.append(ensemble)
+        # validation scored it from two or more members, and each has a refit or its forward forecast here
+        results.append(ensemble_forecast([r for r in results if r.model_id in MEMBERS]))
     if not results:
         flags.append("recommended_model_unavailable")
     return ProductForecasts(

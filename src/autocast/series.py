@@ -36,11 +36,6 @@ class Frequency(str, Enum):
         return 18 if self is Frequency.MONTHLY else 78
 
     @property
-    def default_holdout(self) -> int:
-        """Validation holdout: one full year."""
-        return self.periods_per_year
-
-    @property
     def default_fourier_order(self) -> int:
         """Fourier order for the additive decomposition model."""
         return 3 if self is Frequency.MONTHLY else 10

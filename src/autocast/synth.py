@@ -106,7 +106,15 @@ _ARCHETYPE_DEFAULTS = {
     Archetype.SHORT_HISTORY: dict(length=18, base_level=1000.0, amplitude=300.0, trend=0.0, noise=0.05),
 }
 
-_SPEC_KEYS = {"product_id", "kind", "length", "base_level", "amplitude", "trend", "noise", "seed"}
+# each spec key and what a spec file must hold there: the accepted JSON types,
+# and their name for the message. A bool is an int to Python, so it is refused apart.
+_SPEC_TYPES = {
+    "product_id": (str, "a string"),
+    "kind": (str, "a string"),
+    "length": (int, "an integer"),
+    "seed": ((int, type(None)), "an integer or null"),
+    **{key: ((int, float), "a finite number") for key in ("base_level", "amplitude", "trend", "noise")},
+}
 
 
 @dataclass(frozen=True)
@@ -145,7 +153,7 @@ class ArchetypeSpec:
         """Build a spec from archetype defaults plus explicit overrides."""
         kind = Archetype(kind)
         params = dict(_ARCHETYPE_DEFAULTS[kind])
-        unknown = set(overrides) - (_SPEC_KEYS - {"product_id", "kind"})
+        unknown = set(overrides) - (_SPEC_TYPES.keys() - {"product_id", "kind"})
         if unknown:
             raise SynthSpecError(f"{product_id}: unknown spec keys {sorted(unknown)}")
         params.update(overrides)
@@ -237,9 +245,14 @@ def load_spec_file(path) -> list[ArchetypeSpec]:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise SynthSpecError(f"{path}: spec {i} is not an object")
-        unknown = set(entry) - _SPEC_KEYS
+        unknown = set(entry) - _SPEC_TYPES.keys()
         if unknown:
             raise SynthSpecError(f"{path}: spec {i} has unknown keys {sorted(unknown)}")
+        for key, value in entry.items():
+            types, expected = _SPEC_TYPES[key]
+            finite = not isinstance(value, float) or math.isfinite(value)
+            if not isinstance(value, types) or isinstance(value, bool) or not finite:
+                raise SynthSpecError(f"{path}: spec {i}: {key}: expected {expected}, got {value!r}")
         try:
             product_id = entry["product_id"]
             kind = entry["kind"]

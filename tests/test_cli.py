@@ -18,8 +18,6 @@ from autocast.synth import ArchetypeSpec, generate_corpus
 
 CHEAP_CONFIG = {
     "enabled_models": ["naive", "ses", "hwes", "gam"],
-    "ensemble_members": [],
-    "gam_lambda_grid": [1.0],
     "horizon": 6,
 }
 
@@ -159,19 +157,16 @@ class TestValidateCommand:
 
 class TestForecastCommand:
     def test_happy_path_and_byte_determinism(self, sales_csv, capsys):
-        # summary.json echoes the config, output path included, so the
-        # determinism check reruns into the same directory
+        # the rerun writes into another directory, so no export may depend on the output path
         tmp_path, sales, config = sales_csv
-        out = tmp_path / "fc"
         names = ("forecasts.csv", "validation.csv", "summary.json")
-        argv = ["forecast", "--input", str(sales), "--config", str(config), "--out", str(out)]
-        assert run(argv) == 0
-        first = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
-        assert run(argv) == 0
+        digests = []
+        for out in (tmp_path / "fc", tmp_path / "again"):
+            assert run(["forecast", "--input", str(sales), "--config", str(config), "--out", str(out)]) == 0
+            digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names})
         assert "wrote" in capsys.readouterr().out
         for name in names:
-            second = hashlib.sha256((out / name).read_bytes()).hexdigest()
-            assert first[name] == second, name
+            assert digests[0][name] == digests[1][name], name
 
     def test_refit_failure_flag_lands_in_summary(self, sales_csv, monkeypatch):
         tmp_path, sales, config = sales_csv
@@ -199,15 +194,25 @@ class TestForecastCommand:
         assert code == 1
         assert "horizont" in capsys.readouterr().err
 
-    def test_config_naming_input_or_output_paths_exits_one(self, sales_csv, capsys):
-        # the paths come only from --input and --out
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # the paths come only from --input and --out
+            ("input_path", "sales.csv"),
+            ("output_dir", "out"),
+            # the pipeline fixes these itself
+            ("holdout", 12),
+            ("ensemble_members", ["hwes", "gam"]),
+            ("gam_lambda_grid", [1.0]),
+        ],
+    )
+    def test_config_naming_a_removed_key_exits_one(self, sales_csv, capsys, key, value):
         tmp_path, sales, _ = sales_csv
-        for key in ("input_path", "output_dir"):
-            bad = tmp_path / "bad.json"
-            bad.write_text(json.dumps({key: str(sales)}))
-            code = run(["forecast", "--input", str(sales), "--config", str(bad), "--out", str(tmp_path / "o")])
-            assert code == 1
-            assert key in capsys.readouterr().err
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({key: value}))
+        code = run(["forecast", "--input", str(sales), "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert key in capsys.readouterr().err
 
     def test_zero_horizon_config_exits_one(self, sales_csv, capsys):
         tmp_path, sales, _ = sales_csv
@@ -238,7 +243,7 @@ class TestForecastCommand:
     def test_internal_error_in_a_fan_out_worker_exits_two(self, sales_csv, capsys, monkeypatch):
         tmp_path, sales, _ = sales_csv
         config = tmp_path / "shared.json"
-        shared_models = {"enabled_models": ["naive", "boosted_tree", "cnn"], "ensemble_members": [], "horizon": 6}
+        shared_models = {"enabled_models": ["naive", "boosted_tree", "cnn"], "horizon": 6}
         config.write_text(json.dumps(shared_models))
         parent = os.getpid()
         cnn = pipeline.train_shared_cnn

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autocast.models.base import ModelId
-from autocast.models.ensemble import DEFAULT_MEMBERS, ensemble_forecast
+from autocast.models.ensemble import MEMBERS, ensemble_forecast
 from autocast.series import ForecastResult, Frequency, Period
 
 from oracles import median_bruteforce
@@ -60,9 +60,9 @@ class TestValidation:
             ensemble_forecast([result([1.0]), result([1.0, 2.0])])
 
 
-class TestDefaultMembers:
+class TestMembers:
     def test_composition(self):
-        assert DEFAULT_MEMBERS == (
+        assert MEMBERS == (
             ModelId.HWES,
             ModelId.GAM,
             ModelId.ARIMA,

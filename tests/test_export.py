@@ -27,11 +27,7 @@ from autocast.series import ForecastResult, Frequency, Period
 
 from helpers import monthly_series, seasonal_values
 
-CONFIG = PipelineConfig(
-    enabled_models=("naive", "ses", "hwes", "gam"),
-    ensemble_members=(),
-    gam_lambda_grid=(1.0,),
-)
+CONFIG = PipelineConfig(enabled_models=("naive", "ses", "hwes", "gam"))
 
 
 def build_corpus():

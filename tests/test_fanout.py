@@ -211,7 +211,7 @@ def test_a_failing_task_leaves_no_child_and_no_extra_thread(cores):
 def test_cnn_trained_in_a_worker_forecasts_as_one_trained_in_process(cores, monkeypatch):
     specs = [ArchetypeSpec.from_kind(f"p{i}", "seasonality", length=48) for i in range(3)]
     corpus = generate_corpus(specs, seed=3)
-    config = PipelineConfig(enabled_models=("naive", "boosted_tree", "cnn"), ensemble_members=())
+    config = PipelineConfig(enabled_models=("naive", "boosted_tree", "cnn"))
     model_ids = [ModelId.NAIVE, ModelId.BOOSTED_TREE, ModelId.CNN]
     jobs = [(series, model_ids, 12, {}) for series in corpus]
     cores(1)
@@ -254,7 +254,7 @@ def test_no_model_fits_or_forecasts_in_the_caller_at_two_cores(cores, monkeypatc
     kinds = ("seasonality", "seasonality_trend")
     specs = [ArchetypeSpec.from_kind(f"p{i}", kind, length=48) for i, kind in enumerate(kinds)]
     cores(2)
-    report, bundle = run_pipeline(generate_corpus(specs, seed=3), PipelineConfig(gam_lambda_grid=(1.0,)))
+    report, bundle = run_pipeline(generate_corpus(specs, seed=3), PipelineConfig())
     assert in_caller == []
     for validation, entry in zip(report.products, bundle.products):
         assert {s.model_id for s in validation.scores} == {m.value for m in ModelId}

@@ -13,7 +13,7 @@ from autocast.models.base import (
 )
 from autocast.models.boosting import fit_boosted_trees
 from autocast.models.windows import make_window_features
-from autocast.pipeline import PipelineConfig, _make_forecaster
+from autocast.pipeline import _make_forecaster
 
 from helpers import monthly_series, seasonal_values
 
@@ -121,7 +121,7 @@ class TestForecasterContract:
 
     @pytest.fixture(params=FORECASTING_MODELS, ids=lambda m: m.value)
     def model(self, request, trained):
-        return _make_forecaster(request.param, PipelineConfig(), trained=trained.get(request.param))
+        return _make_forecaster(request.param, trained=trained.get(request.param))
 
     @pytest.fixture
     def series(self):

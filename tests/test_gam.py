@@ -147,12 +147,13 @@ class TestGamForecaster:
         assert nrmse < 0.05
 
     def test_horizon_below_one_rejected(self):
-        model = GamForecaster(lambda_grid=(0.0,)).fit(monthly_series(np.arange(24.0) + 1))
+        model = GamForecaster().fit(monthly_series(np.arange(24.0) + 1))
         with pytest.raises(ValueError):
             model.forecast(0)
 
     def test_forecast_values_floored(self):
         # steep negative trend forces the raw extrapolation negative
         y = np.maximum(100.0 - 5.0 * np.arange(24), 0)
-        model = GamForecaster(lambda_grid=(0.0,)).fit(monthly_series(y))
+        model = GamForecaster().fit(monthly_series(y))
+        assert np.any(gam_predict(model.design_, np.arange(24, 42)) < 0)
         assert np.all(model.forecast(18).values >= 0)

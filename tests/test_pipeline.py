@@ -12,7 +12,6 @@ from autocast.metrics import MetricSet
 from autocast.models.arima import ArimaForecaster, arima_forecast, fit_arima_pair
 from autocast.models.base import MODEL_PRIORITY, ModelId
 from autocast.models.boosting import BoostedTreeForecaster, train_pooled_trees
-from autocast.models.ensemble import DEFAULT_MEMBERS
 from autocast.models.gam import GamForecaster, gam_predict
 from autocast.models.naive import NaiveForecaster
 from autocast.models.smoothing import HwesForecaster
@@ -35,11 +34,7 @@ CHEAP = ("naive", "ses", "hwes", "gam")
 
 
 def cheap_config(**overrides):
-    # single-point lambda grid: the GAM grid search is exercised in its own
-    # module tests and only slows the orchestration checks here
-    defaults = dict(enabled_models=CHEAP, ensemble_members=(), gam_lambda_grid=(1.0,))
-    defaults.update(overrides)
-    return PipelineConfig(**defaults)
+    return PipelineConfig(**{"enabled_models": CHEAP, **overrides})
 
 
 class TestPipelineConfig:
@@ -47,35 +42,20 @@ class TestPipelineConfig:
         config = PipelineConfig()
         assert config.frequency is Frequency.MONTHLY
         assert config.horizon == 18
-        assert config.holdout == 12
         assert config.enabled_models == MODEL_PRIORITY
-        assert config.ensemble_members == DEFAULT_MEMBERS
         assert config.seed == 0
 
     def test_weekly_defaults(self):
         config = PipelineConfig(frequency="weekly")
         assert config.horizon == 78
-        assert config.holdout == 52
 
     def test_horizon_below_one_rejected(self):
         with pytest.raises(ConfigError, match="horizon"):
             PipelineConfig(horizon=0)
 
-    def test_holdout_below_three_rejected(self):
-        with pytest.raises(ConfigError, match="holdout"):
-            PipelineConfig(holdout=2)
-
     def test_duplicate_models_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            PipelineConfig(enabled_models=("naive", "naive"), ensemble_members=())
-
-    def test_members_must_be_enabled(self):
-        with pytest.raises(ConfigError, match="ensemble_members"):
-            PipelineConfig(enabled_models=("naive", "hwes"), ensemble_members=("gam",))
-
-    def test_negative_lambda_grid_rejected(self):
-        with pytest.raises(ConfigError, match="gam_lambda_grid"):
-            PipelineConfig(gam_lambda_grid=(1.0, -2.0))
+            PipelineConfig(enabled_models=("naive", "naive"))
 
     def test_asdict_round_trips_through_constructor(self):
         config = cheap_config(horizon=6, seed=3)
@@ -135,24 +115,12 @@ class TestParseConfig:
             parse_config(path)
         assert str(path) in str(raised.value)
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("gam_lambda_grid", "12"),
-            ("gam_lambda_grid", 5),
-            ("enabled_models", "naive"),
-            ("ensemble_members", "naive"),
-            ("enabled_models", None),
-        ],
-    )
+    @pytest.mark.parametrize("key, value", [("enabled_models", "naive"), ("enabled_models", None)])
     def test_list_keys_require_a_json_array(self, tmp_path, key, value):
         path = self.write(tmp_path, {key: value})
         with pytest.raises(ConfigError, match=f"{key}: expected a JSON array") as raised:
             parse_config(path)
         assert str(path) in str(raised.value)
-
-    def test_null_lambda_grid_takes_the_default(self, tmp_path):
-        assert parse_config(self.write(tmp_path, {"gam_lambda_grid": None})).gam_lambda_grid is None
 
 
 def score_of(validation, model_id):
@@ -240,7 +208,7 @@ class TestRunValidation:
 
         monkeypatch.setattr(pipeline, "fit_arima_pair", counting_pair)
         prod = monthly_series(seasonal_values(48, noise=2.0, seed=3))
-        report = run_validation([prod], PipelineConfig(gam_lambda_grid=(1.0,)))
+        report = run_validation([prod], PipelineConfig())
         entry = report.products[0]
         assert calls == [36]
         assert entry.skipped == ()
@@ -252,7 +220,7 @@ class TestRunValidation:
 
     def test_sarima_skipped_on_short_history_with_reason(self):
         prod = monthly_series(seasonal_values(13, noise=0.5, seed=2))
-        config = PipelineConfig(enabled_models=("naive", "sarima"), ensemble_members=())
+        config = PipelineConfig(enabled_models=("naive", "sarima"))
         report = run_validation([prod], config)
         entry = report.products[0]
         assert entry.recommended == "naive"
@@ -263,7 +231,7 @@ class TestRunValidation:
         # 25 points: full pipeline, but the 13-point train prefix cannot feed
         # a 24-window shared network, so the only enabled model is lost
         prod = monthly_series(seasonal_values(25, noise=0.5, seed=1))
-        config = PipelineConfig(enabled_models=("cnn",), ensemble_members=())
+        config = PipelineConfig(enabled_models=("cnn",))
         report = run_validation([prod], config)
         entry = report.products[0]
         assert entry.scores == ()
@@ -326,11 +294,7 @@ class TestFinalizeAndForecast:
 
     def test_ensemble_forecast_is_median_of_members(self):
         prod = monthly_series(np.tile(PATTERN, 4))
-        config = PipelineConfig(
-            enabled_models=("naive", "ses", "hwes", "gam", "ensemble_median"),
-            ensemble_members=("hwes", "gam"),
-            gam_lambda_grid=(1.0,),
-        )
+        config = PipelineConfig(enabled_models=("naive", "ses", "hwes", "gam", "ensemble_median"))
         report, bundle = run_pipeline([prod], config)
         entry = bundle.products[0]
         members = np.vstack(
@@ -341,6 +305,20 @@ class TestFinalizeAndForecast:
         )
         assert any(s.model_id == "ensemble_median" for s in report.products[0].scores)
 
+    def test_ensemble_of_a_config_without_arima_is_the_median_of_hwes_and_gam(self, tmp_path):
+        # arima and boosted_tree are members but not enabled, so they have no forecasts to combine
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"enabled_models": ["naive", "hwes", "gam", "ensemble_median"]}))
+        prod = monthly_series(seasonal_values(48, noise=3.0, seed=6))
+        report, bundle = run_pipeline([prod], parse_config(path))
+        validation = report.products[0]
+        assert validation.skipped == ()
+        assert [s.model_id for s in validation.scores] == ["hwes", "gam", "naive", "ensemble_median"]
+        entry = bundle.products[0]
+        members = np.vstack([entry.forecast_for("hwes").values, entry.forecast_for("gam").values])
+        assert not np.array_equal(members[0], members[1])
+        np.testing.assert_array_equal(entry.forecast_for("ensemble_median").values, np.median(members, axis=0))
+
     def test_gam_decomposition_attached(self):
         prod = monthly_series(np.tile(PATTERN, 4))
         config = cheap_config()
@@ -349,13 +327,13 @@ class TestFinalizeAndForecast:
         assert decomposition is not None
         np.testing.assert_array_equal(decomposition.observed, prod.values)
         # the full-history GAM fit's own fitted values
-        design = GamForecaster(lambda_grid=config.gam_lambda_grid).fit(prod).design_
+        design = GamForecaster().fit(prod).design_
         fitted = gam_predict(design, np.arange(len(prod.values)))
         np.testing.assert_allclose(decomposition.trend + decomposition.seasonal, fitted, atol=1e-8)
 
     def test_no_model_product_still_gets_naive_forecast(self):
         prod = monthly_series(seasonal_values(25, noise=0.5, seed=1))
-        config = PipelineConfig(enabled_models=("cnn",), ensemble_members=())
+        config = PipelineConfig(enabled_models=("cnn",))
         report, bundle = run_pipeline([prod], config)
         entry = bundle.products[0]
         assert entry.recommended == "naive"
@@ -385,11 +363,7 @@ class TestFinalizeAndForecast:
 
     def test_ensemble_uses_reused_member_forecast(self, monkeypatch):
         prod = monthly_series(np.tile(PATTERN, 4))
-        config = PipelineConfig(
-            enabled_models=("naive", "hwes", "gam", "ensemble_median"),
-            ensemble_members=("hwes", "gam"),
-            gam_lambda_grid=(1.0,),
-        )
+        config = PipelineConfig(enabled_models=("naive", "hwes", "gam", "ensemble_median"))
         report = run_validation([prod], config)
         original_fit = HwesForecaster.fit
         full_length = len(prod)
@@ -433,7 +407,7 @@ class TestFinalizeAndForecast:
         # full-history refits fail, and each model reuses its own search
         # winner's forecast past the holdout, not a refit of its order
         prod = monthly_series(seasonal_values(60, noise=3.0, seed=4))
-        config = PipelineConfig(enabled_models=("naive", "arima", "sarima"), ensemble_members=())
+        config = PipelineConfig(enabled_models=("naive", "arima", "sarima"))
         report = run_validation([prod], config)
         holdout = report.products[0].holdout
         original_fit = ArimaForecaster.fit
@@ -462,25 +436,17 @@ class TestFinalizeAndForecast:
     def test_report_read_back_from_an_export_is_refused(self, tmp_path):
         # an export keeps no validation forecasts, so a failed refit would have nothing to reuse
         prod = monthly_series(np.tile(PATTERN, 4))
-        config = PipelineConfig(enabled_models=("naive", "hwes"), ensemble_members=())
+        config = PipelineConfig(enabled_models=("naive", "hwes"))
         report, bundle = run_pipeline([prod], config)
         export_bundle(bundle, report, tmp_path, config)
         restored, _ = read_export_dir(tmp_path)
         with pytest.raises(ValueError, match="no validation forecast of 18 periods"):
             finalize_and_forecast([prod], restored, config)
 
-    def test_report_made_with_other_ensemble_members_is_refused(self):
-        # the report scored an ensemble that this config's members cannot build
-        prod = monthly_series(np.tile(PATTERN, 4))
-        enabled = ("naive", "ses", "hwes", "gam", "ensemble_median")
-        report = run_validation([prod], cheap_config(enabled_models=enabled, ensemble_members=("hwes", "gam")))
-        with pytest.raises(ValueError, match="ensemble_median has only 1 member forecasts available"):
-            finalize_and_forecast([prod], report, cheap_config(enabled_models=enabled, ensemble_members=("gam",)))
-
     def test_failed_naive_refit_of_a_no_model_product_leaves_it_without_forecasts(self, monkeypatch):
         # naive is refitted only as the fallback recommendation, with no validation fit behind it
         prod = monthly_series(seasonal_values(30, noise=0.5, seed=1))
-        config = PipelineConfig(enabled_models=("cnn",), ensemble_members=())
+        config = PipelineConfig(enabled_models=("cnn",))
         report = run_validation([prod], config)
         assert report.products[0].scores == ()
 
@@ -541,11 +507,11 @@ class TestFanOut:
         kinds = ("seasonality", "seasonality_trend", "high_variance", "seasonality")
         specs = [ArchetypeSpec.from_kind(f"p{i}", kind, length=48 + 6 * i) for i, kind in enumerate(kinds)]
         corpus = generate_corpus(specs, seed=5) + [monthly_series(np.full(11, 5.0), product_id="tiny")]
-        config = PipelineConfig(gam_lambda_grid=(0.1, 1.0), seed=5)
+        config = PipelineConfig(seed=5)
         self.exports_at_every_core_count(monkeypatch, tmp_path, corpus, config)
 
     def test_ragged_corpus_exports_are_byte_identical(self, monkeypatch, tmp_path):
-        config = PipelineConfig(gam_lambda_grid=(0.1, 1.0), seed=11)
+        config = PipelineConfig(seed=11)
         report, _ = self.exports_at_every_core_count(monkeypatch, tmp_path, ragged_corpus(), config)
         assert report.product("r0").validity is Validity.EXCLUDED
         assert report.product("r1").holdout == 3
@@ -568,7 +534,7 @@ class TestFanOut:
 
         monkeypatch.setattr(pipeline, "train_pooled_trees", on_prefixes_only(trees))
         monkeypatch.setattr(pipeline, "train_shared_cnn", on_prefixes_only(cnn))
-        config = PipelineConfig(gam_lambda_grid=(0.1, 1.0), seed=11)
+        config = PipelineConfig(seed=11)
         report, bundle = self.exports_at_every_core_count(monkeypatch, tmp_path, corpus, config)
         # the shared models' forecasts are the ones validation made from each prefix
         entry = bundle.product("r8")
@@ -582,7 +548,7 @@ class TestFanOut:
         # one usable core keeps every training call in this process
         monkeypatch.setattr(fanout, "usable_cores", lambda: 1)
         corpus = ragged_corpus()
-        config = PipelineConfig(enabled_models=("naive", "boosted_tree"), ensemble_members=(), seed=11)
+        config = PipelineConfig(enabled_models=("naive", "boosted_tree"), seed=11)
         report = run_validation(corpus, config)
         full_length = {s.product_id: len(s) for s in corpus}
         calls = []
@@ -601,7 +567,7 @@ class TestFanOut:
 
     def test_failed_shared_refit_forecasts_from_the_validation_fit(self, monkeypatch):
         corpus = ragged_corpus()
-        config = PipelineConfig(enabled_models=("naive", "boosted_tree"), ensemble_members=(), seed=11)
+        config = PipelineConfig(enabled_models=("naive", "boosted_tree"), seed=11)
         report = run_validation(corpus, config)
         full_length = {s.product_id: len(s) for s in corpus}
         original_fit = BoostedTreeForecaster.fit
@@ -626,7 +592,7 @@ class TestFanOut:
     def test_finalize_trains_only_the_shared_models_it_runs(self, monkeypatch):
         monkeypatch.setattr(fanout, "usable_cores", lambda: 1)
         prod = monthly_series(seasonal_values(25, noise=0.5, seed=1))
-        config = PipelineConfig(enabled_models=("cnn",), ensemble_members=())
+        config = PipelineConfig(enabled_models=("cnn",))
         report = run_validation([prod], config)
         assert report.products[0].recommended == "naive"
         calls = []

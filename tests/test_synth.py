@@ -151,6 +151,27 @@ class TestSpecFile:
         with pytest.raises(SynthSpecError, match="unknown keys"):
             load_spec_file(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("length", "48"),
+            ("length", 48.5),
+            ("length", True),
+            ("product_id", 5),
+            ("kind", 5),
+            ("base_level", "x"),
+            ("noise", float("nan")),
+            ("amplitude", float("inf")),
+            ("seed", 1.5),
+        ],
+    )
+    def test_value_of_the_wrong_json_type_rejected(self, tmp_path, key, value):
+        path = tmp_path / "spec.json"
+        specs = [{"product_id": "A", "kind": "seasonality"}, {"product_id": "B", "kind": "seasonality", key: value}]
+        path.write_text(json.dumps(specs))
+        with pytest.raises(SynthSpecError, match=f"spec 1: {key}: expected"):
+            load_spec_file(path)
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps([{"product_id": "A", "kind": "mystery"}]))

@@ -6,11 +6,15 @@ caller.
 
 ``lasso_path`` solves exactly: it follows the piecewise-linear solution path
 from lambda_max down with the lasso form of least angle regression (Efron,
-Hastie, Johnstone & Tibshirani 2004, "Least Angle Regression"), one small
-solve per kink. ``lasso_coordinate_descent`` is the plain cyclic coordinate
+Hastie, Johnstone & Tibshirani 2004, "Least Angle Regression"). Exactly one
+column joins or leaves the active set at each kink, so the path carries one
+QR factorization of the active columns across the kinks instead of solving
+afresh at each. ``lasso_coordinate_descent`` is the plain cyclic coordinate
 descent solver, kept as the reference the path is checked against.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,6 +30,8 @@ DEPENDENT_COLUMN_TOL = 1e-10
 # kinks this close to lambda = 0, relative to lambda_max, are rounding noise in
 # the correlations, not events: the last segment runs on to lambda = 0
 PATH_END_TOL = 1e-10
+# the two signs a joining column can take, as a column for broadcasting
+JOIN_SIGNS = np.array([[1.0], [-1.0]])
 
 
 def soft_threshold(value: float, threshold: float) -> float:
@@ -98,6 +104,12 @@ def lasso_path(design, target, lams) -> np.ndarray:
     active ones (a saturated or duplicated design) is set aside until a
     column leaves. Raises ValueError on non-finite input, a negative lambda,
     or when the path needs more than MAX_PATH_STEPS kinks.
+
+    The QR factors of the centered active columns are carried along the
+    path rather than recomputed at every kink: a join appends its column to
+    Q by Gram-Schmidt and extends R^-1 by one column, a leave refactors the
+    remaining columns once, and in between a kink costs only matrix-vector
+    products.
     """
     M = np.asarray(design, dtype=float)
     y = np.asarray(target, dtype=float)
@@ -117,64 +129,118 @@ def lasso_path(design, target, lams) -> np.ndarray:
     y_mean = float(y.mean())
     y_centered = y - y_mean
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = (X.T @ X) / n
+        col_scale = np.einsum("ij,ij->j", X, X) / n  # the diagonal of G = X'X/n
         rho = (X.T @ y_centered) / n
-    bad = ~(np.all(np.isfinite(gram), axis=0) & np.isfinite(rho))
+    bad = ~(np.isfinite(col_scale) & np.isfinite(rho))
     if bad.any():
         raise ValueError(f"non-finite intermediate in column {int(np.argmax(bad)) + 1}")
     raw_norm = np.sqrt(np.mean(M[:, 1:] ** 2, axis=0))
-    live = np.sqrt(gram.diagonal()) > DEAD_COLUMN_TOL * raw_norm
+    live = np.sqrt(col_scale) > DEAD_COLUMN_TOL * raw_norm
 
-    coefs = np.zeros((len(lams), X.shape[1]))
+    k = X.shape[1]
+    coefs = np.zeros((len(lams), k))
     pending = sorted(range(len(lams)), key=lambda i: -lams[i])
     lam_now = lam_top = float(np.max(np.abs(rho[live]), initial=0.0))
     lam_floor = float(lams.min(initial=lam_now))
     while pending and lams[pending[0]] >= lam_now:
         pending.pop(0)  # at or above lambda_max every penalized coefficient is zero
+    # X_A = QR, the active columns in join order. a = G_AA^-1 rho_A is the
+    # least-squares fit R^-1 Q'y and d = n (R'R)^-1 s_A: both are read through
+    # the factors, not the normal equations, whose squared condition number
+    # costs digits at lambda near 0. R^-1 is kept rather than R because numpy
+    # has no triangular solve, so each solve becomes a product. W = G_{:,A}
+    # R^-1 = X'Q/n gives every column's correlation with the residual and its
+    # rate by two more products. The factors fill the first m columns of
+    # buffers sized for the largest independent active set.
+    size = min(n, k)
+    Q, W = np.zeros((n, size)), np.zeros((k, size))
+    R_inv, qty = np.zeros((size, size)), np.zeros(size)
+    m = 0
     active, signs = [], []
-    set_aside = np.zeros(len(live), dtype=bool)
-    joined, left, left_sign = None, -1, 0.0
+    # join candidates: live columns neither active nor set aside
+    free = live.copy()
+    joined, left, left_sign = False, -1, 0.0
+    event = None
     if pending:
-        joined = int(np.argmax(np.where(live, np.abs(rho), -1.0)))
-        active, signs = [joined], [float(np.sign(rho[joined]))]
+        j = int(np.argmax(np.where(live, np.abs(rho), -1.0)))
+        event = ("join", j, float(np.sign(rho[j])))
     steps = 0
-    while pending:
+    while True:
+        if event is not None:
+            kind, j, sign = event
+            if kind == "leave":
+                at = active.index(j)
+                del active[at], signs[at]
+                left, left_sign = j, sign
+                free = live.copy()
+                free[active] = False
+                # dropping a middle column leaves R Hessenberg, and restoring
+                # it takes one Givens rotation per later column, each a numpy
+                # call; one LAPACK factorization of the remaining columns costs
+                # less at these sizes, and about one kink in five is a leave
+                m = len(active)
+                Q_A, R = np.linalg.qr(X[:, active])
+                Q[:, :m] = Q_A
+                R_inv[:m, :m] = np.linalg.inv(R)
+                qty[:m] = Q_A.T @ y_centered
+                W[:, :m] = (X.T @ Q_A) / n
+            else:
+                free[j] = False  # joins, or is set aside until a column leaves
+                x = X[:, j]
+                proj = Q[:, :m].T @ x
+                residual = x - Q[:, :m] @ proj
+                if math.sqrt(residual @ residual) > DEPENDENT_COLUMN_TOL * math.sqrt(x @ x):
+                    # classical Gram-Schmidt, once more to restore orthogonality
+                    again = Q[:, :m].T @ residual
+                    residual -= Q[:, :m] @ again
+                    proj += again
+                    r = math.sqrt(residual @ residual)
+                    q = residual / r
+                    Q[:, m] = q
+                    R_inv[:m, m] = (R_inv[:m, :m] @ proj) / -r
+                    R_inv[m, m] = 1.0 / r
+                    qty[m] = q @ y_centered
+                    W[:, m] = (X.T @ q) / n
+                    m += 1
+                    active.append(j)
+                    signs.append(sign)
+                    joined = True
+        if not pending:
+            break
         steps += 1
         if steps > MAX_PATH_STEPS:
             raise ValueError(f"lasso path did not reach lambda={lam_floor} within {MAX_PATH_STEPS} steps")
-        A, s = np.array(active), np.array(signs)
-        # a = G_AA^-1 rho_A is the least-squares fit on the active columns and
-        # d = n (R'R)^-1 s_A: both solved through the QR factors of those
-        # columns, not the normal equations, whose squared condition number
-        # costs digits at lambda near 0
-        Q, R = np.linalg.qr(X[:, A])
-        sol = np.linalg.solve(R, np.column_stack([Q.T @ y_centered, np.linalg.solve(R.T, s)]))
-        a, d = sol[:, 0], n * sol[:, 1]
+        s = np.array(signs)
+        R_inv_A, W_A = R_inv[:m, :m], W[:, :m]
+        u = s @ R_inv_A  # R^-T s_A
+        a = R_inv_A @ qty[:m]
+        d = n * (R_inv_A @ u)
         b_now = a - lam_now * d
+        # every column's correlation with the residual and its rate dc/dlambda
+        rate = n * (W_A @ u)
+        c = rho - W_A @ qty[:m] + lam_now * rate
         # lambda falls by `step` to the next kink: the nearest join or leave
         step, event = lam_now - lam_floor, None
-        free = live & ~set_aside
-        free[A] = False
-        cand = np.flatnonzero(free)
-        if len(cand):
-            c = rho[cand] - gram[np.ix_(cand, A)] @ b_now
-            rate = gram[np.ix_(cand, A)] @ d  # dc/dlambda on this segment
-            for sign, slack, closing in ((1.0, lam_now - c, 1.0 - rate), (-1.0, lam_now + c, 1.0 + rate)):
-                # a column that just left moves inward from the bound it held
-                ok = (closing > 1e-12) & ~((cand == left) & (sign == left_sign))
-                if ok.any():
-                    gaps = np.maximum(slack[ok], 0.0) / closing[ok]
-                    i = int(np.argmin(gaps))
-                    if gaps[i] < step:
-                        step, event = float(gaps[i]), ("join", int(cand[ok][i]), sign)
+        # both join signs in one pass, + before - and the lowest column first
+        # on a tie: row 0 is sign +1, row 1 is sign -1
+        slack = lam_now - JOIN_SIGNS * c
+        closing = 1.0 - JOIN_SIGNS * rate
+        ok = (closing > 1e-12) & free
+        if left >= 0:
+            # a column that just left moves inward from the bound it held
+            ok[0 if left_sign > 0 else 1, left] = False
+        gaps = np.divide(np.maximum(slack, 0.0), closing, out=np.full(slack.shape, np.inf), where=ok)
+        i = int(np.argmin(gaps))
+        if gaps.flat[i] < step:
+            row, col = divmod(i, k)
+            step, event = float(gaps.flat[i]), ("join", col, float(JOIN_SIGNS[row, 0]))
         shrinking = d * s < 0.0
-        if joined is not None:
-            shrinking[active.index(joined)] = False
-        if shrinking.any():
-            gaps = np.maximum(b_now[shrinking] * s[shrinking], 0.0) / np.abs(d[shrinking])
-            i = int(np.argmin(gaps))
-            if gaps[i] < step:
-                step, event = float(gaps[i]), ("leave", int(A[shrinking][i]), float(s[shrinking][i]))
+        if joined:
+            shrinking[-1] = False
+        gaps = np.divide(np.maximum(b_now * s, 0.0), np.abs(d), out=np.full(m, np.inf), where=shrinking)
+        i = int(np.argmin(gaps))
+        if gaps[i] < step:
+            step, event = float(gaps[i]), ("leave", active[i], signs[i])
         if event is not None and lam_now - step <= PATH_END_TOL * lam_top:
             event = None
         lam_next = lam_now - step if event is not None else lam_floor
@@ -183,25 +249,11 @@ def lasso_path(design, target, lams) -> np.ndarray:
             b_i = a - lams[i] * d
             # on a segment every active coefficient carries its sign; the
             # opposite sign is rounding next to the kink where it is zero
-            coefs[i, A] = np.where(b_i * s > 0.0, b_i, 0.0)
+            coefs[i, active] = np.where(b_i * s > 0.0, b_i, 0.0)
         lam_now = lam_next
-        joined, left = None, -1
+        joined, left = False, -1
         if event is None:
             break
-        kind, j, sign = event
-        if kind == "leave":
-            at = active.index(j)
-            del active[at], signs[at]
-            left, left_sign = j, sign
-            set_aside[:] = False
-        else:
-            residual = X[:, j] - Q @ (Q.T @ X[:, j])
-            if np.linalg.norm(residual) <= DEPENDENT_COLUMN_TOL * np.linalg.norm(X[:, j]):
-                set_aside[j] = True
-            else:
-                active.append(j)
-                signs.append(sign)
-                joined = j
     intercept = y_mean - coefs @ means
     return np.column_stack([intercept, coefs])
 

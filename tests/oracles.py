@@ -2,10 +2,12 @@
 
 Nothing here imports the package under test, so agreement between the two
 routes is meaningful. The scalar oracles use plain Python loops and the math
-module only. Two numpy references solve the whole problem the long way
-round: a CNN that convolves every position of the window, and the tree
-trainer that sorts every feature at every node, which the presorted trainer
-must reproduce bit for bit. The fit kernels' array formulations (Nelder-Mead
+module only. Three numpy references solve the whole problem the long way
+round: a CNN that convolves every position of the window; the tree trainer
+that sorts every feature at every node, which the presorted trainer must
+reproduce bit for bit; and the lasso homotopy that factors its active
+columns afresh at every kink, which the path that carries one factorization
+must match to rounding. The fit kernels' array formulations (Nelder-Mead
 on a numpy simplex, lag polynomials accumulated into zeroed arrays, the
 smoothing recursions on numpy scalars, the CNN's cone as one object per
 layer) are kept verbatim as well: the kernels must reproduce them bit for
@@ -302,6 +304,101 @@ def lasso_objective(design, target, beta, lam):
     y = np.asarray(target, dtype=float)
     r = y - M @ beta
     return float((r @ r) / (2 * len(y)) + lam * np.abs(beta[1:]).sum())
+
+
+def lasso_path_refactoring(design, target, lams, max_steps=1_000):
+    """The lasso homotopy that factors the active columns afresh at every kink.
+
+    Same path, events and set-aside rule as ``lasso_path``, with the same
+    tolerances (1e-10 for dead columns, dependent columns and the path end),
+    but each kink runs ``np.linalg.qr`` on the active columns and solves on R,
+    instead of carrying one factorization along the path. Inputs are assumed
+    finite, lambdas non-negative.
+    """
+    M = np.asarray(design, dtype=float)
+    y = np.asarray(target, dtype=float)
+    lams = np.asarray(lams, dtype=float).reshape(-1)
+    n = len(y)
+    means = M[:, 1:].mean(axis=0)
+    X = M[:, 1:] - means
+    y_mean = float(y.mean())
+    y_centered = y - y_mean
+    gram = (X.T @ X) / n
+    rho = (X.T @ y_centered) / n
+    raw_norm = np.sqrt(np.mean(M[:, 1:] ** 2, axis=0))
+    live = np.sqrt(gram.diagonal()) > 1e-10 * raw_norm
+
+    coefs = np.zeros((len(lams), X.shape[1]))
+    pending = sorted(range(len(lams)), key=lambda i: -lams[i])
+    lam_now = lam_top = float(np.max(np.abs(rho[live]), initial=0.0))
+    lam_floor = float(lams.min(initial=lam_now))
+    while pending and lams[pending[0]] >= lam_now:
+        pending.pop(0)
+    active, signs = [], []
+    set_aside = np.zeros(len(live), dtype=bool)
+    joined, left, left_sign = None, -1, 0.0
+    if pending:
+        joined = int(np.argmax(np.where(live, np.abs(rho), -1.0)))
+        active, signs = [joined], [float(np.sign(rho[joined]))]
+    steps = 0
+    while pending:
+        steps += 1
+        if steps > max_steps:
+            raise ValueError(f"lasso path did not reach lambda={lam_floor} within {max_steps} steps")
+        A, s = np.array(active), np.array(signs)
+        Q, R = np.linalg.qr(X[:, A])
+        sol = np.linalg.solve(R, np.column_stack([Q.T @ y_centered, np.linalg.solve(R.T, s)]))
+        a, d = sol[:, 0], n * sol[:, 1]
+        b_now = a - lam_now * d
+        step, event = lam_now - lam_floor, None
+        free = live & ~set_aside
+        free[A] = False
+        cand = np.flatnonzero(free)
+        if len(cand):
+            c = rho[cand] - gram[np.ix_(cand, A)] @ b_now
+            rate = gram[np.ix_(cand, A)] @ d
+            for sign, slack, closing in ((1.0, lam_now - c, 1.0 - rate), (-1.0, lam_now + c, 1.0 + rate)):
+                ok = (closing > 1e-12) & ~((cand == left) & (sign == left_sign))
+                if ok.any():
+                    gaps = np.maximum(slack[ok], 0.0) / closing[ok]
+                    i = int(np.argmin(gaps))
+                    if gaps[i] < step:
+                        step, event = float(gaps[i]), ("join", int(cand[ok][i]), sign)
+        shrinking = d * s < 0.0
+        if joined is not None:
+            shrinking[active.index(joined)] = False
+        if shrinking.any():
+            gaps = np.maximum(b_now[shrinking] * s[shrinking], 0.0) / np.abs(d[shrinking])
+            i = int(np.argmin(gaps))
+            if gaps[i] < step:
+                step, event = float(gaps[i]), ("leave", int(A[shrinking][i]), float(s[shrinking][i]))
+        if event is not None and lam_now - step <= 1e-10 * lam_top:
+            event = None
+        lam_next = lam_now - step if event is not None else lam_floor
+        while pending and lams[pending[0]] >= lam_next:
+            i = pending.pop(0)
+            b_i = a - lams[i] * d
+            coefs[i, A] = np.where(b_i * s > 0.0, b_i, 0.0)
+        lam_now = lam_next
+        joined, left = None, -1
+        if event is None:
+            break
+        kind, j, sign = event
+        if kind == "leave":
+            at = active.index(j)
+            del active[at], signs[at]
+            left, left_sign = j, sign
+            set_aside[:] = False
+        else:
+            residual = X[:, j] - Q @ (Q.T @ X[:, j])
+            if np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(X[:, j]):
+                set_aside[j] = True
+            else:
+                active.append(j)
+                signs.append(sign)
+                joined = j
+    intercept = y_mean - coefs @ means
+    return np.column_stack([intercept, coefs])
 
 
 def _midranks(values):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from autocast.models import lasso
+from autocast.models.gam import N_SPLINE_KNOTS, _standardize, build_design_rows
 from autocast.models.lasso import (
     default_lambda_grid,
     lambda_max,
@@ -11,8 +12,8 @@ from autocast.models.lasso import (
     soft_threshold,
 )
 
-from helpers import kkt_violation
-from oracles import lasso_objective
+from helpers import kkt_violation, seasonal_values
+from oracles import lasso_objective, lasso_path_refactoring
 
 
 def random_system(rng, n=40, k=6):
@@ -195,6 +196,75 @@ class TestLassoPath:
             lasso_path(np.ones((3, 2)), np.ones(4), [0.0])
         with pytest.raises(ValueError, match="lambda"):
             lasso_path(np.ones((3, 2)), np.ones(3), [0.1, -0.1])
+
+
+def assert_matches_refactoring_path(M, y, grid):
+    """Same support as the per-kink-refactoring reference, within 1e-9 of each row's largest coefficient.
+
+    A grid lambda that sits on a kink, as lambda_max does, reads the column
+    that is zero there as rounding in either path (~1e-16 of the row's
+    largest coefficient), so the support counts coefficients above 1e-12 of it.
+    """
+    expected = lasso_path_refactoring(M, y, grid)
+    betas = lasso_path(M, y, grid)
+    scale = np.max(np.abs(expected), axis=1, keepdims=True)
+    support = np.abs(betas[:, 1:]) > 1e-12 * scale
+    np.testing.assert_array_equal(support, np.abs(expected[:, 1:]) > 1e-12 * scale)
+    assert np.all(np.abs(betas - expected) <= 1e-9 * scale)
+
+
+def gam_system(n):
+    """A standardized monthly GAM design on n rows and a seasonal trending target."""
+    knots = tuple((i + 1) / (N_SPLINE_KNOTS + 1) for i in range(N_SPLINE_KNOTS))
+    M = _standardize(build_design_rows(np.arange(n), n, 12, 3, knots))[0]
+    y = seasonal_values(n, level=500.0, amplitude=120.0, slope=3.0, noise=40.0, seed=n)
+    return M, y
+
+
+class TestCarriedFactorization:
+    def test_matches_reference_on_random_systems(self):
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            M, y = random_system(rng, n=int(rng.integers(12, 60)), k=int(rng.integers(1, 12)))
+            assert_matches_refactoring_path(M, y, np.append(default_lambda_grid(M, y), 0.0))
+
+    def test_matches_reference_on_duplicated_and_saturated_designs(self):
+        rng = np.random.default_rng(14)
+        M, y = random_system(rng)
+        M = np.column_stack([M, M[:, 1]])
+        assert_matches_refactoring_path(M, y, np.append(default_lambda_grid(M, y), 0.0))
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(10, 15))
+        M = np.column_stack([np.ones(10), (X - X.mean(axis=0)) / X.std(axis=0)])
+        y = rng.normal(50.0, 10.0, size=10)
+        assert_matches_refactoring_path(M, y, np.append(default_lambda_grid(M, y), 0.0))
+
+    @pytest.mark.parametrize("n", [8, 12, 15, 24, 36, 48, 72, 96])
+    def test_matches_reference_on_gam_designs(self, n):
+        # the whole history, as the final fit sees it, and the 80 % head that
+        # lambda selection fits on
+        M, y = gam_system(n)
+        for rows in (slice(None), slice(0, int(round(n * 0.8)))):
+            grid = default_lambda_grid(M[rows], y[rows])
+            assert_matches_refactoring_path(M[rows], y[rows], grid)
+
+    def test_column_that_leaves_joins_again(self):
+        # two correlated columns: column 2 joins, is pushed out as lambda
+        # falls, and rejoins near the least-squares end of the path, so the
+        # path refactors after a leave and then extends that factorization
+        rng = np.random.default_rng(183)
+        X = rng.normal(size=(20, 4))
+        X[:, 1] += 0.9 * X[:, 0]
+        M = np.column_stack([np.ones(20), (X - X.mean(axis=0)) / X.std(axis=0)])
+        y = M @ rng.normal(0.0, 2.0, 5) + rng.normal(0.0, 1.0, 20)
+        grid = np.linspace(lambda_max(M, y), 0.0, 401)
+        betas = lasso_path(M, y, grid)
+        nonzero = betas[:, 2] != 0.0
+        phases = [bool(nonzero[0])] + [b for a, b in zip(nonzero, nonzero[1:]) if a != b]
+        assert phases == [False, True, False, True]
+        for lam, beta in zip(grid, betas):
+            assert kkt_violation(M, y, beta, lam) <= 1e-6
+        assert_matches_refactoring_path(M, y, grid)
 
 
 class TestObjective:

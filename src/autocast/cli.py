@@ -14,7 +14,7 @@ from .errors import AutocastError, ConfigError, IngestError
 from .evaluation import summarize, write_evaluation
 from .export import export_bundle, make_output_dir, read_export_dir, write_summary_json, write_validation_csv
 from .ingest import load_sales_csv, write_sales_csv
-from .pipeline import PipelineConfig, finalize_and_forecast, parse_config, run_validation
+from .pipeline import PipelineConfig, parse_config, run_pipeline, run_validation
 from .series import Frequency
 from .synth import generate_corpus, load_spec_file
 
@@ -68,8 +68,7 @@ def cmd_validate(args) -> int:
 def cmd_forecast(args) -> int:
     config = _load_config(args)
     corpus = _load_corpus(args.input, config.frequency)
-    report = run_validation(corpus, config)
-    bundle = finalize_and_forecast(corpus, report, config)
+    report, bundle = run_pipeline(corpus, config)
     written = export_bundle(bundle, report, args.out, config)
     _print_report_summary(report)
     print(f"wrote {len(written)} files to {args.out}")

@@ -1,54 +1,38 @@
-"""Shared-weight training: window pooling, Adam, early stopping, inference."""
-from __future__ import annotations
+"""Shared-weight training: window pooling, Adam, early stopping, inference.
 
-from dataclasses import dataclass
+Training and `CnnForecaster` both scale a product by `product_scale` alone.
+"""
+from __future__ import annotations
 
 import numpy as np
 
 from ..models.base import BaseForecaster, ModelId, iterate_one_step
+from ..models.windows import lag_windows
 from ..series import SalesSeries
 from .network import CnnConfig, CnnNetwork
 
 
-@dataclass(frozen=True)
-class NormStats:
-    """Per-product normalization: divide by the training mean, floored at 1."""
-
-    scale: float
-
-    def __post_init__(self):
-        if not (self.scale > 0 and np.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
-
-    @classmethod
-    def from_series(cls, series: SalesSeries) -> "NormStats":
-        return cls(scale=max(1.0, float(series.values.mean())))
+def product_scale(series: SalesSeries) -> float:
+    """A product's normalization: divide by its mean over the given history, floored at 1."""
+    return max(1.0, float(series.values.mean()))
 
 
 def build_training_windows(corpus, input_window: int):
-    """Pool normalized (window, next value) pairs from every product.
+    """Pool scaled (window, next value) pairs from every product; returns (X, y).
 
     Rows are ordered by target period, then product id, so "the last 10%"
     is a time-ordered validation split. Products shorter than
     input_window + 1 contribute nothing.
     """
-    stats = {s.product_id: NormStats.from_series(s) for s in corpus}
-    keyed = []
-    for series in corpus:
-        n = len(series)
-        if n < input_window + 1:
-            continue
-        scaled = series.values / stats[series.product_id].scale
-        for t in range(input_window, n):
-            keyed.append(
-                (series.start.index + t, series.product_id, scaled[t - input_window : t], scaled[t])
-            )
-    keyed.sort(key=lambda row: (row[0], row[1]))
-    if not keyed:
-        return np.empty((0, input_window)), np.empty(0), stats
-    X = np.array([row[2] for row in keyed])
-    y = np.array([row[3] for row in keyed])
-    return X, y, stats
+    pooled = sorted((s for s in corpus if len(s) > input_window), key=lambda s: s.product_id)
+    if not pooled:
+        return np.empty((0, input_window)), np.empty(0)
+    scaled = [series.values / product_scale(series) for series in pooled]
+    X = np.concatenate([lag_windows(values, input_window)[:-1] for values in scaled])
+    y = np.concatenate([values[input_window:] for values in scaled])
+    # a stable sort by target period keeps the product id order within a period
+    order = np.argsort(np.concatenate([s.start.index + np.arange(input_window, len(s)) for s in pooled]), kind="stable")
+    return X[order], y[order]
 
 
 class Adam:
@@ -116,13 +100,13 @@ class EarlyStopping:
         return self.stale_epochs >= self.patience
 
 
-def train_shared_cnn(corpus, config: CnnConfig):
-    """Returns (network at its best validation epoch, per-product NormStats).
+def train_shared_cnn(corpus, config: CnnConfig) -> CnnNetwork:
+    """Returns the network at its best validation epoch.
 
     Stops when the best validation loss has not improved for `patience`
     consecutive epochs (strict improvement), or at max_epochs.
     """
-    X, y, stats = build_training_windows(corpus, config.input_window)
+    X, y = build_training_windows(corpus, config.input_window)
     if len(y) == 0:
         raise ValueError("no product is long enough to contribute a training window")
     n_val = max(1, int(round(len(y) * 0.10)))
@@ -155,15 +139,14 @@ def train_shared_cnn(corpus, config: CnnConfig):
         if should_stop:
             break
     network.set_weights(best_weights)
-    return network, stats
+    return network
 
 
 class CnnForecaster(BaseForecaster):
     """Per-product adapter around the shared network.
 
-    Forecasts iterate one-step predictions on the normalized scale. The
-    normalization scale is recomputed from the fitted series, which
-    matches the scale used when that series contributed pooled windows.
+    Forecasts iterate one-step predictions on the scaled values: the fitted
+    series' `product_scale`, the scale its pooled windows had in training.
     """
 
     model_id = ModelId.CNN
@@ -175,7 +158,7 @@ class CnnForecaster(BaseForecaster):
         window = self.network.config.input_window
         if len(series) < window:
             raise ValueError(f"need at least {window} points of history, got {len(series)}")
-        self.stats_ = NormStats.from_series(series)
+        self.scale_ = product_scale(series)
 
     def _path(self, horizon: int) -> np.ndarray:
         window = self.network.config.input_window
@@ -183,4 +166,4 @@ class CnnForecaster(BaseForecaster):
         def predict_one(history):
             return self.network.predict_one(history[-window:])
 
-        return iterate_one_step(predict_one, self.train_.values / self.stats_.scale, horizon) * self.stats_.scale
+        return iterate_one_step(predict_one, self.train_.values / self.scale_, horizon) * self.scale_

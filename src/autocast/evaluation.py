@@ -12,15 +12,13 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .errors import DegenerateSampleError, EvaluationError
 from .export import make_output_dir
 from .ingest import open_for_write
 from .metrics import compute_metric_set, format_metric
 from .models.base import ModelId, priority_rank
 from .pipeline import ForecastBundle, ValidationReport
-from .svgplot import box_plot
+from .svgplot import box_plot, quartiles
 
 EXACT_LIMIT = 20  # enumeration is 2^n; beyond this the normal approximation
 RATIO_CLIP = 3.5  # drawing-only clip for the ratio boxplot
@@ -159,13 +157,6 @@ def _actual_window(actual, start, horizon: int):
     return actual.values[offset : offset + horizon]
 
 
-def _quartiles(values) -> tuple | None:
-    if not values:
-        return None
-    q1, q2, q3 = np.percentile(np.asarray(values, dtype=float), [25.0, 50.0, 75.0])
-    return (float(q1), float(q2), float(q3))
-
-
 def _wilcoxon_entry(pairs, alternative: str) -> dict | None:
     diffs = [naive - model for model, naive in pairs]
     if not diffs:
@@ -267,8 +258,8 @@ def summarize(report: ValidationReport, bundle: ForecastBundle, actuals, alterna
         best_histogram=dict(sorted(best_hist.items())),
         recommended_ratios=tuple(recommended_ratios),
         best_ratios=tuple(best_ratios),
-        recommended_quartiles=_quartiles([r.ratio for r in recommended_ratios if r.ratio is not None]),
-        best_quartiles=_quartiles([r.ratio for r in best_ratios if r.ratio is not None]),
+        recommended_quartiles=quartiles([r.ratio for r in recommended_ratios if r.ratio is not None]),
+        best_quartiles=quartiles([r.ratio for r in best_ratios if r.ratio is not None]),
         wilcoxon_recommended=_wilcoxon_entry(recommended_pairs, alternative),
         wilcoxon_best=_wilcoxon_entry(best_pairs, alternative),
         alternative=alternative,

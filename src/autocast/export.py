@@ -254,10 +254,12 @@ def read_export_dir(directory) -> tuple[ValidationReport, ForecastBundle]:
     """Rebuild report and bundle structures from an export directory.
 
     Only the fields evaluation needs are recovered: per-product forecasts,
-    holdout metrics, and the recommendation. Validity detail, flags, and the
-    decompositions are not round-tripped. Any malformed value, forecasts
-    that the other rows or the recommendation contradict, or validation rows
-    for a product without forecasts raise ExportError naming the file.
+    holdout metrics, and the recommendation, which is naive for a product
+    with forecasts and no validation rows (the pipeline's no_model
+    fallback). Validity detail, flags, and the decompositions are not
+    round-tripped. Any malformed value, forecasts that the other rows or the
+    recommendation contradict, or validation rows for a product without
+    forecasts raise ExportError naming the file.
     """
     directory = Path(directory)
     forecasts_path = directory / "forecasts.csv"
@@ -273,13 +275,14 @@ def read_export_dir(directory) -> tuple[ValidationReport, ForecastBundle]:
     validations = []
     forecasts = []
     for product_id, product_results in by_product.items():
+        recommendation = recommended.get(product_id) if product_id in scores else ModelId.NAIVE.value
         validations.append(
             ProductValidation(
                 product_id=product_id,
                 validity=Validity.FULL_PIPELINE,
                 holdout=0,
                 scores=tuple(scores.get(product_id, ())),
-                recommended=recommended.get(product_id),
+                recommended=recommendation,
             )
         )
         try:
@@ -287,7 +290,7 @@ def read_export_dir(directory) -> tuple[ValidationReport, ForecastBundle]:
                 ProductForecasts(
                     product_id=product_id,
                     forecasts=tuple(product_results),
-                    recommended=recommended.get(product_id),
+                    recommended=recommendation,
                 )
             )
         except ValueError as exc:

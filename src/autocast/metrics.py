@@ -3,7 +3,8 @@
 nRMSE divides by the range of the actuals so products at different scales
 become comparable; it is undefined (None) when the actuals are constant.
 MAPE skips periods whose actual value is zero; it is undefined when every
-actual is zero.
+actual is zero. Either is undefined, too, when a tiny actual or range pushes
+it past the largest float.
 """
 from __future__ import annotations
 
@@ -50,11 +51,10 @@ def compute_metric_set(actual, predicted) -> MetricSet:
     rmse = float(np.sqrt(np.mean((a - p) ** 2)))
     value_range = float(np.max(a) - np.min(a))
     nonzero = a != 0
-    return MetricSet(
-        rmse=rmse,
-        nrmse=None if value_range == 0.0 else rmse / value_range,
-        mape=float(np.mean(np.abs((a[nonzero] - p[nonzero]) / a[nonzero]))) if nonzero.any() else None,
-    )
+    with np.errstate(over="ignore"):
+        nrmse = rmse / value_range if value_range != 0.0 else np.inf
+        mape = float(np.mean(np.abs((a[nonzero] - p[nonzero]) / a[nonzero]))) if nonzero.any() else np.inf
+    return MetricSet(rmse=rmse, nrmse=nrmse if np.isfinite(nrmse) else None, mape=mape if np.isfinite(mape) else None)
 
 
 def format_metric(value) -> str:

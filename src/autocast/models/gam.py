@@ -31,10 +31,6 @@ class GamDesign:
     column_names: tuple
     lam: float
 
-    @property
-    def n_columns(self) -> int:
-        return len(self.column_names)
-
 
 def _column_names(fourier_order: int, n_knots: int) -> tuple:
     names = ["intercept", "trend_linear", "trend_exp"]

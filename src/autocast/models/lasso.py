@@ -90,6 +90,35 @@ def lasso_coordinate_descent(design, target, lam: float, tol: float = CONVERGENC
     return beta
 
 
+def _center(M: np.ndarray, y: np.ndarray) -> tuple:
+    """(column means, X, target mean, y_c, rho, live) of the penalized problem.
+
+    The intercept is projected out by centering y and the penalized columns
+    on the given rows: X and y_c. rho = X'y_c/n is each column's correlation
+    with the centered target, and live marks the columns not constant on the
+    rows. Raises ValueError on a non-finite correlation.
+    """
+    n = len(y)
+    means = M[:, 1:].mean(axis=0)
+    X = M[:, 1:] - means
+    y_mean = float(y.mean())
+    y_centered = y - y_mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        col_scale = np.einsum("ij,ij->j", X, X) / n  # the diagonal of G = X'X/n
+        rho = (X.T @ y_centered) / n
+    bad = ~(np.isfinite(col_scale) & np.isfinite(rho))
+    if bad.any():
+        raise ValueError(f"non-finite intermediate in column {int(np.argmax(bad)) + 1}")
+    raw_norm = np.sqrt(np.mean(M[:, 1:] ** 2, axis=0))
+    live = np.sqrt(col_scale) > DEAD_COLUMN_TOL * raw_norm
+    return means, X, y_mean, y_centered, rho, live
+
+
+def _first_kink(rho: np.ndarray, live: np.ndarray) -> float:
+    """Where the path starts: the largest |rho| of a live column."""
+    return float(np.max(np.abs(rho[live]), initial=0.0))
+
+
 def lasso_path(design, target, lams) -> np.ndarray:
     """Exact lasso coefficients at every lambda in ``lams``, from one homotopy.
 
@@ -124,23 +153,12 @@ def lasso_path(design, target, lams) -> np.ndarray:
     if not np.all(lams >= 0.0):
         raise ValueError(f"lambda must be >= 0, got {lams.min()}")
     n = len(y)
-    means = M[:, 1:].mean(axis=0)
-    X = M[:, 1:] - means
-    y_mean = float(y.mean())
-    y_centered = y - y_mean
-    with np.errstate(over="ignore", invalid="ignore"):
-        col_scale = np.einsum("ij,ij->j", X, X) / n  # the diagonal of G = X'X/n
-        rho = (X.T @ y_centered) / n
-    bad = ~(np.isfinite(col_scale) & np.isfinite(rho))
-    if bad.any():
-        raise ValueError(f"non-finite intermediate in column {int(np.argmax(bad)) + 1}")
-    raw_norm = np.sqrt(np.mean(M[:, 1:] ** 2, axis=0))
-    live = np.sqrt(col_scale) > DEAD_COLUMN_TOL * raw_norm
+    means, X, y_mean, y_centered, rho, live = _center(M, y)
 
     k = X.shape[1]
     coefs = np.zeros((len(lams), k))
     pending = sorted(range(len(lams)), key=lambda i: -lams[i])
-    lam_now = lam_top = float(np.max(np.abs(rho[live]), initial=0.0))
+    lam_now = lam_top = _first_kink(rho, live)
     lam_floor = float(lams.min(initial=lam_now))
     while pending and lams[pending[0]] >= lam_now:
         pending.pop(0)  # at or above lambda_max every penalized coefficient is zero
@@ -259,12 +277,9 @@ def lasso_path(design, target, lams) -> np.ndarray:
 
 
 def lambda_max(design, target) -> float:
-    """Smallest lambda that zeroes every penalized coefficient."""
-    M = np.asarray(design, dtype=float)
-    y = np.asarray(target, dtype=float)
-    centered = y - y.mean()
-    n = len(y)
-    return float(np.max(np.abs(M[:, 1:].T @ centered)) / n)
+    """Smallest lambda that zeroes every penalized coefficient: `lasso_path`'s first kink."""
+    *_, rho, live = _center(np.asarray(design, dtype=float), np.asarray(target, dtype=float))
+    return _first_kink(rho, live)
 
 
 def default_lambda_grid(design, target, points: int = 10) -> np.ndarray:

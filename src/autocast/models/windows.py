@@ -1,7 +1,11 @@
-"""Lag-window training rows for the pooled tree and net models.
+"""Lag windows: the rows both pooled models, the trees and the CNN, learn from.
 
-A row for period t holds the previous year of values plus a one-hot of the
-target period's position in the year, so features never look forward.
+`lag_windows` cuts a history into windows of its consecutive values: the
+trees' training rows here and the CNN's training windows in
+`deeplearn.training.build_training_windows` both take it, and the trees'
+forecast row is its last window. The trees' row for period t holds the
+previous year of values plus a one-hot of t's position in the year, so
+features never look forward; `_tree_rows` alone lays that row out.
 """
 from __future__ import annotations
 
@@ -10,8 +14,22 @@ import numpy as np
 from ..series import SalesSeries
 
 
-def feature_length(m: int) -> int:
-    return 2 * m
+def lag_windows(values: np.ndarray, width: int) -> np.ndarray:
+    """Every run of `width` consecutive values, one per row, as a read-only view.
+
+    Row i is values[i : i + width], the input for the value at position
+    i + width; the last row ends with the last value, so it is the input
+    for the step after them. Raises ValueError when values are fewer than width.
+    """
+    return np.lib.stride_tricks.sliding_window_view(values, width)
+
+
+def _tree_rows(lags: np.ndarray, positions, m: int) -> np.ndarray:
+    """Each lag window followed by the one-hot of its target's position in the year."""
+    rows = np.zeros((len(lags), 2 * m))
+    rows[:, :m] = lags
+    rows[np.arange(len(lags)), m + np.asarray(positions)] = 1.0
+    return rows
 
 
 def make_window_features(series: SalesSeries):
@@ -23,22 +41,17 @@ def make_window_features(series: SalesSeries):
     m = series.frequency.periods_per_year
     n = len(series)
     if n < m + 1:
-        return np.empty((0, feature_length(m))), np.empty(0)
-    values = series.values
-    start_pos = series.start.position_in_year
-    rows = n - m
-    X = np.zeros((rows, 2 * m))
-    for i, t in enumerate(range(m, n)):
-        X[i, :m] = values[t - m : t]
-        X[i, m + (start_pos + t) % m] = 1.0
-    return X, np.log1p(values[m:])
+        return np.empty((0, 2 * m)), np.empty(0)
+    positions = (series.start.position_in_year + np.arange(m, n)) % m
+    return _tree_rows(lag_windows(series.values, m)[:-1], positions, m), np.log1p(series.values[m:])
 
 
 def one_step_features(history: np.ndarray, next_position: int, m: int) -> np.ndarray:
-    """Feature row for predicting the period right after `history`."""
+    """Feature row for predicting the period right after `history`.
+
+    Its lags, the last of `lag_windows(history, m)`, are sliced directly: on
+    this per-step path a window view would cost more than the row.
+    """
     if len(history) < m:
         raise ValueError(f"need at least {m} trailing values, got {len(history)}")
-    row = np.zeros(2 * m)
-    row[:m] = history[-m:]
-    row[m + next_position] = 1.0
-    return row
+    return _tree_rows(history[None, -m:], [next_position], m)[0]

@@ -163,10 +163,6 @@ class ValidationReport:
                 return entry
         raise KeyError(f"no validation entry for product {product_id!r}")
 
-    @property
-    def scored_products(self) -> tuple:
-        return tuple(p for p in self.products if p.validity is not Validity.EXCLUDED)
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -268,7 +264,7 @@ def _shared_runs(model_id: ModelId, corpus: list, jobs: list, config: PipelineCo
         if model_id is ModelId.BOOSTED_TREE:
             trained = train_pooled_trees(corpus)
         else:
-            trained = train_shared_cnn(corpus, _cnn_config(config))[0]
+            trained = train_shared_cnn(corpus, _cnn_config(config))
     except MODEL_FAILURES as exc:
         return [_ModelRun(model_id, error=str(exc)) for _ in listed]
     return [

@@ -46,13 +46,6 @@ class Frequency(str, Enum):
         return 2 * self.periods_per_year
 
 
-def _check_same_frequency(a: "Period", b: "Period") -> None:
-    if a.frequency is not b.frequency:
-        raise ValueError(
-            f"cannot compare {a.frequency.value} and {b.frequency.value} periods"
-        )
-
-
 @dataclass(frozen=True)
 class Period:
     """One calendar bucket (a month or an ISO week) identified by its index."""
@@ -117,17 +110,10 @@ class Period:
 
     def __sub__(self, other):
         if isinstance(other, Period):
-            _check_same_frequency(self, other)
+            if other.frequency is not self.frequency:
+                raise ValueError(f"cannot compare {self.frequency.value} and {other.frequency.value} periods")
             return self.index - other.index
         return Period(self.frequency, self.index - int(other))
-
-    def __lt__(self, other: "Period") -> bool:
-        _check_same_frequency(self, other)
-        return self.index < other.index
-
-    def __le__(self, other: "Period") -> bool:
-        _check_same_frequency(self, other)
-        return self.index <= other.index
 
 
 def _frozen_values(values) -> np.ndarray:

@@ -98,7 +98,10 @@ def line_panels(title: str, panels: list, x_left: str, x_right: str) -> str:
     return "\n".join(body) + "\n"
 
 
-def _quartiles(values: np.ndarray) -> tuple[float, float, float]:
+def quartiles(values) -> tuple[float, float, float] | None:
+    """The 25th, 50th and 75th percentiles of values; None when there are none."""
+    if len(values) == 0:
+        return None
     q1, q2, q3 = np.percentile(values, [25.0, 50.0, 75.0])
     return float(q1), float(q2), float(q3)
 
@@ -151,7 +154,7 @@ def box_plot(title: str, groups: list, clip: float | None = None) -> str:
 
     for gi, (label, arr) in enumerate(drawn):
         cx = 120 + 120 * gi
-        q1, q2, q3 = _quartiles(arr)
+        q1, q2, q3 = quartiles(arr)
         iqr = q3 - q1
         lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
         inside = arr[(arr >= lo_fence) & (arr <= hi_fence)]

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import autocast.cli as cli
 import autocast.pipeline as pipeline
 from autocast import fanout
 from autocast.cli import main
@@ -235,7 +234,7 @@ class TestForecastCommand:
         def boom(corpus, cfg):
             raise RuntimeError("unexpected")
 
-        monkeypatch.setattr(cli, "run_validation", boom)
+        monkeypatch.setattr(pipeline, "run_validation", boom)
         code = run(["forecast", "--input", str(sales), "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "internal error" in capsys.readouterr().err

@@ -6,8 +6,8 @@ from autocast.deeplearn.training import (
     Adam,
     CnnForecaster,
     EarlyStopping,
-    NormStats,
     build_training_windows,
+    product_scale,
     train_shared_cnn,
 )
 
@@ -16,19 +16,12 @@ from helpers import monthly_series
 TINY = CnnConfig(input_window=6, kernel_size=2, dilations=(1, 2), channels=4, seed=0, max_epochs=60)
 
 
-class TestNormStats:
+class TestProductScale:
     def test_scale_is_mean(self):
-        series = monthly_series([10.0, 20.0, 30.0])
-        assert NormStats.from_series(series).scale == 20.0
+        assert product_scale(monthly_series([10.0, 20.0, 30.0])) == 20.0
 
     def test_scale_floored_at_one(self):
-        series = monthly_series([0.2, 0.4, 0.6])
-        assert NormStats.from_series(series).scale == 1.0
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    def test_invalid_scale_rejected(self, bad):
-        with pytest.raises(ValueError, match="scale"):
-            NormStats(scale=bad)
+        assert product_scale(monthly_series([0.2, 0.4, 0.6])) == 1.0
 
 
 class TestBuildTrainingWindows:
@@ -37,10 +30,9 @@ class TestBuildTrainingWindows:
             monthly_series(np.arange(30, dtype=float) + 1, product_id="a"),
             monthly_series(np.arange(30, dtype=float) + 1, product_id="b"),
         ]
-        X, y, stats = build_training_windows(corpus, input_window=24)
+        X, y = build_training_windows(corpus, input_window=24)
         assert X.shape == (12, 24)
         assert y.shape == (12,)
-        assert set(stats) == {"a", "b"}
 
     def test_rows_sorted_by_target_period_then_product(self):
         # b starts 3 months later, so its first target lands mid-stream of a's
@@ -49,7 +41,7 @@ class TestBuildTrainingWindows:
             monthly_series(b_values, product_id="b", start_index=243),
             monthly_series(np.full(12, 2.0), product_id="a", start_index=240),
         ]
-        X, y, stats = build_training_windows(corpus, input_window=6)
+        X, y = build_training_windows(corpus, input_window=6)
         # a targets indices 246..251 (scaled 1.0), b targets 249..252; sort keys:
         # (246,a) (247,a) (248,a) (249,a) (249,b) (250,a) (250,b) (251,a) (251,b) (252,b)
         assert len(y) == 10
@@ -61,9 +53,8 @@ class TestBuildTrainingWindows:
     def test_windows_are_normalized_by_product_mean(self):
         values = np.array([10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 20.0])
         corpus = [monthly_series(values, product_id="a")]
-        X, y, stats = build_training_windows(corpus, input_window=6)
-        scale = stats["a"].scale
-        assert scale == pytest.approx(values.mean())
+        X, y = build_training_windows(corpus, input_window=6)
+        scale = values.mean()
         np.testing.assert_allclose(X[0], values[:6] / scale)
         assert y[0] == pytest.approx(20.0 / scale)
 
@@ -72,13 +63,12 @@ class TestBuildTrainingWindows:
             monthly_series(np.full(6, 5.0), product_id="short"),
             monthly_series(np.full(8, 5.0), product_id="long"),
         ]
-        X, y, stats = build_training_windows(corpus, input_window=6)
+        X, y = build_training_windows(corpus, input_window=6)
         assert X.shape == (2, 6)
-        assert set(stats) == {"short", "long"}
 
     def test_all_short_gives_empty_arrays(self):
         corpus = [monthly_series(np.full(6, 5.0))]
-        X, y, _ = build_training_windows(corpus, input_window=6)
+        X, y = build_training_windows(corpus, input_window=6)
         assert X.shape == (0, 6)
         assert y.shape == (0,)
 
@@ -152,14 +142,13 @@ class TestEarlyStopping:
 class TestTrainSharedCnn:
     def test_constant_corpus_learns_constant(self):
         corpus = [monthly_series(np.full(30, 50.0), product_id=p) for p in ("a", "b")]
-        network, stats = train_shared_cnn(corpus, TINY)
+        network = train_shared_cnn(corpus, TINY)
         assert network.predict_one(np.ones(6)) == pytest.approx(1.0, rel=0.05)
-        assert stats["a"].scale == 50.0
 
     def test_training_is_deterministic(self):
         corpus = [monthly_series(np.full(30, 50.0), product_id=p) for p in ("a", "b")]
-        net1, stats1 = train_shared_cnn(corpus, TINY)
-        net2, _ = train_shared_cnn(corpus, TINY)
+        net1 = train_shared_cnn(corpus, TINY)
+        net2 = train_shared_cnn(corpus, TINY)
         np.testing.assert_array_equal(net1.get_weights(), net2.get_weights())
         f1 = CnnForecaster(net1).fit(corpus[0]).forecast(6)
         f2 = CnnForecaster(net2).fit(corpus[0]).forecast(6)
@@ -173,12 +162,12 @@ class TestTrainSharedCnn:
             monthly_series(np.roll(vals, 3), product_id="s2"),
         ]
         config = CnnConfig(input_window=12, kernel_size=2, dilations=(1, 2, 4), channels=8, seed=0, max_epochs=40)
-        X, y, _ = build_training_windows(corpus, config.input_window)
+        X, y = build_training_windows(corpus, config.input_window)
 
         def train_loss(network):
             return float(np.mean((network.forward(X) - y) ** 2))
 
-        network, _ = train_shared_cnn(corpus, config)
+        network = train_shared_cnn(corpus, config)
         assert train_loss(network) <= 0.5 * train_loss(CnnNetwork(config))
 
     def test_all_products_too_short_rejected(self):
@@ -212,7 +201,7 @@ class TestCnnForecast:
 
     def test_horizon_eighteen(self):
         corpus = [monthly_series(np.full(30, 50.0), product_id=p) for p in ("a", "b")]
-        network, _ = train_shared_cnn(corpus, TINY)
+        network = train_shared_cnn(corpus, TINY)
         result = CnnForecaster(network).fit(corpus[0]).forecast(18)
         assert result.horizon == 18
         assert np.all(result.values >= 0)
@@ -222,8 +211,8 @@ class TestCnnForecast:
         base = 20 + 10 * np.abs(np.sin(np.arange(40)))
         config = CnnConfig(input_window=8, kernel_size=2, dilations=(1, 2), channels=4, seed=0, max_epochs=20)
         scale_factor = 0.5
-        net_a, _ = train_shared_cnn([monthly_series(base, product_id="a")], config)
-        net_b, _ = train_shared_cnn([monthly_series(base * scale_factor, product_id="a")], config)
+        net_a = train_shared_cnn([monthly_series(base, product_id="a")], config)
+        net_b = train_shared_cnn([monthly_series(base * scale_factor, product_id="a")], config)
         fa = CnnForecaster(net_a).fit(monthly_series(base, product_id="a")).forecast(6).values
         fb = CnnForecaster(net_b).fit(monthly_series(base * scale_factor, product_id="a")).forecast(6).values
         np.testing.assert_allclose(fb, scale_factor * fa, rtol=1e-6)
@@ -232,9 +221,9 @@ class TestCnnForecast:
 class TestCnnForecaster:
     def test_fit_takes_the_scale_training_used(self):
         corpus = [monthly_series(np.full(30, 50.0), product_id=p) for p in ("a", "b")]
-        network, stats = train_shared_cnn(corpus, TINY)
+        network = train_shared_cnn(corpus, TINY)
         forecaster = CnnForecaster(network).fit(corpus[0])
-        assert forecaster.stats_ == stats["a"]
+        assert forecaster.scale_ == product_scale(corpus[0]) == 50.0
         assert forecaster.model_id.value == "cnn"
 
     def test_fit_requires_window_length(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from autocast.errors import ExportError
+from autocast.evaluation import summarize
 from autocast.export import (
     export_bundle,
     read_export_dir,
@@ -15,11 +16,13 @@ from autocast.export import (
     write_summary_json,
     write_validation_csv,
 )
+from autocast.ingest import Validity
 from autocast.pipeline import (
     Decomposition,
     ForecastBundle,
     PipelineConfig,
     ProductForecasts,
+    ProductValidation,
     ValidationReport,
     run_pipeline,
 )
@@ -85,7 +88,7 @@ class TestExportBundle:
         _, report, _ = pipeline_run
         out, _ = export_dir
         scores, recommended = read_validation_csv(out / "validation.csv", {p.product_id for p in report.products})
-        for product in report.scored_products:
+        for product in (p for p in report.products if p.validity is not Validity.EXCLUDED):
             assert recommended[product.product_id] == product.recommended
             back = {s.model_id: s for s in scores[product.product_id]}
             for score in product.scores:
@@ -193,6 +196,24 @@ class TestReadExportDir:
             }
         restored_ids = {p.product_id for p in restored_bundle.products}
         assert "tiny" not in restored_ids
+
+    def test_no_model_product_keeps_its_naive_recommendation(self, tmp_path):
+        # the 13-point training prefix cannot feed the CNN's 24-point window, so no
+        # model scores and validation.csv has no row for the product; the pipeline
+        # recommended and forecast naive, and evaluation must count that
+        actual = monthly_series(seasonal_values(43, noise=0.5, seed=1), product_id="d")
+        config = PipelineConfig(enabled_models=("cnn",))
+        report, bundle = run_pipeline([actual.prefix(25)], config)
+        assert report.product("d").flags == ("no_model",)
+        export_bundle(bundle, report, tmp_path, config)
+        assert (tmp_path / "validation.csv").read_text().count("\n") == 1
+
+        restored_report, restored_bundle = read_export_dir(tmp_path)
+        assert restored_report.product("d").recommended == "naive"
+        assert restored_bundle.product("d").recommended == "naive"
+        summary = summarize(restored_report, restored_bundle, [actual])
+        assert summary.recommended_histogram == {"naive": 1}
+        assert summary.undefined_ratio == ()
 
 
 class TestMalformedInputs:
@@ -339,9 +360,6 @@ class TestWriterFormatting:
         assert "p1,naive,1.000000,,,true" in path.read_text()
 
     def test_summary_flags_without_bundle_come_from_the_report(self, tmp_path):
-        from autocast.ingest import Validity
-        from autocast.pipeline import ProductValidation
-
         products = (
             ProductValidation("p1", Validity.SHORT_HISTORY, 3, recommended="naive", flags=("no_model",)),
             ProductValidation("p2", Validity.EXCLUDED, 0, flags=("excluded: 8 periods < 12",)),

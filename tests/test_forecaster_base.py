@@ -105,7 +105,7 @@ def _trained_models():
     X, y = make_window_features(series)
     trees = fit_boosted_trees(X, y, n_rounds=3)
     config = CnnConfig(input_window=6, kernel_size=2, dilations=(1, 2), channels=2, seed=0, max_epochs=2)
-    network, _ = train_shared_cnn([series], config)
+    network = train_shared_cnn([series], config)
     return {ModelId.BOOSTED_TREE: trees, ModelId.CNN: network}
 
 

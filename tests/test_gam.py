@@ -20,14 +20,14 @@ class TestDesignMatrix:
     def test_column_count_monthly(self):
         # intercept + 2 trends + 2K Fourier + (2 + knots) spline
         design = fit_gam(monthly_series(np.arange(24.0) + 1), lambda_grid=(0.0,))
-        assert design.n_columns == 1 + 2 + 2 * 3 + 2 + 5
+        assert len(design.column_names) == len(design.beta) == 1 + 2 + 2 * 3 + 2 + 5
         assert design.column_names[0] == "intercept"
         assert design.fourier_order == 3
 
     def test_column_count_weekly(self):
         design = fit_gam(weekly_series(np.arange(60.0) + 1), lambda_grid=(0.0,))
         assert design.fourier_order == 10
-        assert design.n_columns == 1 + 2 + 2 * 10 + 2 + 5
+        assert len(design.column_names) == len(design.beta) == 1 + 2 + 2 * 10 + 2 + 5
 
     def test_non_finite_design_names_column(self):
         t = np.arange(10.0)

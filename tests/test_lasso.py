@@ -120,12 +120,19 @@ class TestLassoPath:
                 assert np.max(np.abs(beta - lasso_coordinate_descent(M, y, lam))) < 1e-6
 
     def test_at_or_above_lambda_max_gives_zeros_and_the_mean(self):
+        # lambda_max is the path's first kink to the last bit, so at lambda_max
+        # no penalized coefficient reads rounding noise: on random systems, and
+        # on standardized GAM designs of 12-96 rows with five targets each
         rng = np.random.default_rng(10)
-        M, y = random_system(rng)
-        top = lambda_max(M, y)
-        for beta in lasso_path(M, y, [top, 2.0 * top, 1e9]):
-            assert np.all(beta[1:] == 0.0)
-            assert beta[0] == pytest.approx(y.mean(), rel=1e-12)
+        systems = [random_system(rng, n=int(rng.integers(12, 60)), k=int(rng.integers(1, 12))) for _ in range(400)]
+        for n in range(12, 97):
+            M = gam_system(n)[0]
+            systems += [(M, seasonal_values(n, level=500.0, amplitude=120.0, slope=3.0, noise=40.0, seed=100 * s + n)) for s in range(5)]
+        for M, y in systems:
+            top = lambda_max(M, y)
+            for beta in lasso_path(M, y, [top, 2.0 * top, 1e9]):
+                assert np.all(beta[1:] == 0.0)
+                assert beta[0] == pytest.approx(y.mean(), rel=1e-12)
 
     def test_lambda_zero_is_least_squares(self):
         rng = np.random.default_rng(11)
@@ -201,15 +208,13 @@ class TestLassoPath:
 def assert_matches_refactoring_path(M, y, grid):
     """Same support as the per-kink-refactoring reference, within 1e-9 of each row's largest coefficient.
 
-    A grid lambda that sits on a kink, as lambda_max does, reads the column
-    that is zero there as rounding in either path (~1e-16 of the row's
-    largest coefficient), so the support counts coefficients above 1e-12 of it.
+    Both paths start at lambda_max to the last bit, so at that grid point
+    every penalized coefficient is exactly zero in either.
     """
     expected = lasso_path_refactoring(M, y, grid)
     betas = lasso_path(M, y, grid)
     scale = np.max(np.abs(expected), axis=1, keepdims=True)
-    support = np.abs(betas[:, 1:]) > 1e-12 * scale
-    np.testing.assert_array_equal(support, np.abs(expected[:, 1:]) > 1e-12 * scale)
+    np.testing.assert_array_equal(betas[:, 1:] != 0.0, expected[:, 1:] != 0.0)
     assert np.all(np.abs(betas - expected) <= 1e-9 * scale)
 
 

@@ -73,6 +73,10 @@ class TestNrmse:
     def test_perfect_prediction(self):
         assert nrmse([1, 2, 3], [1, 2, 3]) == 0.0
 
+    def test_overflowing_ratio_undefined(self):
+        # a denormal range puts the ratio past the largest float
+        assert nrmse([0.0, 2.2e-309], [1.0, 1.0]) is None
+
     @given(
         st.lists(st.integers(min_value=-1000, max_value=1000).map(float), min_size=2, max_size=30),
         st.data(),
@@ -107,6 +111,10 @@ class TestMape:
 
     def test_all_zero_actuals_undefined(self):
         assert mape([0, 0], [1, 2]) is None
+
+    def test_overflowing_ratio_undefined(self):
+        # a denormal actual puts its percentage error past the largest float
+        assert mape([2.2e-309, 1.0], [1.0, 1.0]) is None
 
     def test_perfect_prediction(self):
         assert mape([1, 2], [1, 2]) == 0.0

@@ -184,7 +184,6 @@ class TestRunValidation:
         assert entry.holdout == 0
         assert entry.scores == ()
         assert any("excluded" in flag and "11" in flag for flag in entry.flags)
-        assert report.scored_products == ()
 
     @pytest.mark.parametrize("n,expected_holdout", [(18, 6), (14, 3), (13, 3)])
     def test_short_history_holdout_lengths(self, n, expected_holdout):

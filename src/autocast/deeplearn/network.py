@@ -1,17 +1,18 @@
-"""Network assembly and configuration.
+"""The shared network: one fixed dilated causal CNN (WaveNet's stack, van den Oord et al. 2016).
 
-Tensors are float64 and channels-last: rows of (positions, channels). The
-network evaluates only the cone under its head, which reads the last step.
-``cone`` unrolls it from the last step down: each conv block reads
-causal_taps of the positions the block above produces, raveled in read
-order. So every block's input arrives tap-ordered: rows i*kernel ..
-i*kernel + kernel-1 are the taps of output position i, in tap order, and
-the dilation lives in which positions are read, not in the block. A
-block's forward pass is one reshape and one matrix multiply, and the
-backward pass hands each input row its own gradient by reshaping back. A
-position that two outputs read arrives twice and gets two gradient rows.
-With kernel 2 and doubling dilations no position is read twice; a config
-whose taps overlap recomputes the shared positions.
+Four kernel-2 causal conv+ReLU blocks, dilations 1, 2, 4 and 8, 16
+channels each, then a dense head over the last step. The head reads one
+position of the top block, and each output position of a block reads two
+positions of the block below, `dilation` apart. So the blocks form a
+binary tree over the window's last RECEPTIVE_FIELD values, which the
+first block reads pair by pair, as each block above reads the outputs of
+the one below; no position is read twice, and nothing else is computed.
+
+Tensors are float64 and channels-last: rows of (positions, channels).
+Rows 2i and 2i + 1 of a block's input are the taps of its output position
+i, earlier tap first. A block's forward pass is one reshape and one matrix
+multiply, and the backward pass hands each input row its gradient by
+reshaping back.
 
 All parameters live in one flat buffer and all gradients in another. Each
 conv block and the head hold one (weight, bias) pair of views into each.
@@ -20,58 +21,12 @@ of one output position form one row of the matrix multiply.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class CnnConfig:
-    input_window: int = 24
-    kernel_size: int = 2
-    dilations: tuple = (1, 2, 4, 8)
-    channels: int = 16
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    max_epochs: int = 100
-    patience: int = 5
-    seed: int = 0
-
-    @property
-    def receptive_field(self) -> int:
-        return 1 + sum((self.kernel_size - 1) * d for d in self.dilations)
-
-    def __post_init__(self):
-        if self.receptive_field > self.input_window:
-            raise ValueError(
-                f"receptive field {self.receptive_field} exceeds input window {self.input_window}"
-            )
-
-
-def causal_taps(positions, kernel_size: int, dilation: int) -> np.ndarray:
-    """(len(positions), kernel_size) input positions each output position reads.
-
-    Tap k (0-based) reads position t - (kernel-1-k)*dilation, so the last tap
-    is the current step.
-    """
-    lags = dilation * np.arange(kernel_size - 1, -1, -1)
-    return np.asarray(positions)[:, None] - lags
-
-
-def cone(config: CnnConfig) -> list:
-    """The window positions each conv block reads, first block first, tap-ordered.
-
-    Walks back from the last step, which is all the dense head reads: a
-    block reads causal_taps of the positions the block above reads from it.
-    The first entry indexes the input window; the receptive field fits the
-    window, so no position is negative.
-    """
-    positions = np.array([config.input_window - 1])
-    reads = []
-    for dilation in reversed(config.dilations):
-        positions = causal_taps(positions, config.kernel_size, dilation).ravel()
-        reads.append(positions)
-    return reads[::-1]
+KERNEL = 2
+DILATIONS = (1, 2, 4, 8)
+CHANNELS = 16
+RECEPTIVE_FIELD = 16  # 1 + (KERNEL - 1) * sum(DILATIONS): the window's last values the head sees
 
 
 def _view_pairs(buffer: np.ndarray, shapes: list) -> list:
@@ -82,21 +37,21 @@ def _view_pairs(buffer: np.ndarray, shapes: list) -> list:
 
 
 class CnnNetwork:
-    """Stack of dilated causal conv+ReLU blocks and a dense head over the last step."""
+    """The dilated causal conv+ReLU blocks and the dense head over the last step."""
 
-    def __init__(self, config: CnnConfig):
-        self.config = config
-        rng = np.random.default_rng(config.seed)
-        self.inputs = cone(config)[0]
-        kernel, channels = config.kernel_size, config.channels
+    def __init__(self, input_window: int, seed: int):
+        if input_window < RECEPTIVE_FIELD:
+            raise ValueError(f"receptive field {RECEPTIVE_FIELD} exceeds input window {input_window}")
+        self.input_window = input_window
+        rng = np.random.default_rng(seed)
         drawn = []
         in_channels = 1
-        for _ in config.dilations:
-            scale = np.sqrt(2.0 / (in_channels * kernel))
+        for _ in DILATIONS:
+            scale = np.sqrt(2.0 / (in_channels * KERNEL))
             # drawn (out, in, kernel) so a seed gives the same weights whatever the storage order
-            weight = rng.normal(0.0, scale, size=(channels, in_channels, kernel)).transpose(2, 1, 0)
-            drawn += [weight, np.zeros(channels)]
-            in_channels = channels
+            weight = rng.normal(0.0, scale, size=(CHANNELS, in_channels, KERNEL)).transpose(2, 1, 0)
+            drawn += [weight, np.zeros(CHANNELS)]
+            in_channels = CHANNELS
         drawn += [rng.normal(0.0, np.sqrt(1.0 / in_channels), size=in_channels), np.zeros(1)]
         self.weights = np.concatenate([p.ravel() for p in drawn])
         self.gradient = np.zeros_like(self.weights)
@@ -112,9 +67,9 @@ class CnnNetwork:
         x = np.asarray(windows, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.config.input_window:
-            raise ValueError(f"expected (batch, {self.config.input_window}) windows, got {x.shape}")
-        x = x[:, self.inputs]
+        if x.ndim != 2 or x.shape[1] != self.input_window:
+            raise ValueError(f"expected (batch, {self.input_window}) windows, got {x.shape}")
+        x = x[:, -RECEPTIVE_FIELD:]
         self._cache = []
         for weight, bias in self.convs:
             kernel, in_channels, out_channels = weight.shape

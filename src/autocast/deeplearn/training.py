@@ -7,9 +7,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..models.base import BaseForecaster, ModelId, iterate_one_step
-from ..models.windows import lag_windows
+from ..models.windows import content_order, lag_windows
 from ..series import SalesSeries
-from .network import CnnConfig, CnnNetwork
+from .network import CnnNetwork
+
+LEARNING_RATE = 1e-3
+BATCH_SIZE = 32
+MAX_EPOCHS = 100
+PATIENCE = 5
 
 
 def product_scale(series: SalesSeries) -> float:
@@ -20,17 +25,17 @@ def product_scale(series: SalesSeries) -> float:
 def build_training_windows(corpus, input_window: int):
     """Pool scaled (window, next value) pairs from every product; returns (X, y).
 
-    Rows are ordered by target period, then product id, so "the last 10%"
-    is a time-ordered validation split. Products shorter than
+    Rows are ordered by target period, then by `content_order`, so "the
+    last 10%" is a time-ordered validation split. Products shorter than
     input_window + 1 contribute nothing.
     """
-    pooled = sorted((s for s in corpus if len(s) > input_window), key=lambda s: s.product_id)
+    pooled = content_order(s for s in corpus if len(s) > input_window)
     if not pooled:
         return np.empty((0, input_window)), np.empty(0)
     scaled = [series.values / product_scale(series) for series in pooled]
     X = np.concatenate([lag_windows(values, input_window)[:-1] for values in scaled])
     y = np.concatenate([values[input_window:] for values in scaled])
-    # a stable sort by target period keeps the product id order within a period
+    # a stable sort by target period keeps the content order within a period
     order = np.argsort(np.concatenate([s.start.index + np.arange(input_window, len(s)) for s in pooled]), kind="stable")
     return X[order], y[order]
 
@@ -81,12 +86,9 @@ def _evaluate(network: CnnNetwork, X, y) -> float:
 
 
 class EarlyStopping:
-    """Patience counter over per-epoch validation losses (strict improvement)."""
+    """Stops training after PATIENCE epochs without a strictly lower validation loss."""
 
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise ValueError(f"patience must be >= 1, got {patience}")
-        self.patience = patience
+    def __init__(self):
         self.best_loss = np.inf
         self.stale_epochs = 0
 
@@ -97,16 +99,16 @@ class EarlyStopping:
             self.stale_epochs = 0
             return False
         self.stale_epochs += 1
-        return self.stale_epochs >= self.patience
+        return self.stale_epochs >= PATIENCE
 
 
-def train_shared_cnn(corpus, config: CnnConfig) -> CnnNetwork:
+def train_shared_cnn(corpus, input_window: int, seed: int) -> CnnNetwork:
     """Returns the network at its best validation epoch.
 
-    Stops when the best validation loss has not improved for `patience`
-    consecutive epochs (strict improvement), or at max_epochs.
+    Stops when the best validation loss has not improved for PATIENCE
+    consecutive epochs (strict improvement), or at MAX_EPOCHS.
     """
-    X, y = build_training_windows(corpus, config.input_window)
+    X, y = build_training_windows(corpus, input_window)
     if len(y) == 0:
         raise ValueError("no product is long enough to contribute a training window")
     n_val = max(1, int(round(len(y) * 0.10)))
@@ -119,16 +121,16 @@ def train_shared_cnn(corpus, config: CnnConfig) -> CnnNetwork:
         X_train, y_train = X[:-n_val], y[:-n_val]
         X_val, y_val = X[-n_val:], y[-n_val:]
 
-    network = CnnNetwork(config)
-    optimizer = Adam(network.weights, config.learning_rate)
-    shuffler = np.random.default_rng(config.seed + 1)
+    network = CnnNetwork(input_window, seed)
+    optimizer = Adam(network.weights, LEARNING_RATE)
+    shuffler = np.random.default_rng(seed + 1)
 
-    stopper = EarlyStopping(config.patience)
+    stopper = EarlyStopping()
     best_weights = network.get_weights()
-    for _ in range(config.max_epochs):
+    for _ in range(MAX_EPOCHS):
         order = shuffler.permutation(len(y_train))
-        for lo in range(0, len(order), config.batch_size):
-            batch = order[lo : lo + config.batch_size]
+        for lo in range(0, len(order), BATCH_SIZE):
+            batch = order[lo : lo + BATCH_SIZE]
             loss_and_grads(network, X_train[batch], y_train[batch])
             optimizer.step(network.gradient)
         val_loss = _evaluate(network, X_val, y_val)
@@ -155,13 +157,13 @@ class CnnForecaster(BaseForecaster):
         self.network = network
 
     def _fit(self, series: SalesSeries) -> None:
-        window = self.network.config.input_window
+        window = self.network.input_window
         if len(series) < window:
             raise ValueError(f"need at least {window} points of history, got {len(series)}")
         self.scale_ = product_scale(series)
 
     def _path(self, horizon: int) -> np.ndarray:
-        window = self.network.config.input_window
+        window = self.network.input_window
 
         def predict_one(history):
             return self.network.predict_one(history[-window:])

@@ -107,11 +107,13 @@ def read_csv_rows(path, header: list, error: type) -> list:
 
     A missing or empty file, another header, or a row whose field count is
     not the header's raises `error`, naming the file and, for a row, its line.
+    A leading byte order mark, which Excel writes into "CSV UTF-8" files, is
+    dropped.
     """
     path = Path(path)
     if not path.exists():
         raise error(f"file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader)

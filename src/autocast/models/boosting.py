@@ -31,7 +31,7 @@ import numpy as np
 
 from ..series import SalesSeries
 from .base import BaseForecaster, ModelId, iterate_one_step
-from .windows import make_window_features, one_step_features
+from .windows import content_order, make_window_features, one_step_features
 
 N_ROUNDS = 200
 LEARNING_RATE = 0.1
@@ -201,8 +201,8 @@ def fit_boosted_trees(X, y, n_rounds: int = N_ROUNDS, learning_rate: float = LEA
 
 
 def train_pooled_trees(corpus) -> GradientBoostedTrees:
-    """One model over window rows pooled from every product (sorted id order)."""
-    blocks = [make_window_features(s) for s in sorted(corpus, key=lambda s: s.product_id)]
+    """One model over window rows pooled from every product, in `content_order`."""
+    blocks = [make_window_features(s) for s in content_order(corpus)]
     xs = [X for X, _ in blocks if len(X)]
     ys = [y for _, y in blocks if len(y)]
     if not xs:

@@ -24,6 +24,12 @@ def lag_windows(values: np.ndarray, width: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(values, width)
 
 
+def content_order(corpus) -> list:
+    """The products sorted by (length, start period, value bytes), the order both pooled
+    models stack their rows in: equal keys mean identical series, so ids never move a row."""
+    return sorted(corpus, key=lambda s: (len(s), s.start.index, s.values.tobytes()))
+
+
 def _tree_rows(lags: np.ndarray, positions, m: int) -> np.ndarray:
     """Each lag window followed by the one-hot of its target's position in the year."""
     rows = np.zeros((len(lags), 2 * m))

@@ -41,7 +41,6 @@ from functools import partial
 
 import numpy as np
 
-from .deeplearn.network import CnnConfig
 from .deeplearn.training import CnnForecaster, train_shared_cnn
 from .errors import ConfigError
 from .fanout import run_all
@@ -264,20 +263,13 @@ def _shared_runs(model_id: ModelId, corpus: list, jobs: list, config: PipelineCo
         if model_id is ModelId.BOOSTED_TREE:
             trained = train_pooled_trees(corpus)
         else:
-            trained = train_shared_cnn(corpus, _cnn_config(config))
+            trained = train_shared_cnn(corpus, config.frequency.default_input_window, config.seed)
     except MODEL_FAILURES as exc:
         return [_ModelRun(model_id, error=str(exc)) for _ in listed]
     return [
         _run_models(series, [model_id], horizon, orders, trained)[0]
         for series, _, horizon, orders in listed
     ]
-
-
-def _cnn_config(config: PipelineConfig) -> CnnConfig:
-    return CnnConfig(
-        input_window=config.frequency.default_input_window,
-        seed=config.seed,
-    )
 
 
 def _make_forecaster(model_id: ModelId, order=None, trained=None) -> BaseForecaster:
@@ -386,7 +378,9 @@ def _holdout_length(series: SalesSeries, validity: Validity) -> int:
     year = series.frequency.periods_per_year
     if validity is Validity.FULL_PIPELINE:
         return year
-    # shortened holdout keeps at least one year of training data
+    # a short history holds out all but its first year, but at least MIN_HOLDOUT
+    # periods, so one shorter than year + MIN_HOLDOUT trains on less than a year
+    # (9-11 points for 12-14 months)
     return max(MIN_HOLDOUT, len(series) - year)
 
 

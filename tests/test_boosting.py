@@ -13,7 +13,7 @@ from autocast.models.boosting import (
     fit_boosted_trees,
     train_pooled_trees,
 )
-from autocast.models.windows import make_window_features
+from autocast.models.windows import content_order, make_window_features
 from autocast.series import Frequency
 from autocast.synth import Archetype, ArchetypeSpec, generate_corpus
 
@@ -143,7 +143,7 @@ def synth_windows(frequency=Frequency.MONTHLY):
         for i, kind in enumerate(Archetype)
     ]
     corpus = generate_corpus(specs, seed=3, frequency=frequency)
-    blocks = [make_window_features(s) for s in sorted(corpus, key=lambda s: s.product_id)]
+    blocks = [make_window_features(s) for s in content_order(corpus)]
     return np.vstack([X for X, _ in blocks if len(X)]), np.concatenate([y for _, y in blocks if len(y)])
 
 
@@ -322,6 +322,16 @@ class TestPooledTraining:
         forward = predict_rows(train_pooled_trees(corpus), grid)
         backward = predict_rows(train_pooled_trees(list(reversed(corpus))), grid)
         assert np.array_equal(forward, backward)
+
+    def test_renaming_products_does_not_matter(self):
+        # small integer sales: tied values make the split sums depend on row order
+        rng = np.random.default_rng(5)
+        values = [rng.integers(0, 6, n).astype(float) for n in (30, 30, 26, 40)]
+        names = [f"p{i}" for i in range(4)]
+        grid = rng.integers(0, 6, size=(50, 24)).astype(float)
+        original = train_pooled_trees([monthly_series(v, product_id=p) for v, p in zip(values, names)])
+        renamed = train_pooled_trees([monthly_series(v, product_id=p) for v, p in zip(values, names[::-1])])
+        assert predict_rows(original, grid).tobytes() == predict_rows(renamed, grid).tobytes()
 
     def test_all_products_too_short_rejected(self):
         corpus = [monthly_series(np.arange(10.0) + 1, product_id="p0")]

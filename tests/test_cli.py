@@ -247,10 +247,10 @@ class TestForecastCommand:
         parent = os.getpid()
         cnn = pipeline.train_shared_cnn
 
-        def cnn_in_parent_only(corpus, cnn_config):
+        def cnn_in_parent_only(corpus, input_window, seed):
             if os.getpid() != parent:
                 raise RuntimeError("unexpected in worker")
-            return cnn(corpus, cnn_config)
+            return cnn(corpus, input_window, seed)
 
         monkeypatch.setattr(fanout, "usable_cores", lambda: 2)
         monkeypatch.setattr(pipeline, "train_shared_cnn", cnn_in_parent_only)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from autocast.deeplearn.network import CnnConfig, CnnNetwork
+from autocast.deeplearn.network import CnnNetwork
 from autocast.deeplearn.training import (
+    PATIENCE,
     Adam,
     CnnForecaster,
     EarlyStopping,
@@ -13,7 +14,8 @@ from autocast.deeplearn.training import (
 
 from helpers import monthly_series
 
-TINY = CnnConfig(input_window=6, kernel_size=2, dilations=(1, 2), channels=4, seed=0, max_epochs=60)
+# the monthly pipeline's input window
+WINDOW = 24
 
 
 class TestProductScale:
@@ -34,21 +36,31 @@ class TestBuildTrainingWindows:
         assert X.shape == (12, 24)
         assert y.shape == (12,)
 
-    def test_rows_sorted_by_target_period_then_product(self):
+    def test_rows_sorted_by_target_period_then_content(self):
         # b starts 3 months later, so its first target lands mid-stream of a's
         b_values = np.array([3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 6.0, 6.0, 6.0, 6.0])
         corpus = [
-            monthly_series(b_values, product_id="b", start_index=243),
             monthly_series(np.full(12, 2.0), product_id="a", start_index=240),
+            monthly_series(b_values, product_id="b", start_index=243),
         ]
         X, y = build_training_windows(corpus, input_window=6)
-        # a targets indices 246..251 (scaled 1.0), b targets 249..252; sort keys:
-        # (246,a) (247,a) (248,a) (249,a) (249,b) (250,a) (250,b) (251,a) (251,b) (252,b)
+        # a targets indices 246..251 (scaled 1.0), b targets 249..252; b is shorter,
+        # so it comes first within a period:
+        # (246,a) (247,a) (248,a) (249,b) (249,a) (250,b) (250,a) (251,b) (251,a) (252,b)
         assert len(y) == 10
         b_target = 6.0 / b_values.mean()
         np.testing.assert_allclose(
-            y, [1.0, 1.0, 1.0, 1.0, b_target, 1.0, b_target, 1.0, b_target, b_target]
+            y, [1.0, 1.0, 1.0, b_target, 1.0, b_target, 1.0, b_target, 1.0, b_target]
         )
+
+    def test_renaming_products_keeps_every_row(self):
+        values = [np.arange(1.0, 13.0), np.full(12, 2.0), np.arange(12.0, 0.0, -1.0)]
+        names = ["a", "b", "c"]
+        corpus = [monthly_series(v, product_id=p) for v, p in zip(values, names)]
+        renamed = [monthly_series(v, product_id=p) for v, p in zip(values, names[::-1])]
+        X, y = build_training_windows(corpus, input_window=6)
+        X_renamed, y_renamed = build_training_windows(renamed, input_window=6)
+        assert X.tobytes() == X_renamed.tobytes() and y.tobytes() == y_renamed.tobytes()
 
     def test_windows_are_normalized_by_product_mean(self):
         values = np.array([10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 20.0])
@@ -116,39 +128,34 @@ class TestAdam:
 
 
 class TestEarlyStopping:
-    def test_patience_below_one_rejected(self):
-        with pytest.raises(ValueError, match="patience"):
-            EarlyStopping(0)
-
     def test_flat_trace_stops_after_patience_stale_epochs(self):
-        stopper = EarlyStopping(5)
+        stopper = EarlyStopping()
         decisions = [stopper.update(loss) for loss in [5, 4, 4, 4, 4, 4, 4]]
+        assert PATIENCE == 5
         assert decisions == [False, False, False, False, False, False, True]
 
     def test_improvement_resets_counter(self):
-        stopper = EarlyStopping(2)
-        assert stopper.update(5.0) is False
-        assert stopper.update(5.0) is False
+        stopper = EarlyStopping()
+        assert [stopper.update(5.0) for _ in range(PATIENCE - 1)] == [False] * (PATIENCE - 1)
         assert stopper.update(4.0) is False
-        assert stopper.update(4.0) is False
-        assert stopper.update(4.0) is True
+        assert [stopper.update(4.0) for _ in range(PATIENCE)] == [False] * (PATIENCE - 1) + [True]
 
     def test_equal_loss_is_not_improvement(self):
-        stopper = EarlyStopping(1)
+        stopper = EarlyStopping()
         assert stopper.update(3.0) is False
-        assert stopper.update(3.0) is True
+        assert [stopper.update(3.0) for _ in range(PATIENCE)] == [False] * (PATIENCE - 1) + [True]
 
 
 class TestTrainSharedCnn:
     def test_constant_corpus_learns_constant(self):
         corpus = [monthly_series(np.full(30, 50.0), product_id=p) for p in ("a", "b")]
-        network = train_shared_cnn(corpus, TINY)
-        assert network.predict_one(np.ones(6)) == pytest.approx(1.0, rel=0.05)
+        network = train_shared_cnn(corpus, WINDOW, 0)
+        assert network.predict_one(np.ones(WINDOW)) == pytest.approx(1.0, rel=0.05)
 
     def test_training_is_deterministic(self):
         corpus = [monthly_series(np.full(30, 50.0), product_id=p) for p in ("a", "b")]
-        net1 = train_shared_cnn(corpus, TINY)
-        net2 = train_shared_cnn(corpus, TINY)
+        net1 = train_shared_cnn(corpus, WINDOW, 0)
+        net2 = train_shared_cnn(corpus, WINDOW, 0)
         np.testing.assert_array_equal(net1.get_weights(), net2.get_weights())
         f1 = CnnForecaster(net1).fit(corpus[0]).forecast(6)
         f2 = CnnForecaster(net2).fit(corpus[0]).forecast(6)
@@ -161,24 +168,23 @@ class TestTrainSharedCnn:
             monthly_series(vals, product_id="s1"),
             monthly_series(np.roll(vals, 3), product_id="s2"),
         ]
-        config = CnnConfig(input_window=12, kernel_size=2, dilations=(1, 2, 4), channels=8, seed=0, max_epochs=40)
-        X, y = build_training_windows(corpus, config.input_window)
+        X, y = build_training_windows(corpus, WINDOW)
 
         def train_loss(network):
             return float(np.mean((network.forward(X) - y) ** 2))
 
-        network = train_shared_cnn(corpus, config)
-        assert train_loss(network) <= 0.5 * train_loss(CnnNetwork(config))
+        network = train_shared_cnn(corpus, WINDOW, 0)
+        assert train_loss(network) <= 0.5 * train_loss(CnnNetwork(WINDOW, 0))
 
     def test_all_products_too_short_rejected(self):
         corpus = [monthly_series(np.full(6, 5.0))]
         with pytest.raises(ValueError, match="long enough"):
-            train_shared_cnn(corpus, TINY)
+            train_shared_cnn(corpus, WINDOW, 0)
 
 
-def constant_predictor(config, bias):
+def constant_predictor(bias):
     """Zero-weight network whose dense bias makes every prediction `bias`."""
-    network = CnnNetwork(config)
+    network = CnnNetwork(WINDOW, 0)
     network.set_weights(np.zeros_like(network.get_weights()))
     network.head[1][...] = float(bias)
     return network
@@ -186,22 +192,22 @@ def constant_predictor(config, bias):
 
 class TestCnnForecast:
     def test_constant_predictor_rescales_by_product_mean(self):
-        network = constant_predictor(TINY, 1.0)
-        train = monthly_series(np.full(12, 500.0))
+        network = constant_predictor(1.0)
+        train = monthly_series(np.full(WINDOW, 500.0))
         result = CnnForecaster(network).fit(train).forecast(5)
         np.testing.assert_array_equal(result.values, np.full(5, 500.0))
         assert result.model_id == "cnn"
         assert result.start == train.end + 1
 
     def test_negative_predictions_floored_inside_feedback_loop(self):
-        network = constant_predictor(TINY, -1.0)
-        train = monthly_series(np.full(12, 500.0))
+        network = constant_predictor(-1.0)
+        train = monthly_series(np.full(WINDOW, 500.0))
         result = CnnForecaster(network).fit(train).forecast(5)
         np.testing.assert_array_equal(result.values, np.zeros(5))
 
     def test_horizon_eighteen(self):
         corpus = [monthly_series(np.full(30, 50.0), product_id=p) for p in ("a", "b")]
-        network = train_shared_cnn(corpus, TINY)
+        network = train_shared_cnn(corpus, WINDOW, 0)
         result = CnnForecaster(network).fit(corpus[0]).forecast(18)
         assert result.horizon == 18
         assert np.all(result.values >= 0)
@@ -209,10 +215,9 @@ class TestCnnForecast:
 
     def test_scale_equivariance(self):
         base = 20 + 10 * np.abs(np.sin(np.arange(40)))
-        config = CnnConfig(input_window=8, kernel_size=2, dilations=(1, 2), channels=4, seed=0, max_epochs=20)
         scale_factor = 0.5
-        net_a = train_shared_cnn([monthly_series(base, product_id="a")], config)
-        net_b = train_shared_cnn([monthly_series(base * scale_factor, product_id="a")], config)
+        net_a = train_shared_cnn([monthly_series(base, product_id="a")], WINDOW, 0)
+        net_b = train_shared_cnn([monthly_series(base * scale_factor, product_id="a")], WINDOW, 0)
         fa = CnnForecaster(net_a).fit(monthly_series(base, product_id="a")).forecast(6).values
         fb = CnnForecaster(net_b).fit(monthly_series(base * scale_factor, product_id="a")).forecast(6).values
         np.testing.assert_allclose(fb, scale_factor * fa, rtol=1e-6)
@@ -221,12 +226,12 @@ class TestCnnForecast:
 class TestCnnForecaster:
     def test_fit_takes_the_scale_training_used(self):
         corpus = [monthly_series(np.full(30, 50.0), product_id=p) for p in ("a", "b")]
-        network = train_shared_cnn(corpus, TINY)
+        network = train_shared_cnn(corpus, WINDOW, 0)
         forecaster = CnnForecaster(network).fit(corpus[0])
         assert forecaster.scale_ == product_scale(corpus[0]) == 50.0
         assert forecaster.model_id.value == "cnn"
 
     def test_fit_requires_window_length(self):
-        network = constant_predictor(TINY, 1.0)
-        with pytest.raises(ValueError, match="6"):
-            CnnForecaster(network).fit(monthly_series(np.full(5, 10.0)))
+        network = constant_predictor(1.0)
+        with pytest.raises(ValueError, match="24"):
+            CnnForecaster(network).fit(monthly_series(np.full(WINDOW - 1, 10.0)))

@@ -218,9 +218,9 @@ def test_cnn_trained_in_a_worker_forecasts_as_one_trained_in_process(cores, monk
     serial = _run_stage(corpus, jobs, config)
     cnn = pipeline.train_shared_cnn
 
-    def cnn_in_worker(corpus, cnn_config):
+    def cnn_in_worker(corpus, input_window, seed):
         assert in_worker()
-        return cnn(corpus, cnn_config)
+        return cnn(corpus, input_window, seed)
 
     monkeypatch.setattr(pipeline, "train_shared_cnn", cnn_in_worker)
     cores(2)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from autocast.deeplearn.network import CnnConfig
 from autocast.deeplearn.training import train_shared_cnn
 from autocast.models.base import (
     MODEL_PRIORITY,
@@ -100,12 +99,11 @@ class TestIterateOneStep:
 
 
 def _trained_models():
-    """Tiny pooled trees and CNN, trained on one series, for the shared-model adapters."""
+    """Three-round pooled trees and the CNN, trained on one series, for the shared-model adapters."""
     series = monthly_series(seasonal_values(36, noise=2.0, seed=1))
     X, y = make_window_features(series)
     trees = fit_boosted_trees(X, y, n_rounds=3)
-    config = CnnConfig(input_window=6, kernel_size=2, dilations=(1, 2), channels=2, seed=0, max_epochs=2)
-    network = train_shared_cnn([series], config)
+    network = train_shared_cnn([series], series.frequency.default_input_window, 0)
     return {ModelId.BOOSTED_TREE: trees, ModelId.CNN: network}
 
 

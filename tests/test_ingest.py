@@ -16,9 +16,11 @@ from autocast.ingest import (
     ingest_sales,
     load_sales_csv,
     read_csv_rows,
+    read_sales_csv,
     write_sales_csv,
 )
 from autocast.series import Frequency, Period, SalesSeries
+from autocast.synth import ArchetypeSpec, generate_corpus
 
 
 def series_of_length(n, frequency=Frequency.MONTHLY):
@@ -133,6 +135,28 @@ class TestCsvRoundTrip:
         path.write_text("product_id,date,quantity\nA,2023-01-01,1\nA,2023-02-30,2\n")
         with pytest.raises(IngestError, match="line 3"):
             load_sales_csv(path, Frequency.MONTHLY)
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("product_id,date,quantity\nA,2023-01-05,4.5\nB,2023-02-11,7\n", encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_sales_csv(marked) == read_sales_csv(plain)
+        assert [s.product_id for s in load_sales_csv(marked, Frequency.MONTHLY)] == ["A", "B"]
+
+    def test_shuffled_rows_ingest_to_the_same_corpus(self, tmp_path):
+        corpus = generate_corpus(
+            [ArchetypeSpec.from_kind(p, kind, length=n) for p, kind, n in
+             [("a", "seasonality", 40), ("b", "high_variance", 30), ("c", "seasonality_trend", 13)]],
+            seed=3,
+        )
+        path, shuffled = tmp_path / "sales.csv", tmp_path / "shuffled.csv"
+        write_sales_csv(path, corpus)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        np.random.default_rng(0).shuffle(rows)
+        shuffled.write_text(header + "".join(rows))
+        for a, b in zip(load_sales_csv(path, Frequency.MONTHLY), load_sales_csv(shuffled, Frequency.MONTHLY), strict=True):
+            assert (a.product_id, a.start, a.values.tobytes()) == (b.product_id, b.start, b.values.tobytes())
 
 
 class TestReadCsvRows:

@@ -24,7 +24,7 @@ from autocast.pipeline import (
     run_pipeline,
     run_validation,
 )
-from autocast.series import Frequency, split_holdout
+from autocast.series import Frequency, Period, SalesSeries, split_holdout
 from autocast.synth import ArchetypeSpec, generate_corpus
 
 from helpers import monthly_series, seasonal_values
@@ -604,6 +604,47 @@ class TestFanOut:
         monkeypatch.setattr(pipeline, "train_shared_cnn", counted)
         finalize_and_forecast([prod], report, config)
         assert calls == []
+
+
+class TestContentOrder:
+    """Both pooled models stack their rows by product content, so ids do not steer them."""
+
+    @staticmethod
+    def outcomes(corpus, rename=lambda product_id: product_id, shift=0):
+        """Per product: validation scores, skips, recommendations, flags and forecast bytes, ids mapped by rename."""
+        report, bundle = run_pipeline(corpus, PipelineConfig(seed=3))
+        outcomes = {}
+        for validation in report.products:
+            entry = bundle.product(validation.product_id)
+            forecasts = {f.model_id: (f.start.index - shift, f.values.tobytes()) for f in entry.forecasts}
+            outcomes[rename(validation.product_id)] = (
+                validation.scores, validation.skipped, validation.recommended, validation.flags,
+                entry.recommended, entry.flags, forecasts,
+            )
+        return outcomes
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        specs = [("a", "seasonality", 96), ("b", "seasonality_trend", 72), ("c", "high_variance", 60),
+                 ("d", "seasonality", 30), ("e", "seasonality_trend", 11)]
+        return generate_corpus([ArchetypeSpec.from_kind(p, kind, length=n) for p, kind, n in specs], seed=3)
+
+    @pytest.fixture(scope="class")
+    def original(self, corpus):
+        return self.outcomes(corpus)
+
+    def test_reversing_the_id_order_moves_nothing(self, corpus, original):
+        swap = {"a": "e", "b": "d", "c": "c", "d": "b", "e": "a"}
+        renamed = [SalesSeries(swap[s.product_id], s.frequency, s.start, s.values) for s in corpus]
+        assert self.outcomes(renamed, rename=swap.get) == original
+
+    @pytest.mark.parametrize("shift", [1, 12])
+    def test_shifting_every_start_moves_nothing(self, corpus, original, shift):
+        shifted = [
+            SalesSeries(s.product_id, s.frequency, Period(s.frequency, s.start.index + shift), s.values)
+            for s in corpus
+        ]
+        assert self.outcomes(shifted, shift=shift) == original
 
 
 class TestValidationReportAccessors:

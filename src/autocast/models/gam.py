@@ -1,65 +1,52 @@
 """Additive model over deterministic time features, fit with the lasso.
 
-The design is intercept + linear trend + normalized exponential trend +
-Fourier seasonality + a cubic spline block
-(t^2, t^3, and one truncated cube per interior knot). Coefficients are read
-off the exact lasso path (``lasso_path``); the penalty weight is picked on the
-last 20% of rows.
+A design row for time offset t (0 = first training period) of a series
+with n training periods and m periods a year has, in this order:
+
+- column 0: intercept, 1;
+- column 1: linear trend, t;
+- column 2: normalized exponential trend, exp(t / n) - 1;
+- columns 3 .. 2 + 2K: Fourier seasonality, sin(2 pi k t / m) then
+  cos(2 pi k t / m) for k = 1 .. K, with K = `FOURIER_ORDER` of the
+  frequency (3 monthly, 10 weekly);
+- the cubic spline block on u = t / (n - 1): u^2, u^3, and one truncated
+  cube (u - knot)^3_+ per interior knot in `KNOTS`.
+
+`seasonal_columns` is the Fourier slice, which `decompose` splits off as
+the seasonal part. The penalty weight is picked by `select_lambda` on the
+last 20% of rows, and the coefficients are read off the exact lasso path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..series import SalesSeries
+from ..series import Frequency, SalesSeries
 from .base import BaseForecaster, ModelId
-from .lasso import default_lambda_grid, lasso_path, select_lambda
+from .lasso import lasso_path, select_lambda
 
-N_SPLINE_KNOTS = 5
-
-
-@dataclass(frozen=True)
-class GamDesign:
-    """Fitted design description: enough to rebuild rows for any t."""
-
-    n_train: int
-    season_length: int
-    fourier_order: int
-    knots: tuple
-    beta: tuple            # coefficients on the raw (unstandardized) columns
-    column_names: tuple
-    lam: float
+KNOTS = tuple((i + 1) / 6 for i in range(5))
+FOURIER_ORDER = {Frequency.MONTHLY: 3, Frequency.WEEKLY: 10}
 
 
-def _column_names(fourier_order: int, n_knots: int) -> tuple:
-    names = ["intercept", "trend_linear", "trend_exp"]
-    for k in range(1, fourier_order + 1):
-        names += [f"fourier_sin{k}", f"fourier_cos{k}"]
-    names += ["spline_t2", "spline_t3"]
-    names += [f"spline_knot{i}" for i in range(n_knots)]
-    return tuple(names)
+def seasonal_columns(frequency: Frequency) -> slice:
+    """The Fourier columns: right after the intercept and the two trends."""
+    return slice(3, 3 + 2 * FOURIER_ORDER[frequency])
 
 
-def build_design_rows(
-    t_values,
-    n_train: int,
-    season_length: int,
-    fourier_order: int,
-    knots,
-) -> np.ndarray:
+def build_design_rows(t_values, n_train: int, frequency: Frequency) -> np.ndarray:
     """Raw design rows for the given integer time offsets (0 = train start)."""
     t = np.asarray(t_values, dtype=float)
+    m = frequency.periods_per_year
     cols = [np.ones_like(t), t, np.exp(t / n_train) - 1.0]
-    for k in range(1, fourier_order + 1):
-        angle = 2.0 * np.pi * k * t / season_length
+    for k in range(1, FOURIER_ORDER[frequency] + 1):
+        angle = 2.0 * np.pi * k * t / m
         cols.append(np.sin(angle))
         cols.append(np.cos(angle))
     # spline block scaled to the training range so cubes stay O(1)
     u = t / max(n_train - 1, 1)
     cols.append(u**2)
     cols.append(u**3)
-    for knot in knots:
+    for knot in KNOTS:
         shifted = u - knot
         cols.append(np.where(shifted > 0, shifted**3, 0.0))
     design = np.column_stack(cols)
@@ -78,87 +65,38 @@ def _standardize(design):
     return (design - means) / stds, means, stds
 
 
-def _destandardize(beta_std, means, stds):
-    beta = beta_std / stds
-    beta[0] = beta_std[0] - float((beta_std[1:] * means[1:] / stds[1:]).sum())
-    return beta
-
-
-def fit_gam(
-    train: SalesSeries,
-    lambda_grid=None,
-) -> GamDesign:
-    """Fit on the training rows; lambda is picked from lambda_grid, by default `default_lambda_grid`.
-
-    The pipeline always takes the default. A one-entry grid fixes lambda:
-    select_lambda returns it unscored.
-    """
-    n = len(train)
-    if n < 12:
-        raise ValueError(f"fit needs at least 12 points, got {n}")
-    m = train.frequency.periods_per_year
-    fourier_order = train.frequency.default_fourier_order
-    knots = tuple((i + 1) / (N_SPLINE_KNOTS + 1) for i in range(N_SPLINE_KNOTS))
-    design = build_design_rows(np.arange(n), n, m, fourier_order, knots)
-    std_design, means, stds = _standardize(design)
-    y = train.values
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(std_design, y)
-    lam = select_lambda(std_design, y, lambda_grid)
-    beta_std = lasso_path(std_design, y, [float(lam)])[0]
-    beta = _destandardize(beta_std, means, stds)
-    return GamDesign(
-        n_train=n,
-        season_length=m,
-        fourier_order=fourier_order,
-        knots=knots,
-        beta=tuple(float(b) for b in beta),
-        column_names=_column_names(fourier_order, N_SPLINE_KNOTS),
-        lam=float(lam),
-    )
-
-
-def gam_predict(design: GamDesign, t_values) -> np.ndarray:
-    rows = build_design_rows(
-        t_values,
-        design.n_train,
-        design.season_length,
-        design.fourier_order,
-        design.knots,
-    )
-    return rows @ np.array(design.beta)
-
-
-def gam_decompose(design: GamDesign, t_values) -> dict:
-    """Split the fitted value into trend and seasonal paths on the raw scale."""
-    rows = build_design_rows(
-        t_values,
-        design.n_train,
-        design.season_length,
-        design.fourier_order,
-        design.knots,
-    )
-    beta = np.array(design.beta)
-    seasonal = np.array([name.startswith("fourier_") for name in design.column_names])
-    return {
-        "trend": rows[:, ~seasonal] @ beta[~seasonal],
-        "seasonal": rows[:, seasonal] @ beta[seasonal],
-    }
-
-
 class GamForecaster(BaseForecaster):
-    """`fit_gam` at the default lambda grid, forecast past the training end."""
+    """Trend + Fourier + spline fit on the training rows, forecast past the training end.
+
+    ``beta_`` holds the coefficients on the raw (unstandardized) columns.
+    """
 
     model_id = ModelId.GAM
 
     def _fit(self, series: SalesSeries) -> None:
-        self.design_ = fit_gam(series)
+        n = len(series)
+        if n < 12:
+            raise ValueError(f"fit needs at least 12 points, got {n}")
+        std_design, means, stds = _standardize(build_design_rows(np.arange(n), n, series.frequency))
+        y = series.values
+        beta_std = lasso_path(std_design, y, [select_lambda(std_design, y)])[0]
+        self.beta_ = beta_std / stds
+        self.beta_[0] = beta_std[0] - float((beta_std[1:] * means[1:] / stds[1:]).sum())
+
+    def _rows(self, t_values) -> np.ndarray:
+        return build_design_rows(t_values, len(self.train_), self.train_.frequency)
 
     def _path(self, horizon: int) -> np.ndarray:
-        n = self.design_.n_train
-        return gam_predict(self.design_, np.arange(n, n + horizon))
+        n = len(self.train_)
+        return self._rows(np.arange(n, n + horizon)) @ self.beta_
 
     def decompose(self) -> dict:
         """Trend and seasonal paths over the training window."""
         self._check_fitted()
-        return gam_decompose(self.design_, np.arange(self.design_.n_train))
+        rows = self._rows(np.arange(len(self.train_)))
+        seasonal = np.zeros(len(self.beta_), dtype=bool)
+        seasonal[seasonal_columns(self.train_.frequency)] = True
+        return {
+            "trend": rows[:, ~seasonal] @ self.beta_[~seasonal],
+            "seasonal": rows[:, seasonal] @ self.beta_[seasonal],
+        }

@@ -282,23 +282,25 @@ def lambda_max(design, target) -> float:
     return _first_kink(rho, live)
 
 
-def default_lambda_grid(design, target, points: int = 10) -> np.ndarray:
+def default_lambda_grid(design, target) -> np.ndarray:
     """10-point log grid from lambda_max down four decades."""
     top = lambda_max(design, target)
     if top <= 0:
         top = 1.0
-    return np.geomspace(top, top * 1e-4, points)
+    return np.geomspace(top, top * 1e-4, 10)
 
 
-def select_lambda(design, target, grid=None) -> float:
-    """Pick lambda by squared error on the last 20% of rows (time-ordered)."""
+def select_lambda(design, target) -> float:
+    """The `default_lambda_grid` point with the least squared error on the last 20% of rows (time-ordered).
+
+    Each grid point is fit on the first 80% of rows. An error counts as
+    lower only when it is below the best so far by a relative 1e-12, so
+    ties, and errors that differ by rounding, go to the larger lambda (the
+    sparser model) whatever the unit of the target.
+    """
     M = np.asarray(design, dtype=float)
     y = np.asarray(target, dtype=float)
-    if grid is None:
-        grid = default_lambda_grid(M, y)
-    lams = sorted((float(lam) for lam in grid), reverse=True)
-    if len(lams) == 1:
-        return lams[0]
+    lams = default_lambda_grid(M, y).tolist()
     n = len(y)
     cut = max(1, int(round(n * 0.8)))
     if cut >= n:
@@ -308,8 +310,7 @@ def select_lambda(design, target, grid=None) -> float:
     best_lam = lams[0]
     best_err = np.inf
     for lam, err in zip(lams, errors):
-        # ties favor the larger lambda, i.e. the sparser model
-        if err < best_err - 1e-12:
+        if err < best_err * (1 - 1e-12):
             best_err = float(err)
             best_lam = lam
     return best_lam

@@ -64,7 +64,7 @@ class PipelineConfig:
 
     The pipeline fixes the rest itself: a full-history product holds back
     one year, the median ensemble combines whichever of `MEMBERS` ran, and
-    the GAM picks its lasso penalty from `default_lambda_grid`.
+    the GAM's design and lasso penalty are its own (`models/gam.py`).
     """
 
     frequency: Frequency = Frequency.MONTHLY

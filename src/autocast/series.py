@@ -36,11 +36,6 @@ class Frequency(str, Enum):
         return 18 if self is Frequency.MONTHLY else 78
 
     @property
-    def default_fourier_order(self) -> int:
-        """Fourier order for the additive decomposition model."""
-        return 3 if self is Frequency.MONTHLY else 10
-
-    @property
     def default_input_window(self) -> int:
         """Input window of the shared convolutional net: two years."""
         return 2 * self.periods_per_year

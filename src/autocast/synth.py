@@ -214,7 +214,6 @@ def generate_corpus(
     specs: list[ArchetypeSpec],
     seed: int,
     frequency: Frequency = Frequency.MONTHLY,
-    start: Period | None = None,
 ) -> list[SalesSeries]:
     """Generate all products of a corpus, reproducibly per (seed, product id)."""
     seen = set()
@@ -226,7 +225,7 @@ def generate_corpus(
     for spec in specs:
         if spec.seed is None:
             spec = replace(spec, seed=derive_product_seed(seed, spec.product_id))
-        corpus.append(generate_product(spec, frequency, start))
+        corpus.append(generate_product(spec, frequency))
     return corpus
 
 

@@ -2,46 +2,42 @@ import numpy as np
 import pytest
 
 from autocast.models.gam import (
-    N_SPLINE_KNOTS,
     GamForecaster,
     _standardize,
     build_design_rows,
-    fit_gam,
-    gam_decompose,
-    gam_predict,
+    seasonal_columns,
 )
 import autocast.models.lasso as lasso_module
 from autocast.models.lasso import default_lambda_grid, lasso_path
+from autocast.series import Frequency
 
 from helpers import kkt_violation, monthly_series, seasonal_values, weekly_series
 
 
 class TestDesignMatrix:
-    def test_column_count_monthly(self):
+    @pytest.mark.parametrize("frequency, order", [(Frequency.MONTHLY, 3), (Frequency.WEEKLY, 10)])
+    def test_seasonal_slice_is_exactly_the_fourier_columns(self, frequency, order):
+        n = 60
+        t = np.arange(n)
+        rows = build_design_rows(t, n, frequency)
         # intercept + 2 trends + 2K Fourier + (2 + knots) spline
-        design = fit_gam(monthly_series(np.arange(24.0) + 1), lambda_grid=(0.0,))
-        assert len(design.column_names) == len(design.beta) == 1 + 2 + 2 * 3 + 2 + 5
-        assert design.column_names[0] == "intercept"
-        assert design.fourier_order == 3
-
-    def test_column_count_weekly(self):
-        design = fit_gam(weekly_series(np.arange(60.0) + 1), lambda_grid=(0.0,))
-        assert design.fourier_order == 10
-        assert len(design.column_names) == len(design.beta) == 1 + 2 + 2 * 10 + 2 + 5
+        assert rows.shape == (n, 1 + 2 + 2 * order + 2 + 5)
+        angles = [2.0 * np.pi * k * t / frequency.periods_per_year for k in range(1, order + 1)]
+        fourier = np.column_stack([f(a) for a in angles for f in (np.sin, np.cos)])
+        np.testing.assert_array_equal(rows[:, seasonal_columns(frequency)], fourier)
 
     def test_non_finite_design_names_column(self):
         t = np.arange(10.0)
         t[3] = np.nan
         # the time offset fills the linear-trend column, index 1
         with pytest.raises(ValueError, match="column 1"):
-            build_design_rows(t, 10, 12, 3, (0.5,))
+            build_design_rows(t, 10, Frequency.MONTHLY)
 
 
-class TestFitGam:
+class TestFit:
     def test_exact_linear_recovery_at_lambda_zero(self):
         y = 3.0 + 2.0 * np.arange(36)
-        design = fit_gam(monthly_series(y), lambda_grid=(0.0,))
-        beta = np.array(design.beta)
+        beta = lasso_path(build_design_rows(np.arange(36), 36, Frequency.MONTHLY), y, [0.0])[0]
         assert beta[0] == pytest.approx(3.0, abs=1e-6)
         assert beta[1] == pytest.approx(2.0, abs=1e-6)
         assert np.max(np.abs(beta[2:])) < 1e-6
@@ -49,8 +45,7 @@ class TestFitGam:
     def test_cosine_seasonality_recovered(self):
         t = np.arange(48)
         y = 1000.0 + 200.0 * np.cos(2.0 * np.pi * t / 12.0)
-        design = fit_gam(monthly_series(y))
-        seasonal = gam_decompose(design, t)["seasonal"]
+        seasonal = GamForecaster().fit(monthly_series(y)).decompose()["seasonal"]
         truth = 200.0 * np.cos(2.0 * np.pi * t / 12.0)
         a = seasonal - seasonal.mean()
         b = truth - truth.mean()
@@ -60,26 +55,19 @@ class TestFitGam:
     def test_huge_lambda_collapses_to_training_mean(self):
         t = np.arange(48)
         y = 1000.0 + 200.0 * np.cos(2.0 * np.pi * t / 12.0)
-        design = fit_gam(monthly_series(y), lambda_grid=(1e9,))
-        assert design.lam == 1e9
-        forecast = gam_predict(design, np.arange(48, 66))
+        beta = lasso_path(build_design_rows(t, 48, Frequency.MONTHLY), y, [1e9])[0]
+        forecast = build_design_rows(np.arange(48, 66), 48, Frequency.MONTHLY) @ beta
         assert np.allclose(forecast, y.mean(), atol=1e-6)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="12"):
-            fit_gam(monthly_series(np.arange(11.0) + 1))
-
-    def test_lambda_selected_from_grid_when_unset(self):
-        y = 100.0 + 10.0 * np.sin(2 * np.pi * np.arange(36) / 12)
-        design = fit_gam(monthly_series(y), lambda_grid=np.array([0.5, 0.05]))
-        assert design.lam in (0.5, 0.05)
+            GamForecaster().fit(monthly_series(np.arange(11.0) + 1))
 
 
 class TestLassoOnGamDesign:
     @staticmethod
     def standardized_design(n):
-        knots = tuple((i + 1) / (N_SPLINE_KNOTS + 1) for i in range(N_SPLINE_KNOTS))
-        return _standardize(build_design_rows(np.arange(n), n, 12, 3, knots))[0]
+        return _standardize(build_design_rows(np.arange(n), n, Frequency.MONTHLY))[0]
 
     @pytest.mark.parametrize("n", [96, 12])
     def test_optimal_at_smallest_grid_lambda(self, n):
@@ -125,15 +113,19 @@ class TestDecomposition:
         model = GamForecaster().fit(series)
         parts = model.decompose()
         assert set(parts) == {"trend", "seasonal"}
-        fitted = gam_predict(model.design_, t)
+        fitted = build_design_rows(t, 48, Frequency.MONTHLY) @ model.beta_
         assert np.allclose(parts["trend"] + parts["seasonal"], fitted, atol=1e-8)
 
     def test_seasonal_part_is_pure_fourier(self):
         y = 1000.0 + 200.0 * np.cos(2 * np.pi * np.arange(48) / 12.0)
-        design = fit_gam(monthly_series(y))
-        seasonal = gam_decompose(design, np.arange(48))["seasonal"]
+        seasonal = GamForecaster().fit(monthly_series(y)).decompose()["seasonal"]
         # the Fourier block repeats with the season
         assert np.allclose(seasonal[:12], seasonal[12:24], atol=1e-9)
+
+    def test_weekly_seasonal_part_repeats_yearly(self):
+        y = seasonal_values(120, m=52, level=500.0, amplitude=120.0, slope=2.0, noise=10.0, seed=3)
+        seasonal = GamForecaster().fit(weekly_series(y)).decompose()["seasonal"]
+        assert np.allclose(seasonal[:52], seasonal[52:104], atol=1e-9)
 
 
 class TestGamForecaster:
@@ -155,5 +147,6 @@ class TestGamForecaster:
         # steep negative trend forces the raw extrapolation negative
         y = np.maximum(100.0 - 5.0 * np.arange(24), 0)
         model = GamForecaster().fit(monthly_series(y))
-        assert np.any(gam_predict(model.design_, np.arange(24, 42)) < 0)
+        raw = build_design_rows(np.arange(24, 42), 24, Frequency.MONTHLY) @ model.beta_
+        assert np.any(raw < 0)
         assert np.all(model.forecast(18).values >= 0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from autocast.models import lasso
-from autocast.models.gam import N_SPLINE_KNOTS, _standardize, build_design_rows
+from autocast.models.gam import _standardize, build_design_rows
 from autocast.models.lasso import (
     default_lambda_grid,
     lambda_max,
@@ -11,6 +11,7 @@ from autocast.models.lasso import (
     select_lambda,
     soft_threshold,
 )
+from autocast.series import Frequency
 
 from helpers import kkt_violation, seasonal_values
 from oracles import lasso_objective, lasso_path_refactoring
@@ -220,8 +221,7 @@ def assert_matches_refactoring_path(M, y, grid):
 
 def gam_system(n):
     """A standardized monthly GAM design on n rows and a seasonal trending target."""
-    knots = tuple((i + 1) / (N_SPLINE_KNOTS + 1) for i in range(N_SPLINE_KNOTS))
-    M = _standardize(build_design_rows(np.arange(n), n, 12, 3, knots))[0]
+    M = _standardize(build_design_rows(np.arange(n), n, Frequency.MONTHLY))[0]
     y = seasonal_values(n, level=500.0, amplitude=120.0, slope=3.0, noise=40.0, seed=n)
     return M, y
 
@@ -299,8 +299,7 @@ class TestLambdaSelection:
     def test_selection_returns_grid_member(self):
         rng = np.random.default_rng(6)
         M, y = random_system(rng)
-        grid = default_lambda_grid(M, y)
-        assert select_lambda(M, y, grid) in grid
+        assert select_lambda(M, y) in default_lambda_grid(M, y)
 
     def test_selection_matches_coordinate_descent_reference(self):
         rng = np.random.default_rng(17)
@@ -312,9 +311,20 @@ class TestLambdaSelection:
                 np.mean((y[cut:] - M[cut:] @ lasso_coordinate_descent(M[:cut], y[:cut], lam)) ** 2)
                 for lam in grid
             ]
-            assert select_lambda(M, y, grid) == grid[int(np.argmin(errors))]
+            assert select_lambda(M, y) == grid[int(np.argmin(errors))]
 
     def test_selection_deterministic(self):
         rng = np.random.default_rng(7)
         M, y = random_system(rng)
         assert select_lambda(M, y) == select_lambda(M, y)
+
+    @pytest.mark.parametrize("n", [24, 36, 48, 72, 96])
+    def test_selection_does_not_depend_on_the_unit_of_sales(self, n):
+        # a power-of-two rescale scales the grid and every error exactly, so
+        # the same grid point must win at y and at y * 2^-30
+        M, y = gam_system(n)
+        picks = []
+        for scale in (1.0, 2.0**-30):
+            grid = default_lambda_grid(M, y * scale)
+            picks.append(int(np.flatnonzero(grid == select_lambda(M, y * scale))[0]))
+        assert picks[0] == picks[1]

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from .errors import AutocastError, ConfigError, IngestError
 from .evaluation import summarize, write_evaluation
-from .export import export_bundle, make_output_dir, read_export_dir, write_summary_json, write_validation_csv
+from .export import export_bundle, make_output_dir, read_export_dir, summary_payload, write_summary_json, write_validation_csv
 from .ingest import load_sales_csv, write_sales_csv
 from .pipeline import PipelineConfig, parse_config, run_pipeline, run_validation
 from .series import Frequency
@@ -38,17 +38,12 @@ def _load_corpus(path, frequency: Frequency):
     return corpus
 
 
-def _print_report_summary(report):
-    counts = {}
-    for product in report.products:
-        counts[product.validity.value] = counts.get(product.validity.value, 0) + 1
-    total = len(report.products)
-    parts = ", ".join(f"{count} {name}" for name, count in sorted(counts.items()))
-    print(f"validated {total} products ({parts})")
-    histogram = {}
-    for product in report.products:
-        if product.recommended is not None:
-            histogram[product.recommended] = histogram.get(product.recommended, 0) + 1
+def _print_report_summary(report, config: PipelineConfig):
+    payload = summary_payload(report, None, config)
+    counts = payload["products"]
+    parts = ", ".join(f"{count} {name}" for name, count in sorted(counts.items()) if name != "total" and count)
+    print(f"validated {counts['total']} products ({parts})")
+    histogram = payload["recommendation_histogram"]
     for model_id, count in sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0])):
         print(f"  recommended {model_id}: {count}")
 
@@ -60,7 +55,7 @@ def cmd_validate(args) -> int:
     out = make_output_dir(args.out)
     write_validation_csv(report, out / "validation.csv")
     write_summary_json(report, None, config, out / "summary.json")
-    _print_report_summary(report)
+    _print_report_summary(report, config)
     print(f"wrote {out / 'validation.csv'} and {out / 'summary.json'}")
     return 0
 
@@ -70,7 +65,7 @@ def cmd_forecast(args) -> int:
     corpus = _load_corpus(args.input, config.frequency)
     report, bundle = run_pipeline(corpus, config)
     written = export_bundle(bundle, report, args.out, config)
-    _print_report_summary(report)
+    _print_report_summary(report, config)
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 

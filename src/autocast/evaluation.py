@@ -76,12 +76,12 @@ def _normal_tail(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def wilcoxon_signed_rank(diffs, alternative: str = "two-sided", exact_limit: int = EXACT_LIMIT):
+def wilcoxon_signed_rank(diffs, alternative: str = "two-sided"):
     """Signed-rank test on paired differences; returns (W, p).
 
     W is the sum of the ranks of the positive differences, with mid-ranks
     for tied magnitudes and zero differences dropped. The p-value is exact
-    (all sign assignments) up to `exact_limit` nonzero differences, then a
+    (all sign assignments) up to EXACT_LIMIT nonzero differences, then a
     normal approximation with tie and continuity corrections.
     """
     if alternative not in _ALTERNATIVES:
@@ -96,7 +96,7 @@ def wilcoxon_signed_rank(diffs, alternative: str = "two-sided", exact_limit: int
     ranks = _midranks([abs(x) for x in d])
     w_plus = sum(r for x, r in zip(d, ranks) if x > 0)
 
-    if n <= exact_limit:
+    if n <= EXACT_LIMIT:
         # mid-ranks are exact halves, so doubling makes every sum an integer
         int_ranks = [int(round(2 * r)) for r in ranks]
         w2_obs = int(round(2 * w_plus))

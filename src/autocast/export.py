@@ -78,7 +78,8 @@ def write_validation_csv(report: ValidationReport, path) -> Path:
     return path
 
 
-def _summary_payload(report: ValidationReport, bundle: ForecastBundle | None, config: PipelineConfig) -> dict:
+def summary_payload(report: ValidationReport, bundle: ForecastBundle | None, config: PipelineConfig) -> dict:
+    """The run summary that `write_summary_json` writes and the CLI prints from."""
     validity_counts = {v.value: 0 for v in Validity}
     histogram = {}
     exclusions = []
@@ -118,7 +119,7 @@ def _summary_payload(report: ValidationReport, bundle: ForecastBundle | None, co
 
 def write_summary_json(report: ValidationReport, bundle: ForecastBundle | None, config: PipelineConfig, path) -> Path:
     path = Path(path)
-    payload = _summary_payload(report, bundle, config)
+    payload = summary_payload(report, bundle, config)
     with open_for_write(path) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

@@ -1,17 +1,23 @@
-"""Sales record ingestion: raw (product, date, quantity) rows to SalesSeries.
+"""Sales CSV files in and out: `product_id,date,quantity` rows to SalesSeries and back.
 
-Quantities are summed into their containing period, interior gaps become
-explicit zeros, and per-period sums that end up negative (returns exceeding
-sales) are floored at zero.
+The module reads and writes CSV files and holds no policy: which series
+the pipeline runs, and how much of each it holds out, is `pipeline`'s
+rule. `Validity` only names the classes that rule assigns; it is defined
+here, the lowest layer, so that export and the pipeline share it.
+
+Reading sums quantities into their containing period, makes interior gaps
+explicit zeros, and floors per-period sums that end up negative (returns
+exceeding sales) at zero.
 
 The package's one CSV row reader (`read_csv_rows`) and one output-file
-opener (`open_for_write`) live here, the lowest layer, so that export and
-evaluation share them without an import cycle.
+opener (`open_for_write`) live here too, so that export and evaluation
+share them without an import cycle.
 """
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from enum import Enum
 from pathlib import Path
 
@@ -29,77 +35,6 @@ class Validity(Enum):
     FULL_PIPELINE = "full_pipeline"
     SHORT_HISTORY = "short_history"
     EXCLUDED = "excluded"
-
-
-def check_validity(series: SalesSeries) -> Validity:
-    """Classify a series: excluded under one year, short under two."""
-    year = series.frequency.periods_per_year
-    if len(series) < year:
-        return Validity.EXCLUDED
-    if len(series) < 2 * year:
-        return Validity.SHORT_HISTORY
-    return Validity.FULL_PIPELINE
-
-
-def _coerce_date(value, row_label: str) -> dt.date:
-    if isinstance(value, dt.datetime):
-        return value.date()
-    if isinstance(value, dt.date):
-        return value
-    try:
-        return dt.date.fromisoformat(str(value).strip())
-    except ValueError as exc:
-        raise IngestError(f"{row_label}: invalid ISO date {value!r}") from exc
-
-
-def ingest_sales(records, frequency: Frequency) -> list[SalesSeries]:
-    """Aggregate raw (product_id, date, quantity) records into series.
-
-    Records may arrive in any order; the result is sorted by product id.
-    Dates may be ISO-8601 strings or date objects. An empty input yields an
-    empty list. Malformed rows raise IngestError naming the offending row,
-    and a period whose quantities sum past the float range raises one naming
-    the product and period.
-    """
-    totals: dict[str, dict[int, float]] = {}
-    for i, record in enumerate(records):
-        row_label = f"record {i + 1}"
-        try:
-            product_id, date_value, quantity = record
-        except (TypeError, ValueError) as exc:
-            raise IngestError(f"{row_label}: expected (product_id, date, quantity)") from exc
-        product_id = str(product_id)
-        if not product_id:
-            raise IngestError(f"{row_label}: empty product_id")
-        day = _coerce_date(date_value, row_label)
-        try:
-            qty = float(quantity)
-        except (TypeError, ValueError) as exc:
-            raise IngestError(f"{row_label}: invalid quantity {quantity!r}") from exc
-        if not np.isfinite(qty):
-            raise IngestError(f"{row_label}: non-finite quantity {quantity!r}")
-        try:
-            period = Period.from_date(frequency, day)
-        except ValueError as exc:
-            raise IngestError(f"{row_label}: {exc}") from exc
-        totals.setdefault(product_id, {})[period.index] = (
-            totals.get(product_id, {}).get(period.index, 0.0) + qty
-        )
-
-    result = []
-    for product_id in sorted(totals):
-        by_period = totals[product_id]
-        first, last = min(by_period), max(by_period)
-        values = np.zeros(last - first + 1)
-        for index, total in by_period.items():
-            if not np.isfinite(total):
-                label = Period(frequency, index).label()
-                raise IngestError(f"product {product_id!r}, period {label}: quantities sum beyond float range")
-            values[index - first] = max(0.0, total)
-        result.append(
-            SalesSeries(product_id, frequency, Period(frequency, first), values)
-        )
-    return result
 
 
 def read_csv_rows(path, header: list, error: type) -> list:
@@ -131,23 +66,50 @@ def read_csv_rows(path, header: list, error: type) -> list:
     return rows
 
 
-def read_sales_csv(path) -> list[tuple[str, dt.date, float]]:
-    """Read raw records from a `product_id,date,quantity` CSV file."""
-    records = []
+def load_sales_csv(path, frequency: Frequency) -> list[SalesSeries]:
+    """Series summed from a `product_id,date,quantity` CSV file, sorted by product id.
+
+    Rows may come in any order; a file with a header and no rows yields an
+    empty list. A row with an empty product id, a date that is not ISO-8601
+    or lies before the period epoch, or a quantity that is not a finite
+    number raises IngestError naming `<path> line <n>`, and a period whose
+    quantities sum past the float range raises one naming the product and
+    period.
+    """
+    totals: dict[str, dict[int, float]] = {}
     for line_no, (product_id, date_text, quantity) in read_csv_rows(path, CSV_HEADER, IngestError):
-        row_label = f"{path} line {line_no}"
-        day = _coerce_date(date_text, row_label)
+        where = f"{path} line {line_no}"
+        if not product_id:
+            raise IngestError(f"{where}: empty product_id")
+        try:
+            day = dt.date.fromisoformat(date_text.strip())
+        except ValueError as exc:
+            raise IngestError(f"{where}: invalid ISO date {date_text!r}") from exc
         try:
             qty = float(quantity)
         except ValueError as exc:
-            raise IngestError(f"{row_label}: invalid quantity {quantity!r}") from exc
-        records.append((product_id, day, qty))
-    return records
+            raise IngestError(f"{where}: invalid quantity {quantity!r}") from exc
+        if not math.isfinite(qty):
+            raise IngestError(f"{where}: non-finite quantity {quantity!r}")
+        try:
+            index = Period.from_date(frequency, day).index
+        except ValueError as exc:
+            raise IngestError(f"{where}: {exc}") from exc
+        by_period = totals.setdefault(product_id, {})
+        by_period[index] = by_period.get(index, 0.0) + qty
 
-
-def load_sales_csv(path, frequency: Frequency) -> list[SalesSeries]:
-    """Read and aggregate a sales CSV in one step."""
-    return ingest_sales(read_sales_csv(path), frequency)
+    result = []
+    for product_id in sorted(totals):
+        by_period = totals[product_id]
+        first, last = min(by_period), max(by_period)
+        values = np.zeros(last - first + 1)
+        for index, total in by_period.items():
+            if not math.isfinite(total):
+                label = Period(frequency, index).label()
+                raise IngestError(f"product {product_id!r}, period {label}: quantities sum beyond float range")
+            values[index - first] = max(0.0, total)
+        result.append(SalesSeries(product_id, frequency, Period(frequency, first), values))
+    return result
 
 
 def open_for_write(path):

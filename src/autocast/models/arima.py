@@ -101,12 +101,6 @@ class ArimaOrder:
     def n_params(self) -> int:
         return self.p + self.q + self.P + self.Q
 
-    def label(self) -> str:
-        base = f"({self.p},{self.d},{self.q})"
-        if self.is_seasonal:
-            return f"{base}({self.P},{self.D},{self.Q})[{self.m}]"
-        return base
-
 
 @dataclass(frozen=True)
 class FittedArima:

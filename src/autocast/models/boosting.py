@@ -142,12 +142,11 @@ def _grow(design: _Design, residual, rows, order, xs, slot: int, tree, fitted):
 class GradientBoostedTrees:
     """A forest in heap arrays of shape (trees, SLOTS); see the module docstring."""
 
-    def __init__(self, base_value: float, feature, threshold, value, learning_rate: float):
+    def __init__(self, base_value: float, feature, threshold, value):
         self.base_value = base_value
         self.feature = feature
         self.threshold = threshold
         self.value = value
-        self.learning_rate = learning_rate
         self._roots = SLOTS * np.arange(len(feature))  # flat slot of each root
         self._left = (self._roots[:, None] + 2 * np.arange(SLOTS) + 1).ravel()  # and of each left child
 
@@ -166,11 +165,11 @@ class GradientBoostedTrees:
     def predict_one(self, row) -> float:
         value = self.base_value
         for leaf in self.leaves(row)[0].tolist():
-            value += self.learning_rate * leaf
+            value += LEARNING_RATE * leaf
         return value
 
 
-def fit_boosted_trees(X, y, n_rounds: int = N_ROUNDS, learning_rate: float = LEARNING_RATE) -> GradientBoostedTrees:
+def fit_boosted_trees(X, y, n_rounds: int = N_ROUNDS) -> GradientBoostedTrees:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(y) == 0:
@@ -196,8 +195,8 @@ def fit_boosted_trees(X, y, n_rounds: int = N_ROUNDS, learning_rate: float = LEA
     for t in range(n_rounds):
         residual = y - current
         _grow(design, residual, rows, order, xs, 0, (feature[t], threshold[t], value[t]), fitted)
-        current += learning_rate * fitted
-    return GradientBoostedTrees(base, feature, threshold, value, learning_rate)
+        current += LEARNING_RATE * fitted
+    return GradientBoostedTrees(base, feature, threshold, value)
 
 
 def train_pooled_trees(corpus) -> GradientBoostedTrees:

@@ -44,7 +44,7 @@ import numpy as np
 from .deeplearn.training import CnnForecaster, train_shared_cnn
 from .errors import ConfigError
 from .fanout import run_all
-from .ingest import Validity, check_validity
+from .ingest import Validity
 from .metrics import MetricSet, compute_metric_set
 from .models.arima import ArimaForecaster, fit_arima_pair
 from .models.base import MODEL_PRIORITY, BaseForecaster, ModelId, priority_rank
@@ -374,14 +374,21 @@ def _fit_pair(series: SalesSeries) -> list:
     return runs
 
 
-def _holdout_length(series: SalesSeries, validity: Validity) -> int:
+def _classify(series: SalesSeries) -> tuple[Validity, int]:
+    """(validity, holdout length) of a series, by its history length.
+
+    With m periods a year, a series shorter than m is excluded (holdout 0),
+    and one of 2m or more runs the full pipeline and holds out its final
+    year. In between it has a short history: it holds out all but its first
+    year, but at least MIN_HOLDOUT periods, so one shorter than
+    m + MIN_HOLDOUT trains on less than a year (9-11 points for 12-14 months).
+    """
     year = series.frequency.periods_per_year
-    if validity is Validity.FULL_PIPELINE:
-        return year
-    # a short history holds out all but its first year, but at least MIN_HOLDOUT
-    # periods, so one shorter than year + MIN_HOLDOUT trains on less than a year
-    # (9-11 points for 12-14 months)
-    return max(MIN_HOLDOUT, len(series) - year)
+    if len(series) < year:
+        return Validity.EXCLUDED, 0
+    if len(series) < 2 * year:
+        return Validity.SHORT_HISTORY, max(MIN_HOLDOUT, len(series) - year)
+    return Validity.FULL_PIPELINE, year
 
 
 def _check_corpus(corpus) -> list:
@@ -428,31 +435,28 @@ def run_validation(corpus, config: PipelineConfig | None = None) -> ValidationRe
     ordered = _check_corpus(corpus)
 
     splits = {}
-    validities = {}
     entries = {}
     for series in ordered:
-        validity = check_validity(series)
-        validities[series.product_id] = validity
+        validity, holdout = _classify(series)
         if validity is Validity.EXCLUDED:
             year = series.frequency.periods_per_year
             entries[series.product_id] = ProductValidation(
                 product_id=series.product_id,
                 validity=validity,
-                holdout=0,
+                holdout=holdout,
                 flags=(f"excluded: {len(series)} periods < {year}",),
             )
             continue
-        holdout = _holdout_length(series, validity)
-        splits[series.product_id] = split_holdout(series, holdout)
+        splits[series.product_id] = (validity, *split_holdout(series, holdout))
 
     model_ids = [m for m in MODEL_PRIORITY if m in config.enabled_models and m is not ModelId.ENSEMBLE_MEDIAN]
     stage_runs = _run_stage(
-        [train for train, _ in splits.values()],
-        [(train, model_ids, len(test) + config.horizon, {}) for train, test in splits.values()],
+        [train for _, train, _ in splits.values()],
+        [(train, model_ids, len(test) + config.horizon, {}) for _, train, test in splits.values()],
         config,
     )
-    for (product_id, (train, test)), runs in zip(splits.items(), stage_runs):
-        entries[product_id] = _validate_product(train, test, validities[product_id], runs, config)
+    for (product_id, (validity, train, test)), runs in zip(splits.items(), stage_runs):
+        entries[product_id] = _validate_product(train, test, validity, runs, config)
 
     return ValidationReport(
         frequency=config.frequency,

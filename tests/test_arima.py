@@ -76,10 +76,6 @@ class TestArimaOrder:
         with pytest.raises(ValueError):  # seasonal lags must lie beyond the plain ones
             ArimaOrder(1, 0, 0, P=1, m=MAX_P)
 
-    def test_labels(self):
-        assert ArimaOrder(1, 0, 0).label() == "(1,0,0)"
-        assert ArimaOrder(2, 1, 1, 0, 1, 1, 12).label() == "(2,1,1)(0,1,1)[12]"
-
     def test_param_count(self):
         assert ArimaOrder(2, 1, 1, 1, 0, 1, 12).n_params == 5
         assert ArimaOrder(0, 2, 0).n_params == 0
@@ -317,7 +313,7 @@ class TestStepwiseSearch:
         assert neighbours
         for order in neighbours:
             fit = _fit_candidate(series, order, SEARCH_FTOL)
-            assert fit is None or fit.aicc >= winner.aicc, order.label()
+            assert fit is None or fit.aicc >= winner.aicc, order
 
     def test_pair_fits_few_orders_once_each(self, monkeypatch):
         searched = []
@@ -444,7 +440,7 @@ class TestCssSolver:
                 up[i] += h
                 down[i] -= h
                 numeric[:, i] = (_css_residuals(wc, order, up)[first:] - _css_residuals(wc, order, down)[first:]) / (2 * h)
-            assert np.max(np.abs(jacobian - numeric)) <= 1e-6 * np.max(np.abs(jacobian)), order.label()
+            assert np.max(np.abs(jacobian - numeric)) <= 1e-6 * np.max(np.abs(jacobian)), order
 
     def test_search_and_forced_order_fits_start_at_zero(self, monkeypatch):
         starts = []

@@ -67,8 +67,8 @@ class TestFitBoostedTrees:
 
 
 def single_tree(X, y):
-    """A one-round fit, whose one tree is grown on y minus its mean."""
-    return fit_boosted_trees(X, y, n_rounds=1, learning_rate=1.0)
+    """A one-round fit, whose one tree is grown on y minus its mean at any learning rate."""
+    return fit_boosted_trees(X, y, n_rounds=1)
 
 
 def tree_depth(model, tree=0):
@@ -95,7 +95,7 @@ class TestTreeGrowth:
         X = np.array([[0.0], [0.0], [1.0], [1.0]])
         y = np.array([1.0, 1.0, 9.0, 9.0])
         model = single_tree(X, y)
-        assert list(predict_rows(model, X) - model.base_value) == pytest.approx([-4.0, -4.0, 4.0, 4.0])
+        assert list(model.leaves(X)[:, 0]) == pytest.approx([-4.0, -4.0, 4.0, 4.0])
 
     def test_depth_capped_at_three(self):
         rng = np.random.default_rng(3)
@@ -276,7 +276,7 @@ class TestHeapForest:
         # the clean one-column split of TestTreeGrowth cuts at 0.5
         model = single_tree(np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([1.0, 1.0, 9.0, 9.0]))
         assert model.threshold[0, 0] == 0.5
-        at, above = predict_rows(model, np.array([[0.5], [np.nextafter(0.5, 1.0)]])) - model.base_value
+        at, above = model.leaves(np.array([[0.5], [np.nextafter(0.5, 1.0)]]))[:, 0]
         assert (at, above) == (-4.0, 4.0)
 
     def test_two_valued_column_split(self):

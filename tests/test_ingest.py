@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -10,74 +12,90 @@ from hypothesis import strategies as st
 
 import autocast
 from autocast.errors import ExportError, IngestError
-from autocast.ingest import (
-    Validity,
-    check_validity,
-    ingest_sales,
-    load_sales_csv,
-    read_csv_rows,
-    read_sales_csv,
-    write_sales_csv,
-)
-from autocast.series import Frequency, Period, SalesSeries
+from autocast.ingest import CSV_HEADER, load_sales_csv, read_csv_rows, write_sales_csv
+from autocast.series import Frequency
 from autocast.synth import ArchetypeSpec, generate_corpus
 
 
-def series_of_length(n, frequency=Frequency.MONTHLY):
-    start = Period.parse(frequency, "2020-01" if frequency is Frequency.MONTHLY else "2020-W01")
-    return SalesSeries("X", frequency, start, np.ones(n))
+def sales_text(rows) -> str:
+    """A sales CSV's text: the header, then one line per (product_id, date, quantity) row."""
+    return "".join(f"{','.join(map(str, row))}\n" for row in [CSV_HEADER, *rows])
 
 
-class TestIngestSales:
+def load_rows(rows, frequency=Frequency.MONTHLY):
+    """load_sales_csv on a file holding rows, written into a temporary directory.
+
+    Not tmp_path: Hypothesis rejects function-scoped fixtures under @given.
+    """
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "sales.csv"
+        path.write_text(sales_text(rows), encoding="utf-8")
+        return load_sales_csv(path, frequency)
+
+
+class TestLoadSalesCsv:
     def test_sum_within_period(self):
-        (s,) = ingest_sales([("A", "2023-01-15", 5), ("A", "2023-01-20", 3)], Frequency.MONTHLY)
+        (s,) = load_rows([("A", "2023-01-15", 5), ("A", "2023-01-20", 3)])
         assert s.product_id == "A"
         assert s.start.label() == "2023-01"
         assert list(s.values) == [8.0]
 
     def test_gap_fill(self):
-        (s,) = ingest_sales([("A", "2023-01-01", 5), ("A", "2023-03-01", 2)], Frequency.MONTHLY)
+        (s,) = load_rows([("A", "2023-01-01", 5), ("A", "2023-03-01", 2)])
         assert list(s.values) == [5.0, 0.0, 2.0]
 
     def test_negative_floored_after_summing(self):
-        (s,) = ingest_sales([("A", "2023-01-01", 10), ("A", "2023-01-05", -4)], Frequency.MONTHLY)
+        (s,) = load_rows([("A", "2023-01-01", 10), ("A", "2023-01-05", -4)])
         assert list(s.values) == [6.0]
 
     def test_net_negative_period_floored_at_zero(self):
-        (s,) = ingest_sales([("A", "2023-01-01", 3), ("A", "2023-01-05", -9)], Frequency.MONTHLY)
+        (s,) = load_rows([("A", "2023-01-01", 3), ("A", "2023-01-05", -9)])
         assert list(s.values) == [0.0]
 
     def test_multiple_products_sorted(self):
-        out = ingest_sales(
-            [("B", "2023-01-01", 1), ("A", "2023-01-01", 2)], Frequency.MONTHLY
-        )
+        out = load_rows([("B", "2023-01-01", 1), ("A", "2023-01-01", 2)])
         assert [s.product_id for s in out] == ["A", "B"]
 
-    def test_empty_input(self):
-        assert ingest_sales([], Frequency.MONTHLY) == []
+    def test_header_only_file_yields_no_series(self):
+        assert load_rows([]) == []
 
-    def test_malformed_date_names_record(self):
-        with pytest.raises(IngestError, match="record 2"):
-            ingest_sales([("A", "2023-01-01", 1), ("A", "not-a-date", 2)], Frequency.MONTHLY)
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (",2023-02-01,2", "empty product_id"),
+            ("A,not-a-date,2", "invalid ISO date 'not-a-date'"),
+            ("A,2023-02-01,lots", "invalid quantity 'lots'"),
+            ("A,2023-02-01,nan", "non-finite quantity 'nan'"),
+            ("A,2023-02-01,-inf", "non-finite quantity '-inf'"),
+            ("A,1999-12-31,2", "date 1999-12-31 lies before the monthly epoch"),
+        ],
+    )
+    def test_bad_row_after_a_blank_line_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "sales.csv"
+        path.write_text(f"{sales_text([('A', '2023-01-01', 1)])}\n{row}\n")
+        with pytest.raises(IngestError, match=f"^{re.escape(f'{path} line 4: {message}')}"):
+            load_sales_csv(path, Frequency.MONTHLY)
 
-    def test_non_finite_quantity_rejected(self):
-        with pytest.raises(IngestError):
-            ingest_sales([("A", "2023-01-01", float("nan"))], Frequency.MONTHLY)
+    def test_empty_product_id_names_its_line(self, tmp_path):
+        path = tmp_path / "sales.csv"
+        path.write_text(sales_text([("A", "2023-01-01", 1), ("", "2023-02-01", 2)]))
+        with pytest.raises(IngestError, match=re.escape(f"{path} line 3: empty product_id")):
+            load_sales_csv(path, Frequency.MONTHLY)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_overflowing_period_total_names_product_and_period(self, sign):
-        records = [("A", "2023-01-01", 1), ("a", "2023-02-03", sign * 1e308), ("a", "2023-02-20", sign * 1e308)]
+        rows = [("A", "2023-01-01", 1), ("a", "2023-02-03", sign * 1e308), ("a", "2023-02-20", sign * 1e308)]
         with pytest.raises(IngestError, match="product 'a', period 2023-02"):
-            ingest_sales(records, Frequency.MONTHLY)
+            load_rows(rows)
 
     def test_weekly_periods(self):
-        (s,) = ingest_sales([("A", "2023-01-09", 4), ("A", "2023-01-12", 1)], Frequency.WEEKLY)
+        (s,) = load_rows([("A", "2023-01-09", 4), ("A", "2023-01-12", 1)], Frequency.WEEKLY)
         assert s.frequency is Frequency.WEEKLY
         assert list(s.values) == [5.0]
 
     @given(st.permutations(list(range(6))))
     def test_permutation_invariance(self, order):
-        records = [
+        rows = [
             ("A", "2023-01-05", 4),
             ("A", "2023-02-01", 2),
             ("B", "2023-01-10", 7),
@@ -85,8 +103,8 @@ class TestIngestSales:
             ("B", "2023-03-02", -3),
             ("B", "2023-03-20", 5),
         ]
-        baseline = ingest_sales(records, Frequency.MONTHLY)
-        shuffled = ingest_sales([records[i] for i in order], Frequency.MONTHLY)
+        baseline = load_rows(rows)
+        shuffled = load_rows([rows[i] for i in order])
         assert len(baseline) == len(shuffled)
         for a, b in zip(baseline, shuffled):
             assert a.product_id == b.product_id
@@ -94,27 +112,9 @@ class TestIngestSales:
             assert np.array_equal(a.values, b.values)
 
 
-class TestCheckValidity:
-    def test_monthly_thresholds(self):
-        assert check_validity(series_of_length(11)) is Validity.EXCLUDED
-        assert check_validity(series_of_length(12)) is Validity.SHORT_HISTORY
-        assert check_validity(series_of_length(15)) is Validity.SHORT_HISTORY
-        assert check_validity(series_of_length(23)) is Validity.SHORT_HISTORY
-        assert check_validity(series_of_length(24)) is Validity.FULL_PIPELINE
-
-    def test_weekly_thresholds(self):
-        weekly = Frequency.WEEKLY
-        assert check_validity(series_of_length(51, weekly)) is Validity.EXCLUDED
-        assert check_validity(series_of_length(52, weekly)) is Validity.SHORT_HISTORY
-        assert check_validity(series_of_length(104, weekly)) is Validity.FULL_PIPELINE
-
-
 class TestCsvRoundTrip:
     def test_write_then_read(self, tmp_path):
-        series = ingest_sales(
-            [("A", "2023-01-05", 4.5), ("A", "2023-03-01", 2), ("B", "2023-02-11", 7)],
-            Frequency.MONTHLY,
-        )
+        series = load_rows([("A", "2023-01-05", 4.5), ("A", "2023-03-01", 2), ("B", "2023-02-11", 7)])
         path = tmp_path / "sales.csv"
         write_sales_csv(path, series)
         back = load_sales_csv(path, Frequency.MONTHLY)
@@ -141,7 +141,8 @@ class TestCsvRoundTrip:
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         plain.write_text("product_id,date,quantity\nA,2023-01-05,4.5\nB,2023-02-11,7\n", encoding="utf-8")
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        assert read_sales_csv(marked) == read_sales_csv(plain)
+        for a, b in zip(load_sales_csv(marked, Frequency.MONTHLY), load_sales_csv(plain, Frequency.MONTHLY), strict=True):
+            assert (a.product_id, a.start, a.values.tobytes()) == (b.product_id, b.start, b.values.tobytes())
         assert [s.product_id for s in load_sales_csv(marked, Frequency.MONTHLY)] == ["A", "B"]
 
     def test_shuffled_rows_ingest_to_the_same_corpus(self, tmp_path):

@@ -27,7 +27,7 @@ from autocast.pipeline import (
 from autocast.series import Frequency, Period, SalesSeries, split_holdout
 from autocast.synth import ArchetypeSpec, generate_corpus
 
-from helpers import monthly_series, seasonal_values
+from helpers import monthly_series, seasonal_values, weekly_series
 
 PATTERN = np.array([100, 150, 80, 120, 200, 90, 60, 110, 170, 130, 95, 140], dtype=float)
 CHEAP = ("naive", "ses", "hwes", "gam")
@@ -155,6 +155,30 @@ class TestRecommendModel:
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError, match="no scored models"):
             recommend_model([])
+
+
+class TestClassify:
+    """Validity and holdout length by history length: excluded under a year, short under two."""
+
+    @pytest.mark.parametrize(
+        "n, validity, holdout",
+        [
+            (11, Validity.EXCLUDED, 0),
+            (12, Validity.SHORT_HISTORY, 3),
+            (15, Validity.SHORT_HISTORY, 3),
+            (23, Validity.SHORT_HISTORY, 11),
+            (24, Validity.FULL_PIPELINE, 12),
+        ],
+    )
+    def test_monthly_thresholds(self, n, validity, holdout):
+        assert pipeline._classify(monthly_series(np.ones(n))) == (validity, holdout)
+
+    @pytest.mark.parametrize(
+        "n, validity, holdout",
+        [(51, Validity.EXCLUDED, 0), (52, Validity.SHORT_HISTORY, 3), (104, Validity.FULL_PIPELINE, 52)],
+    )
+    def test_weekly_thresholds(self, n, validity, holdout):
+        assert pipeline._classify(weekly_series(np.ones(n))) == (validity, holdout)
 
 
 class TestRunValidation:

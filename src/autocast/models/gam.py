@@ -5,12 +5,16 @@ with n training periods and m periods a year has, in this order:
 
 - column 0: intercept, 1;
 - column 1: linear trend, t;
-- column 2: normalized exponential trend, exp(t / n) - 1;
-- columns 3 .. 2 + 2K: Fourier seasonality, sin(2 pi k t / m) then
+- columns 2 .. 1 + 2K: Fourier seasonality, sin(2 pi k t / m) then
   cos(2 pi k t / m) for k = 1 .. K, with K = `FOURIER_ORDER` of the
   frequency (3 monthly, 10 weekly);
-- the cubic spline block on u = t / (n - 1): u^2, u^3, and one truncated
-  cube (u - knot)^3_+ per interior knot in `KNOTS`.
+- one hinge max(u - knot, 0) per knot in `KNOTS`, on u = t / (n - 1).
+
+The trend is piecewise linear with a changepoint at each knot, as Prophet's
+is (Taylor & Letham 2018), and the lasso keeps only the changepoints the
+data need. Past the last knot every trend column is affine in t, so a
+forecast beyond the training end extrapolates the final slope linearly
+rather than growing like a power or an exponential.
 
 `seasonal_columns` is the Fourier slice, which `decompose` splits off as
 the seasonal part. The penalty weight is picked by `select_lambda` on the
@@ -29,31 +33,22 @@ FOURIER_ORDER = {Frequency.MONTHLY: 3, Frequency.WEEKLY: 10}
 
 
 def seasonal_columns(frequency: Frequency) -> slice:
-    """The Fourier columns: right after the intercept and the two trends."""
-    return slice(3, 3 + 2 * FOURIER_ORDER[frequency])
+    """The Fourier columns: right after the intercept and the linear trend."""
+    return slice(2, 2 + 2 * FOURIER_ORDER[frequency])
 
 
 def build_design_rows(t_values, n_train: int, frequency: Frequency) -> np.ndarray:
     """Raw design rows for the given integer time offsets (0 = train start)."""
     t = np.asarray(t_values, dtype=float)
     m = frequency.periods_per_year
-    cols = [np.ones_like(t), t, np.exp(t / n_train) - 1.0]
+    cols = [np.ones_like(t), t]
     for k in range(1, FOURIER_ORDER[frequency] + 1):
         angle = 2.0 * np.pi * k * t / m
         cols.append(np.sin(angle))
         cols.append(np.cos(angle))
-    # spline block scaled to the training range so cubes stay O(1)
     u = t / max(n_train - 1, 1)
-    cols.append(u**2)
-    cols.append(u**3)
-    for knot in KNOTS:
-        shifted = u - knot
-        cols.append(np.where(shifted > 0, shifted**3, 0.0))
-    design = np.column_stack(cols)
-    if not np.all(np.isfinite(design)):
-        bad = int(np.argwhere(~np.isfinite(design))[0][1])
-        raise ValueError(f"non-finite design entry in column {bad}")
-    return design
+    cols.extend(np.maximum(u - knot, 0.0) for knot in KNOTS)
+    return np.column_stack(cols)
 
 
 def _standardize(design):
@@ -66,7 +61,7 @@ def _standardize(design):
 
 
 class GamForecaster(BaseForecaster):
-    """Trend + Fourier + spline fit on the training rows, forecast past the training end.
+    """Piecewise-linear trend + Fourier fit on the training rows, forecast past the training end.
 
     ``beta_`` holds the coefficients on the raw (unstandardized) columns.
     """

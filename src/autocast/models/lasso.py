@@ -22,7 +22,7 @@ CONVERGENCE_TOL = 1e-8
 MAX_SWEEPS = 10_000
 MAX_PATH_STEPS = 1_000
 # a column whose centered norm is this small relative to its raw norm is
-# constant on the rows given (e.g. a spline knot beyond a short head)
+# constant on the rows given (e.g. a hinge whose knot lies beyond a short head)
 DEAD_COLUMN_TOL = 1e-10
 # a joining column whose residual against the active columns keeps less than
 # this share of its norm adds no direction (saturated or duplicate columns)

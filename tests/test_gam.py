@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from autocast.models.gam import (
+    KNOTS,
     GamForecaster,
     _standardize,
     build_design_rows,
@@ -10,6 +13,7 @@ from autocast.models.gam import (
 import autocast.models.lasso as lasso_module
 from autocast.models.lasso import default_lambda_grid, lasso_path
 from autocast.series import Frequency
+from autocast.synth import ArchetypeSpec, generate_corpus
 
 from helpers import kkt_violation, monthly_series, seasonal_values, weekly_series
 
@@ -20,18 +24,28 @@ class TestDesignMatrix:
         n = 60
         t = np.arange(n)
         rows = build_design_rows(t, n, frequency)
-        # intercept + 2 trends + 2K Fourier + (2 + knots) spline
-        assert rows.shape == (n, 1 + 2 + 2 * order + 2 + 5)
+        # intercept + linear trend + 2K Fourier + one hinge per knot
+        assert rows.shape == (n, 1 + 1 + 2 * order + len(KNOTS))
         angles = [2.0 * np.pi * k * t / frequency.periods_per_year for k in range(1, order + 1)]
         fourier = np.column_stack([f(a) for a in angles for f in (np.sin, np.cos)])
         np.testing.assert_array_equal(rows[:, seasonal_columns(frequency)], fourier)
 
-    def test_non_finite_design_names_column(self):
-        t = np.arange(10.0)
-        t[3] = np.nan
-        # the time offset fills the linear-trend column, index 1
-        with pytest.raises(ValueError, match="column 1"):
-            build_design_rows(t, 10, Frequency.MONTHLY)
+    @pytest.mark.parametrize(
+        "n, frequency",
+        [(12, Frequency.MONTHLY), (17, Frequency.MONTHLY), (48, Frequency.MONTHLY),
+         (96, Frequency.MONTHLY), (120, Frequency.WEEKLY)],
+    )
+    def test_trend_is_affine_past_the_last_knot(self, n, frequency):
+        # from the last knot through 18 periods past the training end, every
+        # non-seasonal column has zero second differences: forecasts
+        # extrapolate the trend linearly
+        t = np.arange(math.ceil(max(KNOTS) * (n - 1)), n + 18)
+        rows = build_design_rows(t, n, frequency)
+        trend = np.ones(rows.shape[1], dtype=bool)
+        trend[seasonal_columns(frequency)] = False
+        columns = rows[:, trend]
+        second = np.diff(columns, n=2, axis=0)
+        assert np.all(np.abs(second) <= 1e-9 * np.abs(columns).max(axis=0))
 
 
 class TestFit:
@@ -76,16 +90,16 @@ class TestLassoOnGamDesign:
         cut = int(round(n * 0.8))
         lam = default_lambda_grid(M, y)[-1]
         # full rows (the final fit) and the head rows lambda selection fits on;
-        # a 12-point head is 10 rows against 15 penalized columns, one of them
-        # a spline knot that is constant there
+        # a 12-point head is 10 rows against 12 penalized columns, one of them
+        # the last knot's hinge, which is constant there
         for rows in (slice(None), slice(0, cut)):
             beta = lasso_path(M[rows], y[rows], [lam])[0]
             assert kkt_violation(M[rows], y[rows], beta, lam) <= 1e-6
 
     @pytest.mark.parametrize("n", [15, 24, 48, 96])
     def test_least_squares_at_lambda_zero(self, n):
-        # lambda = 0 is a legal grid entry; the spline columns leave the
-        # design near-collinear (condition number ~1e6), and every column
+        # lambda = 0 is a legal grid entry; the hinges overlap the linear
+        # trend (condition number up to ~1e3 at n = 15), and every column
         # that adds a direction must still join the path
         y = seasonal_values(n, level=500.0, amplitude=120.0, slope=3.0, noise=40.0, seed=n)
         M = self.standardized_design(n)
@@ -94,9 +108,9 @@ class TestLassoOnGamDesign:
 
     @pytest.mark.parametrize("n", [12, 15, 24, 48, 96])
     def test_path_to_the_bottom_takes_few_kinks(self, n, monkeypatch):
-        # the 16-column designs need at most 63 kinks to reach lambda = 0
-        # (82 on the benchmark corpora); a tenth of MAX_PATH_STEPS leaves
-        # room without hiding a path that cycles
+        # the 13-column designs need at most 34 kinks to reach lambda = 0
+        # (47 on the benchmark corpora, seeds 1-20); a tenth of MAX_PATH_STEPS
+        # leaves room without hiding a path that cycles
         monkeypatch.setattr(lasso_module, "MAX_PATH_STEPS", lasso_module.MAX_PATH_STEPS // 10)
         y = seasonal_values(n, level=500.0, amplitude=120.0, slope=3.0, noise=40.0, seed=n)
         M = self.standardized_design(n)
@@ -142,6 +156,13 @@ class TestGamForecaster:
         model = GamForecaster().fit(monthly_series(np.arange(24.0) + 1))
         with pytest.raises(ValueError):
             model.forecast(0)
+
+    def test_short_volatile_series_forecast_stays_in_scale(self):
+        # CI's ragged r2 (17 months, high variance): the trend extrapolates
+        # linearly, so 18 steps stay within a few times its largest sale
+        series = generate_corpus([ArchetypeSpec.from_kind("r2", "high_variance", length=17)], seed=3)[0]
+        forecast = GamForecaster().fit(series).forecast(18).values
+        assert forecast.max() <= 4.0 * series.values.max()
 
     def test_forecast_values_floored(self):
         # steep negative trend forces the raw extrapolation negative

@@ -2,7 +2,10 @@
 
 Everything written here is deterministic for a given bundle and config: no
 timestamps, stable row order, fixed float precision (6 decimal places, the
-documented round-trip tolerance), JSON with sorted keys.
+documented round-trip tolerance), JSON with sorted keys. Both CSVs list
+products by id and, within a product, models in the order validation ran
+them (`MODEL_PRIORITY`), the median ensemble last; forecasts.csv then
+lists periods in order.
 """
 from __future__ import annotations
 

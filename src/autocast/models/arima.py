@@ -393,7 +393,7 @@ def _search(values, m: int, seasonal: bool, cache: dict):
     order) whose AICc is lower, until no neighbour improves. Without
     ``seasonal`` the seasonal terms stay at zero. ``cache`` maps an order to
     its fit (None when unfittable) and may be shared by searches on the same
-    values. Returns the winner, or None when no candidate fits.
+    values (see `fit_arima`). Returns the winner, or None when no candidate fits.
     """
     D = choose_D(values, m) if seasonal else 0
     d = choose_d(difference(values, 0, D, m))
@@ -431,11 +431,14 @@ def _search(values, m: int, seasonal: bool, cache: dict):
     return best
 
 
-def _refit(values, fit: FittedArima) -> FittedArima:
-    """The search winner's fit continued to the refit tolerance."""
-    w = difference(values, fit.order.d, fit.order.D, fit.order.m)
-    refit = _fit_candidate(_Differenced(w), fit.order, REFIT_FTOL, start=fit.params)
-    return refit if refit is not None else fit
+def _refit(values, fit: FittedArima, cache: dict) -> FittedArima:
+    """The search winner's fit continued to the refit tolerance, kept in cache under ("refit", order)."""
+    key = ("refit", fit.order)
+    if key not in cache:
+        w = difference(values, fit.order.d, fit.order.D, fit.order.m)
+        refit = _fit_candidate(_Differenced(w), fit.order, REFIT_FTOL, start=fit.params)
+        cache[key] = refit if refit is not None else fit
+    return cache[key]
 
 
 _RANDOM_WALK = ArimaOrder(0, 1, 0)
@@ -448,8 +451,18 @@ def _random_walk_fit(values) -> FittedArima:
     return FittedArima(_RANDOM_WALK, (), mu, sse, len(w), math.inf, fallback=True)
 
 
-def fit_arima(train: SalesSeries, seasonal: bool = False, forced_order: ArimaOrder | None = None) -> FittedArima:
-    """Stepwise order search; falls back to a (0,1,0) random walk when nothing fits."""
+def fit_arima(
+    train: SalesSeries, seasonal: bool = False, forced_order: ArimaOrder | None = None, cache: dict | None = None
+) -> FittedArima:
+    """Stepwise order search; falls back to a (0,1,0) random walk when nothing fits.
+
+    cache holds the search's candidate fits by order and each winner's refit
+    under ("refit", order). Searches on the same series may share one: an
+    order both propose is fitted once, and a seasonal search that lands on
+    the plain winner's order returns the plain winner's fit itself. Every fit
+    is deterministic, so a cache changes no result. A forced order is fitted
+    without searching and touches no cache.
+    """
     values = train.values
     m = train.frequency.periods_per_year
     if forced_order is not None:
@@ -461,32 +474,22 @@ def fit_arima(train: SalesSeries, seasonal: bool = False, forced_order: ArimaOrd
             raise ValueError(f"seasonal fit needs at least {3 * m} points, got {len(values)}")
     elif len(values) < 10:
         raise ValueError(f"fit needs at least 10 points, got {len(values)}")
-    winner = _search(values, m, seasonal, {})
+    cache = {} if cache is None else cache
+    winner = _search(values, m, seasonal, cache)
     if winner is None:
         return _random_walk_fit(values)
-    return _refit(values, winner)
+    return _refit(values, winner, cache)
 
 
 def fit_arima_pair(train: SalesSeries) -> tuple:
-    """Both model variants from one set of cached candidate fits.
+    """(fit_arima(train, False), fit_arima(train, True)) through one shared cache.
 
-    Returns (non-seasonal winner, seasonal winner); either may be the
-    random-walk fallback, and the pair is (plain, plain) when the seasonal
-    search lands on the plain winner's order. The series must be long
-    enough for the seasonal precondition; callers enforce their own
-    preconditions.
+    The two-call composition that tests and the benchmark's tracer use; the
+    pipeline's two ArimaForecasters share a cache the same way. The pair is
+    one object twice when the seasonal search lands on the plain winner's order.
     """
-    values = train.values
-    m = train.frequency.periods_per_year
     cache = {}
-    best_plain = _search(values, m, False, cache)
-    best_seasonal = _search(values, m, True, cache)
-    plain = _refit(values, best_plain) if best_plain is not None else _random_walk_fit(values)
-    if best_seasonal is None:
-        return plain, _random_walk_fit(values)
-    if best_seasonal.order == plain.order:
-        return plain, plain
-    return plain, _refit(values, best_seasonal)
+    return fit_arima(train, False, cache=cache), fit_arima(train, True, cache=cache)
 
 
 def arima_forecast(fit: FittedArima, values, horizon: int) -> tuple:
@@ -528,18 +531,24 @@ def _arma_path(fit: FittedArima, values: np.ndarray, horizon: int) -> np.ndarray
 
 
 class ArimaForecaster(BaseForecaster):
-    """seasonal=False searches (p,d,q) only; True adds the (P,D,Q)[m] terms."""
+    """seasonal=False searches (p,d,q) only; True adds the (P,D,Q)[m] terms.
 
-    def __init__(self, seasonal: bool = False, forced_order: ArimaOrder | None = None):
+    cache is `fit_arima`'s, shared with the other variant fitted on the same
+    series; the fit takes it, so a fitted forecaster holds none.
+    """
+
+    def __init__(self, seasonal: bool = False, forced_order: ArimaOrder | None = None, cache: dict | None = None):
         self.seasonal = seasonal
         self.forced_order = forced_order
+        self.cache = cache
 
     @property
     def model_id(self) -> ModelId:
         return ModelId.SARIMA if self.seasonal else ModelId.ARIMA
 
     def _fit(self, series: SalesSeries) -> None:
-        self.fit_ = fit_arima(series, seasonal=self.seasonal, forced_order=self.forced_order)
+        cache, self.cache = self.cache, None
+        self.fit_ = fit_arima(series, self.seasonal, self.forced_order, cache)
 
     def _path(self, horizon: int) -> np.ndarray:
         path, substituted = arima_forecast(self.fit_, self.train_.values, horizon)

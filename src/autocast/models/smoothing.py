@@ -90,17 +90,26 @@ def _hwes_pass(values, m, alpha, beta, gamma, init):
     return sse, level, trend, seasonal
 
 
+def _minimize(sse_of, x0, maxfev: int):
+    """Nelder-Mead over the clamped parameters; (clamped best, its SSE).
+
+    sse_of takes the clamped parameters as floats; a non-finite SSE scores +inf.
+    """
+
+    def objective(params):
+        sse = sse_of(*_clamp(params))
+        return sse if math.isfinite(sse) else math.inf
+
+    best, best_sse, _ = nelder_mead(objective, np.array(x0), maxfev=maxfev)
+    return _clamp(best.tolist()), best_sse
+
+
 def fit_ses(values):
     """Optimize alpha on one-step SSE."""
     values = np.asarray(values, dtype=float).tolist()
     if len(values) == 1:
         return 0.3, values[0]
-
-    def objective(p):
-        return _ses_pass(values, _clamp(p)[0])[0]
-
-    best, _, _ = nelder_mead(objective, np.array([0.3]), maxfev=80)
-    alpha = _clamp(best.tolist())[0]
+    (alpha,), _ = _minimize(lambda a: _ses_pass(values, a)[0], [0.3], 80)
     _, level = _ses_pass(values, alpha)
     return alpha, level
 
@@ -119,15 +128,8 @@ def fit_hwes(train: SalesSeries) -> HwesState:
     if n >= 2 * m:
         level0, trend0, seasonal0 = _hwes_init(train.values, m)
         init = (level0, trend0, seasonal0.tolist())
-
-        def objective(params):
-            a, b, g = _clamp(params)
-            sse = _hwes_pass(values, m, a, b, g, init)[0]
-            return sse if math.isfinite(sse) else math.inf
-
-        best, best_sse, _ = nelder_mead(objective, np.array([0.3, 0.1, 0.1]), maxfev=300)
+        (a, b, g), best_sse = _minimize(lambda a, b, g: _hwes_pass(values, m, a, b, g, init)[0], [0.3, 0.1, 0.1], 300)
         if math.isfinite(best_sse):
-            a, b, g = _clamp(best.tolist())
             _, level, trend, seasonal = _hwes_pass(values, m, a, b, g, init)
             seasonal = np.array(seasonal)
             seasonal = seasonal - seasonal.mean()
@@ -139,15 +141,8 @@ def fit_hwes(train: SalesSeries) -> HwesState:
         # from the first point and the first difference
         rest = values[1:]
         init = (values[0], values[1] - values[0], [0.0])
-
-        def objective(params):
-            a, b = _clamp(params)
-            sse = _hwes_pass(rest, 1, a, b, 0.0, init)[0]
-            return sse if math.isfinite(sse) else math.inf
-
-        best, best_sse, _ = nelder_mead(objective, np.array([0.3, 0.1]), maxfev=200)
+        (a, b), best_sse = _minimize(lambda a, b: _hwes_pass(rest, 1, a, b, 0.0, init)[0], [0.3, 0.1], 200)
         if math.isfinite(best_sse):
-            a, b = _clamp(best.tolist())
             _, level, trend, _ = _hwes_pass(rest, 1, a, b, 0.0, init)
             return HwesState(a, b, 0.0, level, trend, (0.0,))
 

@@ -46,7 +46,9 @@ from .errors import ConfigError
 from .fanout import run_all
 from .ingest import Validity
 from .metrics import MetricSet, compute_metric_set
-from .models.arima import ArimaForecaster, fit_arima_pair
+# perfbench/tracing.py binds fit_arima_pair here for its arima.search span.
+# Nothing in this module calls it; the import leaves with that binding.
+from .models.arima import ArimaForecaster, fit_arima_pair  # noqa: F401
 from .models.base import MODEL_PRIORITY, BaseForecaster, ModelId, priority_rank
 from .models.boosting import BoostedTreeForecaster, train_pooled_trees
 from .models.ensemble import MEMBERS, ensemble_forecast
@@ -272,7 +274,7 @@ def _shared_runs(model_id: ModelId, corpus: list, jobs: list, config: PipelineCo
     ]
 
 
-def _make_forecaster(model_id: ModelId, order=None, trained=None) -> BaseForecaster:
+def _make_forecaster(model_id: ModelId, order=None, trained=None, arima_cache=None) -> BaseForecaster:
     if model_id is ModelId.NAIVE:
         return NaiveForecaster()
     if model_id is ModelId.SES:
@@ -280,9 +282,9 @@ def _make_forecaster(model_id: ModelId, order=None, trained=None) -> BaseForecas
     if model_id is ModelId.HWES:
         return HwesForecaster()
     if model_id is ModelId.ARIMA:
-        return ArimaForecaster(seasonal=False, forced_order=order)
+        return ArimaForecaster(False, order, arima_cache)
     if model_id is ModelId.SARIMA:
-        return ArimaForecaster(seasonal=True, forced_order=order)
+        return ArimaForecaster(True, order, arima_cache)
     if model_id is ModelId.GAM:
         return GamForecaster()
     if model_id is ModelId.BOOSTED_TREE:
@@ -320,32 +322,23 @@ class _ModelRun:
 
 
 def _run_models(series: SalesSeries, model_ids, horizon: int, orders: dict, trained=None) -> list:
-    """Fit each model on series, then forecast horizon steps; one _ModelRun per model.
+    """Fit each model on series, then forecast horizon steps; one _ModelRun per model, in model_ids order.
 
-    orders maps ARIMA/SARIMA ids to an order to fit without searching. When
-    both search on a series of at least three years, they share one set of
-    cached candidate fits through fit_arima_pair and both take ARIMA's slot.
-    Otherwise runs follow model_ids. A model that raises a MODEL_FAILURES
+    orders maps ARIMA/SARIMA ids to an order to fit without searching. The
+    two ARIMA variants share one cache (`fit_arima`), so an order both
+    searches propose is fitted once. A model that raises a MODEL_FAILURES
     exception is recorded, never fatal. trained is the shared model a
     `_shared_runs` task runs; without it the shared models' runs are left
     pending.
     """
-    pair = (ModelId.ARIMA, ModelId.SARIMA)
-    joint = (
-        all(m in model_ids and m not in orders for m in pair)
-        and len(series) >= 3 * series.frequency.periods_per_year
-    )
+    arima_cache = {}
     runs = []
     for model_id in model_ids:
-        if joint and model_id in pair:
-            if model_id is ModelId.ARIMA:
-                runs.extend(_fit_pair(series))
-            continue
         if trained is None and model_id in SHARED_MODELS:
             runs.append(_ModelRun(model_id))
             continue
         try:
-            forecaster = _make_forecaster(model_id, orders.get(model_id), trained)
+            forecaster = _make_forecaster(model_id, orders.get(model_id), trained, arima_cache)
             forecaster.fit(series)
             runs.append(_ModelRun(model_id, forecaster=forecaster))
         except MODEL_FAILURES as exc:
@@ -356,21 +349,6 @@ def _run_models(series: SalesSeries, model_ids, horizon: int, orders: dict, trai
                 run.result = run.forecaster.forecast(horizon)
             except MODEL_FAILURES as exc:
                 run.error = str(exc)
-    return runs
-
-
-def _fit_pair(series: SalesSeries) -> list:
-    """ARIMA's and SARIMA's runs, fitted but not yet forecast, from one joint search."""
-    try:
-        fits = fit_arima_pair(series)
-    except MODEL_FAILURES as exc:
-        return [_ModelRun(m, error=str(exc)) for m in (ModelId.ARIMA, ModelId.SARIMA)]
-    runs = []
-    for seasonal, fit in zip((False, True), fits):
-        forecaster = ArimaForecaster(seasonal=seasonal)
-        forecaster.train_ = series
-        forecaster.fit_ = fit
-        runs.append(_ModelRun(forecaster.model_id, forecaster=forecaster))
     return runs
 
 

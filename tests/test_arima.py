@@ -260,6 +260,25 @@ class TestFitArimaPair:
         # both are valid fits on the same data
         assert np.isfinite(plain.sse) and np.isfinite(seasonal.sse)
 
+    @pytest.mark.parametrize(
+        "y",
+        [
+            seasonal_values(48, amplitude=30.0, noise=2.0, seed=3),
+            np.maximum(np.random.default_rng(11).normal(100.0, 5.0, 48), 0),
+            np.maximum(np.random.default_rng(7).normal(100.0, 5.0, 48), 0),
+        ],
+    )
+    def test_pair_is_the_two_single_fits(self, y):
+        # seed 7's seasonal search lands on a plain order other than the plain winner's
+        series = monthly_series(y)
+        assert fit_arima_pair(series) == (fit_arima(series, False), fit_arima(series, True))
+
+    def test_seasonal_search_on_the_plain_winner_returns_its_fit(self):
+        y = np.maximum(np.random.default_rng(1).normal(100.0, 5.0, 48), 0)
+        plain, seasonal = fit_arima_pair(monthly_series(y))
+        assert not seasonal.order.is_seasonal
+        assert seasonal is plain
+
 
 class TestDifferencingTests:
     @pytest.mark.parametrize("n", [10, 13, 40, 84, 200])

@@ -249,7 +249,7 @@ def test_no_model_fits_or_forecasts_in_the_caller_at_two_cores(cores, monkeypatc
     for cls in forecasters:
         for method in ("fit", "forecast"):
             monkeypatch.setattr(cls, method, in_workers_only(f"{cls.__name__}.{method}", getattr(cls, method)))
-    for name in ("fit_arima_pair", "train_pooled_trees", "train_shared_cnn"):
+    for name in ("train_pooled_trees", "train_shared_cnn"):
         monkeypatch.setattr(pipeline, name, in_workers_only(name, getattr(pipeline, name)))
     kinds = ("seasonality", "seasonality_trend")
     specs = [ArchetypeSpec.from_kind(f"p{i}", kind, length=48) for i, kind in enumerate(kinds)]

@@ -1,16 +1,18 @@
 import json
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import autocast.models.arima as arima_module
 from autocast import fanout, pipeline
 from autocast.errors import ConfigError
 from autocast.export import export_bundle, read_export_dir
 from autocast.ingest import Validity
 from autocast.metrics import MetricSet
 from autocast.models.arima import ArimaForecaster, arima_forecast, fit_arima_pair
-from autocast.models.base import MODEL_PRIORITY, ModelId
+from autocast.models.base import MODEL_PRIORITY, BaseForecaster, ModelId
 from autocast.models.boosting import BoostedTreeForecaster, train_pooled_trees
 from autocast.models.gam import GamForecaster, build_design_rows
 from autocast.models.naive import NaiveForecaster
@@ -217,29 +219,79 @@ class TestRunValidation:
         assert entry.validity is Validity.SHORT_HISTORY
         assert entry.holdout == expected_holdout
 
-    def test_joint_arima_pair_runs_alongside_every_other_model(self, monkeypatch):
-        # a 36-point training prefix is three years: ARIMA and SARIMA share
-        # one search and take ARIMA's slot, and no other model is dropped;
-        # one usable core keeps the counted call in this process
+    def test_arima_variants_share_their_fits_and_run_in_model_order(self, monkeypatch):
+        # a 36-point training prefix is three years, so both variants search;
+        # they share one cache, so no order is fitted twice at one tolerance,
+        # and every model runs in MODEL_PRIORITY order; one usable core keeps
+        # the counted calls in this process
         monkeypatch.setattr(fanout, "usable_cores", lambda: 1)
-        calls = []
-        original = pipeline.fit_arima_pair
+        fitted = Counter()
+        original = arima_module._fit_candidate
 
-        def counting_pair(train):
-            calls.append(len(train))
-            return original(train)
+        def counting_fit(series, order, ftol, start=None):
+            fitted[order, ftol] += 1
+            return original(series, order, ftol, start)
 
-        monkeypatch.setattr(pipeline, "fit_arima_pair", counting_pair)
+        monkeypatch.setattr(arima_module, "_fit_candidate", counting_fit)
         prod = monthly_series(seasonal_values(48, noise=2.0, seed=3))
         report = run_validation([prod], PipelineConfig())
         entry = report.products[0]
-        assert calls == [36]
+        assert fitted and max(fitted.values()) == 1
         assert entry.skipped == ()
         assert [s.model_id for s in entry.scores] == [
-            "hwes", "ses", "gam", "arima", "sarima", "boosted_tree", "cnn", "naive", "ensemble_median",
+            "hwes", "ses", "gam", "sarima", "arima", "boosted_tree", "cnn", "naive", "ensemble_median",
         ]
         assert score_of(entry, "arima").selected_order is not None
         assert score_of(entry, "sarima").selected_order is not None
+
+    def test_every_forecaster_is_fitted_through_the_base_contract(self, monkeypatch):
+        # each run's forecaster holds the series BaseForecaster.fit recorded on
+        # it, in validation and in finalize; one usable core keeps the runs in
+        # this process
+        monkeypatch.setattr(fanout, "usable_cores", lambda: 1)
+        fitted = []
+        original_fit = BaseForecaster.fit
+
+        def recording_fit(self, series):
+            original_fit(self, series)
+            fitted.append((self, series))
+            return self
+
+        stages = []
+        original_stage = pipeline._run_stage
+
+        def recording_stage(corpus, jobs, config):
+            stage_runs = original_stage(corpus, jobs, config)
+            stages.append((jobs, stage_runs))
+            return stage_runs
+
+        monkeypatch.setattr(BaseForecaster, "fit", recording_fit)
+        monkeypatch.setattr(pipeline, "_run_stage", recording_stage)
+        prod = monthly_series(seasonal_values(48, noise=2.0, seed=3))
+        run_pipeline([prod], PipelineConfig())
+        assert len(stages) == 2
+        for jobs, stage_runs in stages:
+            for (series, *_), runs in zip(jobs, stage_runs):
+                assert len(runs) == len(MODEL_PRIORITY) - 1
+                for run in runs:
+                    assert run.forecaster.train_ is series
+                    assert any(f is run.forecaster and s is series for f, s in fitted), run.model_id
+
+    def test_an_arima_variant_does_not_depend_on_the_other_running(self):
+        # the variants share a cache only when both run; it changes no result
+        prod = monthly_series(seasonal_values(48, noise=2.0, seed=3))
+        runs = {}
+        for variants in (("arima",), ("sarima",), ("arima", "sarima")):
+            report, bundle = run_pipeline([prod], PipelineConfig(enabled_models=("naive", *variants)))
+            for model_id in variants:
+                runs.setdefault(model_id, []).append(
+                    (score_of(report.products[0], model_id), bundle.products[0].forecast_for(model_id))
+                )
+        for (alone, alone_forecast), (beside, beside_forecast) in runs.values():
+            assert alone.metrics == beside.metrics
+            assert alone.selected_order == beside.selected_order
+            assert alone.forward.values.tobytes() == beside.forward.values.tobytes()
+            assert alone_forecast.values.tobytes() == beside_forecast.values.tobytes()
 
     def test_sarima_skipped_on_short_history_with_reason(self):
         prod = monthly_series(seasonal_values(13, noise=0.5, seed=2))
@@ -426,7 +478,7 @@ class TestFinalizeAndForecast:
         assert entry.decomposition is None
 
     def test_failed_arima_refits_reuse_the_validation_search_winners(self, monkeypatch):
-        # validation's joint search fits the pair on the prefix; the forced
+        # validation searches both variants on the prefix; the forced
         # full-history refits fail, and each model reuses its own search
         # winner's forecast past the holdout, not a refit of its order
         prod = monthly_series(seasonal_values(60, noise=3.0, seed=4))

@@ -184,6 +184,7 @@ def summarize(report: ValidationReport, bundle: ForecastBundle, actuals, alterna
         if series.product_id in actual_by_id:
             raise EvaluationError(f"duplicate actuals for product {series.product_id!r}")
         actual_by_id[series.product_id] = series
+    recommended_by_id = {entry.product_id: entry.recommended for entry in report.products}
 
     scored = []
     missing = []
@@ -222,7 +223,9 @@ def summarize(report: ValidationReport, bundle: ForecastBundle, actuals, alterna
         best_id = min(realized, key=lambda m: (realized[m].rmse, priority_rank(m)))
         best_hist[best_id] = best_hist.get(best_id, 0) + 1
 
-        recommended_id = report.product(pid).recommended
+        if pid not in recommended_by_id:
+            raise KeyError(f"no validation entry for product {pid!r}")
+        recommended_id = recommended_by_id[pid]
         if recommended_id is not None:
             recommended_hist[recommended_id] = recommended_hist.get(recommended_id, 0) + 1
 

@@ -154,14 +154,11 @@ def write_decomposition_svg(decomposition, path) -> Path:
 
 
 def export_bundle(bundle: ForecastBundle, report: ValidationReport, output_dir, config: PipelineConfig) -> dict:
-    """Write all result files into output_dir; returns {name: Path}."""
-    out = make_output_dir(output_dir)
+    """Write all result files into output_dir; returns {name: Path}.
 
-    written = {
-        "forecasts": write_forecasts_csv(bundle, out / "forecasts.csv"),
-        "validation": write_validation_csv(report, out / "validation.csv"),
-        "summary": write_summary_json(report, bundle, config, out / "summary.json"),
-    }
+    Two products whose ids map to one decomposition file name raise
+    ExportError before anything is written.
+    """
     names = {}
     for product in bundle.products:
         if product.decomposition is None:
@@ -169,10 +166,17 @@ def export_bundle(bundle: ForecastBundle, report: ValidationReport, output_dir, 
         name = f"decomposition_{_safe_name(product.product_id)}.svg"
         if name in names:
             raise ExportError(
-                f"products {names[name]!r} and {product.product_id!r} map to the same "
+                f"products {names[name].product_id!r} and {product.product_id!r} map to the same "
                 f"file name {name}"
             )
-        names[name] = product.product_id
+        names[name] = product
+    out = make_output_dir(output_dir)
+    written = {
+        "forecasts": write_forecasts_csv(bundle, out / "forecasts.csv"),
+        "validation": write_validation_csv(report, out / "validation.csv"),
+        "summary": write_summary_json(report, bundle, config, out / "summary.json"),
+    }
+    for name, product in names.items():
         written[name] = write_decomposition_svg(product.decomposition, out / name)
     return written
 

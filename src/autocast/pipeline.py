@@ -23,15 +23,16 @@ queue over a pool of forked workers, one per usable core. A job is one
 product's series, models, horizon and forced orders. The queue holds one
 task per shared-weight model (pooled trees, CNN) that some job lists,
 which trains the model on the stage's corpus and then fits and forecasts
-it on each of those jobs, and then one task per job for its other models.
-So the shared models run in the process that trained them, and product
-fits run beside the shared trainings instead of after them. Once every
-task has returned, this process puts the shared runs in their jobs' slots,
-then scores, ensembles and recommends (validation) or assembles the
-bundle (finalize). Every task computes what it would compute in one
-process, and results merge in product-id order, so the exports are
-byte-identical however the tasks were placed. With one usable core the
-whole queue runs serially in this process.
+it on each of those jobs, and then one task per job that runs only the
+job's own models. So the shared models run in the process that trained
+them, and product fits run beside the shared trainings instead of after
+them. Once every task has returned, this process lists each job's runs
+in its model order, each taken from its shared model's task or from the
+job's own, then scores, ensembles and recommends (validation) or
+assembles the bundle (finalize). Every task computes what it would
+compute in one process, and results merge in product-id order, so the
+exports are byte-identical however the tasks were placed. With one
+usable core the whole queue runs serially in this process.
 """
 from __future__ import annotations
 
@@ -232,26 +233,27 @@ def _run_stage(corpus: list, jobs: list, config: PipelineConfig) -> list:
     """Each job's runs, from one queue; a job is `_run_models`' (series, model_ids, horizon, orders).
 
     The queue holds one `_shared_runs` task per shared model that some job
-    lists, and then one `_run_models` task per job for its other models,
-    none of which reads another. On two or more usable cores the forked
-    workers take entries in queue order, so the shared models train side by
-    side, each then runs on its jobs in the process that trained it, and
-    each worker then takes the next job as it comes free. The shared runs
-    fill their jobs' pending slots, so every job's runs come in the order
-    one `_run_models` call on all of its models would give.
+    lists, and then one `_run_models` task per job for its own models, the
+    ones not shared, none of which reads another. On two or more usable
+    cores the forked workers take entries in queue order, so the shared
+    models train side by side, each then runs on its jobs in the process
+    that trained it, and each worker then takes the next job as it comes
+    free. Each job's runs are then listed in its model_ids order, each
+    taken from its model's shared task or from the job's own task.
     """
     shared = [m for m in SHARED_MODELS if any(m in model_ids for _, model_ids, _, _ in jobs)]
     results = run_all(
         [partial(_shared_runs, model_id, corpus, jobs, config) for model_id in shared]
-        + [partial(_run_models, *job) for job in jobs]
+        + [
+            partial(_run_models, series, [m for m in model_ids if m not in SHARED_MODELS], horizon, orders)
+            for series, model_ids, horizon, orders in jobs
+        ]
     )
     shared_runs = {model_id: iter(runs) for model_id, runs in zip(shared, results)}
-    stage_runs = results[len(shared):]
-    for runs in stage_runs:
-        for i, run in enumerate(runs):
-            if run.pending:
-                runs[i] = next(shared_runs[run.model_id])
-    return stage_runs
+    return [
+        [next(shared_runs.get(model_id, own)) for model_id in model_ids]
+        for (_, model_ids, _, _), own in zip(jobs, map(iter, results[len(shared):]))
+    ]
 
 
 def _shared_runs(model_id: ModelId, corpus: list, jobs: list, config: PipelineConfig) -> list:
@@ -305,10 +307,8 @@ class _ModelRun:
 
     forecaster is None when building or fitting failed; error holds the
     message of whichever step failed, and result is None whenever error is set.
-    A run with neither forecaster nor error is pending: a shared model's
-    slot, which `_run_stage` fills from `_shared_runs`. That is a test of
-    fields, not of identity, so it survives the pickling that brings a
-    worker's runs back.
+    A shared model's run comes from its `_shared_runs` task, any other from
+    its job's `_run_models` task; `_run_stage` lists them in model order.
     """
 
     model_id: ModelId
@@ -316,39 +316,28 @@ class _ModelRun:
     error: str | None = None
     forecaster: BaseForecaster | None = None
 
-    @property
-    def pending(self) -> bool:
-        return self.forecaster is None and self.error is None
-
 
 def _run_models(series: SalesSeries, model_ids, horizon: int, orders: dict, trained=None) -> list:
-    """Fit each model on series, then forecast horizon steps; one _ModelRun per model, in model_ids order.
+    """Fit each model on series and forecast horizon steps; one _ModelRun per model, in model_ids order.
 
     orders maps ARIMA/SARIMA ids to an order to fit without searching. The
     two ARIMA variants share one cache (`fit_arima`), so an order both
     searches propose is fitted once. A model that raises a MODEL_FAILURES
-    exception is recorded, never fatal. trained is the shared model a
-    `_shared_runs` task runs; without it the shared models' runs are left
-    pending.
+    exception is recorded, never fatal. A job's task runs its own models
+    only; a `_shared_runs` task runs one shared model, passing it trained.
     """
     arima_cache = {}
     runs = []
     for model_id in model_ids:
-        if trained is None and model_id in SHARED_MODELS:
-            runs.append(_ModelRun(model_id))
-            continue
+        run = _ModelRun(model_id)
         try:
             forecaster = _make_forecaster(model_id, orders.get(model_id), trained, arima_cache)
             forecaster.fit(series)
-            runs.append(_ModelRun(model_id, forecaster=forecaster))
+            run.forecaster = forecaster
+            run.result = forecaster.forecast(horizon)
         except MODEL_FAILURES as exc:
-            runs.append(_ModelRun(model_id, error=str(exc)))
-    for run in runs:
-        if run.forecaster is not None:
-            try:
-                run.result = run.forecaster.forecast(horizon)
-            except MODEL_FAILURES as exc:
-                run.error = str(exc)
+            run.error = str(exc)
+        runs.append(run)
     return runs
 
 

@@ -231,6 +231,20 @@ class TestSummarize:
         assert self.summary.missing_actuals == ("gone",)
         assert self.summary.undefined_ratio == ("flat",)
 
+    def test_recommendations_are_looked_up_without_scanning_the_report(self, monkeypatch):
+        def scan(report, product_id):
+            raise AssertionError("summarize scanned the report")
+
+        monkeypatch.setattr(ValidationReport, "product", scan)
+        assert summarize(self.report, self.bundle, self.actuals) == self.summary
+
+    def test_scored_product_missing_from_the_report_raises(self):
+        report = ValidationReport(
+            frequency=Frequency.MONTHLY, holdout=12, seed=0, products=self.report.products[1:]
+        )
+        with pytest.raises(KeyError, match="no validation entry for product 'win'"):
+            summarize(report, self.bundle, self.actuals)
+
     def test_recommended_histogram_counts_scored_products(self):
         assert self.summary.recommended_histogram == {"gam": 1, "hwes": 2}
 

@@ -161,6 +161,8 @@ class TestExportBundle:
         report = ValidationReport(frequency=Frequency.MONTHLY, holdout=12, seed=0)
         with pytest.raises(ExportError, match="same"):
             export_bundle(bundle, report, tmp_path / "clash", CONFIG)
+        # the names are checked before anything is written
+        assert not (tmp_path / "clash" / "forecasts.csv").exists()
 
     def test_decomposition_svg_structure(self, tmp_path):
         decomposition = Decomposition(

@@ -260,3 +260,66 @@ def test_no_model_fits_or_forecasts_in_the_caller_at_two_cores(cores, monkeypatc
         assert {s.model_id for s in validation.scores} == {m.value for m in ModelId}
         assert not any("refit failed" in flag for flag in entry.flags)
         assert len(entry.forecasts) == len(ModelId)
+
+
+def test_a_jobs_task_runs_only_its_own_models(cores, monkeypatch):
+    # one usable core keeps every task in this process
+    calls = []
+    run_models = pipeline._run_models
+
+    def recording(series, model_ids, horizon, orders, trained=None):
+        calls.append((list(model_ids), trained is not None))
+        return run_models(series, model_ids, horizon, orders, trained)
+
+    monkeypatch.setattr(pipeline, "_run_models", recording)
+    kinds = ("seasonality", "seasonality_trend")
+    specs = [ArchetypeSpec.from_kind(f"p{i}", kind, length=48) for i, kind in enumerate(kinds)]
+    cores(1)
+    run_pipeline(generate_corpus(specs, seed=3), PipelineConfig())
+    own = [model_ids for model_ids, trained in calls if not trained]
+    shared = [model_ids for model_ids, trained in calls if trained]
+    # two stages, each with one own-model task per product and one shared run per product and shared model
+    assert len(own) == 4 and len(shared) == 8
+    assert all(m not in pipeline.SHARED_MODELS for model_ids in own for m in model_ids)
+    assert all(len(model_ids) == 1 and model_ids[0] in pipeline.SHARED_MODELS for model_ids in shared)
+
+
+def outcomes(report, bundle):
+    """Every validation and forecast field of a run, arrays as bytes."""
+    validations = [
+        (v.product_id, v.validity, v.holdout, v.scores, v.skipped, v.recommended, v.flags,
+         [s.forward.values.tobytes() if s.forward else None for s in v.scores])
+        for v in report.products
+    ]
+    forecasts = [
+        (p.product_id, p.recommended, p.flags,
+         [(f.model_id, f.start, f.values.tobytes()) for f in p.forecasts],
+         p.decomposition is not None)
+        for p in bundle.products
+    ]
+    return validations, forecasts
+
+
+@pytest.mark.parametrize(
+    "models, forecast_models",
+    [
+        (("cnn",), [["cnn"], ["naive"], ["cnn"]]),
+        (("boosted_tree", "naive"), [["boosted_tree", "naive"]] * 3),
+    ],
+)
+def test_shared_models_with_few_or_no_own_models_fan_out_alike(cores, models, forecast_models):
+    # the 25-month product's prefix is too short for the CNN, so with cnn alone
+    # it is refitted with naive, while the others' finalize jobs run no own model
+    specs = [
+        ArchetypeSpec.from_kind("p0", "seasonality", length=48),
+        ArchetypeSpec.from_kind("p1", "seasonality_trend", length=25),
+        ArchetypeSpec.from_kind("p2", "high_variance", length=40),
+    ]
+    corpus = generate_corpus(specs, seed=3)
+    config = PipelineConfig(enabled_models=models, seed=3)
+    runs = []
+    for n in (1, 2):
+        cores(n)
+        runs.append(outcomes(*run_pipeline(corpus, config)))
+    assert runs[0] == runs[1]
+    assert [[model_id for model_id, _, _ in results] for _, _, _, results, _ in runs[0][1]] == forecast_models

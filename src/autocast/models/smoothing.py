@@ -107,8 +107,6 @@ def _minimize(sse_of, x0, maxfev: int):
 def fit_ses(values):
     """Optimize alpha on one-step SSE."""
     values = np.asarray(values, dtype=float).tolist()
-    if len(values) == 1:
-        return 0.3, values[0]
     (alpha,), _ = _minimize(lambda a: _ses_pass(values, a)[0], [0.3], 80)
     _, level = _ses_pass(values, alpha)
     return alpha, level

@@ -7,32 +7,32 @@ held-out final year; the lowest holdout RMSE wins the recommendation.
 Third, every scored model is refitted on the full history, at the ARIMA
 orders validation selected, and asked for the real forward horizon.
 
-Both stages build, fit and forecast their models through one function,
-`_run_models`, which records each model's forecast or the reason it was
-lost. Only model-domain failures (`MODEL_FAILURES`) are recorded; any
-other exception is a bug and propagates. Validation runs it on the
+Both stages run their models through `_run_stage`, on jobs of one shape:
+a product's series, its models and the horizon. The models map each id,
+the median ensemble last, to its validation score in finalize and to
+None in validation. Each run records the model's forecast or the reason
+it was lost; only model-domain failures (`MODEL_FAILURES`) are recorded,
+and any other exception is a bug and propagates. Validation runs on the
 training prefix for the holdout plus the horizon: it scores the first
 part and keeps the rest as the model's forward forecast. Finalize takes
-only the report validation just made, runs it on the full history, and
-gives a model whose refit failed its forward forecast, so every scored
-model reaches the bundle and nothing is fitted on the prefix again. The
-median ensemble is built from whatever forecasts each stage ends with.
+only the report validation just made and runs the scored models on the
+full history; a model whose refit failed takes its forward forecast, so
+every scored model reaches the bundle and nothing is fitted on the
+prefix again.
 
-Each of these runs is one `_run_stage` call, a single ``fanout.run_all``
-queue over a pool of forked workers, one per usable core. A job is one
-product's series, models, horizon and forced orders. The queue holds one
-task per shared-weight model (pooled trees, CNN) that some job lists,
-which trains the model on the stage's corpus and then fits and forecasts
-it on each of those jobs, and then one task per job that runs only the
-job's own models. So the shared models run in the process that trained
-them, and product fits run beside the shared trainings instead of after
+Each stage is one ``fanout.run_all`` queue over a pool of forked workers,
+one per usable core. The queue holds one task per shared-weight model
+(pooled trees, CNN) that some job lists, which trains the model on the
+stage's corpus and then fits and forecasts it on each of those jobs, and
+then one task per job that runs only the job's own models. So the shared
+models run in the process that trained them, and product fits run beside
 them. Once every task has returned, this process lists each job's runs
-in its model order, each taken from its shared model's task or from the
-job's own, then scores, ensembles and recommends (validation) or
-assembles the bundle (finalize). Every task computes what it would
-compute in one process, and results merge in product-id order, so the
-exports are byte-identical however the tasks were placed. With one
-usable core the whole queue runs serially in this process.
+in its model order, each from its shared model's task or the job's own,
+with its fallback and the median ensemble decided there, then scores and
+recommends (validation) or assembles the bundle (finalize). Every task
+computes what it would compute in one process, and results merge in
+product-id order, so the exports are byte-identical however the tasks
+were placed. With one usable core the whole queue runs serially here.
 """
 from __future__ import annotations
 
@@ -135,9 +135,10 @@ class ModelScore:
     # The final refit fits that order on the full history, to convergence from
     # zero, without repeating the search.
     selected_order: object | None = None
-    # the same fit's forecast of the horizon past the holdout; finalize uses it
-    # when the full-history refit fails. Not exported: finalize takes only the
-    # report run_validation hands it in the same process.
+    # the same run's forecast of the horizon past the holdout, the median
+    # ensemble's included; finalize uses it when the full-history refit fails.
+    # Not exported: finalize takes only the report run_validation hands it in
+    # the same process.
     forward: ForecastResult | None = field(default=None, repr=False, compare=False)
 
 
@@ -230,30 +231,48 @@ SHARED_MODELS = (ModelId.BOOSTED_TREE, ModelId.CNN)
 
 
 def _run_stage(corpus: list, jobs: list, config: PipelineConfig) -> list:
-    """Each job's runs, from one queue; a job is `_run_models`' (series, model_ids, horizon, orders).
+    """Each job's runs, in its model order; a job is (series, models, horizon).
 
-    The queue holds one `_shared_runs` task per shared model that some job
-    lists, and then one `_run_models` task per job for its own models, the
-    ones not shared, none of which reads another. On two or more usable
-    cores the forked workers take entries in queue order, so the shared
-    models train side by side, each then runs on its jobs in the process
-    that trained it, and each worker then takes the next job as it comes
-    free. Each job's runs are then listed in its model_ids order, each
-    taken from its model's shared task or from the job's own task.
+    models maps each id to its validation ModelScore or None, the median
+    ensemble last. The queue holds one `_shared_runs` task per shared model
+    that some job lists, and then one `_run_models` task per job for its own
+    models, none of which reads another. On two or more usable cores the
+    forked workers take entries in queue order, so the shared models train
+    side by side, each then runs on its jobs in the process that trained
+    it, and each worker then takes the next job as it comes free. Each run
+    is then taken from its model's shared task or the job's own; one left
+    without a result takes its score's forward forecast and keeps its
+    error. The ensemble's run is the median of two or more `MEMBERS`
+    results listed before it.
     """
-    shared = [m for m in SHARED_MODELS if any(m in model_ids for _, model_ids, _, _ in jobs)]
+    shared = [m for m in SHARED_MODELS if any(m in models for _, models, _ in jobs)]
+    not_own = (*SHARED_MODELS, ModelId.ENSEMBLE_MEDIAN)
     results = run_all(
         [partial(_shared_runs, model_id, corpus, jobs, config) for model_id in shared]
         + [
-            partial(_run_models, series, [m for m in model_ids if m not in SHARED_MODELS], horizon, orders)
-            for series, model_ids, horizon, orders in jobs
+            partial(_run_models, series, {m: s for m, s in models.items() if m not in not_own}, horizon)
+            for series, models, horizon in jobs
         ]
     )
     shared_runs = {model_id: iter(runs) for model_id, runs in zip(shared, results)}
-    return [
-        [next(shared_runs.get(model_id, own)) for model_id in model_ids]
-        for (_, model_ids, _, _), own in zip(jobs, map(iter, results[len(shared):]))
-    ]
+    stage_runs = []
+    for (_, models, _), own in zip(jobs, map(iter, results[len(shared):])):
+        runs = []
+        for model_id, score in models.items():
+            run = _ensemble_run(runs) if model_id is ModelId.ENSEMBLE_MEDIAN else next(shared_runs.get(model_id, own))
+            if run.result is None and score is not None:
+                run.result = score.forward
+            runs.append(run)
+        stage_runs.append(runs)
+    return stage_runs
+
+
+def _ensemble_run(runs: list) -> _ModelRun:
+    """The median of the MEMBERS results among runs; fewer than two leave it an error."""
+    members = [run.result for run in runs if run.result is not None and run.model_id in MEMBERS]
+    if len(members) < 2:
+        return _ModelRun(ModelId.ENSEMBLE_MEDIAN, error=f"only {len(members)} member forecasts available")
+    return _ModelRun(ModelId.ENSEMBLE_MEDIAN, ensemble_forecast(members))
 
 
 def _shared_runs(model_id: ModelId, corpus: list, jobs: list, config: PipelineConfig) -> list:
@@ -262,7 +281,7 @@ def _shared_runs(model_id: ModelId, corpus: list, jobs: list, config: PipelineCo
     A training that raises a model failure leaves each of those runs with
     its message.
     """
-    listed = [job for job in jobs if model_id in job[1]]
+    listed = [(series, models[model_id], horizon) for series, models, horizon in jobs if model_id in models]
     try:
         if model_id is ModelId.BOOSTED_TREE:
             trained = train_pooled_trees(corpus)
@@ -271,8 +290,8 @@ def _shared_runs(model_id: ModelId, corpus: list, jobs: list, config: PipelineCo
     except MODEL_FAILURES as exc:
         return [_ModelRun(model_id, error=str(exc)) for _ in listed]
     return [
-        _run_models(series, [model_id], horizon, orders, trained)[0]
-        for series, _, horizon, orders in listed
+        _run_models(series, {model_id: score}, horizon, trained)[0]
+        for series, score, horizon in listed
     ]
 
 
@@ -305,10 +324,11 @@ def _is_fallback(forecaster: BaseForecaster) -> bool:
 class _ModelRun:
     """One model's fit and forecast on one series.
 
-    forecaster is None when building or fitting failed; error holds the
-    message of whichever step failed, and result is None whenever error is set.
-    A shared model's run comes from its `_shared_runs` task, any other from
-    its job's `_run_models` task; `_run_stage` lists them in model order.
+    forecaster is None when building or fitting failed, and for the median
+    ensemble. error holds the message of whichever step failed; with an
+    error, result is None or the job's fallback, validation's forecast.
+    A shared model's run comes from its `_shared_runs` task, the ensemble's
+    from `_run_stage`, any other from its job's `_run_models` task.
     """
 
     model_id: ModelId
@@ -317,21 +337,23 @@ class _ModelRun:
     forecaster: BaseForecaster | None = None
 
 
-def _run_models(series: SalesSeries, model_ids, horizon: int, orders: dict, trained=None) -> list:
-    """Fit each model on series and forecast horizon steps; one _ModelRun per model, in model_ids order.
+def _run_models(series: SalesSeries, models: dict, horizon: int, trained=None) -> list:
+    """Fit each model on series and forecast horizon steps; one _ModelRun per model, in models order.
 
-    orders maps ARIMA/SARIMA ids to an order to fit without searching. The
-    two ARIMA variants share one cache (`fit_arima`), so an order both
+    models maps each id to its validation score or None; a scored ARIMA or
+    SARIMA is fitted at its selected_order without searching. The two
+    ARIMA variants share one cache (`fit_arima`), so an order both
     searches propose is fitted once. A model that raises a MODEL_FAILURES
     exception is recorded, never fatal. A job's task runs its own models
     only; a `_shared_runs` task runs one shared model, passing it trained.
     """
     arima_cache = {}
     runs = []
-    for model_id in model_ids:
+    for model_id, score in models.items():
         run = _ModelRun(model_id)
         try:
-            forecaster = _make_forecaster(model_id, orders.get(model_id), trained, arima_cache)
+            order = score.selected_order if score is not None else None
+            forecaster = _make_forecaster(model_id, order, trained, arima_cache)
             forecaster.fit(series)
             run.forecaster = forecaster
             run.result = forecaster.forecast(horizon)
@@ -416,14 +438,16 @@ def run_validation(corpus, config: PipelineConfig | None = None) -> ValidationRe
             continue
         splits[series.product_id] = (validity, *split_holdout(series, holdout))
 
-    model_ids = [m for m in MODEL_PRIORITY if m in config.enabled_models and m is not ModelId.ENSEMBLE_MEDIAN]
+    # the median ensemble runs last, on the other models' runs
+    enabled = [m for m in MODEL_PRIORITY if m in config.enabled_models]
+    models = dict.fromkeys(sorted(enabled, key=lambda m: m is ModelId.ENSEMBLE_MEDIAN))
     stage_runs = _run_stage(
         [train for _, train, _ in splits.values()],
-        [(train, model_ids, len(test) + config.horizon, {}) for _, train, test in splits.values()],
+        [(train, models, len(test) + config.horizon) for _, train, test in splits.values()],
         config,
     )
     for (product_id, (validity, train, test)), runs in zip(splits.items(), stage_runs):
-        entries[product_id] = _validate_product(train, test, validity, runs, config)
+        entries[product_id] = _validate_product(train, test, validity, runs)
 
     return ValidationReport(
         frequency=config.frequency,
@@ -433,18 +457,13 @@ def run_validation(corpus, config: PipelineConfig | None = None) -> ValidationRe
     )
 
 
-def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity, runs: list, config: PipelineConfig) -> ProductValidation:
+def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity, runs: list) -> ProductValidation:
     """Score the holdout part of each model's run on the training prefix, then recommend.
 
     Each score keeps the rest of its run as the model's forward forecast.
     """
     holdout = len(test)
-    # fit failures are listed before forecast failures
-    skipped = [
-        (run.model_id.value, run.error)
-        for run in sorted(runs, key=lambda run: run.forecaster is not None)
-        if run.error is not None
-    ]
+    skipped = [(run.model_id.value, run.error) for run in runs if run.error is not None]
     scores = [
         ModelScore(
             run.model_id.value,
@@ -456,14 +475,6 @@ def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity,
         for run in runs
         if run.result is not None
     ]
-    if ModelId.ENSEMBLE_MEDIAN in config.enabled_models:
-        members = [run.result for run in runs if run.result is not None and run.model_id in MEMBERS]
-        if len(members) < 2:
-            skipped.append((ModelId.ENSEMBLE_MEDIAN.value, f"only {len(members)} member forecasts available"))
-        else:
-            # finalize rebuilds the ensemble from its members, so it keeps no forward forecast
-            ensemble = ensemble_forecast(members)
-            scores.append(ModelScore(ensemble.model_id, compute_metric_set(test.values, ensemble.values[:holdout])))
     flags = []
     if scores:
         recommended = recommend_model(scores)
@@ -509,16 +520,19 @@ def finalize_and_forecast(corpus, report: ValidationReport, config: PipelineConf
     for s, v in zip(ordered, report.products):
         for score in v.scores:
             forward = score.forward
-            if score.model_id != ModelId.ENSEMBLE_MEDIAN.value and (
-                forward is None or (forward.start, forward.horizon) != (s.end + 1, config.horizon)
-            ):
+            if forward is None or (forward.start, forward.horizon) != (s.end + 1, config.horizon):
                 raise ValueError(
                     f"report does not match corpus and config: {s.product_id}/{score.model_id} "
                     f"has no validation forecast of {config.horizon} periods"
                 )
 
     eligible = [(s, v) for s, v in zip(ordered, report.products) if v.validity is not Validity.EXCLUDED]
-    stage_runs = _run_stage([s for s, _ in eligible], [_refit_job(s, v, config.horizon) for s, v in eligible], config)
+    # a no_model product has no scores; its fallback recommendation, naive, is fitted
+    jobs = [
+        (s, {ModelId(score.model_id): score for score in v.scores} or {ModelId.NAIVE: None}, config.horizon)
+        for s, v in eligible
+    ]
+    stage_runs = _run_stage([s for s, _ in eligible], jobs, config)
     finalized = {s.product_id: _finalize_product(s, v, runs) for (s, v), runs in zip(eligible, stage_runs)}
     products = tuple(
         finalized[v.product_id] if v.product_id in finalized else ProductForecasts(v.product_id, flags=v.flags)
@@ -527,42 +541,20 @@ def finalize_and_forecast(corpus, report: ValidationReport, config: PipelineConf
     return ForecastBundle(frequency=config.frequency, horizon=config.horizon, products=products)
 
 
-def _refit_job(series: SalesSeries, validation: ProductValidation, horizon: int) -> tuple:
-    """series' `_run_models` job: the scored models, at the ARIMA/SARIMA orders validation selected.
-
-    A no_model product has no scores; its fallback recommendation, naive, is fitted.
-    """
-    model_ids = [ModelId(s.model_id) for s in validation.scores if s.model_id != ModelId.ENSEMBLE_MEDIAN.value]
-    orders = {
-        ModelId(score.model_id): score.selected_order
-        for score in validation.scores
-        if score.selected_order is not None
-    }
-    return series, model_ids or [ModelId.NAIVE], horizon, orders
-
-
 def _finalize_product(series: SalesSeries, validation: ProductValidation, runs: list) -> ProductForecasts:
-    """One product's forecasts from its full-history runs, failed refits replaced by validation's forecasts.
+    """One product's forecasts from its full-history runs; a failed refit's result is validation's forecast.
 
     Only a no_model product's naive has none, so when its refit fails the product has no forecasts.
     """
     flags = list(validation.flags)
-    forwards = {score.model_id: score.forward for score in validation.scores}
-    results = []
+    results = [run.result for run in runs if run.result is not None]
     decomposition = None
     for run in runs:
-        if run.result is not None:
-            results.append(run.result)
-            if run.model_id is ModelId.GAM:
-                decomposition = _decomposition(run.forecaster)
-        elif run.model_id.value in forwards:
-            results.append(forwards[run.model_id.value])
-            flags.append(f"{run.model_id.value}: refit failed, reusing validation fit ({run.error})")
-        else:
-            flags.append(f"{run.model_id.value}: refit failed ({run.error})")
-    if ModelId.ENSEMBLE_MEDIAN.value in forwards:
-        # validation scored it from two or more members, and each has a refit or its forward forecast here
-        results.append(ensemble_forecast([r for r in results if r.model_id in MEMBERS]))
+        if run.error is not None:
+            reused = ", reusing validation fit" if run.result is not None else ""
+            flags.append(f"{run.model_id.value}: refit failed{reused} ({run.error})")
+        elif run.model_id is ModelId.GAM:
+            decomposition = _decomposition(run.forecaster)
     if not results:
         flags.append("recommended_model_unavailable")
     return ProductForecasts(

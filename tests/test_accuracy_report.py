@@ -28,7 +28,7 @@ def test_windows_split_at_the_year():
 
 def test_recommended_ratios_match_evaluate(tiny):
     full, report, bundle = accuracy.run_corpus(tiny, seed=2, horizon=18, enabled=FAST_MODELS)
-    scored = accuracy.product_ratios(full, report, bundle, year=12)
+    scored = accuracy.product_ratios(full, bundle, year=12)
     evaluated = summarize(report, bundle, full).recommended_ratios
     assert len(scored) == len(evaluated) == 2
     for (recommended, ratios), entry in zip(scored, evaluated):

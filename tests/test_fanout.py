@@ -213,7 +213,7 @@ def test_cnn_trained_in_a_worker_forecasts_as_one_trained_in_process(cores, monk
     corpus = generate_corpus(specs, seed=3)
     config = PipelineConfig(enabled_models=("naive", "boosted_tree", "cnn"))
     model_ids = [ModelId.NAIVE, ModelId.BOOSTED_TREE, ModelId.CNN]
-    jobs = [(series, model_ids, 12, {}) for series in corpus]
+    jobs = [(series, dict.fromkeys(model_ids), 12) for series in corpus]
     cores(1)
     serial = _run_stage(corpus, jobs, config)
     cnn = pipeline.train_shared_cnn
@@ -267,9 +267,9 @@ def test_a_jobs_task_runs_only_its_own_models(cores, monkeypatch):
     calls = []
     run_models = pipeline._run_models
 
-    def recording(series, model_ids, horizon, orders, trained=None):
-        calls.append((list(model_ids), trained is not None))
-        return run_models(series, model_ids, horizon, orders, trained)
+    def recording(series, models, horizon, trained=None):
+        calls.append((list(models), trained is not None))
+        return run_models(series, models, horizon, trained)
 
     monkeypatch.setattr(pipeline, "_run_models", recording)
     kinds = ("seasonality", "seasonality_trend")
@@ -280,7 +280,10 @@ def test_a_jobs_task_runs_only_its_own_models(cores, monkeypatch):
     shared = [model_ids for model_ids, trained in calls if trained]
     # two stages, each with one own-model task per product and one shared run per product and shared model
     assert len(own) == 4 and len(shared) == 8
-    assert all(m not in pipeline.SHARED_MODELS for model_ids in own for m in model_ids)
+    # the median ensemble is built from the runs listed before it, never in a task
+    assert all(
+        m not in pipeline.SHARED_MODELS and m is not ModelId.ENSEMBLE_MEDIAN for model_ids in own for m in model_ids
+    )
     assert all(len(model_ids) == 1 and model_ids[0] in pipeline.SHARED_MODELS for model_ids in shared)
 
 

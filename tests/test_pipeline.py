@@ -246,7 +246,8 @@ class TestRunValidation:
 
     def test_every_forecaster_is_fitted_through_the_base_contract(self, monkeypatch):
         # each run's forecaster holds the series BaseForecaster.fit recorded on
-        # it, in validation and in finalize; one usable core keeps the runs in
+        # it, in validation and in finalize; only the median ensemble's run,
+        # built from the others, has none. One usable core keeps the runs in
         # this process
         monkeypatch.setattr(fanout, "usable_cores", lambda: 1)
         fitted = []
@@ -272,8 +273,11 @@ class TestRunValidation:
         assert len(stages) == 2
         for jobs, stage_runs in stages:
             for (series, *_), runs in zip(jobs, stage_runs):
-                assert len(runs) == len(MODEL_PRIORITY) - 1
+                assert len(runs) == len(MODEL_PRIORITY)
                 for run in runs:
+                    if run.model_id is ModelId.ENSEMBLE_MEDIAN:
+                        assert run.forecaster is None and run.result is not None
+                        continue
                     assert run.forecaster.train_ is series
                     assert any(f is run.forecaster and s is series for f, s in fitted), run.model_id
 
@@ -301,6 +305,17 @@ class TestRunValidation:
         assert entry.recommended == "naive"
         skipped = dict(entry.skipped)
         assert "36" in skipped["sarima"]
+
+    def test_ensemble_score_keeps_the_median_of_its_members_forward_forecasts(self):
+        prod = monthly_series(seasonal_values(48, noise=3.0, seed=6))
+        config = PipelineConfig(enabled_models=("naive", "hwes", "gam", "ensemble_median"))
+        entry = run_validation([prod], config).products[0]
+        hwes, gam = score_of(entry, "hwes").forward, score_of(entry, "gam").forward
+        forward = score_of(entry, "ensemble_median").forward
+        assert forward is not None
+        assert (forward.model_id, forward.start, forward.horizon) == ("ensemble_median", hwes.start, 18)
+        assert not np.array_equal(hwes.values, gam.values)
+        np.testing.assert_array_equal(forward.values, np.median(np.vstack([hwes.values, gam.values]), axis=0))
 
     def test_all_models_failing_flags_no_model_and_recommends_naive(self):
         # 25 points: full pipeline, but the 13-point train prefix cannot feed
@@ -393,6 +408,18 @@ class TestFinalizeAndForecast:
         members = np.vstack([entry.forecast_for("hwes").values, entry.forecast_for("gam").values])
         assert not np.array_equal(members[0], members[1])
         np.testing.assert_array_equal(entry.forecast_for("ensemble_median").values, np.median(members, axis=0))
+
+    def test_ensemble_with_one_member_is_skipped_in_validation_and_absent_after_finalize(self):
+        prod = monthly_series(seasonal_values(48, noise=3.0, seed=6))
+        config = PipelineConfig(enabled_models=("naive", "hwes", "ensemble_median"))
+        report, bundle = run_pipeline([prod], config)
+        validation = report.products[0]
+        assert ("ensemble_median", "only 1 member forecasts available") in validation.skipped
+        assert [s.model_id for s in validation.scores] == ["hwes", "naive"]
+        entry = bundle.products[0]
+        assert entry.forecast_for("ensemble_median") is None
+        assert [f.model_id for f in entry.forecasts] == ["hwes", "naive"]
+        assert not any("ensemble" in flag for flag in entry.flags)
 
     def test_gam_decomposition_attached(self):
         prod = monthly_series(np.tile(PATTERN, 4))

@@ -52,7 +52,7 @@ def windows(horizon: int, year: int) -> list:
     return [(f"{a + 1}-{b}", slice(a, b)) for a, b in spans]
 
 
-def product_ratios(full, report, bundle, year: int) -> list:
+def product_ratios(full, bundle, year: int) -> list:
     """One (recommended model, {window label: {row: ratio or None}}) per forecast product.
 
     The rows are the recommended forecast and every model that forecast the
@@ -70,7 +70,7 @@ def product_ratios(full, report, bundle, year: int) -> list:
         window = actual.values[offset : offset + first.horizon]
         values = {result.model_id: result.values for result in product.forecasts}
         naive = values.get(ModelId.NAIVE.value)
-        recommended = report.product(product.product_id).recommended
+        recommended = product.recommended
         ratios = {}
         for label, part in windows(first.horizon, year):
             by_row = {
@@ -133,7 +133,8 @@ def main(argv=None) -> int:
     year = workload.frequency.periods_per_year
     scored = []
     for seed in args.seeds:
-        scored.extend(product_ratios(*run_corpus(workload, seed, args.horizon, enabled), year))
+        full, _, bundle = run_corpus(workload, seed, args.horizon, enabled)
+        scored.extend(product_ratios(full, bundle, year))
     print(
         f"{workload.name}, seeds {args.seeds.start}-{args.seeds.stop - 1}, horizon {args.horizon}, "
         f"{'all models' if args.disable is None else args.disable + ' disabled'}; "

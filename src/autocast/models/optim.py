@@ -2,9 +2,9 @@
 
 ``nelder_mead`` serves the exponential-smoothing fits, whose bounded,
 clamped objectives are not residual vectors. scipy's wrapper costs more than
-these objectives do, and smoothing runs several fits per product, so the
-simplex loop is written out here. Standard coefficients: reflect 1, expand
-2, outside-contract 0.5, shrink 0.5.
+these objectives do, and each product runs an SES fit and a Holt-Winters fit
+in each stage, so the simplex loop is written out here. Standard
+coefficients: reflect 1, expand 2, outside-contract 0.5, shrink 0.5.
 
 The simplex lives in Python lists of floats: with at most a handful of
 dimensions, per-call numpy overhead would cost more than the arithmetic.

@@ -1,8 +1,10 @@
-"""Exponential smoothing family: simple, Holt, and additive Holt-Winters.
+"""Exponential smoothing: simple (SES) and additive Holt-Winters.
 
-One HwesState type covers all three: Holt is the state with zero seasonal
-components, SES additionally has zero trend. fit_hwes degrades automatically
-when the history is too short for the seasonal (or trend) recursion.
+SES keeps one level and forecasts it flat, on any history. Holt-Winters
+starts its level, trend and seasonal pattern from a classical decomposition
+of the first two seasons, so fit_hwes refuses a series shorter than two
+seasons, as R's HoltWinters does; the pipeline then records hwes as skipped
+there.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ PARAM_CEIL = 0.999
 
 @dataclass(frozen=True)
 class HwesState:
-    """Smoothed endpoint of the recursion plus the parameters that produced it.
+    """Smoothed endpoint of the Holt-Winters recursion plus the parameters that produced it.
 
     seasonal is end-aligned: seasonal[h % m] is the component for the h-th
     period after the end of training (h = 1, 2, ...). Components sum to 0.
@@ -47,8 +49,7 @@ def _clamp(params):
 # The passes run once per objective evaluation. They take the series as a
 # list of floats (values.tolist()), the seasonal components as a list and the
 # parameters as floats: float arithmetic is the IEEE double arithmetic numpy
-# scalars do, without their per-operation overhead. Holt runs through
-# _hwes_pass too, so its loop keeps per-step work to the recursion itself.
+# scalars do, without their per-operation overhead.
 def _ses_pass(values, alpha):
     level = values[0]
     sse = 0.0
@@ -115,37 +116,26 @@ def fit_ses(values):
 def fit_hwes(train: SalesSeries) -> HwesState:
     """Additive Holt-Winters with Nelder-Mead over (alpha, beta, gamma).
 
-    Degrades to Holt when fewer than two full seasons are available and to
-    simple smoothing below 4 points; a fit whose best loss is not finite
-    degrades one step the same way.
+    Raises ValueError on fewer than two full seasons, which the seasonal
+    start needs, and when no parameters give a finite loss.
     """
     values = train.values.tolist()
     m = train.frequency.periods_per_year
     n = len(values)
+    if n < 2 * m:
+        raise ValueError(f"Holt-Winters needs two seasons ({2 * m} points), got {n}")
 
-    if n >= 2 * m:
-        level0, trend0, seasonal0 = _hwes_init(train.values, m)
-        init = (level0, trend0, seasonal0.tolist())
-        (a, b, g), best_sse = _minimize(lambda a, b, g: _hwes_pass(values, m, a, b, g, init)[0], [0.3, 0.1, 0.1], 300)
-        if math.isfinite(best_sse):
-            _, level, trend, seasonal = _hwes_pass(values, m, a, b, g, init)
-            seasonal = np.array(seasonal)
-            seasonal = seasonal - seasonal.mean()
-            # rotate so that index h % m serves the h-th step after training
-            end_aligned = tuple(seasonal[(n - 1 + k) % m] for k in range(m))
-            return HwesState(a, b, g, level, trend, end_aligned)
-    if n >= 4:
-        # Holt is the pass with one seasonal slot that never moves, started
-        # from the first point and the first difference
-        rest = values[1:]
-        init = (values[0], values[1] - values[0], [0.0])
-        (a, b), best_sse = _minimize(lambda a, b: _hwes_pass(rest, 1, a, b, 0.0, init)[0], [0.3, 0.1], 200)
-        if math.isfinite(best_sse):
-            _, level, trend, _ = _hwes_pass(rest, 1, a, b, 0.0, init)
-            return HwesState(a, b, 0.0, level, trend, (0.0,))
-
-    alpha, level = fit_ses(values)
-    return HwesState(alpha, 0.0, 0.0, float(level), 0.0, (0.0,))
+    level0, trend0, seasonal0 = _hwes_init(train.values, m)
+    init = (level0, trend0, seasonal0.tolist())
+    (a, b, g), best_sse = _minimize(lambda a, b, g: _hwes_pass(values, m, a, b, g, init)[0], [0.3, 0.1, 0.1], 300)
+    if not math.isfinite(best_sse):
+        raise ValueError("Holt-Winters loss is not finite at any parameters tried")
+    _, level, trend, seasonal = _hwes_pass(values, m, a, b, g, init)
+    seasonal = np.array(seasonal)
+    seasonal = seasonal - seasonal.mean()
+    # rotate so that index h % m serves the h-th step after training
+    end_aligned = tuple(seasonal[(n - 1 + k) % m] for k in range(m))
+    return HwesState(a, b, g, level, trend, end_aligned)
 
 
 def hwes_forecast(state: HwesState, horizon: int) -> np.ndarray:
@@ -162,11 +152,10 @@ class SesForecaster(BaseForecaster):
     model_id = ModelId.SES
 
     def _fit(self, series: SalesSeries) -> None:
-        alpha, level = fit_ses(series.values)
-        self.state_ = HwesState(alpha, 0.0, 0.0, level, 0.0, (0.0,))
+        self.alpha_, self.level_ = fit_ses(series.values)
 
     def _path(self, horizon: int) -> np.ndarray:
-        return hwes_forecast(self.state_, horizon)
+        return np.full(horizon, self.level_)
 
 
 class HwesForecaster(BaseForecaster):

@@ -663,21 +663,6 @@ def ses_pass_arrays(values, alpha):
     return sse, level
 
 
-def holt_pass_arrays(values, alpha, beta):
-    """Holt pass over a numpy array; returns (one-step SSE, level, trend)."""
-    level = values[0]
-    trend = values[1] - values[0]
-    sse = 0.0
-    for y in values[1:]:
-        prev_level = level
-        pred = level + trend
-        err = y - pred
-        sse += err * err
-        level = alpha * y + (1.0 - alpha) * pred
-        trend = beta * (level - prev_level) + (1.0 - beta) * trend
-    return sse, level, trend
-
-
 def hwes_pass_arrays(values, m, alpha, beta, gamma, level, trend, seasonal):
     """Additive Holt-Winters pass over numpy arrays; returns (SSE, level, trend, seasonal array)."""
     seasonal = np.array(seasonal, dtype=float)

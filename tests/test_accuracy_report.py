@@ -48,3 +48,30 @@ def test_report_has_a_row_per_model_and_the_histogram(tiny, monkeypatch, capsys)
     # hwes is the only ensemble member left, and the ensemble needs two
     assert rows == ["recommended", "hwes", "ses", "naive"]
     assert lines[-1].startswith("recommendations: ")
+
+
+def test_config_seeds_print_the_recommended_row_of_each(tiny, monkeypatch, capsys):
+    monkeypatch.setitem(accuracy.corpora.WORKLOADS, "tiny", tiny)
+    monkeypatch.setattr(accuracy, "MODEL_PRIORITY", tuple(m for m in accuracy.MODEL_PRIORITY if m.value in FAST_MODELS))
+    seeds = []
+    run_corpus = accuracy.run_corpus
+
+    def recorded(workload, seed, horizon, enabled, config_offset=0):
+        full, report, bundle = run_corpus(workload, seed, horizon, enabled, config_offset)
+        seeds.append((seed, report.seed))
+        return full, report, bundle
+
+    monkeypatch.setattr(accuracy, "run_corpus", recorded)
+    assert accuracy.main(["--workload", "tiny", "--seeds", "1-2", "--horizon", "12", "--config-seeds", "3"]) == 0
+    assert seeds == [(1, 1), (2, 2), (1, 1001), (2, 1002), (1, 2001), (2, 2002)]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-4] == "recommended at config seed = corpus seed + 1000k:"
+    # k = 0 is the table's own run
+    table_row = next(line for line in lines if line.startswith("recommended "))
+    assert [line[:16].rstrip() for line in lines[-3:]] == ["k = 0", "k = 1", "k = 2"]
+    assert lines[-3][16:] == table_row[16:]
+
+
+def test_config_seeds_below_one_rejected():
+    with pytest.raises(SystemExit):
+        accuracy.main(["--workload", "ragged_catalogue", "--config-seeds", "0"])

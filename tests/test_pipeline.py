@@ -14,6 +14,7 @@ from autocast.metrics import MetricSet
 from autocast.models.arima import ArimaForecaster, arima_forecast, fit_arima_pair
 from autocast.models.base import MODEL_PRIORITY, BaseForecaster, ModelId
 from autocast.models.boosting import BoostedTreeForecaster, train_pooled_trees
+from autocast.models.ensemble import MEMBERS
 from autocast.models.gam import GamForecaster, build_design_rows
 from autocast.models.naive import NaiveForecaster
 from autocast.models.smoothing import HwesForecaster
@@ -305,6 +306,26 @@ class TestRunValidation:
         assert entry.recommended == "naive"
         skipped = dict(entry.skipped)
         assert "36" in skipped["sarima"]
+
+    def test_hwes_skipped_below_two_seasons_and_the_ensemble_combines_the_rest(self):
+        # CI's spec.json at seed 3: product d's 30 months hold out 12 and train on 18
+        shape = (("a", "seasonality", 96), ("b", "seasonality_trend", 72), ("c", "high_variance", 60),
+                 ("d", "seasonality", 30), ("e", "seasonality_trend", 11))
+        corpus = generate_corpus([ArchetypeSpec.from_kind(pid, kind, length=n) for pid, kind, n in shape], seed=3)
+        report, bundle = run_pipeline(corpus, PipelineConfig(seed=3))
+        entry = report.product("d")
+        assert dict(entry.skipped)["hwes"] == "Holt-Winters needs two seasons (24 points), got 18"
+        members = [s.forward.values for s in entry.scores if ModelId(s.model_id) in MEMBERS]
+        assert len(members) == 3
+        np.testing.assert_array_equal(
+            score_of(entry, "ensemble_median").forward.values, np.median(np.vstack(members), axis=0)
+        )
+        forecasts = bundle.product("d")
+        assert forecasts.forecast_for("hwes") is None
+        refits = [forecasts.forecast_for(m.value).values for m in MEMBERS if m is not ModelId.HWES]
+        np.testing.assert_array_equal(
+            forecasts.forecast_for("ensemble_median").values, np.median(np.vstack(refits), axis=0)
+        )
 
     def test_ensemble_score_keeps_the_median_of_its_members_forward_forecasts(self):
         prod = monthly_series(seasonal_values(48, noise=3.0, seed=6))

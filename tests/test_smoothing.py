@@ -17,7 +17,6 @@ from autocast.models.smoothing import (
 
 from helpers import monthly_series, weekly_series
 from oracles import (
-    holt_pass_arrays,
     holt_winters_recursion,
     hwes_pass_arrays,
     nelder_mead_arrays,
@@ -28,11 +27,11 @@ from oracles import (
 
 class TestHwesForecastArithmetic:
     def test_flat_level(self):
-        state = HwesState(0.3, 0.1, 0.1, level=10.0, trend=0.0, seasonal=(0.0,))
+        state = HwesState(0.3, 0.1, 0.1, level=10.0, trend=0.0, seasonal=(0.0,) * 4)
         assert list(hwes_forecast(state, 3)) == [10.0, 10.0, 10.0]
 
     def test_linear_trend(self):
-        state = HwesState(0.3, 0.1, 0.1, level=10.0, trend=1.0, seasonal=(0.0,))
+        state = HwesState(0.3, 0.1, 0.1, level=10.0, trend=1.0, seasonal=(0.0,) * 4)
         assert list(hwes_forecast(state, 3)) == [11.0, 12.0, 13.0]
 
     def test_seasonal_rotation_is_end_aligned(self):
@@ -60,19 +59,21 @@ class TestFitHwes:
         state = fit_hwes(monthly_series(10.0 + 2.0 * np.arange(36)))
         assert state.trend == pytest.approx(2.0, rel=0.05)
 
-    def test_short_history_degrades_to_holt(self):
-        # 20 < two full seasons: no seasonal component, trend still fit
-        state = fit_hwes(monthly_series(10.0 + 2.0 * np.arange(20)))
-        assert state.seasonal == (0.0,)
-        assert state.gamma == 0.0
-        assert state.trend == pytest.approx(2.0, rel=0.05)
+    @pytest.mark.parametrize("make, m", [(monthly_series, 12), (weekly_series, 52)])
+    def test_needs_two_full_seasons(self, make, m):
+        # the seasonal start decomposes the first two seasons
+        t = np.arange(2 * m)
+        values = 100.0 + 20.0 * np.sin(2 * np.pi * t / m)
+        with pytest.raises(ValueError, match=f"Holt-Winters needs two seasons \\({2 * m} points\\), got {2 * m - 1}"):
+            fit_hwes(make(values[:-1]))
+        state = fit_hwes(make(values))
+        assert state.season_length == m
 
-    def test_tiny_history_degrades_to_ses(self):
-        state = fit_hwes(monthly_series([5.0, 6.0, 7.0]))
-        assert state.beta == 0.0
-        assert state.gamma == 0.0
-        assert state.trend == 0.0
-        assert 5.0 <= state.level <= 7.0
+    def test_overflowing_loss_raises(self):
+        # every one-step error squares past the largest double, so no parameters score
+        values = 1e200 * (2.0 + np.sin(2 * np.pi * np.arange(36) / 12))
+        with pytest.raises(ValueError, match="not finite"):
+            fit_hwes(monthly_series(values))
 
     def test_parameters_stay_clamped(self):
         state = fit_hwes(monthly_series(np.linspace(1, 400, 40)))
@@ -150,8 +151,10 @@ class TestFitSes:
 class TestForecasterAdapters:
     def test_ses_flat(self):
         series = monthly_series(np.array([10.0, 12.0, 9.0, 11.0, 10.5, 10.0]))
-        result = SesForecaster().fit(series).forecast(4)
-        assert len(set(result.values.tolist())) == 1  # flat line
+        model = SesForecaster().fit(series)
+        assert (model.alpha_, model.level_) == fit_ses(series.values)
+        result = model.forecast(4)
+        assert result.values.tolist() == [model.level_] * 4
         assert result.model_id == "ses"
         assert result.start == series.end + 1
 
@@ -167,29 +170,19 @@ def clamp(params):
 
 
 def array_fit_hwes(values, m):
-    """fit_hwes's Holt-Winters and Holt branches on numpy arrays and scalars."""
-    if len(values) >= 2 * m:
-        level0, trend0, seasonal0 = _hwes_init(values, m)
-
-        def objective(params):
-            sse = hwes_pass_arrays(values, m, *clamp(params), level0, trend0, seasonal0)[0]
-            return sse if np.isfinite(sse) else np.inf
-
-        best, _, _ = nelder_mead_arrays(objective, np.array([0.3, 0.1, 0.1]), maxfev=300)
-        a, b, g = (float(v) for v in clamp(best))
-        _, level, trend, seasonal = hwes_pass_arrays(values, m, a, b, g, level0, trend0, seasonal0)
-        seasonal = seasonal - seasonal.mean()
-        n = len(values)
-        return a, b, g, float(level), float(trend), tuple(seasonal[(n - 1 + k) % m] for k in range(m))
+    """fit_hwes on numpy arrays and scalars."""
+    level0, trend0, seasonal0 = _hwes_init(values, m)
 
     def objective(params):
-        sse = holt_pass_arrays(values, *clamp(params))[0]
+        sse = hwes_pass_arrays(values, m, *clamp(params), level0, trend0, seasonal0)[0]
         return sse if np.isfinite(sse) else np.inf
 
-    best, _, _ = nelder_mead_arrays(objective, np.array([0.3, 0.1]), maxfev=200)
-    a, b = (float(v) for v in clamp(best))
-    _, level, trend = holt_pass_arrays(values, a, b)
-    return a, b, 0.0, float(level), float(trend), (0.0,)
+    best, _, _ = nelder_mead_arrays(objective, np.array([0.3, 0.1, 0.1]), maxfev=300)
+    a, b, g = (float(v) for v in clamp(best))
+    _, level, trend, seasonal = hwes_pass_arrays(values, m, a, b, g, level0, trend0, seasonal0)
+    seasonal = seasonal - seasonal.mean()
+    n = len(values)
+    return a, b, g, float(level), float(trend), tuple(seasonal[(n - 1 + k) % m] for k in range(m))
 
 
 class TestMatchesArrayFormulation:
@@ -202,8 +195,6 @@ class TestMatchesArrayFormulation:
             alpha, beta, gamma = rng.uniform(0.001, 0.999, size=3)  # numpy scalars, as np.clip gives them
             floats = values.tolist()
             assert _ses_pass(floats, float(alpha)) == ses_pass_arrays(values, alpha)
-            holt = _hwes_pass(floats[1:], 1, float(alpha), float(beta), 0.0, (floats[0], floats[1] - floats[0], [0.0]))
-            assert holt[:3] == holt_pass_arrays(values, alpha, beta)
             level, trend, seasonal = _hwes_init(values, m)
             init = (level, trend, seasonal.tolist())
             got = _hwes_pass(floats, m, float(alpha), float(beta), float(gamma), init)
@@ -224,7 +215,7 @@ class TestMatchesArrayFormulation:
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
-        "make, n", [(monthly_series, 40), (monthly_series, 18), (weekly_series, 110), (weekly_series, 60)]
+        "make, n", [(monthly_series, 40), (monthly_series, 24), (weekly_series, 110), (weekly_series, 104)]
     )
     def test_fitted_state(self, make, n, seed):
         rng = np.random.default_rng(seed)

@@ -11,7 +11,12 @@ median, mean and 90th percentile of the ratio for the recommended forecast
 and for each model, then the recommendation histogram. A horizon longer
 than a year is also scored on its first year and on the rest alone.
 
-    python3 tools/accuracy.py --workload ragged_catalogue --seeds 1-8 --horizon 18 [--disable gam]
+With --config-seeds N the corpora run again under config seeds corpus seed
++ 1000k for k = 1 .. N-1, and the recommended row of each k follows the
+table (k = 0 is the table's own run), so a change can be told from the
+seeded models' noise.
+
+    python3 tools/accuracy.py --workload ragged_catalogue --seeds 1-8 --horizon 18 [--disable gam] [--config-seeds 3]
 
 Deterministic and untimed; nothing is written to disk.
 """
@@ -35,13 +40,20 @@ from autocast.pipeline import PipelineConfig, finalize_and_forecast, run_validat
 
 RECOMMENDED = "recommended"
 HORIZONS = (12, 18)
+# config seed k of a corpus seed is corpus seed + CONFIG_SEED_STEP * k
+CONFIG_SEED_STEP = 1000
 
 
-def run_corpus(workload, seed: int, horizon: int, enabled):
-    """(full series, validation report, forecast bundle) with the last ``horizon`` periods held back."""
+def run_corpus(workload, seed: int, horizon: int, enabled, config_offset: int = 0):
+    """(full series, validation report, forecast bundle) with the last ``horizon`` periods held back.
+
+    The pipeline runs under config seed ``seed + config_offset``.
+    """
     _, full = corpora.generate(workload, seed)
     train = [series.prefix(len(series) - horizon) for series in full if len(series) > horizon]
-    config = PipelineConfig(frequency=workload.frequency, horizon=horizon, enabled_models=enabled, seed=seed)
+    config = PipelineConfig(
+        frequency=workload.frequency, horizon=horizon, enabled_models=enabled, seed=seed + config_offset
+    )
     report = run_validation(train, config)
     return full, report, finalize_and_forecast(train, report, config)
 
@@ -97,6 +109,12 @@ def summary_line(values) -> str:
     )
 
 
+def row_line(name: str, scored, labels, row: str) -> str:
+    """One table row: ``row``'s summary in each window, under the heading ``name``."""
+    cells = (summary_line(ratios[label].get(row) for _, ratios in scored) for label in labels)
+    return f"{name:<16}" + "".join(f"   {cell}" for cell in cells)
+
+
 def report_lines(scored, labels) -> list:
     """The table: one row per rule, one column block per window, then the histogram."""
     present = {row for _, ratios in scored for row in ratios[labels[0]]}
@@ -105,9 +123,7 @@ def report_lines(scored, labels) -> list:
         f"{'':<16}" + "".join(f"   {'periods ' + label:<25}" for label in labels),
         f"{'ratio':<16}" + f"   {'n':>4} {'median':>6} {'mean':>6} {'p90':>6}" * len(labels),
     ]
-    for row in rows:
-        cells = (summary_line(ratios[label].get(row) for _, ratios in scored) for label in labels)
-        lines.append(f"{row:<16}" + "".join(f"   {cell}" for cell in cells))
+    lines += [row_line(row, scored, labels, row) for row in rows]
     histogram = Counter(recommended for recommended, _ in scored if recommended is not None)
     lines.append("recommendations: " + ", ".join(f"{m} {c}" for m, c in sorted(histogram.items())))
     return lines
@@ -127,20 +143,34 @@ def main(argv=None) -> int:
         "--disable", choices=[m.value for m in MODEL_PRIORITY if m is not ModelId.NAIVE],
         help="run the pipeline without this model",
     )
+    parser.add_argument(
+        "--config-seeds", type=int, default=1, metavar="N",
+        help=f"also run config seeds corpus seed + {CONFIG_SEED_STEP}k for k < N and print each one's recommended row",
+    )
     args = parser.parse_args(argv)
+    if args.config_seeds < 1:
+        parser.error("--config-seeds must be at least 1")
     workload = corpora.WORKLOADS[args.workload]
     enabled = tuple(m for m in MODEL_PRIORITY if m.value != args.disable)
     year = workload.frequency.periods_per_year
-    scored = []
-    for seed in args.seeds:
-        full, _, bundle = run_corpus(workload, seed, args.horizon, enabled)
-        scored.extend(product_ratios(full, bundle, year))
+    labels = [label for label, _ in windows(args.horizon, year)]
+    scored_by_k = []
+    for k in range(args.config_seeds):
+        scored = []
+        for seed in args.seeds:
+            full, _, bundle = run_corpus(workload, seed, args.horizon, enabled, CONFIG_SEED_STEP * k)
+            scored.extend(product_ratios(full, bundle, year))
+        scored_by_k.append(scored)
     print(
         f"{workload.name}, seeds {args.seeds.start}-{args.seeds.stop - 1}, horizon {args.horizon}, "
         f"{'all models' if args.disable is None else args.disable + ' disabled'}; "
         "ratio = nRMSE / naive's nRMSE"
     )
-    print("\n".join(report_lines(scored, [label for label, _ in windows(args.horizon, year)])))
+    print("\n".join(report_lines(scored_by_k[0], labels)))
+    if args.config_seeds > 1:
+        print(f"recommended at config seed = corpus seed + {CONFIG_SEED_STEP}k:")
+        for k, scored in enumerate(scored_by_k):
+            print(row_line(f"k = {k}", scored, labels, RECOMMENDED))
     return 0
 
 

@@ -546,6 +546,14 @@ class ArimaForecaster(BaseForecaster):
     def model_id(self) -> ModelId:
         return ModelId.SARIMA if self.seasonal else ModelId.ARIMA
 
+    @property
+    def fallback(self) -> bool:
+        return self.fit_.fallback
+
+    @property
+    def refit_order(self) -> ArimaOrder:
+        return self.fit_.order
+
     def _fit(self, series: SalesSeries) -> None:
         cache, self.cache = self.cache, None
         self.fit_ = fit_arima(series, self.seasonal, self.forced_order, cache)

@@ -56,11 +56,15 @@ class BaseForecaster:
     and returns self; forecast() raises NotFittedError before a successful
     fit and ValueError for a horizon below 1, floors the path at 0, and
     dates it from the period after the training series. Fitted state lives
-    in attributes with a trailing underscore.
+    in attributes with a trailing underscore. The pipeline also reads
+    ``fallback``, ``refit_order`` (the order a full-history refit keeps) and
+    ``decompose()``; they are neutral here, and ARIMA and the GAM override them.
     """
 
     model_id: ModelId
     train_: SalesSeries | None = None
+    fallback = False
+    refit_order = None
 
     def fit(self, series: SalesSeries) -> "BaseForecaster":
         self.train_ = None
@@ -85,6 +89,9 @@ class BaseForecaster:
     def _path(self, horizon: int) -> np.ndarray:
         raise NotImplementedError
 
+    def decompose(self) -> dict | None:
+        return None
+
     def _check_fitted(self):
         if self.train_ is None:
             raise NotFittedError(f"{type(self).__name__} is not fitted; call fit() first")
@@ -94,12 +101,15 @@ def iterate_one_step(predict_one, history: np.ndarray, horizon: int) -> np.ndarr
     """Roll a one-step predictor forward, feeding predictions back as input.
 
     Each prediction is floored at 0 before it is appended, so the floor is
-    part of the feedback loop, not a cosmetic pass at the end.
+    part of the feedback loop, not a cosmetic pass at the end. A non-finite
+    prediction raises ValueError: the floor would turn NaN and -inf into 0.
     """
     working = np.asarray(history, dtype=float).copy()
     out = np.empty(horizon)
     for h in range(horizon):
-        value = max(0.0, float(predict_one(working)))
-        out[h] = value
-        working = np.append(working, value)
+        value = float(predict_one(working))
+        if not np.isfinite(value):
+            raise ValueError(f"one-step prediction {h + 1} is {value}")
+        out[h] = max(0.0, value)
+        working = np.append(working, out[h])
     return out

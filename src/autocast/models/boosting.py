@@ -111,7 +111,8 @@ def _grow(design: _Design, residual, rows, order, xs, slot: int, tree, fitted):
 
     tree is one tree's (feature, threshold, value) rows of the forest;
     leaf values also go into `fitted`. order[i] lists the node's rows in
-    ascending order of the i-th presorted feature, and xs[i] their values.
+    ascending order of the i-th presorted feature, and xs[i] their values;
+    a bottom slot, which only takes a leaf, gets None for both.
     """
     feature, threshold, value = tree
     y = residual[rows]
@@ -127,16 +128,20 @@ def _grow(design: _Design, residual, rows, order, xs, slot: int, tree, fitted):
             value[slot] = value[(slot - 1) // 2]
         return
     feature[slot], threshold[slot], _ = split
-    # stable partitions keep each child's per-feature orders sorted
     column = design.Xt[feature[slot]]
     left_rows = column[rows] <= threshold[slot]
+    children = ((2 * slot + 1, left_rows), (2 * slot + 2, ~left_rows))
+    if 2 * slot + 1 >= BOTTOM:  # bottom leaves need only their rows
+        for child, row_side in children:
+            _grow(design, residual, rows[row_side], None, None, child, tree, fitted)
+        return
+    # stable partitions keep each child's per-feature orders sorted
     left = column[order] <= threshold[slot]
-    for child, row_side, side in ((2 * slot + 1, left_rows, left), (2 * slot + 2, ~left_rows, ~left)):
+    for (child, row_side), side in zip(children, (left, ~left)):
         child_rows = rows[row_side]
         # explicit, not -1: order has no rows when every column is binary
         shape = (len(order), len(child_rows))
-        child_order, child_xs = order[side].reshape(shape), xs[side].reshape(shape)
-        _grow(design, residual, child_rows, child_order, child_xs, child, tree, fitted)
+        _grow(design, residual, child_rows, order[side].reshape(shape), xs[side].reshape(shape), child, tree, fitted)
 
 
 class GradientBoostedTrees:

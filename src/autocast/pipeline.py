@@ -50,7 +50,7 @@ from .metrics import MetricSet, compute_metric_set
 # perfbench/tracing.py binds fit_arima_pair here for its arima.search span.
 # Nothing in this module calls it; the import leaves with that binding.
 from .models.arima import ArimaForecaster, fit_arima_pair  # noqa: F401
-from .models.base import MODEL_PRIORITY, BaseForecaster, ModelId, priority_rank
+from .models.base import MODEL_PRIORITY, ModelId, priority_rank
 from .models.boosting import BoostedTreeForecaster, train_pooled_trees
 from .models.ensemble import MEMBERS, ensemble_forecast
 from .models.gam import GamForecaster
@@ -226,8 +226,25 @@ class ForecastBundle:
 # numpy.linalg.LinAlgError is a ValueError.
 MODEL_FAILURES = (ValueError, ArithmeticError)
 
-# models whose weights are trained once per stage, on every product's series
-SHARED_MODELS = (ModelId.BOOSTED_TREE, ModelId.CNN)
+# each forecasting model's builder, from its validation order (ARIMA), its
+# shared model's training and the job's ARIMA cache (`fit_arima`)
+FORECASTERS = {
+    ModelId.NAIVE: lambda order, trained, cache: NaiveForecaster(),
+    ModelId.SES: lambda order, trained, cache: SesForecaster(),
+    ModelId.HWES: lambda order, trained, cache: HwesForecaster(),
+    ModelId.ARIMA: lambda order, trained, cache: ArimaForecaster(False, order, cache),
+    ModelId.SARIMA: lambda order, trained, cache: ArimaForecaster(True, order, cache),
+    ModelId.GAM: lambda order, trained, cache: GamForecaster(),
+    ModelId.BOOSTED_TREE: lambda order, trained, cache: BoostedTreeForecaster(trained),
+    ModelId.CNN: lambda order, trained, cache: CnnForecaster(trained),
+}
+
+# the trainer of each model trained once per stage on every product's series; it
+# looks its function up here when it runs, so a rebinding (tests, tracer) holds
+SHARED_MODELS = {
+    ModelId.BOOSTED_TREE: lambda corpus, config: train_pooled_trees(corpus),
+    ModelId.CNN: lambda corpus, config: train_shared_cnn(corpus, config.frequency.default_input_window, config.seed),
+}
 
 
 def _run_stage(corpus: list, jobs: list, config: PipelineConfig) -> list:
@@ -283,50 +300,19 @@ def _shared_runs(model_id: ModelId, corpus: list, jobs: list, config: PipelineCo
     """
     listed = [(series, models[model_id], horizon) for series, models, horizon in jobs if model_id in models]
     try:
-        if model_id is ModelId.BOOSTED_TREE:
-            trained = train_pooled_trees(corpus)
-        else:
-            trained = train_shared_cnn(corpus, config.frequency.default_input_window, config.seed)
+        trained = SHARED_MODELS[model_id](corpus, config)
     except MODEL_FAILURES as exc:
         return [_ModelRun(model_id, error=str(exc)) for _ in listed]
-    return [
-        _run_models(series, {model_id: score}, horizon, trained)[0]
-        for series, score, horizon in listed
-    ]
-
-
-def _make_forecaster(model_id: ModelId, order=None, trained=None, arima_cache=None) -> BaseForecaster:
-    if model_id is ModelId.NAIVE:
-        return NaiveForecaster()
-    if model_id is ModelId.SES:
-        return SesForecaster()
-    if model_id is ModelId.HWES:
-        return HwesForecaster()
-    if model_id is ModelId.ARIMA:
-        return ArimaForecaster(False, order, arima_cache)
-    if model_id is ModelId.SARIMA:
-        return ArimaForecaster(True, order, arima_cache)
-    if model_id is ModelId.GAM:
-        return GamForecaster()
-    if model_id is ModelId.BOOSTED_TREE:
-        return BoostedTreeForecaster(trained)
-    if model_id is ModelId.CNN:
-        return CnnForecaster(trained)
-    raise ValueError(f"no forecaster for {model_id}")
-
-
-def _is_fallback(forecaster: BaseForecaster) -> bool:
-    """Only an ARIMA fit falls back: to the random walk, when nothing fits or its path overflows."""
-    return isinstance(forecaster, ArimaForecaster) and forecaster.fit_.fallback
+    return [_run_models(series, {model_id: score}, horizon, trained)[0] for series, score, horizon in listed]
 
 
 @dataclass
 class _ModelRun:
     """One model's fit and forecast on one series.
 
-    forecaster is None when building or fitting failed, and for the median
-    ensemble. error holds the message of whichever step failed; with an
-    error, result is None or the job's fallback, validation's forecast.
+    error holds the message of whichever step failed; with an error, result
+    is None or the job's fallback, validation's forecast. fallback,
+    refit_order and parts (its `decompose()`) are the fitted forecaster's.
     A shared model's run comes from its `_shared_runs` task, the ensemble's
     from `_run_stage`, any other from its job's `_run_models` task.
     """
@@ -334,7 +320,9 @@ class _ModelRun:
     model_id: ModelId
     result: ForecastResult | None = None
     error: str | None = None
-    forecaster: BaseForecaster | None = None
+    fallback: bool = False
+    refit_order: object | None = None
+    parts: dict | None = None
 
 
 def _run_models(series: SalesSeries, models: dict, horizon: int, trained=None) -> list:
@@ -353,10 +341,9 @@ def _run_models(series: SalesSeries, models: dict, horizon: int, trained=None) -
         run = _ModelRun(model_id)
         try:
             order = score.selected_order if score is not None else None
-            forecaster = _make_forecaster(model_id, order, trained, arima_cache)
-            forecaster.fit(series)
-            run.forecaster = forecaster
+            forecaster = FORECASTERS[model_id](order, trained, arima_cache).fit(series)
             run.result = forecaster.forecast(horizon)
+            run.fallback, run.refit_order, run.parts = forecaster.fallback, forecaster.refit_order, forecaster.decompose()
         except MODEL_FAILURES as exc:
             run.error = str(exc)
         runs.append(run)
@@ -468,8 +455,8 @@ def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity,
         ModelScore(
             run.model_id.value,
             compute_metric_set(test.values, run.result.values[:holdout]),
-            fallback=_is_fallback(run.forecaster),
-            selected_order=run.forecaster.fit_.order if isinstance(run.forecaster, ArimaForecaster) else None,
+            fallback=run.fallback,
+            selected_order=run.refit_order,
             forward=ForecastResult(train.product_id, run.model_id.value, test.end + 1, run.result.values[holdout:]),
         )
         for run in runs
@@ -489,19 +476,6 @@ def _validate_product(train: SalesSeries, test: SalesSeries, validity: Validity,
         skipped=tuple(skipped),
         recommended=recommended,
         flags=tuple(flags),
-    )
-
-
-def _decomposition(forecaster: GamForecaster) -> Decomposition:
-    """The GAM's trend and seasonal paths over the series it was fitted on."""
-    parts = forecaster.decompose()
-    train = forecaster.train_
-    return Decomposition(
-        product_id=train.product_id,
-        start=train.start,
-        observed=train.values,
-        trend=parts["trend"],
-        seasonal=parts["seasonal"],
     )
 
 
@@ -553,8 +527,8 @@ def _finalize_product(series: SalesSeries, validation: ProductValidation, runs: 
         if run.error is not None:
             reused = ", reusing validation fit" if run.result is not None else ""
             flags.append(f"{run.model_id.value}: refit failed{reused} ({run.error})")
-        elif run.model_id is ModelId.GAM:
-            decomposition = _decomposition(run.forecaster)
+        elif run.parts is not None:
+            decomposition = Decomposition(series.product_id, series.start, series.values, **run.parts)
     if not results:
         flags.append("recommended_model_unavailable")
     return ProductForecasts(

@@ -37,7 +37,6 @@ from autocast.models.arima import (
     seasonal_strength,
 )
 from autocast.models.optim import nelder_mead
-from autocast.pipeline import _is_fallback
 
 from helpers import in_range_orders, monthly_series, seasonal_values, weekly_series
 from oracles import (
@@ -578,8 +577,21 @@ class TestForecastFallback:
             result = model.forecast(12)
         drift = float(np.mean(np.diff(y)))
         assert np.allclose(result.values, np.maximum(y[-1] + drift * np.arange(1, 13), 0.0))
-        assert model.fit_.fallback and _is_fallback(model)
+        assert model.fit_.fallback and model.fallback
         assert model.fit_.order == explosive.order and model.fit_.params == explosive.params
+        assert model.refit_order == explosive.order
+
+    @pytest.mark.parametrize("seasonal", [False, True])
+    def test_forecaster_reports_its_fit(self, seasonal):
+        # what the pipeline reads of an ARIMA run is its fit's fallback flag and order
+        model = ArimaForecaster(seasonal).fit(monthly_series(seasonal_values(48, noise=2.0, seed=3)))
+        assert model.fallback is model.fit_.fallback is False
+        assert model.refit_order is model.fit_.order
+        # a forced order left with fewer than 4 differenced points is the random walk
+        forced = ArimaOrder(0, 0, 0, 0, 1, 0, 12) if seasonal else ArimaOrder(1, 1, 0)
+        walk = ArimaForecaster(seasonal, forced).fit(monthly_series([5.0, 7.0, 6.0, 8.0] * (3 if seasonal else 1)))
+        assert walk.fallback is walk.fit_.fallback is True
+        assert walk.refit_order is walk.fit_.order == ArimaOrder(0, 1, 0)
 
     def test_finite_path_is_not_a_fallback(self):
         y = simulate_ar1(0.5, 40, seed=5)

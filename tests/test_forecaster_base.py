@@ -12,7 +12,7 @@ from autocast.models.base import (
 )
 from autocast.models.boosting import fit_boosted_trees
 from autocast.models.windows import make_window_features
-from autocast.pipeline import _make_forecaster
+from autocast.pipeline import FORECASTERS
 
 from helpers import monthly_series, seasonal_values
 
@@ -96,6 +96,16 @@ class TestIterateOneStep:
         iterate_one_step(lambda h: 1.0, history, 2)
         assert list(history) == [3.0, 4.0]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), float("inf")])
+    def test_non_finite_prediction_raises(self, bad):
+        # the floor would turn NaN and -inf into a zero forecast
+        with pytest.raises(ValueError, match="one-step prediction 1 is"):
+            iterate_one_step(lambda h: bad, np.array([1.0, 2.0, 3.0]), 3)
+
+    def test_non_finite_later_step_names_it(self):
+        with pytest.raises(ValueError, match="one-step prediction 3 is nan"):
+            iterate_one_step(lambda h: float("nan") if len(h) == 4 else 1.0, np.array([1.0, 2.0]), 3)
+
 
 
 def _trained_models():
@@ -108,6 +118,11 @@ def _trained_models():
 
 
 FORECASTING_MODELS = [m for m in MODEL_PRIORITY if m is not ModelId.ENSEMBLE_MEDIAN]
+ARIMA_VARIANTS = (ModelId.ARIMA, ModelId.SARIMA)
+
+
+def test_the_table_builds_every_model_but_the_ensemble():
+    assert set(FORECASTERS) == set(ModelId) - {ModelId.ENSEMBLE_MEDIAN}
 
 
 class TestForecasterContract:
@@ -119,11 +134,29 @@ class TestForecasterContract:
 
     @pytest.fixture(params=FORECASTING_MODELS, ids=lambda m: m.value)
     def model(self, request, trained):
-        return _make_forecaster(request.param, trained=trained.get(request.param))
+        return FORECASTERS[request.param](None, trained.get(request.param), None)
 
     @pytest.fixture
     def series(self):
         return monthly_series(seasonal_values(40, noise=2.0, seed=2), product_id="widget")
+
+    def test_built_model_has_its_id(self, request, model):
+        assert model.model_id is request.node.callspec.params["model"]
+
+    def test_fit_facts(self, model, series):
+        # only ARIMA reports a fallback and an order to refit at, only the GAM a decomposition
+        model.fit(series)
+        model.forecast(5)
+        if model.model_id in ARIMA_VARIANTS:
+            assert model.fallback is model.fit_.fallback and model.refit_order is model.fit_.order
+        else:
+            assert model.fallback is False and model.refit_order is None
+        parts = model.decompose()
+        if model.model_id is ModelId.GAM:
+            assert sorted(parts) == ["seasonal", "trend"]
+            assert all(len(path) == len(series) for path in parts.values())
+        else:
+            assert parts is None
 
     def test_only_the_base_class_fits_and_forecasts(self, model):
         cls = type(model)

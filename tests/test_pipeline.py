@@ -246,10 +246,10 @@ class TestRunValidation:
         assert score_of(entry, "sarima").selected_order is not None
 
     def test_every_forecaster_is_fitted_through_the_base_contract(self, monkeypatch):
-        # each run's forecaster holds the series BaseForecaster.fit recorded on
-        # it, in validation and in finalize; only the median ensemble's run,
-        # built from the others, has none. One usable core keeps the runs in
-        # this process
+        # each run comes from one forecaster that BaseForecaster.fit fitted on
+        # the job's series, in validation and in finalize; only the median
+        # ensemble's run is built from the others. One usable core keeps the
+        # runs in this process
         monkeypatch.setattr(fanout, "usable_cores", lambda: 1)
         fitted = []
         original_fit = BaseForecaster.fit
@@ -275,12 +275,10 @@ class TestRunValidation:
         for jobs, stage_runs in stages:
             for (series, *_), runs in zip(jobs, stage_runs):
                 assert len(runs) == len(MODEL_PRIORITY)
-                for run in runs:
-                    if run.model_id is ModelId.ENSEMBLE_MEDIAN:
-                        assert run.forecaster is None and run.result is not None
-                        continue
-                    assert run.forecaster.train_ is series
-                    assert any(f is run.forecaster and s is series for f, s in fitted), run.model_id
+                assert all(run.result is not None and run.error is None for run in runs)
+                on_series = sorted(f.model_id.value for f, s in fitted if s is series and f.train_ is series)
+                assert on_series == sorted(run.model_id.value for run in runs[:-1])
+                assert runs[-1].model_id is ModelId.ENSEMBLE_MEDIAN
 
     def test_an_arima_variant_does_not_depend_on_the_other_running(self):
         # the variants share a cache only when both run; it changes no result
@@ -666,6 +664,22 @@ class TestFanOut:
             assert entry.forecast_for(model_id).values.tobytes() == forward.values.tobytes()
             flag = f"{model_id}: refit failed, reusing validation fit (full-history training overflowed)"
             assert flag in entry.flags
+
+    def test_non_finite_tree_forecast_is_skipped(self, monkeypatch):
+        # a NaN one-step prediction fails the model instead of reading as a zero forecast
+        class NanTrees:
+            def predict_one(self, row):
+                return float("nan")
+
+        monkeypatch.setattr(pipeline, "train_pooled_trees", lambda corpus: NanTrees())
+        prod = monthly_series(seasonal_values(48, noise=2.0, seed=3))
+        for n in (1, 2):
+            monkeypatch.setattr(fanout, "usable_cores", lambda: n)
+            report, bundle = run_pipeline([prod], PipelineConfig(enabled_models=("naive", "boosted_tree")))
+            entry = report.products[0]
+            assert dict(entry.skipped) == {"boosted_tree": "one-step prediction 1 is nan"}
+            assert [s.model_id for s in entry.scores] == ["naive"]
+            assert [f.model_id for f in bundle.products[0].forecasts] == ["naive"]
 
     def test_failed_full_history_training_is_not_repeated(self, monkeypatch):
         # one usable core keeps every training call in this process

@@ -21,12 +21,14 @@ every scored model reaches the bundle and nothing is fitted on the
 prefix again.
 
 Each stage is one ``fanout.run_all`` queue over a pool of forked workers,
-one per usable core. The queue holds one task per shared-weight model
-(pooled trees, CNN) that some job lists, which trains the model on the
-stage's corpus and then fits and forecasts it on each of those jobs, and
-then one task per job that runs only the job's own models. So the shared
-models run in the process that trained them, and product fits run beside
-them. Once every task has returned, this process lists each job's runs
+one per usable core, which claim the queue's task indices in order from
+one pipe. The queue holds one task per shared-weight model (pooled trees,
+CNN) that some job lists, which trains the model on the stage's corpus and
+then fits and forecasts it on each of those jobs, and then one task per
+job that runs only the job's own models. So the shared models run in the
+process that trained them, and product fits run beside them. This process
+runs no task: it waits, then reads each worker's results and reaps it.
+Once every task has returned, this process lists each job's runs
 in its model order, each from its shared model's task or the job's own,
 with its fallback and the median ensemble decided there, then scores and
 recommends (validation) or assembles the bundle (finalize). Every task
@@ -254,13 +256,14 @@ def _run_stage(corpus: list, jobs: list, config: PipelineConfig) -> list:
     ensemble last. The queue holds one `_shared_runs` task per shared model
     that some job lists, and then one `_run_models` task per job for its own
     models, none of which reads another. On two or more usable cores the
-    forked workers take entries in queue order, so the shared models train
-    side by side, each then runs on its jobs in the process that trained
-    it, and each worker then takes the next job as it comes free. Each run
-    is then taken from its model's shared task or the job's own; one left
-    without a result takes its score's forward forecast and keeps its
-    error. The ensemble's run is the median of two or more `MEMBERS`
-    results listed before it.
+    forked workers claim entries from one pipe in queue order, so the shared
+    models train side by side, each then runs on its jobs in the process
+    that trained it, and each worker then claims the next job as it comes
+    free; this process waits, then reads each worker's results and reaps
+    it. Each run is then taken from its model's shared task or the job's
+    own; one left without a result takes its score's forward forecast and
+    keeps its error. The ensemble's run is the median of two or more
+    `MEMBERS` results listed before it.
     """
     shared = [m for m in SHARED_MODELS if any(m in models for _, models, _ in jobs)]
     not_own = (*SHARED_MODELS, ModelId.ENSEMBLE_MEDIAN)

@@ -75,3 +75,17 @@ def test_config_seeds_print_the_recommended_row_of_each(tiny, monkeypatch, capsy
 def test_config_seeds_below_one_rejected():
     with pytest.raises(SystemExit):
         accuracy.main(["--workload", "ragged_catalogue", "--config-seeds", "0"])
+
+
+def test_config_seeds_print_each_rows_spread_over_the_seeds(monkeypatch, capsys):
+    # the 48-month history leaves validation 36 months, enough for every model
+    spread = accuracy.corpora.Workload("spread", Frequency.MONTHLY, accuracy.corpora.C6_MIX, (48, 40))
+    monkeypatch.setitem(accuracy.corpora.WORKLOADS, "spread", spread)
+    assert accuracy.main(["--workload", "spread", "--seeds", "1", "--horizon", "12", "--config-seeds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("max/min of each row's ratio over the 2 config seeds, median over products:")
+    end = lines.index("recommended at config seed = corpus seed + 1000k:")
+    medians = {line.split()[0]: line.split()[2] for line in lines[start + 2 : end]}
+    unseeded = ("naive", "ses", "hwes", "arima", "sarima", "gam", "boosted_tree", "ensemble_median")
+    assert {model: medians[model] for model in unseeded} == dict.fromkeys(unseeded, "1.000")
+    assert float(medians["cnn"]) >= 1

@@ -1,10 +1,12 @@
+import fcntl
 import os
 import pickle
 import signal
 import subprocess
 import sys
 import threading
-from concurrent.futures.process import BrokenProcessPool
+import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +55,10 @@ def in_worker() -> bool:
 def assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
 
 
 class Unpicklable(Exception):
@@ -172,7 +178,7 @@ def test_unpicklable_worker_exception_breaks_the_pool(cores):
     def task():
         raise Unpicklable(1, 2)
 
-    with pytest.raises(BrokenProcessPool) as caught:
+    with pytest.raises(fanout.BrokenPool) as caught:
         fanout.run_all([lambda: 0, task])
     assert isinstance(caught.value, RuntimeError)
     assert_no_children()
@@ -187,9 +193,82 @@ def test_unpicklable_worker_result_raises_its_pickling_error(cores):
 
 def test_worker_that_dies_mid_task_breaks_the_pool(cores):
     cores(2)
-    with pytest.raises(BrokenProcessPool) as caught:
+    with pytest.raises(fanout.BrokenPool) as caught:
         fanout.run_all([lambda: 0, lambda: os._exit(1), lambda: 2])
     assert isinstance(caught.value, RuntimeError)
+    assert_no_children()
+
+
+def test_unpicklable_exception_attribute_breaks_the_pool(cores):
+    cores(2)
+
+    def task():
+        raise ValueError(lambda: None)
+
+    with pytest.raises(fanout.BrokenPool, match="task 1"):
+        fanout.run_all([lambda: 0, task])
+    assert_no_children()
+
+
+def test_a_failure_below_a_dead_workers_task_is_raised_as_in_a_serial_run(cores):
+    # each worker stops at its first failure, so one takes task 0 and the other task 1
+    cores(2)
+    fds = open_fds()
+
+    def fail():
+        raise ValueError("task 0")
+
+    with pytest.raises(ValueError, match="task 0"):
+        fanout.run_all([fail, lambda: os._exit(1)])
+    assert open_fds() == fds
+    assert_no_children()
+
+
+@pytest.mark.parametrize("n_cores", [2, 3])
+def test_a_queue_longer_than_the_claim_pipe_runs_each_task_once_in_order(cores, tmp_path, n_cores):
+    n_tasks = 20_000
+    read_end, write_end = os.pipe()
+    try:
+        assert n_tasks * fanout.WIDTH > fcntl.fcntl(read_end, fcntl.F_GETPIPE_SZ)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    cores(n_cores)
+    log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def task(i):
+        os.write(log, f"{i}\n".encode())
+        return i
+
+    try:
+        results = fanout.run_all([partial(task, i) for i in range(n_tasks)])
+    finally:
+        os.close(log)
+    assert results == list(range(n_tasks))
+    assert sorted(int(line) for line in (tmp_path / "ran").read_text().split()) == list(range(n_tasks))
+    assert_no_children()
+
+
+def test_an_interrupted_caller_kills_and_reaps_its_workers(cores):
+    cores(2)
+    threads, fds = threading.active_count(), open_fds()
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    time_limit = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    start = time.monotonic()
+    try:
+        with pytest.raises(Interrupted):
+            fanout.run_all([lambda: time.sleep(60), lambda: 0])
+    finally:
+        signal.signal(signal.SIGALRM, time_limit)
+    assert time.monotonic() - start < 1.0
+    assert (threading.active_count(), open_fds()) == (threads, fds)
     assert_no_children()
 
 

@@ -14,7 +14,11 @@ than a year is also scored on its first year and on the rest alone.
 With --config-seeds N the corpora run again under config seeds corpus seed
 + 1000k for k = 1 .. N-1, and the recommended row of each k follows the
 table (k = 0 is the table's own run), so a change can be told from the
-seeded models' noise.
+seeded models' noise. Before them comes each row's spread over the
+config seeds: the median, over products, of the max/min of its ratio
+across the N seeds. Naive uses no seed, so a model's max/min of the ratio
+is that of its nRMSE, and it reads exactly 1 for every model that uses no
+seed.
 
     python3 tools/accuracy.py --workload ragged_catalogue --seeds 1-8 --horizon 18 [--disable gam] [--config-seeds 3]
 
@@ -115,17 +119,47 @@ def row_line(name: str, scored, labels, row: str) -> str:
     return f"{name:<16}" + "".join(f"   {cell}" for cell in cells)
 
 
+def table_rows(scored, label: str) -> list:
+    """The recommended row, then each model that forecast some product, in priority order."""
+    present = {row for _, ratios in scored for row in ratios[label]}
+    return [RECOMMENDED] + [m.value for m in MODEL_PRIORITY if m.value in present]
+
+
 def report_lines(scored, labels) -> list:
     """The table: one row per rule, one column block per window, then the histogram."""
-    present = {row for _, ratios in scored for row in ratios[labels[0]]}
-    rows = [RECOMMENDED] + [m.value for m in MODEL_PRIORITY if m.value in present]
     lines = [
         f"{'':<16}" + "".join(f"   {'periods ' + label:<25}" for label in labels),
         f"{'ratio':<16}" + f"   {'n':>4} {'median':>6} {'mean':>6} {'p90':>6}" * len(labels),
     ]
-    lines += [row_line(row, scored, labels, row) for row in rows]
+    lines += [row_line(row, scored, labels, row) for row in table_rows(scored, labels[0])]
     histogram = Counter(recommended for recommended, _ in scored if recommended is not None)
     lines.append("recommendations: " + ", ".join(f"{m} {c}" for m, c in sorted(histogram.items())))
+    return lines
+
+
+def spread_lines(scored_by_k, labels) -> list:
+    """Each row's median, over products, of its ratio's max/min across the config seeds.
+
+    Every config seed forecasts the same products in the same order (the
+    corpus and which products it forecasts do not depend on the seed), so
+    the products line up by position. A product counts for a row where the
+    row's ratio is defined and positive at every seed.
+    """
+    lines = [
+        f"max/min of each row's ratio over the {len(scored_by_k)} config seeds, median over products:",
+        f"{'max/min':<16}" + f"   {'n':>4} {'median':>6}" * len(labels),
+    ]
+    products = list(zip(*scored_by_k, strict=True))
+    for row in table_rows(scored_by_k[0], labels[0]):
+        cells = []
+        for label in labels:
+            spreads = []
+            for runs in products:
+                values = [ratios[label].get(row) for _, ratios in runs]
+                if None not in values and min(values) > 0:
+                    spreads.append(max(values) / min(values))
+            cells.append(f"{len(spreads):>4} {np.median(spreads):>6.3f}" if spreads else f"{0:>4} {'':>6}")
+        lines.append(f"{row:<16}" + "".join(f"   {cell}" for cell in cells))
     return lines
 
 
@@ -168,6 +202,7 @@ def main(argv=None) -> int:
     )
     print("\n".join(report_lines(scored_by_k[0], labels)))
     if args.config_seeds > 1:
+        print("\n".join(spread_lines(scored_by_k, labels)))
         print(f"recommended at config seed = corpus seed + {CONFIG_SEED_STEP}k:")
         for k, scored in enumerate(scored_by_k):
             print(row_line(f"k = {k}", scored, labels, RECOMMENDED))
